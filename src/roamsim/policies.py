@@ -7,12 +7,16 @@ The two plan solvers optimize over whole association sequences:
 * min_ho  - fewest handovers, then highest total RSSI;
 * max_rssi - highest total RSSI, then fewest handovers.
 
-Both run as a dynamic program over (step, BSSID) with switch-cost edges,
-O(T*A^2) worst case, and share their feasibility rule and tie-breaks with
-`brute_force_plan`, the exhaustive reference used to verify them. Final
-ties are broken toward the lexicographically smallest plan, so solver
-output is unique and reproducible. Suffix RSSI sums are accumulated
-back-to-front in both solvers so their float objectives match exactly.
+Both run as a dynamic program over (step, BSSID) with switch-cost edges.
+Every switch costs one handover, so each step ranks the next step's
+suffixes once, O(A log A) for A APs, and then does O(1) work per AP plus
+one look at each suffix whose sum rounds equal to the best one (see
+solve_plan), rather than trying all A successors of every AP. Both share
+their feasibility rule and tie-breaks with `brute_force_plan`, the
+exhaustive reference used to verify them. Final ties are broken toward
+the lexicographically smallest plan, so solver output is unique and
+reproducible. Suffix RSSI sums are accumulated back-to-front in both
+solvers so their float objectives match exactly.
 """
 
 from __future__ import annotations
@@ -200,20 +204,42 @@ def solve_plan(
     choices = [_step_choices(s, constraints, t) for t, s in enumerate(trace.samples)]
     T = len(choices)
 
-    # value[t][a] = (handovers, rssi sum) of the best suffix t..T-1 with a_t = a
+    # value[t][a] = (handovers, rssi sum) of the best suffix t..T-1 with a_t = a.
+    # Every switch costs one handover, so the best successor of `a` is either
+    # `a` itself or the best suffix among the other APs. Each step ranks the
+    # step-(t+1) suffixes once, best first. For `a`, the switch candidates are
+    # the first ranked suffix of another AP and the run of later ones whose
+    # sum with a's RSSI rounds equal to its sum. Float addition is monotone,
+    # so every suffix past that run has a strictly worse key: max_rssi ranks
+    # by sum first, min_ho by handovers and then by sum. Equal keys go to the
+    # smallest BSSID, the one the all-pairs recurrence would meet first.
     value: list[dict[str, tuple[int, float]]] = [dict() for _ in range(T)]
     value[T - 1] = {c.bssid: (0, c.rssi) for c in choices[T - 1]}
     for t in range(T - 2, -1, -1):
         nxt = value[t + 1]
+        ranked = sorted(nxt.items(), key=lambda kv: key(*kv[1]))
+        here = value[t]
         for c in choices[t]:
-            best = None
-            best_key = None
-            for b, (ho, srssi) in nxt.items():
-                cand = (ho + (1 if b != c.bssid else 0), c.rssi + srssi)
-                cand_key = key(*cand)
-                if best_key is None or cand_key < best_key:
-                    best, best_key = cand, cand_key
-            value[t][c.bssid] = best
+            a, rssi = c.bssid, c.rssi
+            best = None  # (key, bssid, (handovers, rssi sum))
+            stay = nxt.get(a)
+            if stay is not None:
+                cand = (stay[0], rssi + stay[1])
+                best = (key(*cand), a, cand)
+            top = None
+            for b, (ho, srssi) in ranked:
+                if b == a:
+                    continue
+                total = rssi + srssi
+                if top is None:
+                    top = total
+                elif total != top:
+                    break
+                cand = (ho + 1, total)
+                ranked_cand = (key(*cand), b, cand)
+                if best is None or ranked_cand < best:
+                    best = ranked_cand
+            here[a] = best[2]
 
     first = min(choices[0], key=lambda c: (key(*value[0][c.bssid]), c.bssid))
     plan = [first.bssid]

@@ -26,13 +26,15 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 from .errors import TraceFormatError
 
 RSSI_MIN_DBM = -100.0
 RSSI_MAX_DBM = 0.0
 
-_MAC_RE = re.compile(r"^[0-9A-Fa-f]{2}([:-][0-9A-Fa-f]{2}){5}$")
+_MAC_RE = re.compile(r"[0-9A-Fa-f]{2}([:-][0-9A-Fa-f]{2}){5}")
 
 ACTIVITY_ACTIVE = "active"
 ACTIVITY_IDLE = "idle"
@@ -44,14 +46,17 @@ def canonical_mac(raw: str) -> str:
 
     Accepts ':' or '-' separators; raises ValueError on anything else.
     """
-    if not isinstance(raw, str) or not _MAC_RE.match(raw):
+    if not isinstance(raw, str) or not _MAC_RE.fullmatch(raw):
         raise ValueError(f"not a MAC address: {raw!r}")
     return raw.replace("-", ":").upper()
 
 
-@dataclass(frozen=True)
-class ApObservation:
-    """One (BSSID, RSSI) pair from a scan."""
+class ApObservation(NamedTuple):
+    """One (BSSID, RSSI) pair from a scan.
+
+    A named tuple rather than a frozen dataclass: traces hold one per AP per
+    step, and a tuple is the cheapest immutable record to build.
+    """
 
     bssid: str
     rssi: float
@@ -164,12 +169,18 @@ def parse_trace(data, fmt: str = "jsonl") -> Trace:
 
 
 def _as_text(data) -> str:
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
+    if not isinstance(data, (bytes, str)):
+        try:
+            data = data.read()
+        except UnicodeDecodeError as exc:  # a text stream decodes as it reads
+            raise TraceFormatError(f"malformed line: not UTF-8 ({exc.reason})") from None
     if isinstance(data, str):
         return data
-    raw = data.read()
-    return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise TraceFormatError(f"malformed line: not UTF-8 ({exc.reason})", line) from None
 
 
 def _infer_interval(samples) -> int:
@@ -186,7 +197,7 @@ def _infer_interval(samples) -> int:
 def _check_rssi(value, line: int) -> float:
     try:
         rssi = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise TraceFormatError(f"malformed line: bad rssi {value!r}", line) from None
     if not RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM:
         raise TraceFormatError(f"rssi out of range: {rssi}", line)
@@ -198,7 +209,7 @@ def _check_timestamp(value, line: int) -> int:
         if isinstance(value, bool) or float(value) != int(float(value)):
             raise ValueError
         return int(float(value))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: inf, or an int beyond floats
         raise TraceFormatError(f"malformed line: bad timestamp {value!r}", line) from None
 
 
@@ -207,7 +218,7 @@ def _opt_float(value, line: int, name: str, lo: float, hi: float) -> float | Non
         return None
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise TraceFormatError(f"malformed line: bad {name} {value!r}", line) from None
     if not lo <= out <= hi:
         raise TraceFormatError(f"{name} out of range: {out}", line)
@@ -224,7 +235,7 @@ def _check_activity(value, line: int) -> str:
 
 def _build_sample(
     t: int,
-    pairs: list[tuple[str, float]],
+    entries: list[tuple[float, str, float]],
     line: int,
     *,
     assoc=None,
@@ -233,24 +244,29 @@ def _build_sample(
     battery=None,
     activity: str = ACTIVITY_ACTIVE,
 ) -> ScanSample:
-    if not pairs:
+    """One sample from its scan `entries`, each (-rssi, bssid, rssi), in file order."""
+    if not entries:
         raise TraceFormatError("malformed line: empty scan", line)
     seen: set[str] = set()
-    obs = []
-    for mac, rssi in pairs:
+    for _, mac, _ in entries:
         if mac in seen:
             raise TraceFormatError(f"duplicate bssid {mac}", line)
         seen.add(mac)
-        obs.append(ApObservation(bssid=mac, rssi=rssi))
+    # Sorting the entries gives sort_candidates' order; the BSSIDs are
+    # distinct, so the stored rssi never breaks a tie. tuple.__new__ is the
+    # named tuple's own constructor without its Python-level wrapper.
+    entries.sort()
+    candidates = tuple([tuple.__new__(ApObservation, (mac, rssi)) for _, mac, rssi in entries])
     ctx = DeviceContext(
         timestamp=t, latitude=lat, longitude=lon, battery_pct=battery, activity=activity
     )
-    return ScanSample(context=ctx, candidates=sort_candidates(obs), associated=assoc)
+    return ScanSample(context=ctx, candidates=candidates, associated=assoc)
 
 
 def _parse_jsonl(text: str) -> list[ScanSample]:
     samples: list[ScanSample] = []
     prev_t: int | None = None
+    macs: dict[str, str] = {}  # raw BSSID string -> canonical form, for this parse
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -267,15 +283,23 @@ def _parse_jsonl(text: str) -> list[ScanSample]:
         scan = rec["scan"]
         if not isinstance(scan, list):
             raise TraceFormatError("malformed line: scan must be a list", line_no)
-        pairs = []
+        entries = []
         for entry in scan:
-            if not isinstance(entry, dict) or "bssid" not in entry or "rssi_dbm" not in entry:
-                raise TraceFormatError("malformed line: scan entry needs bssid and rssi_dbm", line_no)
             try:
-                mac = canonical_mac(entry["bssid"])
-            except ValueError as exc:
-                raise TraceFormatError(f"malformed line: {exc}", line_no) from None
-            pairs.append((mac, _check_rssi(entry["rssi_dbm"], line_no)))
+                raw, rssi = entry["bssid"], entry["rssi_dbm"]
+            except (KeyError, TypeError):  # not an object, or a key missing
+                raise TraceFormatError(
+                    "malformed line: scan entry needs bssid and rssi_dbm", line_no
+                ) from None
+            mac = macs.get(raw) if isinstance(raw, str) else None
+            if mac is None:
+                try:
+                    mac = macs[raw] = canonical_mac(raw)
+                except ValueError as exc:
+                    raise TraceFormatError(f"malformed line: {exc}", line_no) from None
+            if type(rssi) is not float or not RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM:
+                rssi = _check_rssi(rssi, line_no)
+            entries.append((-rssi, mac, rssi))
         assoc = None
         if rec.get("assoc") is not None:
             try:
@@ -285,7 +309,7 @@ def _parse_jsonl(text: str) -> list[ScanSample]:
         samples.append(
             _build_sample(
                 t,
-                pairs,
+                entries,
                 line_no,
                 assoc=assoc,
                 lat=_opt_float(rec.get("lat"), line_no, "latitude", -90.0, 90.0),
@@ -308,7 +332,7 @@ def _parse_csv(text: str) -> list[ScanSample]:
 
     samples: list[ScanSample] = []
     group_t: int | None = None
-    group_pairs: list[tuple[str, float]] = []
+    group_entries: list[tuple[float, str, float]] = []
     group_row: dict = {}
     group_line = 2
     prev_t: int | None = None
@@ -323,7 +347,7 @@ def _parse_csv(text: str) -> list[ScanSample]:
         samples.append(
             _build_sample(
                 group_t,
-                group_pairs,
+                group_entries,
                 line_no,
                 lat=_opt_float(group_row.get("lat"), line_no, "latitude", -90.0, 90.0),
                 lon=_opt_float(group_row.get("lon"), line_no, "longitude", -180.0, 180.0),
@@ -342,8 +366,8 @@ def _parse_csv(text: str) -> list[ScanSample]:
         rssi = _check_rssi(row.get("rssi_dbm"), line_no)
         if t != group_t:
             flush(group_line)
-            group_t, group_pairs, group_row, group_line = t, [], row, line_no
-        group_pairs.append((mac, rssi))
+            group_t, group_entries, group_row, group_line = t, [], row, line_no
+        group_entries.append((-rssi, mac, rssi))
     flush(group_line)
     return samples
 
@@ -371,7 +395,34 @@ def sample_to_dict(sample: ScanSample) -> dict:
 
 
 def trace_to_jsonl(trace: Trace) -> str:
-    return "".join(json.dumps(sample_to_dict(s)) + "\n" for s in trace.samples)
+    """Canonical JSONL: each line is byte for byte json.dumps(sample_to_dict(s)).
+
+    Written directly rather than through dicts and json.dumps, because the
+    content hash serializes every trace on every run. json.dumps writes ints
+    and finite floats with repr, strings with encode_basestring_ascii, and
+    ", " / ": " separators; this does the same. Every trace parse_trace or
+    generate_synthetic returns holds only finite floats, which is what makes
+    the two agree (json.dumps would write NaN where repr writes nan).
+    """
+    return "".join([_jsonl_line(s) for s in trace.samples])
+
+
+def _jsonl_line(sample: ScanSample) -> str:
+    ctx = sample.context
+    scan = ", ".join(
+        [f'{{"bssid": {_json_str(b)}, "rssi_dbm": {r!r}}}' for b, r in sample.candidates]
+    )
+    fields = [f'{{"t": {ctx.timestamp!r}, "scan": [{scan}]']
+    if sample.associated is not None:
+        fields.append(f'"assoc": {_json_str(sample.associated)}')
+    if ctx.latitude is not None:
+        fields.append(f'"lat": {ctx.latitude!r}')
+    if ctx.longitude is not None:
+        fields.append(f'"lon": {ctx.longitude!r}')
+    if ctx.battery_pct is not None:
+        fields.append(f'"battery_pct": {ctx.battery_pct!r}')
+    fields.append(f'"activity": {_json_str(ctx.activity)}}}\n')
+    return ", ".join(fields)
 
 
 def trace_to_csv(trace: Trace) -> str:
@@ -427,7 +478,7 @@ def validate_trace(trace: Trace) -> list[Violation]:
             continue
         seen: set[str] = set()
         for c in s.candidates:
-            if not _MAC_RE.match(c.bssid) or c.bssid != c.bssid.upper() or "-" in c.bssid:
+            if not _MAC_RE.fullmatch(c.bssid) or c.bssid != c.bssid.upper() or "-" in c.bssid:
                 bad(i, "bad bssid", f"non-canonical bssid {c.bssid!r} at index {i}")
             if c.bssid in seen:
                 bad(i, "duplicate bssid", f"duplicate bssid {c.bssid} at index {i}")

@@ -66,6 +66,18 @@ class TestSimulate:
                        '{"t":3,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n')
         assert main(["simulate", "--trace", str(bad), "--policy", "legacy"]) == 2
 
+    @pytest.mark.parametrize("data", [
+        b'{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n'
+        b'{"t":Infinity,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n',
+        b'{"t":1e400,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n',
+        b'{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}],"activity":"\xc3"}\n',
+    ], ids=["infinity", "1e400", "not-utf8"])
+    def test_unreadable_trace_is_a_data_error(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(data)
+        assert main(["simulate", "--trace", str(bad), "--policy", "legacy"]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
     def test_missing_file_exits_2(self):
         assert main(["simulate", "--trace", "/nonexistent.jsonl", "--policy", "legacy"]) == 2
 

@@ -10,15 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MAC_A, MAC_B, MAC_C, band_synth, make_trace
+from conftest import MAC_A, MAC_B, MAC_C, band_synth, mac, make_trace
 from roamsim.errors import OracleInfeasibleError, SearchSpaceError
 from roamsim.policies import (
     EMPTY_SET_ERROR,
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
+    RELAX_TO_ARGMAX,
     HeuristicPolicy,
     LegacyPolicy,
     OracleConstraints,
+    _finish_plan,
+    _objective_key,
+    _step_choices,
     brute_force_plan,
     external_policy_adapter,
     fixed_threshold_policy,
@@ -252,6 +256,104 @@ class TestBruteForce:
         trace = make_trace(rows)
         constraints = OracleConstraints(validity_floor=-70.0)
         assert solve_plan(trace, objective, constraints) == brute_force_plan(
+            trace, objective, constraints
+        )
+
+
+def reference_solve_plan(trace, objective, constraints):
+    """The all-pairs O(T*A^2) recurrence: every AP at every step tries every
+    successor and keeps the first strictly better key."""
+    key = _objective_key(objective)
+    choices = [_step_choices(s, constraints, t) for t, s in enumerate(trace.samples)]
+    T = len(choices)
+    value = [dict() for _ in range(T)]
+    value[T - 1] = {c.bssid: (0, c.rssi) for c in choices[T - 1]}
+    for t in range(T - 2, -1, -1):
+        nxt = value[t + 1]
+        for c in choices[t]:
+            best = None
+            best_key = None
+            for b, (ho, srssi) in nxt.items():
+                cand = (ho + (1 if b != c.bssid else 0), c.rssi + srssi)
+                cand_key = key(*cand)
+                if best_key is None or cand_key < best_key:
+                    best, best_key = cand, cand_key
+            value[t][c.bssid] = best
+
+    first = min(choices[0], key=lambda c: (key(*value[0][c.bssid]), c.bssid))
+    plan = [first.bssid]
+    rssi_at = [{c.bssid: c.rssi for c in ch} for ch in choices]
+    for t in range(T - 1):
+        target = value[t][plan[-1]]
+        here = rssi_at[t][plan[-1]]
+        for c in choices[t + 1]:
+            ho, srssi = value[t + 1][c.bssid]
+            if (ho + (1 if c.bssid != plan[-1] else 0), here + srssi) == target:
+                plan.append(c.bssid)
+                break
+    return _finish_plan(plan, value[0][first.bssid][1], objective)
+
+
+# Values whose sums round together: -60.0 + -59.99999999999999 and
+# -60.00000000000001 + -60.0 both round to -120.0, so suffixes with different
+# sums tie once an RSSI is added; -0.0 and 0.0 compare equal but differ in sign.
+# Random draws seldom reach a rounding tie between suffixes with different
+# handover counts, so test_rounding_tie_goes_to_fewer_handovers pins that case.
+TIE_RSSI = (-60.0, -59.99999999999999, -60.00000000000001, -1e-9, -0.0, 0.0, -45.5, -75.0)
+
+
+@st.composite
+def tie_heavy_rows(draw):
+    num_aps = draw(st.one_of(st.integers(1, 4), st.integers(1, 64)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        levels = draw(st.lists(st.sampled_from(TIE_RSSI + (None,)),
+                               min_size=num_aps, max_size=num_aps))
+        row = {mac(i): r for i, r in enumerate(levels) if r is not None}
+        rows.append(row or {mac(0): -60.0})  # every AP absent: keep the step non-empty
+    return rows
+
+
+class TestSolverAgainstReference:
+    def test_rounding_tie_goes_to_fewer_handovers(self):
+        # At step 1, A's suffix (1 handover, -60.0) outranks B's (0 handovers,
+        # -60.00000000000001), but both round to -120.0 once C's -60.0 is
+        # added at step 0, so opt-rssi must take B's suffix for C
+        rows = [{MAC_C: -60.0}, {MAC_A: -60.0, MAC_B: -60.00000000000001},
+                {MAC_B: -0.0, MAC_C: -0.0}]
+        trace = make_trace(rows)
+        constraints = OracleConstraints(validity_floor=-100.0)
+        plan = solve_plan(trace, OBJECTIVE_MAX_RSSI, constraints)
+        assert plan.plan == (MAC_C, MAC_B, MAC_B)
+        assert plan.handovers == 1
+        assert plan == reference_solve_plan(trace, OBJECTIVE_MAX_RSSI, constraints)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=tie_heavy_rows(),
+           objective=st.sampled_from([OBJECTIVE_MIN_HO, OBJECTIVE_MAX_RSSI]),
+           floor=st.sampled_from([-100.0, -70.0, -60.0, -59.99999999999999, -1e-9]),
+           rule=st.sampled_from([RELAX_TO_ARGMAX, EMPTY_SET_ERROR]))
+    def test_equals_quadratic_dp_on_tie_heavy_traces(self, rows, objective, floor, rule):
+        trace = make_trace(rows)
+        constraints = OracleConstraints(validity_floor=floor, empty_feasible_set_rule=rule)
+        try:
+            expected = reference_solve_plan(trace, objective, constraints)
+        except OracleInfeasibleError:
+            with pytest.raises(OracleInfeasibleError):
+                solve_plan(trace, objective, constraints)
+            return
+        got = solve_plan(trace, objective, constraints)
+        assert got == expected
+        # AssociationPlan equality treats -0.0 and 0.0 alike; the sign must match too
+        assert repr(got.objective_value) == repr(expected.objective_value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), num_aps=st.integers(1, 6),
+           objective=st.sampled_from([OBJECTIVE_MIN_HO, OBJECTIVE_MAX_RSSI]))
+    def test_equals_quadratic_dp_on_synthetic_walks(self, seed, num_aps, objective):
+        trace = generate_synthetic(band_synth(seed=seed, duration=120, num_aps=num_aps))
+        constraints = OracleConstraints(validity_floor=-70.0)
+        assert solve_plan(trace, objective, constraints) == reference_solve_plan(
             trace, objective, constraints
         )
 

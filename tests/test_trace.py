@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MAC_A, MAC_B, make_trace
+from conftest import MAC_A, MAC_B, mac, make_sample, make_trace
 from roamsim.errors import TraceFormatError
+from roamsim.runner import trace_content_hash
 from roamsim.trace import (
+    ApObservation,
     SynthConfig,
+    Trace,
     canonical_mac,
     generate_synthetic,
     parse_trace,
+    sample_to_dict,
     trace_to_csv,
     trace_to_jsonl,
     validate_trace,
@@ -25,10 +32,15 @@ class TestCanonicalMac:
         assert canonical_mac("aa:bb:cc:dd:ee:ff") == "AA:BB:CC:DD:EE:FF"
         assert canonical_mac("aa-bb-cc-dd-ee-ff") == "AA:BB:CC:DD:EE:FF"
 
-    @pytest.mark.parametrize("bad", ["", "aa:bb:cc:dd:ee", "zz:bb:cc:dd:ee:ff", "aabbccddeeff"])
+    @pytest.mark.parametrize("bad", ["", "aa:bb:cc:dd:ee", "zz:bb:cc:dd:ee:ff", "aabbccddeeff",
+                                     "aa:bb:cc:dd:ee:ff\n", "AA:BB:CC:DD:EE:FF\n"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             canonical_mac(bad)
+
+    def test_validate_flags_trailing_newline(self):
+        trace = make_trace([{"AA:00:00:00:00:01\n": -60.0}])
+        assert [v.rule for v in validate_trace(trace)] == ["bad bssid"]
 
 
 class TestParseJsonl:
@@ -68,6 +80,30 @@ class TestParseJsonl:
     def test_malformed_json_names_the_line(self):
         with pytest.raises(TraceFormatError, match="line 1"):
             parse_trace("{nope", "jsonl")
+
+    @pytest.mark.parametrize("t", ["Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    def test_timestamp_past_float_range_names_the_line(self, t):
+        text = (
+            '{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n'
+            f'{{"t":{t},"scan":[{{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}}]}}\n'
+        )
+        with pytest.raises(TraceFormatError, match="bad timestamp .* at line 2"):
+            parse_trace(text, "jsonl")
+
+    def test_rssi_past_float_range_rejected(self):
+        line = '{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-1%s}]}' % ("0" * 400)
+        with pytest.raises(TraceFormatError, match="bad rssi"):
+            parse_trace(line, "jsonl")
+
+    def test_non_utf8_bytes_name_the_line(self):
+        data = (
+            b'{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n'
+            b'{"t":1,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}],"activity":"\xff"}\n'
+        )
+        with pytest.raises(TraceFormatError, match="not UTF-8 .* at line 2"):
+            parse_trace(data, "jsonl")
+        with pytest.raises(TraceFormatError, match="not UTF-8"):
+            parse_trace(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), "jsonl")
 
     def test_candidates_sorted_on_ingest(self):
         line = (
@@ -147,6 +183,59 @@ class TestRoundTrip:
                         emit_location=True, battery_drain_pct_per_step=0.05)
         )
         assert parse_trace(trace_to_jsonl(trace), "jsonl") == trace
+
+
+# Every optional field, an idle step, and RSSI values whose text is easy to get
+# wrong: the sign of -0.0, an exponent, and a 16-digit mantissa.
+GOLDEN_FIXTURE = (
+    '{"t": 0, "scan": [{"bssid": "aa-00-00-00-00-02", "rssi_dbm": -0.0},'
+    ' {"bssid": "AA:00:00:00:00:01", "rssi_dbm": -1e-05},'
+    ' {"bssid": "aa:00:00:00:00:03", "rssi_dbm": -59.99999999999999}],'
+    ' "assoc": "aa:00:00:00:00:01", "lat": 37.4, "lon": -122.1, "battery_pct": 88,'
+    ' "activity": "idle"}\n'
+    '{"t": 2, "scan": [{"bssid": "AA:00:00:00:00:03", "rssi_dbm": -60}]}\n'
+)
+
+
+@st.composite
+def valid_samples(draw):
+    """Samples validate_trace accepts, with every optional field drawn."""
+    rssi = st.one_of(st.floats(-100.0, 0.0), st.sampled_from([-0.0, 0.0, -1e-05, -100.0]))
+    num_aps = draw(st.integers(1, 6))
+    levels = {mac(i): draw(rssi) for i in draw(st.sets(st.integers(0, 300), min_size=1,
+                                                       max_size=num_aps))}
+    opt = lambda lo, hi: st.one_of(st.none(), st.floats(lo, hi))  # noqa: E731
+    return make_sample(
+        draw(st.integers(0, 10**12)), levels,
+        assoc=draw(st.one_of(st.none(), st.sampled_from(sorted(levels)))),
+        activity=draw(st.sampled_from(["active", "idle"])),
+        lat=draw(opt(-90.0, 90.0)), lon=draw(opt(-180.0, 180.0)),
+        battery=draw(opt(0.0, 100.0)),
+    )
+
+
+class TestCanonicalJsonl:
+    def test_golden_content_hash(self):
+        # sha256 of the lines json.dumps(sample_to_dict(s)) writes; stored
+        # reports carry hashes made that way, so compare needs them unchanged
+        trace = parse_trace(GOLDEN_FIXTURE, "jsonl")
+        assert trace_content_hash(trace) == (
+            "f62e7f868faff4712e024ca00e53ce95947621842c8a537df12da81ad3139e16"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(valid_samples(), min_size=1, max_size=4))
+    def test_lines_equal_json_dumps(self, samples):
+        trace = Trace(samples=tuple(samples))
+        assert all(validate_trace(Trace(samples=(s,))) == [] for s in samples)
+        lines = trace_to_jsonl(trace).splitlines(keepends=True)
+        assert lines == [json.dumps(sample_to_dict(s)) + "\n" for s in samples]
+
+    def test_observations_are_immutable_named_records(self):
+        obs = ApObservation(bssid=MAC_A, rssi=-60.0)
+        assert repr(obs) == "ApObservation(bssid='AA:00:00:00:00:01', rssi=-60.0)"
+        with pytest.raises(AttributeError):
+            obs.rssi = -50.0  # type: ignore[misc]
 
 
 class TestValidate:
