@@ -26,7 +26,6 @@ from .gateway import (
     HttpClient,
     LatencySummary,
     MockRule,
-    complete,
     latency_stats,
     mock_model,
 )
@@ -34,7 +33,6 @@ from .policies import (
     AssociationPlan,
     OracleConstraints,
     brute_force_plan,
-    external_policy_adapter,
     fixed_threshold_policy,
     heuristic_decide,
     legacy_decide,
@@ -49,9 +47,6 @@ from .roaming import (
     RunTimeline,
     StepRecord,
     apply_decision,
-    avg_rssi,
-    error_rate,
-    handover_count,
     passes_hysteresis,
     run_policy,
     should_scan,

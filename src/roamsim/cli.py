@@ -31,14 +31,17 @@ from .policies import (
 )
 from .runner import (
     ExperimentConfig,
+    POLICIES,
+    SWEEP_AXES,
     PolicySpec,
     compare,
     emit_plot_data,
     read_report,
+    read_trace_file,
     run_experiment,
     sweep,
 )
-from .trace import SynthConfig, generate_synthetic, parse_trace, trace_to_jsonl
+from .trace import SynthConfig, generate_synthetic, trace_to_jsonl
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,12 +93,6 @@ def _pick(flag, ini: dict, section: str, key: str, default=None, cast=None):
     if cast is bool:
         return raw.strip().lower() in ("1", "true", "yes", "on")
     return cast(raw) if cast else raw
-
-
-def _load_trace_file(path: str):
-    fmt = "csv" if path.endswith(".csv") else "jsonl"
-    with open(path, "rb") as fh:
-        return parse_trace(fh.read(), fmt)
 
 
 def _synth_from(args, ini) -> SynthConfig | None:
@@ -181,10 +178,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--synth-floor", type=float)
     p.add_argument("--synth-ceil", type=float)
     p.add_argument("--task", choices=["ap_select", "threshold"])
-    p.add_argument(
-        "--policy",
-        choices=["heuristic", "legacy", "fixed", "opt-ho", "opt-rssi", "llm", "external"],
-    )
+    p.add_argument("--policy", choices=[k.replace("_", "-") for k in POLICIES])
     p.add_argument("--seed", type=int)
     p.add_argument("--fixed-dbm", type=float)
     p.add_argument("--mock", help="argmax | fixed:V | constant:TEXT | fail-after:N | scripted:FILE")
@@ -251,8 +245,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run one policy across an axis of settings")
     _add_experiment_flags(p)
-    p.add_argument("--axis", required=True,
-                   choices=["threshold", "interval", "shots", "context_fields"])
+    p.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     p.add_argument("--values", help="comma list overriding the default axis values")
 
     p = sub.add_parser("compare", help="align reports from one trace into a table")
@@ -339,7 +332,7 @@ def plan_from_dict(d: dict) -> AssociationPlan:
 
 
 def _cmd_oracle(args) -> int:
-    trace = _load_trace_file(args.trace)
+    trace = read_trace_file(args.trace)
     constraints = OracleConstraints(
         validity_floor=args.floor,
         empty_feasible_set_rule="relax_to_argmax" if args.empty_rule == "relax" else "error",
@@ -358,7 +351,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    trace = _load_trace_file(args.trace)
+    trace = read_trace_file(args.trace)
     if args.plan:
         with open(args.plan, encoding="utf-8") as fh:
             plan = plan_from_dict(json.load(fh))

@@ -47,7 +47,6 @@ class EndpointConfig:
     timeout_ms: float = 30_000.0
     max_retries: int = 2
     backoff_ms: float = 250.0
-    max_concurrency: int = 4
 
     def __post_init__(self):
         if self.timeout_ms <= 0:
@@ -179,13 +178,12 @@ def mock_model(rule: MockRule) -> MockClient:
 
 
 class HttpClient:
-    """Chat-completions client with bounded retries and fixed backoff."""
+    """Chat-completions client; retries timeouts, transport errors, 5xx, 408 and 429."""
 
     def __init__(self, cfg: EndpointConfig, session: requests.Session | None = None):
         self.cfg = cfg
         self.records: list[CompletionRecord] = []
         self._session = session or requests.Session()
-        self._gate = threading.Semaphore(cfg.max_concurrency)
         self._lock = threading.Lock()
 
     def complete(self, prompt: str) -> CompletionRecord:
@@ -205,11 +203,12 @@ class HttpClient:
             attempts = attempt + 1
             start = time.perf_counter()
             try:
-                with self._gate:
-                    resp = self._session.post(url, json=payload, timeout=cfg.timeout_ms / 1000.0)
+                resp = self._session.post(url, json=payload, timeout=cfg.timeout_ms / 1000.0)
                 latency = (time.perf_counter() - start) * 1000.0
                 if not 200 <= resp.status_code < 300:
                     outcome, status = OUTCOME_HTTP, resp.status_code
+                    if status < 500 and status not in (408, 429):
+                        break  # any other client error fails the same way again
                     continue
                 reply = _extract_reply(resp.json())
                 outcome, status = OUTCOME_OK, resp.status_code
@@ -233,11 +232,6 @@ class HttpClient:
         with self._lock:
             self.records.append(record)
         return record
-
-
-def complete(cfg: EndpointConfig, prompt: str) -> CompletionRecord:
-    """One-shot completion against a live endpoint."""
-    return HttpClient(cfg).complete(prompt)
 
 
 def _extract_reply(body) -> str:

@@ -341,6 +341,3 @@ class ExternalPolicy:
             self.fault_count += 1
             return PolicyDecision.stay("external-unavailable", fault=True)
 
-
-def external_policy_adapter(url: str, timeout_ms: float = 5000.0) -> ExternalPolicy:
-    return ExternalPolicy(url, timeout_ms=timeout_ms)

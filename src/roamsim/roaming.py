@@ -1,10 +1,11 @@
-"""Association state machine, decision application, and run metrics.
+"""Association state machine, decision application, and the replay loop.
 
 A run replays a trace step by step: the policy looks at a context window
 and the current association state, emits a decision (stay, roam to a
 BSSID, or set the scan threshold), and the state machine applies it. The
-per-step records form a RunTimeline from which the headline metrics
-(handover count, average RSSI, error rate) are computed.
+per-step records form a RunTimeline; the headline metrics (handover
+count, average RSSI, error rate) are computed from its decision log by
+`runner.recompute_metrics`.
 
 Validity rule: a roam target must be present in the current scan with
 RSSI at or above the validity floor. Invalid roams never change the
@@ -197,44 +198,6 @@ def apply_decision(
         handover=new_state.associated != state.associated,
     )
     return new_state, record
-
-
-# ---------------------------------------------------------------------------
-# Metrics
-
-def avg_rssi(timeline: RunTimeline) -> float:
-    """Mean per-step RSSI of the associated AP."""
-    if len(timeline) == 0:
-        raise ValueError("empty timeline")
-    return sum(s.rssi for s in timeline.steps) / len(timeline)
-
-
-def handover_count(timeline: RunTimeline) -> int:
-    """Number of association changes between consecutive steps."""
-    if len(timeline) == 0:
-        raise ValueError("empty timeline")
-    steps = timeline.steps
-    return sum(1 for a, b in zip(steps, steps[1:]) if a.bssid != b.bssid)
-
-
-def error_rate(timeline: RunTimeline) -> float | None:
-    """Invalid roam attempts over all roam attempts, or None when there were none.
-
-    A roam attempt is a roam-action decision or any decision marked invalid
-    after an attempted AP selection (an invalid pick whose fallback resolved
-    to stay still counts as one failed attempt). Threshold adjustments are
-    never attempts.
-    """
-    attempts = [
-        s
-        for s in timeline.steps
-        if s.decision.action is Action.ROAM
-        or (s.decision.valid is False and s.decision.action is Action.STAY)
-    ]
-    if not attempts:
-        return None
-    invalid = sum(1 for s in attempts if s.decision.valid is False)
-    return invalid / len(attempts)
 
 
 # ---------------------------------------------------------------------------

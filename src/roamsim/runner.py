@@ -35,25 +35,15 @@ from .policies import (
     AssociationPlan,
     ExternalPolicy,
     HeuristicPolicy,
-    LegacyPolicy,
     OracleConstraints,
     PlanPolicy,
     fixed_threshold_policy,
+    legacy_decide,
     oracle_opt_ho,
     oracle_opt_rssi,
 )
-from .roaming import (
-    DEFAULT_SCAN_RSSI_DBM,
-    HYSTERESIS_PRESETS,
-    RunTimeline,
-    avg_rssi,
-    error_rate,
-    handover_count,
-    run_policy,
-)
+from .roaming import DEFAULT_SCAN_RSSI_DBM, HYSTERESIS_PRESETS, RunTimeline, run_policy
 from .trace import SynthConfig, Trace, generate_synthetic, parse_trace, trace_to_jsonl
-
-POLICY_KINDS = ("heuristic", "legacy", "fixed", "opt_ho", "opt_rssi", "llm", "external")
 
 SWEEP_AXES: dict[str, list] = {
     "threshold": [-50.0, -60.0, -70.0, -80.0],
@@ -101,7 +91,6 @@ class ExperimentConfig:
     holdout: bool | None = None
     template_path: str | None = None
     out_dir: str | None = None
-    label: str | None = None
 
 
 @dataclass
@@ -144,7 +133,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("exactly one of trace_path or synth must be set")
     if cfg.task not in (TASK_AP_SELECT, TASK_THRESHOLD):
         raise ConfigError(f"unknown task {cfg.task!r}")
-    if cfg.policy.kind not in POLICY_KINDS:
+    if cfg.policy.kind not in POLICIES:
         raise ConfigError(f"unknown policy {cfg.policy.kind!r}")
     if cfg.hysteresis not in HYSTERESIS_PRESETS:
         raise ConfigError(f"unknown hysteresis preset {cfg.hysteresis!r}")
@@ -177,15 +166,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"bad score_against {cfg.score_against!r}")
 
 
+def read_trace_file(path) -> Trace:
+    """Parse a trace file; a `.csv` name means CSV, anything else JSONL."""
+    fmt = "csv" if str(path).endswith(".csv") else "jsonl"
+    with open(path, "rb") as fh:
+        return parse_trace(fh.read(), fmt)
+
+
 def load_trace_source(cfg: ExperimentConfig) -> tuple[Trace, str]:
     if cfg.synth is not None:
         return generate_synthetic(cfg.synth), f"synthetic-{cfg.synth.seed}"
-    path = cfg.trace_path
-    fmt = "csv" if str(path).endswith(".csv") else "jsonl"
-    with open(path, "rb") as fh:
-        trace = parse_trace(fh.read(), fmt)
-    stem = os.path.splitext(os.path.basename(str(path)))[0]
-    return trace, stem
+    stem = os.path.splitext(os.path.basename(str(cfg.trace_path)))[0]
+    return read_trace_file(cfg.trace_path), stem
 
 
 def trace_content_hash(trace: Trace) -> str:
@@ -213,24 +205,7 @@ def _seedprint(config_dict: dict, trace_hash: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _policy_label(cfg: ExperimentConfig) -> str:
-    spec = cfg.policy
-    if spec.kind == "fixed":
-        return f"fixed({spec.fixed_dbm:g})"
-    if spec.kind == "heuristic":
-        return f"heuristic(seed={spec.seed})"
-    if spec.kind in ("opt_ho", "opt_rssi"):
-        return spec.kind.replace("_", "-")
-    return spec.kind
-
-
-def _build_client(spec: PolicySpec):
-    if spec.mock is not None:
-        return mock_model(spec.mock)
-    return HttpClient(spec.endpoint)
-
-
-def _timeline_log(timeline: RunTimeline) -> list[dict]:
+def timeline_log(timeline: RunTimeline) -> list[dict]:
     out = []
     for s in timeline.steps:
         d = s.decision
@@ -252,7 +227,11 @@ def _timeline_log(timeline: RunTimeline) -> list[dict]:
 
 
 def recompute_metrics(decision_log: list[dict]) -> dict:
-    """Headline metrics recomputed from a report's embedded decision log."""
+    """Headline metrics of a decision log: what reports store and verify_report rechecks.
+
+    A roam attempt, for the error rate, is a roam or a stay marked invalid
+    (an invalid pick whose fallback stayed put); threshold steps never count.
+    """
     if not decision_log:
         raise DataError("empty decision log")
     bssids = [e["bssid"] for e in decision_log]
@@ -296,6 +275,86 @@ def _oracle_plan(trace: Trace, objective: str, floor: float) -> AssociationPlan:
     return oracle_opt_rssi(trace, constraints)
 
 
+@dataclass
+class _Run:
+    """What a policy factory needs for one run, and what it leaves behind."""
+
+    cfg: ExperimentConfig
+    trace: Trace  # the evaluated trace
+    prompt: PromptConfig
+    template: dict[str, str] | None
+    shots: tuple[FewShotExample, ...]
+    client: object = None
+    threshold_log: list[dict] = field(default_factory=list)
+
+
+def _plan_policy(run: _Run) -> dict:
+    kind = run.cfg.policy.kind
+    plan = _oracle_plan(run.trace, kind, run.cfg.validity_floor)
+    # plan entries may sit below the floor on relaxed steps; replay
+    # must still follow the plan
+    return {
+        "decide": PlanPolicy(run.trace, plan, kind.replace("_", "-")).decide,
+        "validity_floor": -100.0,
+        "initial": plan.plan[0],
+    }
+
+
+def _llm_policy(run: _Run) -> dict:
+    spec, cfg = run.cfg.policy, run.cfg
+    run.client = mock_model(spec.mock) if spec.mock is not None else HttpClient(spec.endpoint)
+    if cfg.task == TASK_AP_SELECT:
+        return {
+            "decide": lambda win, state: ap_select_decide(
+                win, state, run.prompt, run.client, run.shots, cfg.validity_floor,
+                template=run.template,
+            )
+        }
+    interval = cfg.interval if cfg.interval is not None else 30
+    log = run.threshold_log
+
+    def scheduler(t, win, state):
+        now = win.latest.context.timestamp
+        decision = threshold_schedule_step(
+            now, log[-1]["t"] if log else None, interval, win, state, run.prompt,
+            run.client, template=run.template,
+        )
+        if decision is None:
+            return state
+        log.append(
+            {
+                "t": now,
+                "value": decision.value,
+                "valid": decision.valid is not False,
+                "fault": decision.fault,
+            }
+        )
+        return replace(state, threshold=decision.value)
+
+    return {"decide": legacy_decide, "pre_decide": scheduler}
+
+
+# kind -> (report label for the spec, run -> run_policy keyword arguments)
+POLICIES = {
+    "heuristic": (
+        lambda spec: f"heuristic(seed={spec.seed})",
+        lambda run: {"decide": HeuristicPolicy(run.cfg.policy.seed).decide},
+    ),
+    "legacy": (lambda spec: "legacy", lambda run: {"decide": legacy_decide}),
+    "fixed": (
+        lambda spec: f"fixed({spec.fixed_dbm:g})",
+        lambda run: {"decide": fixed_threshold_policy(run.cfg.policy.fixed_dbm).decide},
+    ),
+    "opt_ho": (lambda spec: "opt-ho", _plan_policy),
+    "opt_rssi": (lambda spec: "opt-rssi", _plan_policy),
+    "llm": (lambda spec: "llm", _llm_policy),
+    "external": (
+        lambda spec: "external",
+        lambda run: {"decide": ExternalPolicy(run.cfg.policy.external_url).decide},
+    ),
+}
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Replay the configured trace through the configured policy."""
     validate_config(cfg)
@@ -324,115 +383,44 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             raise ConfigError("shots > 0 requires holdout evaluation")
         eval_trace = full_trace
 
-    hysteresis = HYSTERESIS_PRESETS[cfg.hysteresis]
-    client = None
-    threshold_log: list[dict] = []
-    interval = cfg.interval if cfg.interval is not None else 30
+    label, build = POLICIES[spec.kind]
+    run = _Run(cfg, eval_trace, prompt_cfg, template, shots)
+    replay = {
+        "k": cfg.window_k,
+        "scan_rssi": cfg.scan_rssi,
+        "hysteresis": HYSTERESIS_PRESETS[cfg.hysteresis],
+        "validity_floor": cfg.validity_floor,
+        **build(run),
+    }
+    timeline = run_policy(eval_trace, **replay)
 
-    if cfg.task == TASK_THRESHOLD and spec.kind == "llm":
-        client = _build_client(spec)
-        last_adjust: dict = {"t": None}
-
-        def scheduler(t, win, state):
-            now = win.latest.context.timestamp
-            decision = threshold_schedule_step(
-                now, last_adjust["t"], interval, win, state, prompt_cfg, client,
-                template=template,
-            )
-            if decision is None:
-                return state
-            last_adjust["t"] = now
-            threshold_log.append(
-                {
-                    "t": now,
-                    "value": decision.value,
-                    "valid": decision.valid is not False,
-                    "fault": decision.fault,
-                }
-            )
-            return replace(state, threshold=decision.value)
-
-        timeline = run_policy(
-            eval_trace,
-            LegacyPolicy().decide,
-            k=cfg.window_k,
-            scan_rssi=cfg.scan_rssi,
-            hysteresis=hysteresis,
-            validity_floor=cfg.validity_floor,
-            pre_decide=scheduler,
-        )
-    else:
-        replay_floor = cfg.validity_floor
-        initial = None
-        if spec.kind == "heuristic":
-            policy = HeuristicPolicy(spec.seed)
-        elif spec.kind == "legacy":
-            policy = LegacyPolicy()
-        elif spec.kind == "fixed":
-            policy = fixed_threshold_policy(spec.fixed_dbm)
-        elif spec.kind in ("opt_ho", "opt_rssi"):
-            plan = _oracle_plan(eval_trace, spec.kind, cfg.validity_floor)
-            policy = PlanPolicy(eval_trace, plan, spec.kind.replace("_", "-"))
-            # plan entries may sit below the floor on relaxed steps; replay
-            # must still follow the plan
-            replay_floor = -100.0
-            initial = plan.plan[0]
-        elif spec.kind == "llm":
-            client = _build_client(spec)
-
-            class _Llm:
-                name = "llm"
-
-                @staticmethod
-                def decide(win, state):
-                    return ap_select_decide(
-                        win, state, prompt_cfg, client, shots, cfg.validity_floor,
-                        template=template,
-                    )
-
-            policy = _Llm()
-        else:
-            policy = ExternalPolicy(spec.external_url)
-        timeline = run_policy(
-            eval_trace,
-            policy.decide,
-            k=cfg.window_k,
-            scan_rssi=cfg.scan_rssi,
-            hysteresis=hysteresis,
-            validity_floor=replay_floor,
-            initial=initial,
-        )
-
-    if client is not None and isinstance(client, HttpClient):
-        summary = latency_stats(client.records)
+    if isinstance(run.client, HttpClient):
+        summary = latency_stats(run.client.records)
         if summary.count == 0 and summary.failures > 0:
             raise EndpointError("completion endpoint never answered")
 
-    metrics = {
-        "handovers": handover_count(timeline),
-        "avg_rssi_dbm": avg_rssi(timeline),
-        "error_rate": error_rate(timeline),
-    }
+    decision_log = timeline_log(timeline)
+    metrics = recompute_metrics(decision_log)
     if cfg.score_against is not None:
         ref = _oracle_plan(eval_trace, cfg.score_against, cfg.validity_floor)
         metrics["oracle_accuracy_pct"] = label_accuracy(
             [s.bssid for s in timeline.steps], ref
         )
 
-    records = list(client.records) if client is not None else []
+    records = list(run.client.records) if run.client is not None else []
     config_dict = config_to_dict(cfg)
     trace_hash = trace_content_hash(eval_trace)
     report = RunReport(
         config=config_dict,
         scenario=scenario,
         task=cfg.task,
-        policy=_policy_label(cfg),
+        policy=label(spec),
         trace_hash=trace_hash,
         seedprint=_seedprint(config_dict, trace_hash),
         metrics=metrics,
         latency=latency_stats(records).to_dict(),
-        decision_log=_timeline_log(timeline),
-        threshold_log=threshold_log,
+        decision_log=decision_log,
+        threshold_log=run.threshold_log,
         wall_clock_ms=(time.perf_counter() - start) * 1000.0,
         completion_records=records,
     )

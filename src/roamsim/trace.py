@@ -34,6 +34,10 @@ from .errors import TraceFormatError
 RSSI_MIN_DBM = -100.0
 RSSI_MAX_DBM = 0.0
 
+# Unix seconds that datetime renders in UTC: 0001-01-01 to 9999-12-31 23:59:59.
+T_MIN = -62135596800
+T_MAX = 253402300799
+
 _MAC_RE = re.compile(r"[0-9A-Fa-f]{2}([:-][0-9A-Fa-f]{2}){5}")
 
 ACTIVITY_ACTIVE = "active"
@@ -194,35 +198,36 @@ def _infer_interval(samples) -> int:
     return best[0]
 
 
-def _check_rssi(value, line: int) -> float:
+def _check_float(
+    value, line: int, name: str = "rssi", lo: float = RSSI_MIN_DBM, hi: float = RSSI_MAX_DBM
+) -> float:
     try:
-        rssi = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise TraceFormatError(f"malformed line: bad rssi {value!r}", line) from None
-    if not RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM:
-        raise TraceFormatError(f"rssi out of range: {rssi}", line)
-    return rssi
-
-
-def _check_timestamp(value, line: int) -> int:
-    try:
-        if isinstance(value, bool) or float(value) != int(float(value)):
-            raise ValueError
-        return int(float(value))
-    except (TypeError, ValueError, OverflowError):  # OverflowError: inf, or an int beyond floats
-        raise TraceFormatError(f"malformed line: bad timestamp {value!r}", line) from None
-
-
-def _opt_float(value, line: int, name: str, lo: float, hi: float) -> float | None:
-    if value is None or value == "":
-        return None
-    try:
+        if isinstance(value, bool):  # JSON true/false are not numbers
+            raise TypeError
         out = float(value)
     except (TypeError, ValueError, OverflowError):
         raise TraceFormatError(f"malformed line: bad {name} {value!r}", line) from None
     if not lo <= out <= hi:
         raise TraceFormatError(f"{name} out of range: {out}", line)
     return out
+
+
+def _check_timestamp(value, line: int) -> int:
+    try:
+        if isinstance(value, bool) or float(value) != int(float(value)):
+            raise ValueError
+        t = int(float(value))
+    except (TypeError, ValueError, OverflowError):  # OverflowError: inf, or an int beyond floats
+        raise TraceFormatError(f"malformed line: bad timestamp {value!r}", line) from None
+    if not T_MIN <= t <= T_MAX:
+        raise TraceFormatError(f"timestamp out of range: {t}", line)
+    return t
+
+
+def _opt_float(value, line: int, name: str, lo: float, hi: float) -> float | None:
+    if value is None or value == "":
+        return None
+    return _check_float(value, line, name, lo, hi)
 
 
 def _check_activity(value, line: int) -> str:
@@ -298,7 +303,7 @@ def _parse_jsonl(text: str) -> list[ScanSample]:
                 except ValueError as exc:
                     raise TraceFormatError(f"malformed line: {exc}", line_no) from None
             if type(rssi) is not float or not RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM:
-                rssi = _check_rssi(rssi, line_no)
+                rssi = _check_float(rssi, line_no)
             entries.append((-rssi, mac, rssi))
         assoc = None
         if rec.get("assoc") is not None:
@@ -363,7 +368,7 @@ def _parse_csv(text: str) -> list[ScanSample]:
             mac = canonical_mac(row.get("bssid") or "")
         except ValueError as exc:
             raise TraceFormatError(f"malformed line: {exc}", line_no) from None
-        rssi = _check_rssi(row.get("rssi_dbm"), line_no)
+        rssi = _check_float(row.get("rssi_dbm"), line_no)
         if t != group_t:
             flush(group_line)
             group_t, group_entries, group_row, group_line = t, [], row, line_no

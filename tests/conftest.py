@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from roamsim.roaming import RunTimeline
+from roamsim.runner import recompute_metrics, timeline_log
 from roamsim.trace import (
     ApObservation,
     DeviceContext,
@@ -39,6 +41,11 @@ def make_trace(rows: list[dict[str, float]], interval: int = 1, assoc0: str | No
         for t, levels in enumerate(rows)
     )
     return Trace(samples=samples, sample_interval=interval)
+
+
+def metrics_of(timeline: RunTimeline) -> dict:
+    """Headline metrics of a replayed timeline, as a run report computes them."""
+    return recompute_metrics(timeline_log(timeline))
 
 
 def band_synth(seed: int, duration: int = 200, num_aps: int = 4) -> SynthConfig:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import MAC_A, MAC_B, band_synth, make_trace
+from conftest import MAC_A, MAC_B, band_synth, make_trace, metrics_of
 from roamsim.agent import PromptConfig, ap_select_decide
 from roamsim.export import export_preferences, export_sft, label_accuracy
 from roamsim.gateway import MockRule, latency_stats, mock_model
@@ -40,9 +40,6 @@ from roamsim.roaming import (
     PolicyDecision,
     RunTimeline,
     StepRecord,
-    avg_rssi,
-    handover_count,
-    error_rate,
     run_policy,
 )
 from roamsim.runner import ExperimentConfig, PolicySpec, run_experiment, strip_volatile
@@ -90,8 +87,8 @@ def test_c1_metric_exactness():
     ok = True
     for series, want_ho, want_avg in fixtures:
         tl = _fixture_timeline(series)
-        ok = ok and handover_count(tl) == want_ho
-        ok = ok and abs(avg_rssi(tl) - want_avg) < 1e-9
+        ok = ok and metrics_of(tl)["handovers"] == want_ho
+        ok = ok and abs(metrics_of(tl)["avg_rssi_dbm"] - want_avg) < 1e-9
     elapsed = time.perf_counter() - start
     _verdict("C1 metric exactness", ok and elapsed < 1.0,
              f"{len(fixtures)} fixtures, {elapsed:.3f}s")
@@ -151,12 +148,13 @@ def test_c3_oracle_dominance():
         ]
         for decide in policies:
             tl = run_policy(trace, decide, validity_floor=floor)
-            if opt_ho.handovers > handover_count(tl):
+            if opt_ho.handovers > metrics_of(tl)["handovers"]:
                 ho_violations += 1
             roam_targets_feasible = all(
                 s.decision.valid for s in tl.steps if s.decision.action is Action.ROAM
             )
-            if roam_targets_feasible and avg_rssi(rssi_plan_tl) < avg_rssi(tl) - 1e-9:
+            plan_avg = metrics_of(rssi_plan_tl)["avg_rssi_dbm"]
+            if roam_targets_feasible and plan_avg < metrics_of(tl)["avg_rssi_dbm"] - 1e-9:
                 rssi_violations += 1
     elapsed = time.perf_counter() - start
     _verdict(
@@ -250,7 +248,7 @@ def test_c5_error_rate_accounting():
         or (s.decision.valid is False and s.decision.action is Action.STAY)
     )
     m = sum(1 for s in tl.steps if s.decision.valid is False)
-    rate = error_rate(tl)
+    rate = metrics_of(tl)["error_rate"]
     ok = n == T and m == len(invalid_steps) and rate == m / n
     # every invalid pick fell back to the legacy choice, never the bad BSSID
     for t in sorted(invalid_steps):

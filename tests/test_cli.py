@@ -71,11 +71,24 @@ class TestSimulate:
         b'{"t":Infinity,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n',
         b'{"t":1e400,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n',
         b'{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}],"activity":"\xc3"}\n',
-    ], ids=["infinity", "1e400", "not-utf8"])
+        b'{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":false}]}\n',
+        b'{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}],"battery_pct":true}\n',
+    ], ids=["infinity", "1e400", "not-utf8", "bool-rssi", "bool-battery"])
     def test_unreadable_trace_is_a_data_error(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(data)
         assert main(["simulate", "--trace", str(bad), "--policy", "legacy"]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_timestamp_beyond_year_9999_is_a_data_error(self, tmp_path, capsys):
+        # assoc on the weaker AP, so the threshold prompt renders both rows
+        scan = '"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60},' \
+               '{"bssid":"aa:00:00:00:00:02","rssi_dbm":-75}]'
+        bad = tmp_path / "far.jsonl"
+        bad.write_text(f'{{"t":0,{scan},"assoc":"aa:00:00:00:00:02"}}\n{{"t":1e20,{scan}}}\n')
+        rc = main(["simulate", "--trace", str(bad), "--task", "threshold", "--policy", "llm",
+                   "--mock", "argmax", "--window-k", "2"])
+        assert rc == 2
         assert capsys.readouterr().err.startswith("data error:")
 
     def test_missing_file_exits_2(self):

@@ -18,7 +18,6 @@ from roamsim.gateway import (
     EndpointConfig,
     HttpClient,
     MockRule,
-    complete,
     latency_stats,
     mock_model,
     prompt_argmax_bssid,
@@ -84,7 +83,7 @@ def endpoint(server, **kw) -> EndpointConfig:
 
 class TestHttpClient:
     def test_ok_roundtrip(self, chat_server):
-        record = complete(endpoint(chat_server), "hello")
+        record = HttpClient(endpoint(chat_server)).complete("hello")
         assert record.ok
         assert record.reply == "ANSWER: -70"
         assert record.attempts == 1
@@ -92,34 +91,43 @@ class TestHttpClient:
 
     def test_raw_completion_fallback_shape(self, chat_server):
         _ChatHandler.shape = "raw"
-        record = complete(endpoint(chat_server), "hello")
+        record = HttpClient(endpoint(chat_server)).complete("hello")
         assert record.ok
         assert record.reply == "ANSWER: -70"
 
     def test_http_error_after_retries(self, chat_server):
         _ChatHandler.status = 500
-        record = complete(endpoint(chat_server), "hello")
+        record = HttpClient(endpoint(chat_server)).complete("hello")
         assert record.outcome == "http_error"
         assert record.status == 500
         assert record.attempts == 3
         assert record.reply == ""
 
+    @pytest.mark.parametrize("status, attempts", [(400, 1), (429, 3)])
+    def test_only_retryable_client_errors_are_retried(self, chat_server, status, attempts):
+        _ChatHandler.status = status
+        record = HttpClient(endpoint(chat_server)).complete("hello")
+        assert record.outcome == "http_error"
+        assert record.status == status
+        assert record.attempts == attempts
+        assert record.reply == ""
+
     def test_server_down_transport_error(self):
         cfg = EndpointConfig(base_url="http://127.0.0.1:1", model="m",
                              timeout_ms=500.0, max_retries=2, backoff_ms=5.0)
-        record = complete(cfg, "hello")
+        record = HttpClient(cfg).complete("hello")
         assert record.outcome == "transport_error"
         assert record.attempts == 3
 
     def test_timeout_outcome(self, chat_server):
         _ChatHandler.delay_s = 0.5
         cfg = endpoint(chat_server, timeout_ms=100.0, max_retries=0)
-        record = complete(cfg, "hello")
+        record = HttpClient(cfg).complete("hello")
         assert record.outcome == "timeout"
 
     def test_latency_reflects_artificial_delay(self, chat_server):
         _ChatHandler.delay_s = 0.05
-        record = complete(endpoint(chat_server), "hello")
+        record = HttpClient(endpoint(chat_server)).complete("hello")
         assert record.ok
         assert record.latency_ms >= 50.0
 
@@ -146,7 +154,7 @@ class TestHttpClient:
         _ChatHandler.delay_s = 2.0
         cfg = endpoint(chat_server, timeout_ms=100.0, max_retries=2, backoff_ms=10.0)
         start = time.perf_counter()
-        record = complete(cfg, "hello")
+        record = HttpClient(cfg).complete("hello")
         elapsed = time.perf_counter() - start
         assert record.outcome == "timeout"
         # timeout * (retries + 1) + backoff budget, with scheduling slack

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MAC_A, MAC_B, MAC_C, band_synth, mac, make_trace
+from conftest import MAC_A, MAC_B, MAC_C, band_synth, mac, make_trace, metrics_of
 from roamsim.errors import OracleInfeasibleError, SearchSpaceError
 from roamsim.policies import (
     EMPTY_SET_ERROR,
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
     RELAX_TO_ARGMAX,
+    ExternalPolicy,
     HeuristicPolicy,
     LegacyPolicy,
     OracleConstraints,
@@ -24,7 +25,6 @@ from roamsim.policies import (
     _objective_key,
     _step_choices,
     brute_force_plan,
-    external_policy_adapter,
     fixed_threshold_policy,
     heuristic_decide,
     legacy_decide,
@@ -32,7 +32,7 @@ from roamsim.policies import (
     oracle_opt_rssi,
     solve_plan,
 )
-from roamsim.roaming import Action, AssociationState, handover_count, run_policy, should_scan
+from roamsim.roaming import Action, AssociationState, run_policy, should_scan
 from roamsim.trace import generate_synthetic, window
 
 
@@ -124,7 +124,7 @@ class TestFixedThreshold:
     def test_minus_100_never_triggers(self):
         trace = generate_synthetic(band_synth(seed=8, duration=120))
         tl = run_policy(trace, fixed_threshold_policy(-100.0).decide, validity_floor=-100.0)
-        assert handover_count(tl) == 0
+        assert metrics_of(tl)["handovers"] == 0
         assert all(s.decision.action is Action.STAY for s in tl.steps)
 
     def test_lower_threshold_triggers_less(self):
@@ -407,19 +407,19 @@ class TestExternalAdapter:
         _StubHandler.mode = "stay"
         url = f"http://127.0.0.1:{stub_server.server_address[1]}/decide"
         trace = generate_synthetic(band_synth(seed=21, duration=60))
-        tl = run_policy(trace, external_policy_adapter(url).decide, validity_floor=-100.0)
-        assert handover_count(tl) == 0
+        tl = run_policy(trace, ExternalPolicy(url).decide, validity_floor=-100.0)
+        assert metrics_of(tl)["handovers"] == 0
 
     def test_argmax_stub_matches_legacy(self, stub_server):
         _StubHandler.mode = "argmax"
         url = f"http://127.0.0.1:{stub_server.server_address[1]}/decide"
         trace = generate_synthetic(band_synth(seed=22, duration=80))
-        ext = run_policy(trace, external_policy_adapter(url).decide, validity_floor=-100.0)
+        ext = run_policy(trace, ExternalPolicy(url).decide, validity_floor=-100.0)
         leg = run_policy(trace, LegacyPolicy().decide, validity_floor=-100.0)
         assert ext.signature() == leg.signature()
 
     def test_unreachable_endpoint_degrades_to_stay(self):
-        policy = external_policy_adapter("http://127.0.0.1:1/decide", timeout_ms=300)
+        policy = ExternalPolicy("http://127.0.0.1:1/decide", timeout_ms=300)
         trace = generate_synthetic(band_synth(seed=23, duration=40))
         tl = run_policy(trace, policy.decide, validity_floor=-100.0)
         assert all(s.decision.action is Action.STAY for s in tl.steps)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MAC_A, MAC_B, MAC_C, band_synth, make_sample, make_trace
+from conftest import MAC_A, MAC_B, MAC_C, band_synth, make_sample, make_trace, metrics_of
+from roamsim.errors import DataError
 from roamsim.policies import LegacyPolicy
 from roamsim.roaming import (
     ABSENT_RSSI_DBM,
@@ -18,9 +19,6 @@ from roamsim.roaming import (
     RunTimeline,
     StepRecord,
     apply_decision,
-    avg_rssi,
-    error_rate,
-    handover_count,
     passes_hysteresis,
     run_policy,
     should_scan,
@@ -140,29 +138,32 @@ class TestApplyDecision:
 
 class TestMetrics:
     def test_avg_constant(self):
-        assert avg_rssi(timeline_from([(MAC_A, -60.0)] * 3)) == -60.0
+        assert metrics_of(timeline_from([(MAC_A, -60.0)] * 3))["avg_rssi_dbm"] == -60.0
 
     def test_avg_mean(self):
-        assert avg_rssi(timeline_from([(MAC_A, -50.0), (MAC_A, -70.0)])) == -60.0
+        tl = timeline_from([(MAC_A, -50.0), (MAC_A, -70.0)])
+        assert metrics_of(tl)["avg_rssi_dbm"] == -60.0
 
     def test_avg_empty_rejected(self):
-        with pytest.raises(ValueError):
-            avg_rssi(RunTimeline(steps=()))
+        with pytest.raises(DataError):
+            metrics_of(RunTimeline(steps=()))["avg_rssi_dbm"]
 
     def test_handover_constant_run(self):
-        assert handover_count(timeline_from([(MAC_A, -60.0)] * 10)) == 0
+        assert metrics_of(timeline_from([(MAC_A, -60.0)] * 10))["handovers"] == 0
 
     def test_handover_aba(self):
         tl = timeline_from([(MAC_A, -60.0), (MAC_B, -60.0), (MAC_A, -60.0)])
-        assert handover_count(tl) == 2
+        assert metrics_of(tl)["handovers"] == 2
 
     def test_reference_recomputation_on_long_run(self):
         trace = generate_synthetic(band_synth(seed=9, duration=1000))
         tl = run_policy(trace, LegacyPolicy().decide, validity_floor=-100.0)
         # independent one-liner oracles
-        assert avg_rssi(tl) == sum(s.rssi for s in tl.steps) / len(tl.steps)
+        assert metrics_of(tl)["avg_rssi_dbm"] == sum(s.rssi for s in tl.steps) / len(tl.steps)
         bssids = [s.bssid for s in tl.steps]
-        assert handover_count(tl) == sum(a != b for a, b in zip(bssids, bssids[1:]))
+        assert metrics_of(tl)["handovers"] == sum(
+            a != b for a, b in zip(bssids, bssids[1:])
+        )
 
     def test_error_rate_quarter(self):
         decisions = [
@@ -172,14 +173,15 @@ class TestMetrics:
             PolicyDecision.roam(MAC_B, "p", valid=True),
         ]
         tl = timeline_from([(MAC_A, -60.0)] * 4, decisions)
-        assert error_rate(tl) == 0.25
+        assert metrics_of(tl)["error_rate"] == 0.25
 
     def test_error_rate_all_valid(self):
         decisions = [PolicyDecision.roam(MAC_B, "p", valid=True)] * 3
-        assert error_rate(timeline_from([(MAC_A, -60.0)] * 3, decisions)) == 0.0
+        tl = timeline_from([(MAC_A, -60.0)] * 3, decisions)
+        assert metrics_of(tl)["error_rate"] == 0.0
 
     def test_error_rate_absent_without_roams(self):
-        assert error_rate(timeline_from([(MAC_A, -60.0)] * 3)) is None
+        assert metrics_of(timeline_from([(MAC_A, -60.0)] * 3))["error_rate"] is None
 
     def test_set_threshold_excluded_from_denominator(self):
         decisions = [
@@ -187,14 +189,16 @@ class TestMetrics:
             PolicyDecision.roam(MAC_B, "p", valid=False),
             PolicyDecision.roam(MAC_B, "p", valid=True),
         ]
-        assert error_rate(timeline_from([(MAC_A, -60.0)] * 3, decisions)) == 0.5
+        tl = timeline_from([(MAC_A, -60.0)] * 3, decisions)
+        assert metrics_of(tl)["error_rate"] == 0.5
 
     def test_invalid_stay_counts_as_failed_attempt(self):
         decisions = [
             PolicyDecision.stay("p", valid=False),  # invalid pick, fallback stayed
             PolicyDecision.roam(MAC_B, "p", valid=True),
         ]
-        assert error_rate(timeline_from([(MAC_A, -60.0)] * 2, decisions)) == 0.5
+        tl = timeline_from([(MAC_A, -60.0)] * 2, decisions)
+        assert metrics_of(tl)["error_rate"] == 0.5
 
 
 class TestMetricProperties:
@@ -206,7 +210,8 @@ class TestMetricProperties:
         shifted = RunTimeline(
             steps=tuple(replace(s, rssi=s.rssi + shift) for s in tl.steps)
         )
-        assert abs(avg_rssi(shifted) - (avg_rssi(tl) + shift)) < 1e-9
+        shifted_avg = metrics_of(shifted)["avg_rssi_dbm"]
+        assert abs(shifted_avg - (metrics_of(tl)["avg_rssi_dbm"] + shift)) < 1e-9
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 1000))
@@ -218,7 +223,8 @@ class TestMetricProperties:
         for s in tl.steps:
             mapping.setdefault(s.bssid, f"BB:00:00:00:00:{len(mapping) + 1:02X}")
             relabeled.append(replace(s, bssid=mapping[s.bssid]))
-        assert handover_count(RunTimeline(steps=tuple(relabeled))) == handover_count(tl)
+        relabeled_tl = RunTimeline(steps=tuple(relabeled))
+        assert metrics_of(relabeled_tl)["handovers"] == metrics_of(tl)["handovers"]
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 1000))
@@ -230,7 +236,7 @@ class TestMetricProperties:
             for s in tl.steps
             if s.decision.action is Action.ROAM and s.decision.valid
         )
-        assert handover_count(tl) <= valid_roams <= len(tl)
+        assert metrics_of(tl)["handovers"] <= valid_roams <= len(tl)
 
 
 class TestRunPolicy:
@@ -249,7 +255,7 @@ class TestRunPolicy:
         tl = run_policy(trace, LegacyPolicy().decide, validity_floor=-100.0)
         assert tl.steps[0].bssid == MAC_B  # roamed at step 0
         assert tl.steps[0].handover is False
-        assert handover_count(tl) == 0
+        assert metrics_of(tl)["handovers"] == 0
 
     def test_activity_follows_the_samples(self):
         trace = make_trace([{MAC_A: -75.0, MAC_B: -69.0}] * 2, activity="idle")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -12,7 +13,7 @@ import pytest
 from conftest import band_synth
 from roamsim.agent import PromptConfig
 from roamsim.errors import ConfigError, DataError, EndpointError
-from roamsim.gateway import EndpointConfig, MockRule
+from roamsim.gateway import EndpointConfig, MockRule, prompt_argmax_bssid
 from roamsim.runner import (
     ExperimentConfig,
     PolicySpec,
@@ -337,3 +338,104 @@ class TestTraceHash:
         assert trace_to_jsonl(generate_synthetic(cfg)) == trace_to_jsonl(
             generate_synthetic(cfg)
         )
+
+
+# ---------------------------------------------------------------------------
+# Golden reports: every report field except the config echo (and the
+# seedprint hashed from it) is pinned to a digest, so a refactor of the run
+# pipeline cannot move a number, a log entry or a label unnoticed.
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    """Chat completions name the prompt's strongest AP; /decide roams to the
+    strongest AP of the newest sample."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.path == "/decide":
+            scan = body["window"][-1]["scan"]
+            best = min(scan, key=lambda e: (-e["rssi_dbm"], e["bssid"]))
+            payload = {"action": "roam", "bssid": best["bssid"]}
+        else:
+            pick = prompt_argmax_bssid(body["messages"][0]["content"])
+            payload = {"choices": [{"message": {"content": f"ANSWER: {pick}"}}]}
+        data = json.dumps(payload).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture(scope="module")
+def loopback_url():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _LoopbackHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+
+
+def _golden_config(name: str, url: str, tmp_path) -> ExperimentConfig:
+    llm = dict(kind="llm", mock=MockRule.argmax_rssi())
+    threshold = dict(task="threshold", interval=20)
+    if name == "trace-file":
+        path = tmp_path / "golden.jsonl"
+        path.write_text(trace_to_jsonl(generate_synthetic(band_synth(seed=72, duration=120))))
+        return ExperimentConfig(policy=PolicySpec(kind="opt_ho"), trace_path=str(path))
+    spec, kw = {
+        "heuristic": (dict(kind="heuristic", seed=3), {}),
+        "legacy": (dict(kind="legacy"), {}),
+        "fixed-ap-select": (dict(kind="fixed", fixed_dbm=-65.0), {}),
+        "fixed-threshold": (dict(kind="fixed", fixed_dbm=-72.0), threshold),
+        "opt-ho": (dict(kind="opt_ho"), {}),
+        "opt-rssi": (dict(kind="opt_rssi"), {}),
+        "llm-ap-select": (llm, {}),
+        "llm-threshold": (dict(kind="llm", mock=MockRule.fixed_threshold(-66.0)), threshold),
+        "llm-shots-holdout": (dict(llm, prompt=PromptConfig(shots=2)), {}),
+        "llm-faults": (dict(kind="llm", mock=MockRule.fail_after(10)), {}),
+        "legacy-holdout": (dict(kind="legacy"), dict(holdout=True)),
+        "score-against": (dict(kind="legacy"), dict(score_against="opt_rssi")),
+        "llm-score-against": (llm, dict(score_against="opt_ho")),
+        "hysteresis": (dict(kind="legacy"), dict(hysteresis="standard-80211")),
+        "llm-http": (
+            dict(kind="llm", endpoint=EndpointConfig(base_url=url, model="m",
+                                                     timeout_ms=10_000.0, backoff_ms=5.0)),
+            {},
+        ),
+        "external-http": (dict(kind="external", external_url=url + "/decide"), {}),
+    }[name]
+    return cfg_for(PolicySpec(**spec), duration=120, **kw)
+
+
+GOLDEN_REPORT_SHA256 = {
+    "heuristic": "32152ee3ee79a7f7abe51f93d5ff42a2b63647c76c178dc18540ed5a63c1d7f1",
+    "legacy": "e35ae61b9e86656dec97524dfa9be602b571448711cde59664652364a69ec702",
+    "fixed-ap-select": "a251bc8ebfdcc10812be2eab37592d547aa5ae0c088974568c88ec7a2e8a4a9b",
+    "fixed-threshold": "d825ac596109a27ea9dc53d2fa8edefb94eb283e7a9aa7854090f1aad7656fa4",
+    "opt-ho": "35050e909cd9e6e8220a16d92723098f193d6d11bb3e66fac81923f0c3f8b1b9",
+    "opt-rssi": "ac0761084619762c96a2bf9987282a62459c37abb946d7647b8b3351097cbb94",
+    "llm-ap-select": "b99dedec79d13124deaf6244aa37e66f1ca303da32e3ba14126ebfaf784d1059",
+    "llm-threshold": "ac6cb6716ab0402e0587c88417c875a1af53d6c359fc24e0fd0f8a105f545f7a",
+    "llm-shots-holdout": "cff6ed0d8c2d04f263e8f16ce754182709099bd1568bf19caa233f7069db803b",
+    "llm-faults": "6ce1c9daf60e5a0316d3c8cfc707d2f4a415971fdbde1db76ab8169c9d92a882",
+    "legacy-holdout": "00d6728dfbad57ba09f7a744cf023e96f26a9b0c6dbea32708e6c9d24e2cbff7",
+    "score-against": "470c571575a9ce6934dcfd66a4022537b272d931bbb3bbf602076373ac59c0da",
+    "llm-score-against": "28e9860f16e5d7b5051b54a435805d1cb49726fec323c4841ba7ee0161a0ddae",
+    "hysteresis": "d3d0ff2622d9e0cbc74539216c744c079d5687a8e9f1a8537119a5fa2be33b90",
+    "llm-http": "b99dedec79d13124deaf6244aa37e66f1ca303da32e3ba14126ebfaf784d1059",
+    "external-http": "d5490c34391a3737b29bb9e1035294a08be0c47c666a6ae86bb85f4c2186c13d",
+    "trace-file": "f1e287f0bce603ad5a936023b2ed8997ec01239aa13a107e36dece60b9e1433a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_SHA256))
+def test_golden_report(name, loopback_url, tmp_path):
+    report = run_experiment(_golden_config(name, loopback_url, tmp_path))
+    kept = {
+        k: v for k, v in strip_volatile(report.to_dict()).items()
+        if k not in ("config", "seedprint")
+    }
+    digest = hashlib.sha256(json.dumps(kept, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_REPORT_SHA256[name]

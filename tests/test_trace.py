@@ -90,6 +90,48 @@ class TestParseJsonl:
         with pytest.raises(TraceFormatError, match="bad timestamp .* at line 2"):
             parse_trace(text, "jsonl")
 
+    @pytest.mark.parametrize("t", ["-62135596801", "253402300800", "1e20"])
+    def test_timestamp_outside_datetime_range_names_the_line(self, t):
+        text = (
+            '{"t":-62135596802,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n'
+            f'{{"t":{t},"scan":[{{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}}]}}\n'
+        )
+        with pytest.raises(TraceFormatError, match="timestamp out of range: .* at line 1"):
+            parse_trace(text, "jsonl")
+        text = text.replace("-62135596802", "0")
+        with pytest.raises(TraceFormatError, match="timestamp out of range: .* at line 2"):
+            parse_trace(text, "jsonl")
+        csv_text = f"t,bssid,rssi_dbm\n0,aa:00:00:00:00:01,-60\n{t},aa:00:00:00:00:01,-60\n"
+        with pytest.raises(TraceFormatError, match="timestamp out of range: .* at line 3"):
+            parse_trace(csv_text, "csv")
+
+    def test_timestamp_range_edges_accepted(self):
+        text = (
+            '{"t":-62135596800,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n'
+            '{"t":253402300799,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n'
+        )
+        csv_text = (
+            "t,bssid,rssi_dbm\n"
+            "-62135596800,aa:00:00:00:00:01,-60\n253402300799,aa:00:00:00:00:01,-60\n"
+        )
+        for trace in (parse_trace(text, "jsonl"), parse_trace(csv_text, "csv")):
+            assert [s.context.timestamp for s in trace.samples] == [-62135596800, 253402300799]
+
+    @pytest.mark.parametrize("extra, message", [
+        ('"rssi_dbm":false}]', "bad rssi False"),
+        ('"rssi_dbm":true}]', "bad rssi True"),
+        ('"rssi_dbm":-60}],"lat":true', "bad latitude True"),
+        ('"rssi_dbm":-60}],"lon":false', "bad longitude False"),
+        ('"rssi_dbm":-60}],"battery_pct":true', "bad battery_pct True"),
+    ], ids=["rssi-false", "rssi-true", "lat", "lon", "battery"])
+    def test_json_booleans_are_not_numbers(self, extra, message):
+        text = (
+            '{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n'
+            f'{{"t":1,"scan":[{{"bssid":"aa:00:00:00:00:01",{extra}}}\n'
+        )
+        with pytest.raises(TraceFormatError, match=f"{message} at line 2"):
+            parse_trace(text, "jsonl")
+
     def test_rssi_past_float_range_rejected(self):
         line = '{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-1%s}]}' % ("0" * 400)
         with pytest.raises(TraceFormatError, match="bad rssi"):
