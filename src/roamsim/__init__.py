@@ -27,7 +27,6 @@ from .gateway import (
     LatencySummary,
     MockRule,
     latency_stats,
-    mock_model,
 )
 from .policies import (
     AssociationPlan,

@@ -305,7 +305,6 @@ def threshold_schedule_step(
     state: AssociationState,
     cfg: PromptConfig,
     client,
-    shots: tuple[FewShotExample, ...] = (),
     template: dict[str, str] | None = None,
 ) -> PolicyDecision | None:
     """One scheduler tick: a threshold decision when an adjustment is due.
@@ -319,7 +318,7 @@ def threshold_schedule_step(
         raise ValueError("interval must be >= 1")
     if last_adjust is not None and now - last_adjust < interval:
         return None
-    prompt = build_prompt(window, state, cfg, shots, template)
+    prompt = build_prompt(window, state, cfg, (), template)
     record = client.complete(prompt)
     if not record.ok:
         return PolicyDecision.set_threshold(

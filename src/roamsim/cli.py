@@ -20,7 +20,7 @@ import sys
 from .agent import PromptConfig, load_template
 from .errors import ConfigError, DataError, EndpointError
 from .export import export_preferences, export_sft
-from .gateway import EndpointConfig, HttpClient, MockRule, latency_stats, mock_model
+from .gateway import EndpointConfig, HttpClient, MockClient, MockRule, latency_stats
 from .policies import (
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
@@ -429,7 +429,7 @@ def _cmd_plot_data(args) -> int:
 
 def _cmd_bench_latency(args) -> int:
     if args.mock:
-        client = mock_model(_parse_mock(args.mock, args.mock_delay_ms))
+        client = MockClient(_parse_mock(args.mock, args.mock_delay_ms))
     elif args.endpoint_url:
         client = HttpClient(EndpointConfig.from_env(base_url=args.endpoint_url, model=args.model))
     else:

@@ -1,14 +1,20 @@
-"""Transport to a completion endpoint, an in-process mock model, and
-latency metering.
+"""The HTTP transport, a completion client over it, an in-process mock
+model, and latency metering.
 
-The HTTP client speaks the common chat-completions JSON shape
+`post_json` is the one routine that speaks HTTP, for the completion client
+and the external decision policy (policies.ExternalPolicy) alike: a JSON
+POST on the caller's pooled session, with the retry rule and the outcomes
+ok, timeout, transport_error and http_error.
+
+The completion client speaks the common chat-completions JSON shape
 (POST {base}/v1/chat/completions with a single user message; reply text
 taken from choices[0].message.content, with choices[0].text accepted as a
 raw-completion fallback). The mock implements the same `complete`
 contract so agent code and tests run hermetically.
 
-Every call produces a CompletionRecord; clients retain all records so a
-run's latency summary can be reconciled against its invocation count.
+Every completion call produces a CompletionRecord; clients retain all
+records so a run's latency summary can be reconciled against its
+invocation count.
 """
 
 from __future__ import annotations
@@ -173,10 +179,6 @@ class MockClient:
         return record
 
 
-def mock_model(rule: MockRule) -> MockClient:
-    return MockClient(rule)
-
-
 class HttpClient:
     """Chat-completions client; retries timeouts, transport errors, 5xx, 408 and 429."""
 
@@ -195,35 +197,13 @@ class HttpClient:
             "messages": [{"role": "user", "content": prompt}],
         }
         url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
-        outcome, status, reply, latency = OUTCOME_TRANSPORT, None, "", 0.0
-        attempts = 0
-        for attempt in range(cfg.max_retries + 1):
-            if attempt > 0:
-                time.sleep(cfg.backoff_ms / 1000.0)
-            attempts = attempt + 1
-            start = time.perf_counter()
-            try:
-                resp = self._session.post(url, json=payload, timeout=cfg.timeout_ms / 1000.0)
-                latency = (time.perf_counter() - start) * 1000.0
-                if not 200 <= resp.status_code < 300:
-                    outcome, status = OUTCOME_HTTP, resp.status_code
-                    if status < 500 and status not in (408, 429):
-                        break  # any other client error fails the same way again
-                    continue
-                reply = _extract_reply(resp.json())
-                outcome, status = OUTCOME_OK, resp.status_code
-                break
-            except requests.Timeout:
-                latency = (time.perf_counter() - start) * 1000.0
-                outcome = OUTCOME_TIMEOUT
-            except (requests.RequestException, ValueError, KeyError):
-                latency = (time.perf_counter() - start) * 1000.0
-                outcome = OUTCOME_TRANSPORT
-        if outcome != OUTCOME_OK:
-            reply = ""
+        outcome, status, reply, latency, attempts = post_json(
+            self._session, url, payload, _extract_reply, cfg.timeout_ms, cfg.max_retries,
+            cfg.backoff_ms,
+        )
         record = CompletionRecord(
             prompt=prompt,
-            reply=reply,
+            reply=reply if outcome == OUTCOME_OK else "",
             latency_ms=latency,
             attempts=attempts,
             outcome=outcome,
@@ -235,8 +215,8 @@ class HttpClient:
 
 
 def _extract_reply(body) -> str:
-    choices = body.get("choices")
-    if not choices:
+    choices = body.get("choices") if isinstance(body, dict) else None
+    if not isinstance(choices, list) or not choices or not isinstance(choices[0], dict):
         raise ValueError("no choices in reply")
     first = choices[0]
     message = first.get("message")
@@ -245,6 +225,43 @@ def _extract_reply(body) -> str:
     if isinstance(first.get("text"), str):  # raw-completion fallback shape
         return first["text"]
     raise ValueError("no reply text in choices[0]")
+
+
+def post_json(
+    session: requests.Session, url: str, payload: dict, read, timeout_ms: float,
+    max_retries: int = 0, backoff_ms: float = 0.0,
+) -> tuple[str, int | None, object, float, int]:
+    """POST `payload` as JSON; return (outcome, status, read(body), latency_ms, attempts).
+
+    Retries timeouts, transport errors, bodies `read` rejects with
+    ValueError, 5xx, 408 and 429, up to `max_retries` times. The read
+    value is None unless the outcome is ok.
+    """
+    outcome, status, value, latency = OUTCOME_TRANSPORT, None, None, 0.0
+    attempts = 0
+    for attempt in range(max_retries + 1):
+        if attempt > 0:
+            time.sleep(backoff_ms / 1000.0)
+        attempts = attempt + 1
+        start = time.perf_counter()
+        try:
+            resp = session.post(url, json=payload, timeout=timeout_ms / 1000.0)
+            latency = (time.perf_counter() - start) * 1000.0
+            if not 200 <= resp.status_code < 300:
+                outcome, status = OUTCOME_HTTP, resp.status_code
+                if status < 500 and status not in (408, 429):
+                    break  # any other client error fails the same way again
+                continue
+            value = read(resp.json())
+            outcome, status = OUTCOME_OK, resp.status_code
+            break
+        except requests.Timeout:
+            latency = (time.perf_counter() - start) * 1000.0
+            outcome = OUTCOME_TIMEOUT
+        except (requests.RequestException, ValueError):
+            latency = (time.perf_counter() - start) * 1000.0
+            outcome = OUTCOME_TRANSPORT
+    return outcome, status, value, latency, attempts
 
 
 # ---------------------------------------------------------------------------

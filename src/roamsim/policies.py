@@ -1,6 +1,7 @@
 """Comparison policies: random-pick heuristic, highest-RSSI legacy, fixed
 thresholds, globally optimal association plans, and an adapter for an
-external decision service.
+external decision service, which posts through the gateway's HTTP
+transport (gateway.post_json).
 
 The two plan solvers optimize over whole association sequences:
 
@@ -29,6 +30,7 @@ from math import prod
 import requests
 
 from .errors import OracleInfeasibleError, SearchSpaceError
+from .gateway import OUTCOME_OK, post_json
 from .roaming import (
     DEFAULT_SCAN_RSSI_DBM,
     AssociationState,
@@ -309,15 +311,16 @@ class ExternalPolicy:
 
     Request: {"window": [<sample>...], "state": {"associated", "threshold"}}.
     Reply:   {"action": "stay"|"roam", "bssid": "<MAC>"?}.
-    Any transport or protocol failure degrades to a stay decision flagged
-    as a fault, so a run always completes.
+    Posts through gateway.post_json on one session per policy, one attempt
+    each. A failed call or a malformed reply degrades to a stay decision
+    flagged as a fault, so a run always completes.
     """
 
     def __init__(self, url: str, timeout_ms: float = 5000.0):
         self.url = url
         self.timeout_ms = timeout_ms
         self.name = "external"
-        self.fault_count = 0
+        self._session = requests.Session()
 
     def decide(self, window: ContextWindow, state: AssociationState) -> PolicyDecision:
         latest = window.latest
@@ -327,17 +330,17 @@ class ExternalPolicy:
             "window": [sample_to_dict(s) for s in window.samples],
             "state": {"associated": state.associated, "threshold": state.threshold},
         }
-        try:
-            resp = requests.post(self.url, json=payload, timeout=self.timeout_ms / 1000.0)
-            resp.raise_for_status()
-            reply = resp.json()
-            action = reply.get("action")
-            if action == "stay":
-                return PolicyDecision.stay(self.name)
-            if action == "roam":
-                return PolicyDecision.roam(canonical_mac(reply.get("bssid") or ""), self.name)
-            raise ValueError(f"bad action {action!r}")
-        except (requests.RequestException, ValueError):
-            self.fault_count += 1
+        outcome, _, decision, _, _ = post_json(
+            self._session, self.url, payload, self._read_action, self.timeout_ms
+        )
+        if outcome != OUTCOME_OK:
             return PolicyDecision.stay("external-unavailable", fault=True)
+        return decision
 
+    def _read_action(self, reply) -> PolicyDecision:
+        action = reply.get("action") if isinstance(reply, dict) else None
+        if action == "stay":
+            return PolicyDecision.stay(self.name)
+        if action == "roam":
+            return PolicyDecision.roam(canonical_mac(reply.get("bssid") or ""), self.name)
+        raise ValueError(f"bad action {action!r}")

@@ -30,7 +30,7 @@ from .agent import (
 )
 from .errors import ConfigError, DataError, EndpointError
 from .export import label_accuracy, split_trace
-from .gateway import EndpointConfig, HttpClient, MockRule, latency_stats, mock_model
+from .gateway import EndpointConfig, HttpClient, MockClient, MockRule, latency_stats
 from .policies import (
     AssociationPlan,
     ExternalPolicy,
@@ -175,7 +175,10 @@ def read_trace_file(path) -> Trace:
 
 def load_trace_source(cfg: ExperimentConfig) -> tuple[Trace, str]:
     if cfg.synth is not None:
-        return generate_synthetic(cfg.synth), f"synthetic-{cfg.synth.seed}"
+        try:
+            return generate_synthetic(cfg.synth), f"synthetic-{cfg.synth.seed}"
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     stem = os.path.splitext(os.path.basename(str(cfg.trace_path)))[0]
     return read_trace_file(cfg.trace_path), stem
 
@@ -302,7 +305,7 @@ def _plan_policy(run: _Run) -> dict:
 
 def _llm_policy(run: _Run) -> dict:
     spec, cfg = run.cfg.policy, run.cfg
-    run.client = mock_model(spec.mock) if spec.mock is not None else HttpClient(spec.endpoint)
+    run.client = MockClient(spec.mock) if spec.mock is not None else HttpClient(spec.endpoint)
     if cfg.task == TASK_AP_SELECT:
         return {
             "decide": lambda win, state: ap_select_decide(

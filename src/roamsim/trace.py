@@ -536,6 +536,8 @@ def generate_synthetic(config: SynthConfig) -> Trace:
         raise ValueError("floor_dbm must be below ceil_dbm")
     if config.sample_interval < 1:
         raise ValueError("sample_interval must be >= 1")
+    if (config.duration - 1) * config.sample_interval > T_MAX:
+        raise ValueError(f"timestamps would pass {T_MAX} (year 9999)")
     if config.activity not in _ACTIVITIES:
         raise ValueError(f"bad activity {config.activity!r}")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from roamsim.roaming import RunTimeline
 from roamsim.runner import recompute_metrics, timeline_log
@@ -46,6 +47,36 @@ def make_trace(rows: list[dict[str, float]], interval: int = 1, assoc0: str | No
 def metrics_of(timeline: RunTimeline) -> dict:
     """Headline metrics of a replayed timeline, as a run report computes them."""
     return recompute_metrics(timeline_log(timeline))
+
+
+class FakeJsonSession:
+    """Stands in for requests.Session and its response: every POST answers
+    200 with `body`."""
+
+    status_code = 200
+
+    def __init__(self, body):
+        self.body = body
+
+    def post(self, url, json, timeout):
+        return self
+
+    def json(self):
+        return self.body
+
+
+# Any JSON value, with the keys both HTTP readers look for drawn often.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["choices", "message", "content", "text", "action", "bssid"])
+        | st.text(max_size=3),
+        children | st.sampled_from(["stay", "roam", "AA:00:00:00:00:01"]),
+        max_size=3,
+    ),
+    max_leaves=12,
+)
 
 
 def band_synth(seed: int, duration: int = 200, num_aps: int = 4) -> SynthConfig:

@@ -21,7 +21,7 @@ import time
 from conftest import MAC_A, MAC_B, band_synth, make_trace, metrics_of
 from roamsim.agent import PromptConfig, ap_select_decide
 from roamsim.export import export_preferences, export_sft, label_accuracy
-from roamsim.gateway import MockRule, latency_stats, mock_model
+from roamsim.gateway import MockClient, MockRule, latency_stats
 from roamsim.policies import (
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
@@ -136,7 +136,7 @@ def test_c3_oracle_dominance():
             trace, PlanPolicy(trace, opt_rssi, "opt-rssi").decide,
             validity_floor=floor, initial=opt_rssi.plan[0],
         )
-        client = mock_model(MockRule.argmax_rssi())
+        client = MockClient(MockRule.argmax_rssi())
         policies = [
             HeuristicPolicy(seed).decide,
             LegacyPolicy().decide,
@@ -235,7 +235,7 @@ def test_c5_error_rate_accounting():
             target = MAC_B if assoc == MAC_A else MAC_A
             replies.append(f"ANSWER: {target}")
             assoc = target
-    client = mock_model(MockRule.scripted(replies))
+    client = MockClient(MockRule.scripted(replies))
     cfg = PromptConfig()
     tl = run_policy(
         trace,
@@ -341,7 +341,7 @@ def test_c8_export_integrity(crossover_trace, tmp_path):
 def test_c9_latency_metering():
     """Loopback mock with 25 ms delay: mean in [25, 40] ms over 200 calls."""
     start = time.perf_counter()
-    client = mock_model(MockRule.constant_text("ANSWER: -70", delay_ms=25.0))
+    client = MockClient(MockRule.constant_text("ANSWER: -70", delay_ms=25.0))
     for _ in range(200):
         client.complete("probe")
     summary = latency_stats(client.records)
@@ -350,7 +350,7 @@ def test_c9_latency_metering():
         and summary.failures == 0
         and 25.0 <= summary.mean_ms <= 40.0
     )
-    failing = mock_model(MockRule.fail_after(2))
+    failing = MockClient(MockRule.fail_after(2))
     for _ in range(200):
         failing.complete("probe")
     fail_summary = latency_stats(failing.records)

@@ -19,7 +19,7 @@ from roamsim.agent import (
     render_window_block,
     threshold_schedule_step,
 )
-from roamsim.gateway import MockRule, mock_model
+from roamsim.gateway import MockClient, MockRule
 from roamsim.policies import OracleConstraints, legacy_decide, oracle_opt_ho
 from roamsim.roaming import Action, AssociationState
 from roamsim.trace import generate_synthetic, window
@@ -180,7 +180,7 @@ class TestApSelectDecide:
     def test_argmax_mock_matches_legacy(self):
         trace = generate_synthetic(band_synth(seed=31, duration=60))
         cfg = PromptConfig()
-        client = mock_model(MockRule.argmax_rssi())
+        client = MockClient(MockRule.argmax_rssi())
         for t in range(len(trace.samples)):
             win = window(trace, t, 10)
             state = state_at(associated=trace.samples[0].candidates[0].bssid)
@@ -191,7 +191,7 @@ class TestApSelectDecide:
 
     def test_absent_pick_marked_invalid_with_legacy_fallback(self):
         win = simple_window({MAC_A: -75.0, MAC_B: -72.0})
-        client = mock_model(MockRule.constant_text(f"ANSWER: {MAC_C}"))
+        client = MockClient(MockRule.constant_text(f"ANSWER: {MAC_C}"))
         decision = ap_select_decide(win, state_at(), PromptConfig(), client,
                                     validity_floor=-100.0)
         assert decision.valid is False
@@ -201,14 +201,14 @@ class TestApSelectDecide:
 
     def test_below_floor_pick_marked_invalid(self):
         win = simple_window({MAC_A: -75.0, MAC_B: -72.0})
-        client = mock_model(MockRule.constant_text(f"ANSWER: {MAC_B}"))
+        client = MockClient(MockRule.constant_text(f"ANSWER: {MAC_B}"))
         decision = ap_select_decide(win, state_at(), PromptConfig(), client,
                                     validity_floor=-70.0)
         assert decision.valid is False
 
     def test_current_ap_pick_stays(self):
         win = simple_window({MAC_A: -75.0, MAC_B: -80.0})
-        client = mock_model(MockRule.constant_text(f"ANSWER: {MAC_A}"))
+        client = MockClient(MockRule.constant_text(f"ANSWER: {MAC_A}"))
         decision = ap_select_decide(win, state_at(), PromptConfig(), client,
                                     validity_floor=-100.0)
         assert decision.action is Action.STAY
@@ -216,14 +216,14 @@ class TestApSelectDecide:
 
     def test_no_call_above_threshold(self):
         win = simple_window({MAC_A: -60.0, MAC_B: -50.0})
-        client = mock_model(MockRule.argmax_rssi())
+        client = MockClient(MockRule.argmax_rssi())
         decision = ap_select_decide(win, state_at(), PromptConfig(), client)
         assert decision.action is Action.STAY
         assert client.records == []
 
     def test_transport_failure_flags_fault(self):
         win = simple_window({MAC_A: -75.0, MAC_B: -60.0})
-        client = mock_model(MockRule.fail_after(0))
+        client = MockClient(MockRule.fail_after(0))
         decision = ap_select_decide(win, state_at(), PromptConfig(), client,
                                     validity_floor=-100.0)
         assert decision.valid is False
@@ -235,7 +235,7 @@ class TestApSelectDecide:
     @given(st.text(max_size=120))
     def test_fallback_totality_on_arbitrary_replies(self, text):
         win = simple_window({MAC_A: -75.0, MAC_B: -60.0})
-        client = mock_model(MockRule.constant_text(text))
+        client = MockClient(MockRule.constant_text(text))
         decision = ap_select_decide(win, state_at(), PromptConfig(), client,
                                     validity_floor=-100.0)
         assert decision.action in (Action.STAY, Action.ROAM)
@@ -245,7 +245,7 @@ class TestThresholdScheduler:
     def test_invocation_count_formula(self):
         for duration, interval in [(60, 10), (300, 30), (300, 60), (120, 7)]:
             trace = generate_synthetic(band_synth(seed=41, duration=duration))
-            client = mock_model(MockRule.fixed_threshold(-70.0))
+            client = MockClient(MockRule.fixed_threshold(-70.0))
             last = {"t": None}
             fired = 0
             for t in range(duration):
@@ -262,7 +262,7 @@ class TestThresholdScheduler:
 
     def test_huge_interval_fires_once(self):
         trace = generate_synthetic(band_synth(seed=42, duration=50))
-        client = mock_model(MockRule.fixed_threshold(-70.0))
+        client = MockClient(MockRule.fixed_threshold(-70.0))
         last = None
         fired = 0
         for t in range(50):
@@ -275,7 +275,7 @@ class TestThresholdScheduler:
 
     def test_decision_carries_parsed_value(self):
         trace = generate_synthetic(band_synth(seed=43, duration=5))
-        client = mock_model(MockRule.fixed_threshold(-64.0))
+        client = MockClient(MockRule.fixed_threshold(-64.0))
         decision = threshold_schedule_step(
             0, None, 30, window(trace, 0, 10), state_at(),
             PromptConfig(task="threshold"), client,
@@ -285,7 +285,7 @@ class TestThresholdScheduler:
 
     def test_failure_keeps_current_threshold(self):
         trace = generate_synthetic(band_synth(seed=44, duration=5))
-        client = mock_model(MockRule.fail_after(0))
+        client = MockClient(MockRule.fail_after(0))
         decision = threshold_schedule_step(
             0, None, 30, window(trace, 0, 10), state_at(threshold=-72.0),
             PromptConfig(task="threshold"), client,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -30,6 +32,27 @@ class TestGenTrace:
     def test_bad_config_exits_1(self, tmp_path):
         rc = main(["gen-trace", "--num-aps", "0", "-o", str(tmp_path / "x.jsonl")])
         assert rc == 1
+
+    def test_timestamps_past_year_9999_exit_1_without_a_file(self, tmp_path, capsys):
+        out = tmp_path / "far.jsonl"
+        rc = main(["gen-trace", "--duration", "3", "--sample-interval", str(10**12),
+                   "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+
+class _EmptyListHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", "2")
+        self.end_headers()
+        self.wfile.write(b"[]")
+
+    def log_message(self, *args):
+        pass
 
 
 class TestSimulate:
@@ -90,6 +113,18 @@ class TestSimulate:
                    "--mock", "argmax", "--window-k", "2"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("data error:")
+
+    def test_external_non_object_replies_exit_0(self, trace_file, tmp_path, capsys):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _EmptyListHandler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}/decide"
+            rc = main(["simulate", "--trace", str(trace_file), "--policy", "external",
+                       "--external-url", url, "--out", str(tmp_path / "runs")])
+        finally:
+            server.shutdown()
+        assert rc == 0
+        assert "policy=external" in capsys.readouterr().out
 
     def test_missing_file_exits_2(self):
         assert main(["simulate", "--trace", "/nonexistent.jsonl", "--policy", "legacy"]) == 2

@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import band_synth
+from conftest import FakeJsonSession, band_synth, json_values
 from roamsim.agent import PromptConfig, build_prompt, parse_ap_response
 from roamsim.gateway import (
     CompletionRecord,
     EndpointConfig,
     HttpClient,
+    MockClient,
     MockRule,
     latency_stats,
-    mock_model,
     prompt_argmax_bssid,
 )
 from roamsim.roaming import AssociationState
@@ -31,6 +31,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
     status = 200
     delay_s = 0.0
     shape = "chat"
+    raw_reply = None  # reply bytes, sent as they are when set
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -45,7 +46,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
             payload = {"choices": [{"message": {"content": self.reply_text}}]}
         else:
             payload = {"choices": [{"text": self.reply_text}]}
-        data = json.dumps(payload).encode()
+        data = self.raw_reply if self.raw_reply is not None else json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -67,6 +68,7 @@ def chat_server():
     _ChatHandler.status = 200
     _ChatHandler.delay_s = 0.0
     _ChatHandler.shape = "chat"
+    _ChatHandler.raw_reply = None
     server = _QuietServer(("127.0.0.1", 0), _ChatHandler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield server
@@ -111,6 +113,26 @@ class TestHttpClient:
         assert record.status == status
         assert record.attempts == attempts
         assert record.reply == ""
+
+    @pytest.mark.parametrize(
+        "body", [b"[]", b'"x"', b'{"choices": "abc"}', b'{"choices": [1]}', b"{not json"],
+        ids=["list", "string", "choices-string", "choices-int", "not-json"],
+    )
+    def test_malformed_reply_is_a_retried_transport_error(self, chat_server, body):
+        _ChatHandler.raw_reply = body
+        record = HttpClient(endpoint(chat_server)).complete("hello")
+        assert record.outcome == "transport_error"
+        assert record.attempts == 3
+        assert record.reply == ""
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=json_values)
+    def test_any_json_reply_ends_in_an_outcome(self, body):
+        cfg = EndpointConfig(base_url="http://127.0.0.1:1", model="m", backoff_ms=0.0)
+        record = HttpClient(cfg, session=FakeJsonSession(body)).complete("hello")
+        assert record.outcome in ("ok", "transport_error")
+        assert isinstance(record.reply, str)
+        assert record.attempts == (1 if record.ok else 3)
 
     def test_server_down_transport_error(self):
         cfg = EndpointConfig(base_url="http://127.0.0.1:1", model="m",
@@ -164,7 +186,7 @@ class TestHttpClient:
 class TestMockRules:
     def test_argmax_picks_strongest_pair(self):
         prompt = "t=0 | aps: AA:00:00:00:00:01=-60.0 AA:00:00:00:00:02=-50.0\n"
-        record = mock_model(MockRule.argmax_rssi()).complete(prompt)
+        record = MockClient(MockRule.argmax_rssi()).complete(prompt)
         assert record.reply == "ANSWER: AA:00:00:00:00:02"
 
     def test_argmax_uses_last_row_only(self):
@@ -172,26 +194,26 @@ class TestMockRules:
             "t=0 | aps: AA:00:00:00:00:09=-10.0\n"
             "t=1 | aps: AA:00:00:00:00:01=-60.0 AA:00:00:00:00:02=-70.0\n"
         )
-        record = mock_model(MockRule.argmax_rssi()).complete(prompt)
+        record = MockClient(MockRule.argmax_rssi()).complete(prompt)
         assert record.reply == "ANSWER: AA:00:00:00:00:01"
 
     def test_fixed_threshold_reply(self):
-        record = mock_model(MockRule.fixed_threshold(-70.0)).complete("anything")
+        record = MockClient(MockRule.fixed_threshold(-70.0)).complete("anything")
         assert record.reply == "ANSWER: -70"
 
     def test_scripted_consumed_in_order_then_fails(self):
-        client = mock_model(MockRule.scripted(["a", "b"]))
+        client = MockClient(MockRule.scripted(["a", "b"]))
         assert client.complete("p").reply == "a"
         assert client.complete("p").reply == "b"
         assert client.complete("p").outcome == "transport_error"
 
     def test_fail_after_two(self):
-        client = mock_model(MockRule.fail_after(2))
+        client = MockClient(MockRule.fail_after(2))
         outcomes = [client.complete("p").outcome for _ in range(4)]
         assert outcomes == ["ok", "ok", "transport_error", "transport_error"]
 
     def test_delay_raises_measured_latency(self):
-        client = mock_model(MockRule.constant_text("x", delay_ms=30.0))
+        client = MockClient(MockRule.constant_text("x", delay_ms=30.0))
         assert client.complete("p").latency_ms >= 30.0
 
     @settings(max_examples=40, deadline=None)
@@ -202,7 +224,7 @@ class TestMockRules:
         win = window(trace, t, 10)
         state = AssociationState(associated=trace.samples[0].candidates[0].bssid)
         prompt = build_prompt(win, state, PromptConfig())
-        reply = mock_model(MockRule.argmax_rssi()).complete(prompt)
+        reply = MockClient(MockRule.argmax_rssi()).complete(prompt)
         assert parse_ap_response(reply.reply) == strongest(win.latest.candidates).bssid
 
     def test_prompt_argmax_tie_breaks_lexicographically(self):
@@ -210,7 +232,7 @@ class TestMockRules:
         assert prompt_argmax_bssid(prompt) == "AA:00:00:00:00:01"
 
     def test_mock_is_safe_under_concurrent_use(self):
-        client = mock_model(MockRule.scripted([str(i) for i in range(64)]))
+        client = MockClient(MockRule.scripted([str(i) for i in range(64)]))
         workers = []
         for _ in range(8):
             worker = threading.Thread(

@@ -10,7 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MAC_A, MAC_B, MAC_C, band_synth, mac, make_trace, metrics_of
+from conftest import (
+    MAC_A,
+    MAC_B,
+    MAC_C,
+    FakeJsonSession,
+    band_synth,
+    json_values,
+    mac,
+    make_trace,
+    metrics_of,
+)
 from roamsim.errors import OracleInfeasibleError, SearchSpaceError
 from roamsim.policies import (
     EMPTY_SET_ERROR,
@@ -373,6 +383,7 @@ class TestPolicyPurity:
 
 class _StubHandler(BaseHTTPRequestHandler):
     mode = "stay"
+    raw_reply = None  # reply bytes, sent as they are when set
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -382,7 +393,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             last = body["window"][-1]["scan"]
             best = min(last, key=lambda e: (-e["rssi_dbm"], e["bssid"]))
             reply = {"action": "roam", "bssid": best["bssid"]}
-        data = json.dumps(reply).encode()
+        data = self.raw_reply if self.raw_reply is not None else json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -395,6 +406,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def stub_server():
+    _StubHandler.raw_reply = None
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -432,4 +444,33 @@ class TestExternalAdapter:
             if should_scan(rssi_of(s, assoc), -70.0):
                 expected_triggers += 1
         assert faults == expected_triggers
-        assert policy.fault_count == expected_triggers
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"[]", b'"x"', b"null", b"1", b'{"action": "roam", "bssid": 5}',
+         b'{"action": "roam"}', b'{"action": "jump"}', b"{not json"],
+        ids=["list", "string", "null", "number", "bssid-int", "no-bssid", "bad-action",
+             "not-json"],
+    )
+    def test_malformed_reply_is_a_fault_stay(self, stub_server, raw):
+        _StubHandler.raw_reply = raw
+        url = f"http://127.0.0.1:{stub_server.server_address[1]}/decide"
+        # the scan trigger (-70 dBm on the associated AP) fires on steps 0 and 2
+        rows = [{MAC_A: -80.0, MAC_B: -60.0}, {MAC_A: -60.0, MAC_B: -80.0},
+                {MAC_A: -75.0, MAC_B: -65.0}]
+        trace = make_trace(rows, assoc0=MAC_A)
+        tl = run_policy(trace, ExternalPolicy(url).decide, validity_floor=-100.0)
+        assert all(s.decision.action is Action.STAY for s in tl.steps)
+        assert [s.decision.fault for s in tl.steps] == [True, False, True]
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=json_values)
+    def test_any_json_reply_ends_in_a_decision(self, body):
+        trace = make_trace([{MAC_A: -80.0, MAC_B: -60.0}])
+        policy = ExternalPolicy("http://127.0.0.1:1/decide")
+        policy._session = FakeJsonSession(body)
+        decision = policy.decide(win_of(trace, 0), AssociationState(associated=MAC_A))
+        if decision.fault:
+            assert decision.action is Action.STAY
+        else:
+            assert decision.source == "external"

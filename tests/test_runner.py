@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from conftest import band_synth
 from roamsim.agent import PromptConfig
@@ -439,3 +441,66 @@ def test_golden_report(name, loopback_url, tmp_path):
     }
     digest = hashlib.sha256(json.dumps(kept, sort_keys=True).encode("utf-8")).hexdigest()
     assert digest == GOLDEN_REPORT_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# HTTP transport: one pooled session per run, released when the run ends.
+
+class _KeepAliveHandler(_LoopbackHandler):
+    protocol_version = "HTTP/1.1"
+    client_ports: list[int] = []
+
+    def do_POST(self):
+        self.client_ports.append(self.client_address[1])
+        super().do_POST()
+
+
+@pytest.fixture
+def keepalive_url():
+    _KeepAliveHandler.client_ports.clear()
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+
+
+def _http_spec(kind: str, url: str) -> PolicySpec:
+    if kind == "external":
+        return PolicySpec(kind="external", external_url=url + "/decide")
+    return PolicySpec(kind="llm", endpoint=EndpointConfig(base_url=url, model="m"))
+
+
+def test_external_run_reuses_one_connection(keepalive_url):
+    run_experiment(cfg_for(_http_spec("external", keepalive_url), duration=120))
+    ports = _KeepAliveHandler.client_ports
+    assert len(ports) > 1
+    assert len(set(ports)) == 1
+
+
+@pytest.mark.parametrize("kind", ["external", "llm"])
+def test_run_leaves_no_session_alive(keepalive_url, kind):
+    def sessions():
+        return sum(isinstance(o, requests.Session) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()  # a session kept alive by a reference cycle would outlive the run
+    try:
+        before = sessions()
+        run_experiment(cfg_for(_http_spec(kind, keepalive_url), duration=120))
+        after = sessions()
+    finally:
+        gc.enable()
+    assert _KeepAliveHandler.client_ports
+    assert after == before
+
+
+@pytest.mark.parametrize("synth, policy", [
+    # timestamps past year 9999, which the llm prompt clock cannot render
+    (SynthConfig(num_aps=2, duration=3, base_dbm=(-60.0, -80.0), sample_interval=10**12),
+     PolicySpec(kind="llm", mock=MockRule.argmax_rssi())),
+    (SynthConfig(num_aps=0), PolicySpec(kind="legacy")),
+], ids=["far-timestamps", "no-aps"])
+def test_bad_synth_config_is_a_config_error(synth, policy):
+    cfg = ExperimentConfig(policy=policy, synth=synth, scan_rssi=-50.0)
+    with pytest.raises(ConfigError):
+        run_experiment(cfg)

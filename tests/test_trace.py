@@ -13,6 +13,7 @@ from conftest import MAC_A, MAC_B, mac, make_sample, make_trace
 from roamsim.errors import TraceFormatError
 from roamsim.runner import trace_content_hash
 from roamsim.trace import (
+    T_MAX,
     ApObservation,
     SynthConfig,
     Trace,
@@ -386,3 +387,10 @@ class TestSynthetic:
             generate_synthetic(SynthConfig(step_stddev=-1.0))
         with pytest.raises(ValueError):
             generate_synthetic(SynthConfig(floor_dbm=-40.0, ceil_dbm=-90.0))
+
+    def test_timestamps_stay_inside_the_ingest_range(self):
+        with pytest.raises(ValueError, match="9999"):
+            generate_synthetic(SynthConfig(duration=3, sample_interval=10**12))
+        edge = generate_synthetic(SynthConfig(duration=2, sample_interval=T_MAX))
+        assert edge.samples[-1].context.timestamp == T_MAX
+        assert parse_trace(trace_to_jsonl(edge)) == edge
