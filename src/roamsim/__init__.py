@@ -24,7 +24,6 @@ from .gateway import (
     CompletionRecord,
     EndpointConfig,
     HttpClient,
-    LatencySummary,
     MockRule,
     latency_stats,
 )
@@ -68,13 +67,10 @@ from .trace import (
     ScanSample,
     SynthConfig,
     Trace,
-    Violation,
     canonical_mac,
     generate_synthetic,
     parse_trace,
-    trace_to_csv,
     trace_to_jsonl,
-    validate_trace,
     window,
 )
 

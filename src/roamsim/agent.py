@@ -286,15 +286,13 @@ def ap_select_decide(
     pick = parse_ap_response(record.reply) if record.ok else None
     if pick == state.associated and pick is not None:
         # remaining associated is not a roam attempt; no floor check applies
-        return PolicyDecision.stay("llm", raw=record.reply)
+        return PolicyDecision.stay("llm")
     if pick is not None and rssi_of(latest, pick) >= floor and any(
         c.bssid == pick for c in latest.candidates
     ):
-        return PolicyDecision.roam(pick, "llm", raw=record.reply)
+        return PolicyDecision.roam(pick, "llm")
     fallback = legacy_decide(window, state)
-    return replace(
-        fallback, source="llm", valid=False, raw=record.reply, fault=not record.ok
-    )
+    return replace(fallback, source="llm", valid=False, fault=not record.ok)
 
 
 def threshold_schedule_step(
@@ -326,10 +324,8 @@ def threshold_schedule_step(
         )
     parsed = parse_threshold_response(record.reply)
     if parsed.value is None:
-        return PolicyDecision.set_threshold(
-            state.threshold, "llm-threshold", valid=False, raw=record.reply
-        )
-    return PolicyDecision.set_threshold(parsed.value, "llm-threshold", raw=record.reply)
+        return PolicyDecision.set_threshold(state.threshold, "llm-threshold", valid=False)
+    return PolicyDecision.set_threshold(parsed.value, "llm-threshold")
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,6 @@ def _pick(flag, ini: dict, section: str, key: str, default=None, cast=None):
     raw = ini.get(section, {}).get(key)
     if raw is None:
         return default
-    if cast is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
     return cast(raw) if cast else raw
 
 
@@ -437,9 +435,9 @@ def _cmd_bench_latency(args) -> int:
     for _ in range(args.n):
         client.complete(args.prompt)
     summary = latency_stats(client.records)
-    if isinstance(client, HttpClient) and summary.count == 0:
+    if isinstance(client, HttpClient) and summary["count"] == 0:
         raise EndpointError("endpoint never answered")
-    print(json.dumps(summary.to_dict(), indent=2))
+    print(json.dumps(summary, indent=2))
     return 0
 
 

@@ -12,9 +12,10 @@ taken from choices[0].message.content, with choices[0].text accepted as a
 raw-completion fallback). The mock implements the same `complete`
 contract so agent code and tests run hermetically.
 
-Every completion call produces a CompletionRecord; clients retain all
-records so a run's latency summary can be reconciled against its
-invocation count.
+Every completion call produces a CompletionRecord: the reply text, the
+latency, the attempt count, the outcome and the HTTP status, but not the
+prompt. Clients keep their records so `latency_stats` can summarise a run
+against its call count.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class EndpointConfig:
 class CompletionRecord:
     """Outcome of one completion call."""
 
-    prompt: str
     reply: str
     latency_ms: float
     attempts: int
@@ -171,9 +171,7 @@ class MockClient:
             time.sleep(self.rule.delay_ms / 1000.0)
         outcome, reply = self._reply_for(prompt, call_index)
         latency = (time.perf_counter() - start) * 1000.0
-        record = CompletionRecord(
-            prompt=prompt, reply=reply, latency_ms=latency, attempts=1, outcome=outcome
-        )
+        record = CompletionRecord(reply=reply, latency_ms=latency, attempts=1, outcome=outcome)
         with self._lock:
             self.records.append(record)
         return record
@@ -202,7 +200,6 @@ class HttpClient:
             cfg.backoff_ms,
         )
         record = CompletionRecord(
-            prompt=prompt,
             reply=reply if outcome == OUTCOME_OK else "",
             latency_ms=latency,
             attempts=attempts,
@@ -267,40 +264,21 @@ def post_json(
 # ---------------------------------------------------------------------------
 # Latency metering
 
-@dataclass(frozen=True)
-class LatencySummary:
-    """Statistics over successful calls; failures counted separately."""
-
-    count: int
-    failures: int
-    mean_ms: float | None = None
-    p50_ms: float | None = None
-    p95_ms: float | None = None
-    max_ms: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "failures": self.failures,
-            "mean_ms": self.mean_ms,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "max_ms": self.max_ms,
-        }
-
-
-def latency_stats(records) -> LatencySummary:
-    """Summarize completion latencies by nearest-rank percentiles."""
-    ok = sorted(r.latency_ms for r in records if r.outcome == OUTCOME_OK)
-    failures = sum(1 for r in records if r.outcome != OUTCOME_OK)
-    if not ok:
-        return LatencySummary(count=0, failures=failures)
+def latency_stats(records) -> dict:
+    """A run's `latency` report block: nearest-rank statistics over the
+    successful calls, with failures counted apart (statistics None when no
+    call succeeded)."""
+    ok = sorted(r.latency_ms for r in records if r.ok)
     n = len(ok)
-    return LatencySummary(
-        count=n,
-        failures=failures,
-        mean_ms=sum(ok) / n,
-        p50_ms=ok[max(1, -(-(50 * n) // 100)) - 1],
-        p95_ms=ok[max(1, -(-(95 * n) // 100)) - 1],
-        max_ms=ok[-1],
-    )
+
+    def rank(pct: int) -> float | None:
+        return ok[max(1, -(-(pct * n) // 100)) - 1] if ok else None
+
+    return {
+        "count": n,
+        "failures": sum(1 for r in records if not r.ok),
+        "mean_ms": sum(ok) / n if ok else None,
+        "p50_ms": rank(50),
+        "p95_ms": rank(95),
+        "max_ms": ok[-1] if ok else None,
+    }

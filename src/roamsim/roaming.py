@@ -75,7 +75,6 @@ class PolicyDecision:
     value: float | None = None
     source: str = ""
     valid: bool | None = None
-    raw: str | None = None
     fault: bool = False
 
     @staticmethod
@@ -109,32 +108,6 @@ class RunTimeline:
     """Per-step records of a full run."""
 
     steps: tuple[StepRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def signature(self) -> tuple:
-        """Association-relevant view used for run-equivalence checks.
-
-        Excludes provenance fields (source, raw) that legitimately differ
-        between policies producing the same behavior.
-        """
-        return tuple(
-            (
-                s.t,
-                s.bssid,
-                s.rssi,
-                s.decision.action.value,
-                s.decision.target,
-                s.decision.value,
-                s.decision.valid,
-                s.handover,
-            )
-            for s in self.steps
-        )
 
 
 def should_scan(current_rssi: float, threshold: float) -> bool:

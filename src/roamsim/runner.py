@@ -109,7 +109,6 @@ class RunReport:
     threshold_log: list
     wall_clock_ms: float
     axis: dict | None = None
-    completion_records: list = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -397,10 +396,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     }
     timeline = run_policy(eval_trace, **replay)
 
-    if isinstance(run.client, HttpClient):
-        summary = latency_stats(run.client.records)
-        if summary.count == 0 and summary.failures > 0:
-            raise EndpointError("completion endpoint never answered")
+    latency = latency_stats(run.client.records if run.client is not None else [])
+    if isinstance(run.client, HttpClient) and latency["count"] == 0 and latency["failures"]:
+        raise EndpointError("completion endpoint never answered")
 
     decision_log = timeline_log(timeline)
     metrics = recompute_metrics(decision_log)
@@ -410,7 +408,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             [s.bssid for s in timeline.steps], ref
         )
 
-    records = list(run.client.records) if run.client is not None else []
     config_dict = config_to_dict(cfg)
     trace_hash = trace_content_hash(eval_trace)
     report = RunReport(
@@ -421,11 +418,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         trace_hash=trace_hash,
         seedprint=_seedprint(config_dict, trace_hash),
         metrics=metrics,
-        latency=latency_stats(records).to_dict(),
+        latency=latency,
         decision_log=decision_log,
         threshold_log=run.threshold_log,
         wall_clock_ms=(time.perf_counter() - start) * 1000.0,
-        completion_records=records,
     )
     if cfg.out_dir:
         write_report(report, cfg.out_dir)
@@ -457,8 +453,17 @@ def write_report(report: RunReport, out_dir: str) -> str:
 
 
 def read_report(path: str) -> dict:
+    """Load a report file; DataError, naming the file, when it holds no report."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            d = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DataError(f"{path}: not JSON ({exc})") from None
+    m = d.get("metrics") if isinstance(d, dict) else None
+    if not (isinstance(m, dict) and all(k in d for k in ("policy", "scenario", "trace_hash"))
+            and all(k in m for k in ("handovers", "avg_rssi_dbm", "error_rate"))):
+        raise DataError(f"{path}: not a report (needs policy, scenario, trace_hash, metrics)")
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Trace data model: scan samples, parsing/validation, windowing, synthesis.
+"""Trace data model: scan samples, parsing, windowing, synthesis.
 
 A trace is an ordered sequence of scan samples. Each sample carries the
 device context (timestamp, optional location/battery, activity mode) and
@@ -15,6 +15,9 @@ Two on-disk formats are supported:
    "battery_pct": <num>?, "activity": "active"|"idle"?}
 * CSV, long format with one row per (t, AP):
   t,bssid,rssi_dbm,lat,lon,battery_pct,activity
+
+`parse_trace` is the one statement of the trace rules: a trace in memory
+is valid exactly when `parse_trace(trace_to_jsonl(trace))` gives it back.
 """
 
 from __future__ import annotations
@@ -107,15 +110,6 @@ class ContextWindow:
     @property
     def latest(self) -> ScanSample:
         return self.samples[-1]
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant violation found by validate_trace."""
-
-    index: int | None
-    rule: str
-    message: str
 
 
 @dataclass(frozen=True)
@@ -428,79 +422,6 @@ def _jsonl_line(sample: ScanSample) -> str:
         fields.append(f'"battery_pct": {ctx.battery_pct!r}')
     fields.append(f'"activity": {_json_str(ctx.activity)}}}\n')
     return ", ".join(fields)
-
-
-def trace_to_csv(trace: Trace) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["t", "bssid", "rssi_dbm", "lat", "lon", "battery_pct", "activity"])
-    for s in trace.samples:
-        ctx = s.context
-        for c in s.candidates:
-            writer.writerow(
-                [
-                    ctx.timestamp,
-                    c.bssid,
-                    c.rssi,
-                    "" if ctx.latitude is None else ctx.latitude,
-                    "" if ctx.longitude is None else ctx.longitude,
-                    "" if ctx.battery_pct is None else ctx.battery_pct,
-                    ctx.activity,
-                ]
-            )
-    return out.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# Validation
-
-def validate_trace(trace: Trace) -> list[Violation]:
-    """Check every invariant; returns violations instead of raising."""
-    out: list[Violation] = []
-
-    def bad(index, rule, message):
-        out.append(Violation(index=index, rule=rule, message=message))
-
-    if not trace.samples:
-        bad(None, "empty trace", "trace has no samples")
-        return out
-    if trace.sample_interval < 1:
-        bad(None, "bad sample interval", f"sample_interval={trace.sample_interval}")
-
-    prev_t: int | None = None
-    for i, s in enumerate(trace.samples):
-        ctx = s.context
-        if prev_t is not None:
-            if ctx.timestamp <= prev_t:
-                bad(i, "non-monotone timestamps", f"t={ctx.timestamp} after t={prev_t}")
-            elif ctx.timestamp - prev_t != trace.sample_interval:
-                bad(i, "irregular sample spacing",
-                    f"gap {ctx.timestamp - prev_t} != {trace.sample_interval}")
-        prev_t = ctx.timestamp
-
-        if not s.candidates:
-            bad(i, "empty candidates", f"no candidates at index {i}")
-            continue
-        seen: set[str] = set()
-        for c in s.candidates:
-            if not _MAC_RE.fullmatch(c.bssid) or c.bssid != c.bssid.upper() or "-" in c.bssid:
-                bad(i, "bad bssid", f"non-canonical bssid {c.bssid!r} at index {i}")
-            if c.bssid in seen:
-                bad(i, "duplicate bssid", f"duplicate bssid {c.bssid} at index {i}")
-            seen.add(c.bssid)
-            if not RSSI_MIN_DBM <= c.rssi <= RSSI_MAX_DBM:
-                bad(i, "rssi out of range", f"rssi out of range at index {i}: {c.rssi}")
-        if s.candidates != sort_candidates(s.candidates):
-            bad(i, "unsorted candidates", f"candidates not in canonical order at index {i}")
-        if ctx.latitude is not None and not -90.0 <= ctx.latitude <= 90.0:
-            bad(i, "latitude out of range", f"latitude {ctx.latitude} at index {i}")
-        if ctx.longitude is not None and not -180.0 <= ctx.longitude <= 180.0:
-            bad(i, "longitude out of range", f"longitude {ctx.longitude} at index {i}")
-        if ctx.battery_pct is not None and not 0.0 <= ctx.battery_pct <= 100.0:
-            bad(i, "battery out of range", f"battery_pct {ctx.battery_pct} at index {i}")
-        if ctx.activity not in _ACTIVITIES:
-            bad(i, "bad activity", f"activity {ctx.activity!r} at index {i}")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 import pytest
 from hypothesis import strategies as st
 
@@ -13,7 +16,9 @@ from roamsim.trace import (
     ScanSample,
     SynthConfig,
     Trace,
+    parse_trace,
     sort_candidates,
+    trace_to_jsonl,
 )
 
 
@@ -47,6 +52,51 @@ def make_trace(rows: list[dict[str, float]], interval: int = 1, assoc0: str | No
 def metrics_of(timeline: RunTimeline) -> dict:
     """Headline metrics of a replayed timeline, as a run report computes them."""
     return recompute_metrics(timeline_log(timeline))
+
+
+def timeline_signature(timeline: RunTimeline) -> tuple:
+    """Association-relevant view of a timeline, for run-equivalence checks.
+
+    Leaves out the decision source, which legitimately differs between
+    policies producing the same behavior.
+    """
+    return tuple(
+        (s.t, s.bssid, s.rssi, s.decision.action.value, s.decision.target,
+         s.decision.value, s.decision.valid, s.handover)
+        for s in timeline.steps
+    )
+
+
+def round_trips(trace: Trace) -> bool:
+    """True when the parser gives the trace back from its canonical JSONL.
+
+    The parser is the one statement of the trace rules, so this is how a
+    test shows a trace is valid; a rule the parser enforces raises its
+    TraceFormatError here.
+    """
+    return parse_trace(trace_to_jsonl(trace)) == trace
+
+
+def trace_to_csv(trace: Trace) -> str:
+    """The trace in the long CSV format parse_trace(..., "csv") reads."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["t", "bssid", "rssi_dbm", "lat", "lon", "battery_pct", "activity"])
+    for s in trace.samples:
+        ctx = s.context
+        for c in s.candidates:
+            writer.writerow(
+                [
+                    ctx.timestamp,
+                    c.bssid,
+                    c.rssi,
+                    "" if ctx.latitude is None else ctx.latitude,
+                    "" if ctx.longitude is None else ctx.longitude,
+                    "" if ctx.battery_pct is None else ctx.battery_pct,
+                    ctx.activity,
+                ]
+            )
+    return out.getvalue()
 
 
 class FakeJsonSession:

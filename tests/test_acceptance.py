@@ -346,18 +346,18 @@ def test_c9_latency_metering():
         client.complete("probe")
     summary = latency_stats(client.records)
     ok = (
-        summary.count == 200
-        and summary.failures == 0
-        and 25.0 <= summary.mean_ms <= 40.0
+        summary["count"] == 200
+        and summary["failures"] == 0
+        and 25.0 <= summary["mean_ms"] <= 40.0
     )
     failing = MockClient(MockRule.fail_after(2))
     for _ in range(200):
         failing.complete("probe")
     fail_summary = latency_stats(failing.records)
-    ok = ok and fail_summary.failures == 198 and fail_summary.count == 2
+    ok = ok and fail_summary["failures"] == 198 and fail_summary["count"] == 2
     elapsed = time.perf_counter() - start
     _verdict(
         "C9 latency metering",
         ok and elapsed < 10.0,
-        f"mean={summary.mean_ms:.1f}ms failures={fail_summary.failures} {elapsed:.1f}s",
+        f"mean={summary['mean_ms']:.1f}ms failures={fail_summary['failures']} {elapsed:.1f}s",
     )

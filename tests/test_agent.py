@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MAC_A, MAC_B, MAC_C, band_synth, make_trace
+from roamsim import agent
 from roamsim.agent import (
+    CONTEXT_FIELDS,
     FewShotExample,
     PromptConfig,
     ap_select_decide,
@@ -22,6 +28,7 @@ from roamsim.agent import (
 from roamsim.gateway import MockClient, MockRule
 from roamsim.policies import OracleConstraints, legacy_decide, oracle_opt_ho
 from roamsim.roaming import Action, AssociationState
+from roamsim.runner import ExperimentConfig, PolicySpec, run_experiment
 from roamsim.trace import generate_synthetic, window
 
 
@@ -322,3 +329,84 @@ class TestShotPool:
         plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
         with pytest.raises(ValueError):
             build_shot_pool(trace, plan, PromptConfig(shots=9), 9, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Prompt golden: reports hold no prompts, so these digests pin the text the
+# model receives across the prompt knobs.
+
+PROMPT_TEMPLATE = (
+    "[preamble.ap_select]\n"
+    "PICK AN AP (current {associated}, threshold {threshold})\n"
+    "[shot]\n"
+    "EX {index}\n{window}{reasoning}-> {answer}\n"
+    "[window.header]\n"
+    "LOG\n"
+    "[row]\n"
+    "ROW {t}{context}: {aps}\n"
+    "[instruction.ap_select.cot]\n"
+    "END WITH ANSWER: <BSSID>\n"
+)
+
+
+def _prompt_config(name: str, tmp_path) -> ExperimentConfig:
+    synth = replace(band_synth(seed=81, duration=120), emit_location=True,
+                    battery_drain_pct_per_step=0.3)
+    argmax = MockRule.argmax_rssi()
+    prompt, mock, kw = {
+        "plain": (PromptConfig(style="plain"), argmax, {}),
+        "cot": (PromptConfig(style="cot"), argmax, {}),
+        "shots-cot-holdout": (PromptConfig(style="cot", shots=2), argmax, {}),
+        "shots-plain-holdout": (PromptConfig(style="plain", shots=3), argmax, {}),
+        "context-location": (PromptConfig(context_fields=frozenset({"location"})), argmax, {}),
+        "context-time": (PromptConfig(context_fields=frozenset({"time"})), argmax, {}),
+        "context-battery": (PromptConfig(context_fields=frozenset({"battery"})), argmax, {}),
+        "context-none": (PromptConfig(context_fields=frozenset()), argmax, {}),
+        "template-file": (PromptConfig(shots=1), argmax, {}),
+        "threshold-plain": (
+            PromptConfig(style="plain", task="threshold"), MockRule.fixed_threshold(-68.0),
+            {"task": "threshold", "interval": 15},
+        ),
+        "threshold-cot": (
+            PromptConfig(task="threshold", context_fields=frozenset(CONTEXT_FIELDS)),
+            MockRule.fixed_threshold(-74.0), {"task": "threshold", "interval": 15},
+        ),
+    }[name]
+    if name == "template-file":
+        path = tmp_path / "prompt.tpl"
+        path.write_text(PROMPT_TEMPLATE, encoding="utf-8")
+        kw["template_path"] = str(path)
+    spec = PolicySpec(kind="llm", prompt=prompt, mock=mock)
+    # a high scan trigger makes most ap_select steps consult the model
+    return ExperimentConfig(policy=spec, synth=synth, scan_rssi=-55.0, **kw)
+
+
+GOLDEN_PROMPT_SHA256 = {
+    "plain": "af4db19e1d5475a92ac259592b3c490789bc0ca7adaaf996d90c86f493f8828f",
+    "cot": "c6603acc7b7e78cffa06f4825405f1849dbd488c13c38462c1c29801126c29b1",
+    "shots-cot-holdout": "f69e3539147423c2ae9c17af9de16608e2200ec873d13a10d5da1d87dca80dfc",
+    "shots-plain-holdout": "7b576de46ee4d5890eb153637bc4f6a8c29a46a15d4fe99f15bf3e568e621fd5",
+    "context-location": "fad9c3a513b95021bce3607a71dc5757939dd1cfa3d8b94a03c8148c9038d0d7",
+    "context-time": "a76fb2d543a7e5525e290b067c14af597975e465a3135aef0d69b66ddffe892c",
+    "context-battery": "5eac213b864a95a4e9e3333c0d2133b5bf1dff230483011b7a460b7ecfbe877d",
+    "context-none": "03239458f8cebae4580b845ffa36251cac9bc262af8aa0a2809d4f88e2cb67b3",
+    "template-file": "5957528010671a26cfab81a84a640eee2dd390200ed10b2404fb4ee97dba34a4",
+    "threshold-plain": "6b3b05e7dc959cb975f5eb1927352eba0197d3c1b44408e9b68c14bd10bf2dda",
+    "threshold-cot": "4cd80cdeb3570b25cfd33f83716a6fd392cb72ee726b5db62f4773f7df73ee01",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROMPT_SHA256))
+def test_golden_prompts(name, tmp_path, monkeypatch):
+    prompts = []
+    real = agent.build_prompt
+
+    def recording(*args, **kwargs):
+        prompts.append(real(*args, **kwargs))
+        return prompts[-1]
+
+    monkeypatch.setattr(agent, "build_prompt", recording)
+    run_experiment(_prompt_config(name, tmp_path))
+    assert prompts
+    digest = hashlib.sha256(json.dumps(prompts).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_PROMPT_SHA256[name]

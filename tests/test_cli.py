@@ -230,6 +230,19 @@ class TestCompareAndPlot:
         assert (plots / "ho.csv").exists()
         assert (plots / "avg_rssi.csv").exists()
 
+    @pytest.mark.parametrize("command", ["compare", "plot-data"])
+    @pytest.mark.parametrize("text", ["{}", "[]", "{not"], ids=["empty-object", "list", "not-json"])
+    def test_malformed_report_is_a_data_error(self, tmp_path, capsys, command, text):
+        bad = tmp_path / "x.json"
+        bad.write_text(text)
+        argv = [command, str(bad), str(bad)]
+        if command == "plot-data":
+            argv += ["--out", str(tmp_path / "plots")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert str(bad) in err
+
 
 class TestSweepCommand:
     def test_interval_sweep(self, trace_file, tmp_path, capsys):

@@ -249,33 +249,32 @@ class TestMockRules:
 
 class TestLatencyStats:
     def _record(self, ms, outcome="ok"):
-        return CompletionRecord(prompt="p", reply="r", latency_ms=ms, attempts=1,
-                                outcome=outcome)
+        return CompletionRecord(reply="r", latency_ms=ms, attempts=1, outcome=outcome)
 
     def test_three_point_summary(self):
         summary = latency_stats([self._record(v) for v in (10.0, 20.0, 30.0)])
-        assert summary.count == 3
-        assert summary.mean_ms == 20.0
-        assert summary.p50_ms == 20.0
-        assert summary.max_ms == 30.0
-        assert summary.failures == 0
+        assert summary["count"] == 3
+        assert summary["mean_ms"] == 20.0
+        assert summary["p50_ms"] == 20.0
+        assert summary["max_ms"] == 30.0
+        assert summary["failures"] == 0
 
     def test_empty(self):
         summary = latency_stats([])
-        assert summary.count == 0
-        assert summary.mean_ms is None
+        assert summary["count"] == 0
+        assert summary["mean_ms"] is None
 
     def test_failures_counted_separately(self):
         records = [self._record(10.0), self._record(0.0, "transport_error")]
         summary = latency_stats(records)
-        assert summary.count == 1
-        assert summary.failures == 1
+        assert summary["count"] == 1
+        assert summary["failures"] == 1
 
     def test_nearest_rank_p95(self):
         records = [self._record(float(v)) for v in range(1, 101)]
-        assert latency_stats(records).p95_ms == 95.0
+        assert latency_stats(records)["p95_ms"] == 95.0
 
     def test_single_sample(self):
         summary = latency_stats([self._record(7.0)])
-        assert summary.p50_ms == 7.0
-        assert summary.p95_ms == 7.0
+        assert summary["p50_ms"] == 7.0
+        assert summary["p95_ms"] == 7.0

@@ -236,7 +236,7 @@ class TestMetricProperties:
             for s in tl.steps
             if s.decision.action is Action.ROAM and s.decision.valid
         )
-        assert metrics_of(tl)["handovers"] <= valid_roams <= len(tl)
+        assert metrics_of(tl)["handovers"] <= valid_roams <= len(tl.steps)
 
 
 class TestRunPolicy:
@@ -265,4 +265,4 @@ class TestRunPolicy:
             lambda w, s: (seen.append(s.activity), PolicyDecision.stay("t"))[1],
         )
         assert seen == ["idle", "idle"]
-        assert len(tl) == 2
+        assert len(tl.steps) == 2

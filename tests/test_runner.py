@@ -12,10 +12,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
-from conftest import band_synth
+from conftest import MAC_A, MAC_B, band_synth, make_trace
 from roamsim.agent import PromptConfig
 from roamsim.errors import ConfigError, DataError, EndpointError
 from roamsim.gateway import EndpointConfig, MockRule, prompt_argmax_bssid
+from roamsim.roaming import initial_association, rssi_of, should_scan
 from roamsim.runner import (
     ExperimentConfig,
     PolicySpec,
@@ -86,11 +87,17 @@ class TestRunExperiment:
             assert verify_report(report), kind
 
     def test_llm_report_is_self_verifying(self):
-        report = run_experiment(cfg_for(PolicySpec(kind="llm", mock=MockRule.argmax_rssi())))
+        cfg = cfg_for(PolicySpec(kind="llm", mock=MockRule.argmax_rssi()))
+        report = run_experiment(cfg)
         assert verify_report(report)
-        assert report.latency["count"] + report.latency["failures"] == len(
-            report.completion_records
+        # the model is called on each step whose association before the
+        # decision sits below the -70 dBm scan trigger
+        trace = generate_synthetic(cfg.synth)
+        before = [initial_association(trace)] + [e["bssid"] for e in report.decision_log[:-1]]
+        triggers = sum(
+            1 for s, bssid in zip(trace.samples, before) if should_scan(rssi_of(s, bssid), -70.0)
         )
+        assert report.latency["count"] + report.latency["failures"] == triggers
 
     def test_opt_ho_dominates_legacy_over_seeds(self):
         for seed in range(0, 100, 10):
@@ -189,14 +196,22 @@ class TestLiveEndpointIntegration:
         with pytest.raises(EndpointError):
             run_experiment(cfg)
 
-    def test_external_policy_degrades_without_endpoint(self):
-        cfg = cfg_for(
-            PolicySpec(kind="external", external_url="http://127.0.0.1:1/decide"),
-            duration=30,
+    def test_external_policy_degrades_without_endpoint(self, tmp_path):
+        # the scan trigger (-70 dBm on the associated AP) fires on steps 0, 2 and 3
+        rows = [{MAC_A: -80.0, MAC_B: -60.0}, {MAC_A: -60.0, MAC_B: -80.0},
+                {MAC_A: -75.0, MAC_B: -65.0}, {MAC_A: -71.0, MAC_B: -50.0}]
+        path = tmp_path / "trigger.jsonl"
+        path.write_text(trace_to_jsonl(make_trace(rows, assoc0=MAC_A)))
+        cfg = ExperimentConfig(
+            policy=PolicySpec(kind="external", external_url="http://127.0.0.1:1/decide"),
+            trace_path=str(path),
         )
         report = run_experiment(cfg)
         assert report.metrics["handovers"] == 0
         assert verify_report(report)
+        # the association never changes, so each step's rssi is the trigger input
+        assert sum(1 for e in report.decision_log if e["rssi"] < -70.0) >= 1
+        assert sum(1 for e in report.decision_log if e["fault"]) >= 1
 
 
 class TestRecomputeMetrics:

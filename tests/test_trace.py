@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MAC_A, MAC_B, mac, make_sample, make_trace
+from conftest import MAC_A, MAC_B, mac, make_sample, make_trace, round_trips, trace_to_csv
 from roamsim.errors import TraceFormatError
 from roamsim.runner import trace_content_hash
 from roamsim.trace import (
@@ -21,9 +21,7 @@ from roamsim.trace import (
     generate_synthetic,
     parse_trace,
     sample_to_dict,
-    trace_to_csv,
     trace_to_jsonl,
-    validate_trace,
     window,
 )
 
@@ -41,7 +39,8 @@ class TestCanonicalMac:
 
     def test_validate_flags_trailing_newline(self):
         trace = make_trace([{"AA:00:00:00:00:01\n": -60.0}])
-        assert [v.rule for v in validate_trace(trace)] == ["bad bssid"]
+        with pytest.raises(TraceFormatError, match="not a MAC address"):
+            round_trips(trace)
 
 
 class TestParseJsonl:
@@ -242,14 +241,14 @@ GOLDEN_FIXTURE = (
 
 @st.composite
 def valid_samples(draw):
-    """Samples validate_trace accepts, with every optional field drawn."""
+    """Samples the parser accepts, with every optional field drawn."""
     rssi = st.one_of(st.floats(-100.0, 0.0), st.sampled_from([-0.0, 0.0, -1e-05, -100.0]))
     num_aps = draw(st.integers(1, 6))
     levels = {mac(i): draw(rssi) for i in draw(st.sets(st.integers(0, 300), min_size=1,
                                                        max_size=num_aps))}
     opt = lambda lo, hi: st.one_of(st.none(), st.floats(lo, hi))  # noqa: E731
     return make_sample(
-        draw(st.integers(0, 10**12)), levels,
+        draw(st.integers(0, T_MAX)), levels,
         assoc=draw(st.one_of(st.none(), st.sampled_from(sorted(levels)))),
         activity=draw(st.sampled_from(["active", "idle"])),
         lat=draw(opt(-90.0, 90.0)), lon=draw(opt(-180.0, 180.0)),
@@ -270,7 +269,7 @@ class TestCanonicalJsonl:
     @given(samples=st.lists(valid_samples(), min_size=1, max_size=4))
     def test_lines_equal_json_dumps(self, samples):
         trace = Trace(samples=tuple(samples))
-        assert all(validate_trace(Trace(samples=(s,))) == [] for s in samples)
+        assert all(round_trips(Trace(samples=(s,))) for s in samples)
         lines = trace_to_jsonl(trace).splitlines(keepends=True)
         assert lines == [json.dumps(sample_to_dict(s)) + "\n" for s in samples]
 
@@ -284,12 +283,13 @@ class TestCanonicalJsonl:
 class TestValidate:
     def test_valid_trace_has_no_violations(self):
         trace = make_trace([{MAC_A: -60.0}, {MAC_A: -61.0}, {MAC_A: -62.0}])
-        assert validate_trace(trace) == []
+        assert round_trips(trace)
 
     def test_rssi_out_of_range_flagged(self):
         trace = make_trace([{MAC_A: 5.0}])
-        violations = validate_trace(trace)
-        assert any(v.rule == "rssi out of range" and v.index == 0 for v in violations)
+        with pytest.raises(TraceFormatError, match="rssi out of range") as exc:
+            round_trips(trace)
+        assert exc.value.line == 1  # the first sample
 
     def test_duplicate_bssid_flagged(self):
         from roamsim.trace import ApObservation, DeviceContext, ScanSample, Trace
@@ -301,8 +301,8 @@ class TestValidate:
                 ApObservation(bssid=MAC_A, rssi=-61.0),
             ),
         )
-        violations = validate_trace(Trace(samples=(sample,)))
-        assert any(v.rule == "duplicate bssid" for v in violations)
+        with pytest.raises(TraceFormatError, match="duplicate bssid"):
+            round_trips(Trace(samples=(sample,)))
 
     def test_irregular_spacing_flagged(self):
         from dataclasses import replace
@@ -318,7 +318,8 @@ class TestValidate:
                 ),
             ),
         )
-        assert any(v.rule == "irregular sample spacing" for v in validate_trace(bumped))
+        # the parser infers interval 5 from the one gap; the trace says 1
+        assert not round_trips(bumped)
 
 
 class TestWindow:
@@ -378,7 +379,7 @@ class TestSynthetic:
             SynthConfig(num_aps=3, duration=100, step_stddev=4.0, seed=5,
                         emit_location=True, battery_drain_pct_per_step=0.2)
         )
-        assert validate_trace(trace) == []
+        assert round_trips(trace)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
