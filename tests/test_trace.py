@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -395,3 +396,34 @@ class TestSynthetic:
         edge = generate_synthetic(SynthConfig(duration=2, sample_interval=T_MAX))
         assert edge.samples[-1].context.timestamp == T_MAX
         assert parse_trace(trace_to_jsonl(edge)) == edge
+
+
+# Generator golden: the sha256 of the canonical JSONL of each trace, so any
+# change to how generate_synthetic draws, clips or orders levels shows here.
+GOLDEN_SYNTH = {
+    "clip-floor-ceil": SynthConfig(num_aps=4, duration=300, base_dbm=-60.0, step_stddev=8.0,
+                                   floor_dbm=-80.0, ceil_dbm=-45.0, seed=3),
+    "flat-ties": SynthConfig(num_aps=5, duration=20, base_dbm=-70.0, step_stddev=0.0),
+    "per-ap-base": SynthConfig(num_aps=3, duration=80, base_dbm=(-130.0, 12.5, -64.25),
+                               step_stddev=3.0, floor_dbm=-100.0, ceil_dbm=0.0, seed=11),
+    "location-battery": SynthConfig(num_aps=3, duration=200, emit_location=True,
+                                    battery_drain_pct_per_step=0.7, activity="idle", seed=5),
+    "interval": SynthConfig(num_aps=3, duration=100, step_stddev=2.0, sample_interval=5,
+                            seed=9),
+    "dense": SynthConfig(num_aps=32, duration=50, base_dbm=-65.0, step_stddev=2.0, seed=1),
+}
+
+GOLDEN_SYNTH_SHA256 = {
+    "clip-floor-ceil": "5f1973efe903fdb418ff09ec6f398a8b6f968b66c154e819ac5eea9359a0ff17",
+    "dense": "33b02290d5a696e66e688d0e19ddeaa465da8aa997b72667226415cb1cfc8b64",
+    "flat-ties": "58e10614ed64fc50e1e9f01dca2b67ef70ef1542642e8b47bc0cc40b798547e4",
+    "interval": "ec0c9b6a2188d8c9178a28f5dadc33f3bb28b54f12f0e7efc42cc4b681f402c3",
+    "location-battery": "bacb0620af979db7bde002a580431f225e0efb212ba534a23d251ff732a1cf4c",
+    "per-ap-base": "1238878d9e352fb70efa31bd47adcd13871ff94a343aacf7ee72ebe627c3f542",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SYNTH))
+def test_golden_synthetic(name):
+    text = trace_to_jsonl(generate_synthetic(GOLDEN_SYNTH[name]))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SYNTH_SHA256[name]
