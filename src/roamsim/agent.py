@@ -7,6 +7,11 @@ one final line of the form "ANSWER: <BSSID>" (AP selection) or
 "ANSWER: <dBm>" (threshold adjustment). Building is a pure function:
 identical inputs yield byte-identical text.
 
+Consecutive windows share all but one of their rows, so a run renders each
+scan row once per window it enters: the caller passes one dict of rendered
+rows, keyed by sample, through every call, and each call reuses the rows
+already in it and leaves only its own window's rows behind.
+
 Reply parsing is deliberately forgiving: the final ANSWER line wins, any
 trailing match in free-form text is the fallback, and anything else is
 unparseable. An unparseable, absent, or below-floor AP pick is recorded
@@ -161,12 +166,32 @@ def _render_row(sample: ScanSample, fields: frozenset[str], template: dict[str, 
 
 
 def render_window_block(
-    window: ContextWindow, cfg: PromptConfig, template: dict[str, str] | None = None
+    window: ContextWindow,
+    cfg: PromptConfig,
+    template: dict[str, str] | None = None,
+    rows: dict[ScanSample, str] | None = None,
 ) -> str:
-    """The scan-log block of a prompt: header plus one row per sample."""
+    """The scan-log block of a prompt: header plus one row per sample.
+
+    `rows` carries rendered rows from one call to the next, keyed by sample:
+    a row already in it is reused, and afterwards it holds exactly this
+    window's rows, so it never grows past the window. One dict serves one
+    (cfg, template) pair, since the rows it holds were rendered under them.
+    """
     tpl = template or DEFAULT_TEMPLATE
-    rows = "".join(_render_row(s, cfg.context_fields, tpl) for s in window.samples)
-    return tpl["window.header"] + rows
+    fields = cfg.context_fields
+    known = {} if rows is None else rows
+    kept: dict[ScanSample, str] = {}
+    text = []
+    for s in window.samples:
+        row = known.get(s)
+        if row is None:
+            row = _render_row(s, fields, tpl)
+        kept[s] = row
+        text.append(row)
+    known.clear()
+    known.update(kept)
+    return tpl["window.header"] + "".join(text)
 
 
 def build_prompt(
@@ -175,11 +200,14 @@ def build_prompt(
     cfg: PromptConfig,
     shots: tuple[FewShotExample, ...] = (),
     template: dict[str, str] | None = None,
+    rows: dict[ScanSample, str] | None = None,
 ) -> str:
     """Deterministic prompt text for one decision.
 
     The shot list length must equal cfg.shots; reasoning text is required
     on every shot in the cot style and forbidden in the plain style.
+    `rows` is render_window_block's row dict; the text is the same with
+    or without it.
     """
     if len(shots) != cfg.shots:
         raise ValueError(f"shot count mismatch: got {len(shots)}, config says {cfg.shots}")
@@ -199,7 +227,7 @@ def build_prompt(
             tpl["shot"].format(index=i, window=shot.window_text, reasoning=reasoning,
                                answer=shot.answer)
         )
-    parts.append(render_window_block(window, cfg, tpl))
+    parts.append(render_window_block(window, cfg, tpl, rows))
     parts.append(tpl[f"instruction.{cfg.task}.{cfg.style}"])
     return "".join(parts)
 
@@ -269,6 +297,7 @@ def ap_select_decide(
     shots: tuple[FewShotExample, ...] = (),
     validity_floor: float | None = None,
     template: dict[str, str] | None = None,
+    rows: dict[ScanSample, str] | None = None,
 ) -> PolicyDecision:
     """AP selection via the model, with legacy fallback on any bad pick.
 
@@ -280,7 +309,7 @@ def ap_select_decide(
     latest = window.latest
     if not should_scan(rssi_of(latest, state.associated), state.threshold):
         return PolicyDecision.stay("llm")
-    prompt = build_prompt(window, state, cfg, shots, template)
+    prompt = build_prompt(window, state, cfg, shots, template, rows)
     record = client.complete(prompt)
     floor = state.threshold if validity_floor is None else validity_floor
     pick = parse_ap_response(record.reply) if record.ok else None
@@ -304,6 +333,7 @@ def threshold_schedule_step(
     cfg: PromptConfig,
     client,
     template: dict[str, str] | None = None,
+    rows: dict[ScanSample, str] | None = None,
 ) -> PolicyDecision | None:
     """One scheduler tick: a threshold decision when an adjustment is due.
 
@@ -316,7 +346,7 @@ def threshold_schedule_step(
         raise ValueError("interval must be >= 1")
     if last_adjust is not None and now - last_adjust < interval:
         return None
-    prompt = build_prompt(window, state, cfg, (), template)
+    prompt = build_prompt(window, state, cfg, (), template, rows)
     record = client.complete(prompt)
     if not record.ok:
         return PolicyDecision.set_threshold(

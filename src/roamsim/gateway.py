@@ -122,16 +122,14 @@ def prompt_argmax_bssid(prompt: str) -> str | None:
     """Strongest BSSID listed in the last scan row of a prompt.
 
     Ties break toward the lexicographically smallest BSSID, matching the
-    candidate order the prompt renderer uses.
+    candidate order the prompt renderer uses. Lines are read from the end,
+    so only the last line that has pairs is parsed.
     """
-    last_pairs: list[tuple[str, float]] = []
-    for line in prompt.splitlines():
+    for line in reversed(prompt.splitlines()):
         pairs = [(m.group(1).upper(), float(m.group(2))) for m in _PAIR_RE.finditer(line)]
         if pairs:
-            last_pairs = pairs
-    if not last_pairs:
-        return None
-    return min(last_pairs, key=lambda p: (-p[1], p[0]))[0]
+            return min(pairs, key=lambda p: (-p[1], p[0]))[0]
+    return None
 
 
 class MockClient:

@@ -43,7 +43,14 @@ from .policies import (
     oracle_opt_rssi,
 )
 from .roaming import DEFAULT_SCAN_RSSI_DBM, HYSTERESIS_PRESETS, RunTimeline, run_policy
-from .trace import SynthConfig, Trace, generate_synthetic, parse_trace, trace_to_jsonl
+from .trace import (
+    ScanSample,
+    SynthConfig,
+    Trace,
+    generate_synthetic,
+    parse_trace,
+    trace_to_jsonl,
+)
 
 SWEEP_AXES: dict[str, list] = {
     "threshold": [-50.0, -60.0, -70.0, -80.0],
@@ -288,6 +295,7 @@ class _Run:
     shots: tuple[FewShotExample, ...]
     client: object = None
     threshold_log: list[dict] = field(default_factory=list)
+    rows: dict[ScanSample, str] = field(default_factory=dict)  # rendered prompt rows
 
 
 def _plan_policy(run: _Run) -> dict:
@@ -309,7 +317,7 @@ def _llm_policy(run: _Run) -> dict:
         return {
             "decide": lambda win, state: ap_select_decide(
                 win, state, run.prompt, run.client, run.shots, cfg.validity_floor,
-                template=run.template,
+                template=run.template, rows=run.rows,
             )
         }
     interval = cfg.interval if cfg.interval is not None else 30
@@ -319,7 +327,7 @@ def _llm_policy(run: _Run) -> dict:
         now = win.latest.context.timestamp
         decision = threshold_schedule_step(
             now, log[-1]["t"] if log else None, interval, win, state, run.prompt,
-            run.client, template=run.template,
+            run.client, template=run.template, rows=run.rows,
         )
         if decision is None:
             return state
@@ -452,8 +460,16 @@ def write_report(report: RunReport, out_dir: str) -> str:
     return path
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def read_report(path: str) -> dict:
-    """Load a report file; DataError, naming the file, when it holds no report."""
+    """Load a report file; DataError, naming the file, when it holds no report.
+
+    Beyond the keys, the fields that compare and plot-data format or hash
+    must have their report types, so a bad file is a data error there too.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             d = json.load(fh)
@@ -463,6 +479,18 @@ def read_report(path: str) -> dict:
     if not (isinstance(m, dict) and all(k in d for k in ("policy", "scenario", "trace_hash"))
             and all(k in m for k in ("handovers", "avg_rssi_dbm", "error_rate"))):
         raise DataError(f"{path}: not a report (needs policy, scenario, trace_hash, metrics)")
+    lat = d.get("latency")
+    mean_ms = lat.get("mean_ms") if isinstance(lat, dict) else None
+    wrong = [name for name, ok in (
+        ("trace_hash", isinstance(d["trace_hash"], str)),
+        ("metrics.handovers", _is_real(m["handovers"]) and isinstance(m["handovers"], int)),
+        ("metrics.avg_rssi_dbm", _is_real(m["avg_rssi_dbm"])),
+        ("metrics.error_rate", m["error_rate"] is None or _is_real(m["error_rate"])),
+        ("latency", lat is None or isinstance(lat, dict)),
+        ("latency.mean_ms", mean_ms is None or _is_real(mean_ms)),
+    ) if not ok]
+    if wrong:
+        raise DataError(f"{path}: wrong type for {', '.join(wrong)}")
     return d
 
 

@@ -468,16 +468,19 @@ def generate_synthetic(config: SynthConfig) -> Trace:
         bases = [float(b) for b in config.base_dbm]
         if len(bases) != config.num_aps:
             raise ValueError("base_dbm sequence length must equal num_aps")
-    clip = lambda v: max(config.floor_dbm, min(config.ceil_dbm, v))
-    levels = [clip(max(RSSI_MIN_DBM, min(RSSI_MAX_DBM, b))) for b in bases]
+    floor, ceil = config.floor_dbm, config.ceil_dbm
+    levels = [max(floor, min(ceil, max(RSSI_MIN_DBM, min(RSSI_MAX_DBM, b)))) for b in bases]
     macs = [synth_bssid(i) for i in range(config.num_aps)]
 
-    rng = random.Random(config.seed)
+    gauss, stddev = random.Random(config.seed).gauss, config.step_stddev
     samples = []
     for step in range(config.duration):
         if step > 0:
-            levels = [clip(v + rng.gauss(0.0, config.step_stddev)) for v in levels]
-        obs = [ApObservation(bssid=m, rssi=v) for m, v in zip(macs, levels)]
+            levels = [max(floor, min(ceil, v + gauss(0.0, stddev))) for v in levels]
+        # Built as _build_sample builds them: the entries sort into
+        # sort_candidates' order, the BSSIDs being distinct.
+        entries = sorted([(-v, m, v) for m, v in zip(macs, levels)])
+        candidates = tuple([tuple.__new__(ApObservation, (m, v)) for _, m, v in entries])
         lat = lon = None
         if config.emit_location:
             lat = 37.0 + step * 1e-5
@@ -492,5 +495,5 @@ def generate_synthetic(config: SynthConfig) -> Trace:
             battery_pct=battery,
             activity=config.activity,
         )
-        samples.append(ScanSample(context=ctx, candidates=sort_candidates(obs)))
+        samples.append(ScanSample(context=ctx, candidates=candidates))
     return Trace(samples=tuple(samples), sample_interval=config.sample_interval)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -130,6 +131,59 @@ class TestBuildPrompt:
         text = build_prompt(simple_window(), state_at(), PromptConfig(), template=tpl)
         assert text.startswith("PICK AN AP")
         assert "ROW 0:" in text
+
+
+def _window_steps(kind: str, T: int) -> list[int]:
+    if kind == "sliding":
+        return list(range(T))
+    if kind == "jumping":  # strides that overlap the last window, then strides that miss it
+        return list(range(0, T, 7)) + list(range(2, T, 13))
+    if kind == "backward":
+        return list(range(T - 1, -1, -1)) + list(range(0, T, 3))
+    rng = random.Random(kind)
+    return [rng.randrange(T) for _ in range(3 * T)]
+
+
+class TestRowDict:
+    """build_prompt with one row dict shared across calls, as a run passes it."""
+
+    @pytest.mark.parametrize("kind", ["sliding", "jumping", "backward", "random"])
+    @pytest.mark.parametrize("task", ["ap_select", "threshold"])
+    @pytest.mark.parametrize("template_file", [False, True], ids=["default", "file"])
+    def test_shared_dict_changes_no_prompt(self, tmp_path, kind, task, template_file):
+        synth = replace(band_synth(seed=23, duration=60), emit_location=True,
+                        battery_drain_pct_per_step=0.5)
+        trace = generate_synthetic(synth)
+        template = None
+        if template_file:
+            path = tmp_path / "prompt.tpl"
+            path.write_text(PROMPT_TEMPLATE, encoding="utf-8")
+            template = load_template(path)
+        k = 10
+        cfg = PromptConfig(task=task, window_k=k, context_fields=frozenset(CONTEXT_FIELDS))
+        state = state_at(associated=trace.samples[0].candidates[0].bssid)
+        rows: dict = {}
+        for t in _window_steps(kind, len(trace.samples)):
+            win = window(trace, t, k)
+            shared = build_prompt(win, state, cfg, template=template, rows=rows)
+            assert shared == build_prompt(win, state, cfg, template=template)
+            assert len(rows) <= k
+            assert set(rows) == set(win.samples)
+
+    def test_sliding_windows_render_each_row_once(self, monkeypatch):
+        rendered = []
+        real = agent._render_row
+
+        def counting(sample, *args):
+            rendered.append(sample)
+            return real(sample, *args)
+
+        monkeypatch.setattr(agent, "_render_row", counting)
+        trace = generate_synthetic(band_synth(seed=4, duration=40))
+        rows: dict = {}
+        for t in range(40):
+            build_prompt(window(trace, t, 10), state_at(), PromptConfig(), rows=rows)
+        assert rendered == list(trace.samples)
 
 
 class TestParseApResponse:

@@ -201,6 +201,37 @@ class TestOracleExport:
         assert rc == 0
 
 
+# A well-typed hand-written report, and one-field edits of it that compare and
+# plot-data must reject as data errors.
+HAND_REPORT = {"policy": "p", "scenario": "s", "trace_hash": "ab", "latency": None,
+               "metrics": {"handovers": 3, "avg_rssi_dbm": -61, "error_rate": 0}}
+
+
+def _edited(key: str, value) -> str:
+    d = json.loads(json.dumps(HAND_REPORT))
+    owner = d["metrics"] if key in d["metrics"] else d
+    owner[key] = value
+    return json.dumps(d)
+
+
+MALFORMED_REPORTS = {
+    "empty-object": "{}",
+    "list": "[]",
+    "not-json": "{not",
+    "latency-list": _edited("latency", [1]),
+    "latency-mean-string": _edited("latency", {"mean_ms": "1.5"}),
+    "trace-hash-list": _edited("trace_hash", ["ab"]),
+    "handovers-string": _edited("handovers", "3"),
+    "handovers-bool": _edited("handovers", True),
+    "handovers-float": _edited("handovers", 3.0),
+    "avg-rssi-string": _edited("avg_rssi_dbm", "-61.5"),
+    "avg-rssi-null": _edited("avg_rssi_dbm", None),
+    "avg-rssi-bool": _edited("avg_rssi_dbm", False),
+    "error-rate-string": _edited("error_rate", "0.1"),
+    "error-rate-bool": _edited("error_rate", True),
+}
+
+
 class TestCompareAndPlot:
     def _two_reports(self, trace_file, tmp_path):
         out = tmp_path / "runs"
@@ -231,7 +262,7 @@ class TestCompareAndPlot:
         assert (plots / "avg_rssi.csv").exists()
 
     @pytest.mark.parametrize("command", ["compare", "plot-data"])
-    @pytest.mark.parametrize("text", ["{}", "[]", "{not"], ids=["empty-object", "list", "not-json"])
+    @pytest.mark.parametrize("text", list(MALFORMED_REPORTS.values()), ids=list(MALFORMED_REPORTS))
     def test_malformed_report_is_a_data_error(self, tmp_path, capsys, command, text):
         bad = tmp_path / "x.json"
         bad.write_text(text)
@@ -242,6 +273,16 @@ class TestCompareAndPlot:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert str(bad) in err
+
+    @pytest.mark.parametrize("latency", [None, {"mean_ms": None}, {"mean_ms": 2.5}])
+    @pytest.mark.parametrize("error_rate", [None, 0, 0.25])
+    def test_well_typed_report_compares(self, tmp_path, capsys, latency, error_rate):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({**HAND_REPORT, "latency": latency,
+                                    "metrics": {**HAND_REPORT["metrics"],
+                                                "error_rate": error_rate}}))
+        assert main(["compare", str(path), str(path)]) == 0
+        assert "-61.00" in capsys.readouterr().out
 
 
 class TestSweepCommand:

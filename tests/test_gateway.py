@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -12,8 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FakeJsonSession, band_synth, json_values
-from roamsim.agent import PromptConfig, build_prompt, parse_ap_response
+from roamsim.agent import (
+    CONTEXT_FIELDS,
+    DEFAULT_TEMPLATE,
+    FewShotExample,
+    PromptConfig,
+    build_prompt,
+    parse_ap_response,
+    render_window_block,
+)
 from roamsim.gateway import (
+    _PAIR_RE,
     CompletionRecord,
     EndpointConfig,
     HttpClient,
@@ -24,6 +34,74 @@ from roamsim.gateway import (
 )
 from roamsim.roaming import AssociationState
 from roamsim.trace import generate_synthetic, strongest, window
+
+
+def forward_argmax_bssid(prompt: str) -> str | None:
+    """Reference for prompt_argmax_bssid: parse every line, keep the last with pairs."""
+    last_pairs: list[tuple[str, float]] = []
+    for line in prompt.splitlines():
+        pairs = [(m.group(1).upper(), float(m.group(2))) for m in _PAIR_RE.finditer(line)]
+        if pairs:
+            last_pairs = pairs
+    if not last_pairs:
+        return None
+    return min(last_pairs, key=lambda p: (-p[1], p[0]))[0]
+
+
+ROW_TEMPLATE = {**DEFAULT_TEMPLATE, "row": "{aps} @{t}{context}\n",
+                "window.header": "scan 00:11:22:33:44:55=-1 header\n"}
+
+
+@st.composite
+def built_prompts(draw):
+    """Prompts build_prompt makes: either style and task, shots, context, templates."""
+    trace = generate_synthetic(replace(
+        band_synth(seed=draw(st.integers(0, 500)), duration=30, num_aps=draw(st.integers(1, 6))),
+        emit_location=True, battery_drain_pct_per_step=0.5,
+        step_stddev=draw(st.sampled_from([0.0, 4.0])),
+    ))
+    style = draw(st.sampled_from(["plain", "cot"]))
+    task = draw(st.sampled_from(["ap_select", "threshold"]))
+    cfg = PromptConfig(
+        style=style, task=task, shots=draw(st.integers(0, 2)),
+        context_fields=draw(st.frozensets(st.sampled_from(CONTEXT_FIELDS))),
+    )
+    template = draw(st.sampled_from([None, ROW_TEMPLATE]))
+    shots = tuple(
+        FewShotExample(
+            window_text=render_window_block(window(trace, draw(st.integers(0, 29)), 5), cfg,
+                                            template),
+            answer=trace.samples[0].candidates[0].bssid,
+            reasoning="AA:BB:CC:DD:EE:FF=-40 looked best" if style == "cot" else None,
+        )
+        for _ in range(cfg.shots)
+    )
+    win = window(trace, draw(st.integers(0, 29)), draw(st.integers(1, 12)))
+    state = AssociationState(associated=trace.samples[0].candidates[0].bssid)
+    return build_prompt(win, state, cfg, shots, template)
+
+
+_MACS = st.builds(
+    lambda octets, lower: (str.lower if lower else str.upper)(
+        ":".join(f"{o:02x}" for o in octets)),
+    st.lists(st.sampled_from([0x0, 0x0A, 0xAB, 0xFF]), min_size=6, max_size=6), st.booleans(),
+)
+_NUMBERS = st.one_of(
+    st.sampled_from(["1e-05", "-1e-05", "-1E-5", "-0.0", "0", "-60", "-60.0", "-7.5e-3"]),
+    st.floats(-100.0, 0.0).map(repr),
+)
+
+
+@st.composite
+def pair_text(draw):
+    """Arbitrary lines with pair-like tokens: ties, odd numbers, and no pairs at all."""
+    token = st.one_of(
+        st.builds(lambda m, n: f"{m}={n}", _MACS, _NUMBERS),
+        _MACS, _NUMBERS, st.sampled_from(["=", "aps:", "t=3", "|", "ANSWER:", "x=-1"]),
+        st.text(max_size=6),
+    )
+    lines = draw(st.lists(st.lists(token, max_size=5).map(" ".join), max_size=8))
+    return draw(st.sampled_from(["\n", "\r\n", "\u2028"])).join(lines)
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
@@ -230,6 +308,11 @@ class TestMockRules:
     def test_prompt_argmax_tie_breaks_lexicographically(self):
         prompt = "aps: AA:00:00:00:00:02=-60.0 AA:00:00:00:00:01=-60.0\n"
         assert prompt_argmax_bssid(prompt) == "AA:00:00:00:00:01"
+
+    @settings(max_examples=150, deadline=None)
+    @given(prompt=st.one_of(built_prompts(), pair_text()))
+    def test_argmax_matches_forward_scan(self, prompt):
+        assert prompt_argmax_bssid(prompt) == forward_argmax_bssid(prompt)
 
     def test_mock_is_safe_under_concurrent_use(self):
         client = MockClient(MockRule.scripted([str(i) for i in range(64)]))
