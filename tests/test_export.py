@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
 from conftest import MAC_A, MAC_B, band_synth, make_trace
-from roamsim.agent import PromptConfig
+from roamsim.agent import CONTEXT_FIELDS, PromptConfig, load_template
 from roamsim.errors import DataError
 from roamsim.export import (
     export_preferences,
@@ -162,3 +164,54 @@ class TestSplitTrace:
     def test_single_sample_rejected(self):
         with pytest.raises(DataError):
             split_trace(make_trace([{MAC_A: -60.0}]))
+
+
+# ---------------------------------------------------------------------------
+# Golden corpora: every byte export_sft and export_preferences write for two
+# fixtures, pinned by sha256.
+
+EXPORT_TEMPLATE = (
+    "[preamble.ap_select]\n"
+    "PICK (current {associated}, threshold {threshold})\n"
+    "[window.header]\n"
+    "LOG\n"
+    "[row]\n"
+    "ROW {t}{context}: {aps}\n"
+)
+
+
+def _export_fixture(name: str, tmp_path):
+    if name == "default":
+        trace = generate_synthetic(band_synth(seed=91, duration=80))
+        return trace, PromptConfig(), {}
+    synth = replace(band_synth(seed=92, duration=70, num_aps=5), emit_location=True,
+                    battery_drain_pct_per_step=0.4)
+    path = tmp_path / "export.tpl"
+    path.write_text(EXPORT_TEMPLATE, encoding="utf-8")
+    cfg = PromptConfig(style="plain", shots=2, window_k=4,
+                       context_fields=frozenset(CONTEXT_FIELDS))
+    return generate_synthetic(synth), cfg, {"scan_rssi": -62.0,
+                                            "template": load_template(path)}
+
+
+GOLDEN_EXPORT_SHA256 = {
+    "default": "74b651f238fddbd2b4f92b566faf02c0de151d2974397bdc365f13de16d187f2",
+    "template-context": "39d04c2ab7415d9757f4341a0c99a4366962ce3f49fcfcf5a218d437fe1cd8fe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXPORT_SHA256))
+def test_golden_export(name, tmp_path):
+    trace, cfg, kw = _export_fixture(name, tmp_path)
+    plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+    outputs = {}
+    buf = io.StringIO()
+    export_sft(trace, plan, cfg, buf, **kw)
+    outputs["sft"] = buf.getvalue()
+    for source in ("legacy", "heuristic", "second_best"):
+        buf = io.StringIO()
+        export_preferences(trace, plan, source, cfg, buf, seed=3, **kw)
+        outputs[source] = buf.getvalue()
+    assert all(outputs.values())
+    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_EXPORT_SHA256[name]
