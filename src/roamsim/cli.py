@@ -16,11 +16,19 @@ import configparser
 import json
 import os
 import sys
+from contextlib import closing
 
 from .agent import PromptConfig, load_template
 from .errors import ConfigError, DataError, EndpointError
 from .export import export_preferences, export_sft
-from .gateway import EndpointConfig, HttpClient, MockClient, MockRule, latency_stats
+from .gateway import (
+    EndpointConfig,
+    HttpClient,
+    JsonConnection,
+    MockClient,
+    MockRule,
+    latency_stats,
+)
 from .policies import (
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
@@ -426,14 +434,17 @@ def _cmd_plot_data(args) -> int:
 
 
 def _cmd_bench_latency(args) -> int:
+    conn = JsonConnection()
     if args.mock:
         client = MockClient(_parse_mock(args.mock, args.mock_delay_ms))
     elif args.endpoint_url:
-        client = HttpClient(EndpointConfig.from_env(base_url=args.endpoint_url, model=args.model))
+        cfg = EndpointConfig.from_env(base_url=args.endpoint_url, model=args.model)
+        client = HttpClient(cfg, conn)
     else:
         raise ConfigError("bench-latency needs --endpoint-url or --mock")
-    for _ in range(args.n):
-        client.complete(args.prompt)
+    with closing(conn):
+        for _ in range(args.n):
+            client.complete(args.prompt)
     summary = latency_stats(client.records)
     if isinstance(client, HttpClient) and summary["count"] == 0:
         raise EndpointError("endpoint never answered")

@@ -21,7 +21,7 @@ from .agent import PromptConfig, build_prompt
 from .errors import DataError
 from .policies import AssociationPlan, heuristic_decide, legacy_decide
 from .roaming import DEFAULT_SCAN_RSSI_DBM, AssociationState, run_policy
-from .trace import Trace, window
+from .trace import ScanSample, Trace, window
 
 REJECTED_LEGACY = "legacy"
 REJECTED_HEURISTIC = "heuristic"
@@ -41,14 +41,15 @@ def split_trace(trace: Trace, train_frac: float = 0.8) -> tuple[Trace, Trace]:
 
 
 def _step_prompt(
-    trace: Trace, t: int, plan: AssociationPlan, cfg: PromptConfig, scan_rssi: float, template
+    trace: Trace, t: int, plan: AssociationPlan, cfg: PromptConfig, scan_rssi: float, template,
+    rows: dict[ScanSample, str],
 ) -> str:
     # Training prompts are bare prompt->completion pairs: no shots.
     bare = replace(cfg, shots=0)
     state = AssociationState(
         associated=plan.plan[t - 1] if t > 0 else plan.plan[0], threshold=scan_rssi
     )
-    return build_prompt(window(trace, t, cfg.window_k), state, bare, (), template)
+    return build_prompt(window(trace, t, cfg.window_k), state, bare, (), template, rows)
 
 
 def _open_out(out):
@@ -69,11 +70,12 @@ def export_sft(
     T = len(trace.samples)
     if len(plan.plan) != T:
         raise DataError(f"plan length {len(plan.plan)} != trace length {T}")
+    rows: dict[ScanSample, str] = {}  # rendered prompt rows, as agent.build_prompt keeps them
     fh, owned = _open_out(out)
     try:
         for t in range(T):
             rec = {
-                "prompt": _step_prompt(trace, t, plan, cfg, scan_rssi, template),
+                "prompt": _step_prompt(trace, t, plan, cfg, scan_rssi, template, rows),
                 "completion": f"ANSWER: {plan.plan[t]}",
             }
             fh.write(json.dumps(rec) + "\n")
@@ -116,6 +118,7 @@ def export_preferences(
         raise DataError(f"plan length {len(preferred.plan)} != trace length {T}")
     rejected = _rejected_sequence(trace, rejected_source, seed, scan_rssi)
     count = 0
+    rows: dict[ScanSample, str] = {}
     fh, owned = _open_out(out)
     try:
         for t in range(T):
@@ -124,7 +127,7 @@ def export_preferences(
             if reject is None or reject == chosen:
                 continue
             rec = {
-                "prompt": _step_prompt(trace, t, preferred, cfg, scan_rssi, template),
+                "prompt": _step_prompt(trace, t, preferred, cfg, scan_rssi, template, rows),
                 "chosen": f"ANSWER: {chosen}",
                 "rejected": f"ANSWER: {reject}",
             }

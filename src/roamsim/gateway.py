@@ -3,8 +3,15 @@ model, and latency metering.
 
 `post_json` is the one routine that speaks HTTP, for the completion client
 and the external decision policy (policies.ExternalPolicy) alike: a JSON
-POST on the caller's pooled session, with the retry rule and the outcomes
-ok, timeout, transport_error and http_error.
+POST on the caller's JsonConnection, with the retry rule and the outcomes
+ok, timeout, transport_error and http_error. JsonConnection is one
+kept-alive http.client connection, standard library only. Three edges
+differ from a general-purpose HTTP client, and nothing here relies
+on them:
+
+* a 3xx reply is an http_error; redirects are not followed;
+* HTTP_PROXY, HTTPS_PROXY and the other proxy variables are ignored;
+* https verifies against the system trust store (ssl's default context).
 
 The completion client speaks the common chat-completions JSON shape
 (POST {base}/v1/chat/completions with a single user message; reply text
@@ -20,13 +27,15 @@ against its call count.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import re
+import selectors
 import threading
 import time
 from dataclasses import dataclass
-
-import requests
+from urllib.parse import urlsplit
 
 ENV_BASE_URL = "ROAMSIM_LLM_BASE_URL"
 ENV_MODEL = "ROAMSIM_LLM_MODEL"
@@ -178,10 +187,10 @@ class MockClient:
 class HttpClient:
     """Chat-completions client; retries timeouts, transport errors, 5xx, 408 and 429."""
 
-    def __init__(self, cfg: EndpointConfig, session: requests.Session | None = None):
+    def __init__(self, cfg: EndpointConfig, conn: JsonConnection | None = None):
         self.cfg = cfg
         self.records: list[CompletionRecord] = []
-        self._session = session or requests.Session()
+        self._conn = conn or JsonConnection()
         self._lock = threading.Lock()
 
     def complete(self, prompt: str) -> CompletionRecord:
@@ -194,7 +203,7 @@ class HttpClient:
         }
         url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
         outcome, status, reply, latency, attempts = post_json(
-            self._session, url, payload, _extract_reply, cfg.timeout_ms, cfg.max_retries,
+            self._conn, url, payload, _extract_reply, cfg.timeout_ms, cfg.max_retries,
             cfg.backoff_ms,
         )
         record = CompletionRecord(
@@ -222,15 +231,93 @@ def _extract_reply(body) -> str:
     raise ValueError("no reply text in choices[0]")
 
 
+# An idle socket the peer has closed reads as ready. poll, where the
+# platform has it, has no limit on descriptor numbers, unlike select.
+_Selector = getattr(selectors, "PollSelector", selectors.SelectSelector)
+_JSON_HEADERS = {"Content-Type": "application/json"}
+
+
+def _peer_closed(sock) -> bool:
+    """True when an idle connection's socket is readable without blocking.
+
+    A kept-alive connection has no reply pending, so a readable socket
+    holds the peer's close (or bytes no request asked for): either way the
+    connection cannot carry another request.
+    """
+    with _Selector() as sel:
+        sel.register(sock, selectors.EVENT_READ)
+        return bool(sel.select(0))
+
+
+class JsonConnection:
+    """One kept-alive HTTP/1.1 connection for JSON POSTs.
+
+    The connection opens on first use and is replaced when a request goes
+    to another scheme, host or port. Before an idle connection is reused,
+    a zero-timeout readability check finds one the peer has closed, and
+    the request goes out on a fresh connection instead. A request already
+    sent is never sent again. Any error closes the connection, and so does
+    a reply that ends it (http.client hands that socket to the reply,
+    which closes it once read). One request at a time: concurrent callers
+    wait their turn.
+    """
+
+    def __init__(self):
+        self._conn: http.client.HTTPConnection | None = None
+        self._origin: tuple[str, str, int] | None = None
+        self._lock = threading.Lock()
+
+    def post(self, url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
+        """POST `body` as JSON to `url`; return (status, reply body).
+
+        Raises ValueError for a URL that is not http(s)://host[:port]...,
+        TimeoutError when `timeout` seconds pass with no progress, and
+        OSError or http.client.HTTPException for other failures.
+        """
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"not an http(s) URL: {url!r}")
+        https = parts.scheme == "https"
+        origin = (parts.scheme, parts.hostname, parts.port or (443 if https else 80))
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        with self._lock:
+            if origin != self._origin:
+                self.close()
+                cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
+                self._conn = cls(origin[1], origin[2], timeout=timeout)
+                self._origin = origin
+            conn = self._conn
+            if conn.sock is not None and _peer_closed(conn.sock):
+                conn.close()  # the request below opens a fresh one
+            if conn.timeout != timeout:
+                conn.timeout = timeout
+                if conn.sock is not None:
+                    conn.sock.settimeout(timeout)
+            try:
+                conn.request("POST", target, body, _JSON_HEADERS)
+                resp = conn.getresponse()
+                return resp.status, resp.read()
+            except BaseException:
+                conn.close()
+                raise
+
+    def close(self) -> None:
+        """Close the connection; the next post opens a new one."""
+        if self._conn is not None:
+            self._conn.close()
+        self._conn = self._origin = None
+
+
 def post_json(
-    session: requests.Session, url: str, payload: dict, read, timeout_ms: float,
+    conn: JsonConnection, url: str, payload: dict, read, timeout_ms: float,
     max_retries: int = 0, backoff_ms: float = 0.0,
 ) -> tuple[str, int | None, object, float, int]:
     """POST `payload` as JSON; return (outcome, status, read(body), latency_ms, attempts).
 
-    Retries timeouts, transport errors, bodies `read` rejects with
-    ValueError, 5xx, 408 and 429, up to `max_retries` times. The read
-    value is None unless the outcome is ok.
+    Retries timeouts, transport errors (a payload json cannot encode, a
+    bad URL, a dropped connection), bodies `read` rejects with ValueError,
+    5xx, 408 and 429, up to `max_retries` times. The read value is None
+    unless the outcome is ok.
     """
     outcome, status, value, latency = OUTCOME_TRANSPORT, None, None, 0.0
     attempts = 0
@@ -240,20 +327,21 @@ def post_json(
         attempts = attempt + 1
         start = time.perf_counter()
         try:
-            resp = session.post(url, json=payload, timeout=timeout_ms / 1000.0)
+            body = json.dumps(payload, allow_nan=False).encode()
+            code, data = conn.post(url, body, timeout_ms / 1000.0)
             latency = (time.perf_counter() - start) * 1000.0
-            if not 200 <= resp.status_code < 300:
-                outcome, status = OUTCOME_HTTP, resp.status_code
+            if not 200 <= code < 300:
+                outcome, status = OUTCOME_HTTP, code
                 if status < 500 and status not in (408, 429):
                     break  # any other client error fails the same way again
                 continue
-            value = read(resp.json())
-            outcome, status = OUTCOME_OK, resp.status_code
+            value = read(json.loads(data))
+            outcome, status = OUTCOME_OK, code
             break
-        except requests.Timeout:
+        except TimeoutError:
             latency = (time.perf_counter() - start) * 1000.0
             outcome = OUTCOME_TIMEOUT
-        except (requests.RequestException, ValueError):
+        except (OSError, http.client.HTTPException, ValueError):
             latency = (time.perf_counter() - start) * 1000.0
             outcome = OUTCOME_TRANSPORT
     return outcome, status, value, latency, attempts

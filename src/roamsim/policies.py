@@ -1,7 +1,7 @@
 """Comparison policies: random-pick heuristic, highest-RSSI legacy, fixed
 thresholds, globally optimal association plans, and an adapter for an
 external decision service, which posts through the gateway's HTTP
-transport (gateway.post_json).
+transport (gateway.post_json on a kept-alive gateway.JsonConnection).
 
 The two plan solvers optimize over whole association sequences:
 
@@ -27,10 +27,8 @@ import random
 from dataclasses import dataclass
 from math import prod
 
-import requests
-
 from .errors import OracleInfeasibleError, SearchSpaceError
-from .gateway import OUTCOME_OK, post_json
+from .gateway import OUTCOME_OK, JsonConnection, post_json
 from .roaming import (
     DEFAULT_SCAN_RSSI_DBM,
     AssociationState,
@@ -311,16 +309,18 @@ class ExternalPolicy:
 
     Request: {"window": [<sample>...], "state": {"associated", "threshold"}}.
     Reply:   {"action": "stay"|"roam", "bssid": "<MAC>"?}.
-    Posts through gateway.post_json on one session per policy, one attempt
-    each. A failed call or a malformed reply degrades to a stay decision
-    flagged as a fault, so a run always completes.
+    Posts through gateway.post_json on one kept-alive connection per
+    policy (`conn`, or a new one), one attempt each. A failed call or a
+    malformed reply degrades to a stay decision flagged as a fault, so a
+    run always completes.
     """
 
-    def __init__(self, url: str, timeout_ms: float = 5000.0):
+    def __init__(self, url: str, timeout_ms: float = 5000.0,
+                 conn: JsonConnection | None = None):
         self.url = url
         self.timeout_ms = timeout_ms
         self.name = "external"
-        self._session = requests.Session()
+        self._conn = conn or JsonConnection()
 
     def decide(self, window: ContextWindow, state: AssociationState) -> PolicyDecision:
         latest = window.latest
@@ -331,7 +331,7 @@ class ExternalPolicy:
             "state": {"associated": state.associated, "threshold": state.threshold},
         }
         outcome, _, decision, _, _ = post_json(
-            self._session, self.url, payload, self._read_action, self.timeout_ms
+            self._conn, self.url, payload, self._read_action, self.timeout_ms
         )
         if outcome != OUTCOME_OK:
             return PolicyDecision.stay("external-unavailable", fault=True)

@@ -16,6 +16,7 @@ import os
 import re
 import tempfile
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 
 from .agent import (
@@ -30,7 +31,14 @@ from .agent import (
 )
 from .errors import ConfigError, DataError, EndpointError
 from .export import label_accuracy, split_trace
-from .gateway import EndpointConfig, HttpClient, MockClient, MockRule, latency_stats
+from .gateway import (
+    EndpointConfig,
+    HttpClient,
+    JsonConnection,
+    MockClient,
+    MockRule,
+    latency_stats,
+)
 from .policies import (
     AssociationPlan,
     ExternalPolicy,
@@ -296,6 +304,7 @@ class _Run:
     client: object = None
     threshold_log: list[dict] = field(default_factory=list)
     rows: dict[ScanSample, str] = field(default_factory=dict)  # rendered prompt rows
+    conn: JsonConnection = field(default_factory=JsonConnection)  # opened on first post
 
 
 def _plan_policy(run: _Run) -> dict:
@@ -312,7 +321,9 @@ def _plan_policy(run: _Run) -> dict:
 
 def _llm_policy(run: _Run) -> dict:
     spec, cfg = run.cfg.policy, run.cfg
-    run.client = MockClient(spec.mock) if spec.mock is not None else HttpClient(spec.endpoint)
+    run.client = (
+        MockClient(spec.mock) if spec.mock is not None else HttpClient(spec.endpoint, run.conn)
+    )
     if cfg.task == TASK_AP_SELECT:
         return {
             "decide": lambda win, state: ap_select_decide(
@@ -360,7 +371,9 @@ POLICIES = {
     "llm": (lambda spec: "llm", _llm_policy),
     "external": (
         lambda spec: "external",
-        lambda run: {"decide": ExternalPolicy(run.cfg.policy.external_url).decide},
+        lambda run: {
+            "decide": ExternalPolicy(run.cfg.policy.external_url, conn=run.conn).decide
+        },
     ),
 }
 
@@ -402,7 +415,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         "validity_floor": cfg.validity_floor,
         **build(run),
     }
-    timeline = run_policy(eval_trace, **replay)
+    with closing(run.conn):
+        timeline = run_policy(eval_trace, **replay)
 
     latency = latency_stats(run.client.records if run.client is not None else [])
     if isinstance(run.client, HttpClient) and latency["count"] == 0 and latency["failures"]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 
 import pytest
 from hypothesis import strategies as st
@@ -99,20 +100,18 @@ def trace_to_csv(trace: Trace) -> str:
     return out.getvalue()
 
 
-class FakeJsonSession:
-    """Stands in for requests.Session and its response: every POST answers
-    200 with `body`."""
-
-    status_code = 200
+class FakeJsonConnection:
+    """Stands in for gateway.JsonConnection: every POST answers 200 with
+    `body` as JSON."""
 
     def __init__(self, body):
-        self.body = body
+        self.reply = json.dumps(body).encode()
 
-    def post(self, url, json, timeout):
-        return self
+    def post(self, url, body, timeout):
+        return 200, self.reply
 
-    def json(self):
-        return self.body
+    def close(self):
+        pass
 
 
 # Any JSON value, with the keys both HTTP readers look for drawn often.

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import roamsim
 from roamsim.cli import main
 
 
@@ -317,3 +321,16 @@ class TestBenchLatency:
 
     def test_missing_target_exits_1(self):
         assert main(["bench-latency", "--n", "1"]) == 1
+
+
+def test_import_loads_no_http_library():
+    # a fresh interpreter, so modules the test run imported do not count
+    src = os.path.dirname(os.path.dirname(roamsim.__file__))
+    code = (
+        "import sys, roamsim, roamsim.cli\n"
+        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"

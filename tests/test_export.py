@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import MAC_A, MAC_B, band_synth, make_trace
+from roamsim import agent
 from roamsim.agent import CONTEXT_FIELDS, PromptConfig, load_template
 from roamsim.errors import DataError
 from roamsim.export import (
@@ -65,6 +66,20 @@ class TestExportSft:
             bssid = rec["completion"].split("ANSWER: ")[1]
             sample = trace.samples[t]
             assert any(c.bssid == bssid for c in sample.candidates)
+
+    def test_renders_each_row_once(self, monkeypatch):
+        rendered = []
+        real = agent._render_row
+
+        def counting(sample, *args):
+            rendered.append(sample)
+            return real(sample, *args)
+
+        monkeypatch.setattr(agent, "_render_row", counting)
+        trace = generate_synthetic(band_synth(seed=69, duration=40))
+        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        sft_lines(trace, plan)
+        assert rendered == list(trace.samples)
 
     def test_length_mismatch_rejected(self):
         trace = generate_synthetic(band_synth(seed=64, duration=10))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FakeJsonSession, band_synth, json_values
+from conftest import FakeJsonConnection, band_synth, json_values
 from roamsim.agent import (
     CONTEXT_FIELDS,
     DEFAULT_TEMPLATE,
@@ -27,12 +27,16 @@ from roamsim.gateway import (
     CompletionRecord,
     EndpointConfig,
     HttpClient,
+    JsonConnection,
     MockClient,
     MockRule,
+    _extract_reply,
     latency_stats,
+    post_json,
     prompt_argmax_bssid,
 )
-from roamsim.roaming import AssociationState
+from roamsim.policies import ExternalPolicy
+from roamsim.roaming import Action, AssociationState
 from roamsim.trace import generate_synthetic, strongest, window
 
 
@@ -118,6 +122,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
             time.sleep(self.delay_s)
         if self.status != 200:
             self.send_response(self.status)
+            if 300 <= self.status < 400:  # a redirect back to this route
+                self.send_header("Location", self.path)
             self.end_headers()
             return
         if self.shape == "chat":
@@ -207,7 +213,7 @@ class TestHttpClient:
     @given(body=json_values)
     def test_any_json_reply_ends_in_an_outcome(self, body):
         cfg = EndpointConfig(base_url="http://127.0.0.1:1", model="m", backoff_ms=0.0)
-        record = HttpClient(cfg, session=FakeJsonSession(body)).complete("hello")
+        record = HttpClient(cfg, FakeJsonConnection(body)).complete("hello")
         assert record.outcome in ("ok", "transport_error")
         assert isinstance(record.reply, str)
         assert record.attempts == (1 if record.ok else 3)
@@ -259,6 +265,112 @@ class TestHttpClient:
         assert record.outcome == "timeout"
         # timeout * (retries + 1) + backoff budget, with scheduling slack
         assert elapsed < (0.1 * 3 + 0.01 * 2) + 0.5
+
+
+class _IdleCloseHandler(_ChatHandler):
+    """Keeps a connection alive, then closes it after 0.2 s without a request."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 0.2
+    client_ports: list[int] = []
+    server_ports: list[int] = []
+
+    def do_POST(self):
+        self.client_ports.append(self.client_address[1])
+        self.server_ports.append(self.server.server_address[1])
+        super().do_POST()
+
+
+@pytest.fixture
+def serve(chat_server):
+    """Start loopback servers for handler classes (chat_server resets _ChatHandler)."""
+    servers = []
+
+    def start(handler) -> str:
+        server = _QuietServer(("127.0.0.1", 0), handler)
+        servers.append(server)
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+        return f"http://127.0.0.1:{server.server_address[1]}"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+BAD_URLS = ["ftp://x", "http://", "not-a-url", "http://127.0.0.1:abc"]
+
+
+class TestJsonConnection:
+    """The transport's edges: kept-alive reuse, closes, bad URLs and bodies, redirects."""
+
+    def test_idle_connection_closed_by_server_is_reopened(self, serve):
+        _IdleCloseHandler.client_ports = []
+        url = serve(_IdleCloseHandler)
+        client = HttpClient(EndpointConfig(base_url=url, model="m", max_retries=0))
+        assert client.complete("hello").ok
+        time.sleep(0.5)  # the server has closed the idle connection by now
+        record = client.complete("hello")
+        assert record.ok
+        assert record.attempts == 1
+        assert len(set(_IdleCloseHandler.client_ports)) == 2
+
+    def test_kept_alive_connection_is_reused(self, serve):
+        _IdleCloseHandler.client_ports = []
+        client = HttpClient(EndpointConfig(base_url=serve(_IdleCloseHandler), model="m"))
+        assert all(client.complete("hello").ok for _ in range(3))
+        assert len(set(_IdleCloseHandler.client_ports)) == 1
+
+    def test_http10_server_closing_each_reply(self, chat_server):
+        client = HttpClient(endpoint(chat_server, max_retries=0))
+        records = [client.complete("hello") for _ in range(3)]
+        assert [(r.outcome, r.attempts) for r in records] == [("ok", 1)] * 3
+
+    def test_new_origin_opens_a_new_connection(self, serve):
+        _IdleCloseHandler.server_ports = []
+        conn = JsonConnection()
+        urls = [serve(_IdleCloseHandler), serve(_IdleCloseHandler)]
+        for url in urls + urls:
+            outcome, status, reply, _, _ = post_json(
+                conn, url + "/v1/chat/completions", {"messages": [{"role": "user"}]},
+                _extract_reply, 2000.0,
+            )
+            assert (outcome, status, reply) == ("ok", 200, "ANSWER: -70")
+        conn.close()
+        ports = [int(url.rsplit(":", 1)[1]) for url in urls]
+        assert _IdleCloseHandler.server_ports == ports + ports
+
+    @pytest.mark.parametrize("url", BAD_URLS)
+    def test_bad_url_is_a_retried_transport_error(self, url):
+        cfg = EndpointConfig(base_url=url, model="m", max_retries=2, backoff_ms=0.0)
+        record = HttpClient(cfg).complete("hello")
+        assert record.outcome == "transport_error"
+        assert record.attempts == cfg.max_retries + 1
+
+    @pytest.mark.parametrize("url", BAD_URLS)
+    def test_bad_url_is_an_external_fault(self, url):
+        trace = generate_synthetic(band_synth(seed=5, duration=3, num_aps=2))
+        # a -20 dBm trigger makes the step consult the service
+        state = AssociationState(associated=trace.samples[0].candidates[1].bssid,
+                                 threshold=-20.0)
+        decision = ExternalPolicy(url + "/decide").decide(window(trace, 2, 3), state)
+        assert decision.fault
+        assert decision.action is Action.STAY
+
+    @pytest.mark.parametrize("max_retries, attempts", [(0, 1), (2, 3)])
+    def test_nan_payload_is_a_transport_error(self, chat_server, max_retries, attempts):
+        # json cannot encode NaN, so nothing is sent; retries fail the same way
+        cfg = replace(endpoint(chat_server, max_retries=max_retries, backoff_ms=0.0),
+                      temperature=float("nan"))
+        record = HttpClient(cfg).complete("hello")
+        assert record.outcome == "transport_error"
+        assert record.status is None
+        assert record.attempts == attempts
+
+    def test_redirect_is_an_http_error(self, chat_server):
+        _ChatHandler.status = 307
+        record = HttpClient(endpoint(chat_server)).complete("hello")
+        assert (record.outcome, record.status, record.attempts) == ("http_error", 307, 1)
 
 
 class TestMockRules:

@@ -14,7 +14,7 @@ from conftest import (
     MAC_A,
     MAC_B,
     MAC_C,
-    FakeJsonSession,
+    FakeJsonConnection,
     band_synth,
     json_values,
     mac,
@@ -473,8 +473,7 @@ class TestExternalAdapter:
     @given(body=json_values)
     def test_any_json_reply_ends_in_a_decision(self, body):
         trace = make_trace([{MAC_A: -80.0, MAC_B: -60.0}])
-        policy = ExternalPolicy("http://127.0.0.1:1/decide")
-        policy._session = FakeJsonSession(body)
+        policy = ExternalPolicy("http://127.0.0.1:1/decide", conn=FakeJsonConnection(body))
         decision = policy.decide(win_of(trace, 0), AssociationState(associated=MAC_A))
         if decision.fault:
             assert decision.action is Action.STAY

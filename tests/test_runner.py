@@ -10,12 +10,11 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from conftest import MAC_A, MAC_B, band_synth, make_trace
 from roamsim.agent import PromptConfig
 from roamsim.errors import ConfigError, DataError, EndpointError
-from roamsim.gateway import EndpointConfig, MockRule, prompt_argmax_bssid
+from roamsim.gateway import EndpointConfig, JsonConnection, MockRule, prompt_argmax_bssid
 from roamsim.roaming import initial_association, rssi_of, should_scan
 from roamsim.runner import (
     ExperimentConfig,
@@ -459,7 +458,7 @@ def test_golden_report(name, loopback_url, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# HTTP transport: one pooled session per run, released when the run ends.
+# HTTP transport: one kept-alive connection per run, released when the run ends.
 
 class _KeepAliveHandler(_LoopbackHandler):
     protocol_version = "HTTP/1.1"
@@ -495,10 +494,10 @@ def test_external_run_reuses_one_connection(keepalive_url):
 @pytest.mark.parametrize("kind", ["external", "llm"])
 def test_run_leaves_no_session_alive(keepalive_url, kind):
     def sessions():
-        return sum(isinstance(o, requests.Session) for o in gc.get_objects())
+        return sum(isinstance(o, JsonConnection) for o in gc.get_objects())
 
     gc.collect()
-    gc.disable()  # a session kept alive by a reference cycle would outlive the run
+    gc.disable()  # a connection kept alive by a reference cycle would outlive the run
     try:
         before = sessions()
         run_experiment(cfg_for(_http_spec(kind, keepalive_url), duration=120))
