@@ -6,7 +6,9 @@ Two JSONL shapes, the ones mainstream tuning stacks consume directly:
 * preference pairs: {"prompt": ..., "chosen": ..., "rejected": ...}
 
 Prompts come from the same builder the agent uses at decision time, so
-training and serving text cannot drift apart. Completions are the plan's
+training and serving text cannot drift apart. Each export call passes one
+dict of rendered scan rows through the builder, as a run does, so a row is
+rendered once per window it enters. Completions are the plan's
 label at each step; preference pairs are emitted only where the rejected
 source disagrees with the plan.
 """
@@ -70,7 +72,7 @@ def export_sft(
     T = len(trace.samples)
     if len(plan.plan) != T:
         raise DataError(f"plan length {len(plan.plan)} != trace length {T}")
-    rows: dict[ScanSample, str] = {}  # rendered prompt rows, as agent.build_prompt keeps them
+    rows: dict[ScanSample, str] = {}
     fh, owned = _open_out(out)
     try:
         for t in range(T):

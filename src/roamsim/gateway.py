@@ -13,6 +13,8 @@ on them:
 * HTTP_PROXY, HTTPS_PROXY and the other proxy variables are ignored;
 * https verifies against the system trust store (ssl's default context).
 
+Nor is any credential sent, from user:password@ in the URL or from ~/.netrc.
+
 The completion client speaks the common chat-completions JSON shape
 (POST {base}/v1/chat/completions with a single user message; reply text
 taken from choices[0].message.content, with choices[0].text accepted as a

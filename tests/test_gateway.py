@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import ssl
 import threading
 import time
 from dataclasses import replace
@@ -157,6 +159,7 @@ def chat_server():
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def endpoint(server, **kw) -> EndpointConfig:
@@ -267,30 +270,38 @@ class TestHttpClient:
         assert elapsed < (0.1 * 3 + 0.01 * 2) + 0.5
 
 
-class _IdleCloseHandler(_ChatHandler):
-    """Keeps a connection alive, then closes it after 0.2 s without a request."""
+class _KeepAliveHandler(_ChatHandler):
+    """Keeps connections alive (HTTP/1.1) and records (server port, client port)
+    for each POST."""
 
     protocol_version = "HTTP/1.1"
-    timeout = 0.2
-    client_ports: list[int] = []
-    server_ports: list[int] = []
+    posts: list[tuple[int, int]] = []
 
     def do_POST(self):
-        self.client_ports.append(self.client_address[1])
-        self.server_ports.append(self.server.server_address[1])
+        self.posts.append((self.server.server_address[1], self.client_address[1]))
         super().do_POST()
+
+
+class _IdleCloseHandler(_KeepAliveHandler):
+    """Closes a kept-alive connection after 0.2 s without a request."""
+
+    timeout = 0.2
 
 
 @pytest.fixture
 def serve(chat_server):
     """Start loopback servers for handler classes (chat_server resets _ChatHandler)."""
+    _KeepAliveHandler.posts.clear()
     servers = []
 
-    def start(handler) -> str:
+    def start(handler, tls: ssl.SSLContext | None = None) -> str:
         server = _QuietServer(("127.0.0.1", 0), handler)
         servers.append(server)
+        if tls is not None:
+            server.socket = tls.wrap_socket(server.socket, server_side=True)
         threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
-        return f"http://127.0.0.1:{server.server_address[1]}"
+        scheme = "http" if tls is None else "https"
+        return f"{scheme}://127.0.0.1:{server.server_address[1]}"
 
     yield start
     for server in servers:
@@ -298,47 +309,52 @@ def serve(chat_server):
         server.server_close()
 
 
+@pytest.fixture
+def conn():
+    connection = JsonConnection()
+    yield connection
+    connection.close()
+
+
 BAD_URLS = ["ftp://x", "http://", "not-a-url", "http://127.0.0.1:abc"]
+
+# A self-signed certificate for 127.0.0.1 and its key, made for these tests only.
+LOOPBACK_PEM = os.path.join(os.path.dirname(__file__), "loopback.pem")
 
 
 class TestJsonConnection:
     """The transport's edges: kept-alive reuse, closes, bad URLs and bodies, redirects."""
 
-    def test_idle_connection_closed_by_server_is_reopened(self, serve):
-        _IdleCloseHandler.client_ports = []
+    def test_idle_connection_closed_by_server_is_reopened(self, serve, conn):
         url = serve(_IdleCloseHandler)
-        client = HttpClient(EndpointConfig(base_url=url, model="m", max_retries=0))
+        client = HttpClient(EndpointConfig(base_url=url, model="m", max_retries=0), conn)
         assert client.complete("hello").ok
         time.sleep(0.5)  # the server has closed the idle connection by now
         record = client.complete("hello")
         assert record.ok
         assert record.attempts == 1
-        assert len(set(_IdleCloseHandler.client_ports)) == 2
+        assert len({port for _, port in _KeepAliveHandler.posts}) == 2
 
-    def test_kept_alive_connection_is_reused(self, serve):
-        _IdleCloseHandler.client_ports = []
-        client = HttpClient(EndpointConfig(base_url=serve(_IdleCloseHandler), model="m"))
+    def test_kept_alive_connection_is_reused(self, serve, conn):
+        client = HttpClient(EndpointConfig(base_url=serve(_KeepAliveHandler), model="m"), conn)
         assert all(client.complete("hello").ok for _ in range(3))
-        assert len(set(_IdleCloseHandler.client_ports)) == 1
+        assert len({port for _, port in _KeepAliveHandler.posts}) == 1
 
     def test_http10_server_closing_each_reply(self, chat_server):
         client = HttpClient(endpoint(chat_server, max_retries=0))
         records = [client.complete("hello") for _ in range(3)]
         assert [(r.outcome, r.attempts) for r in records] == [("ok", 1)] * 3
 
-    def test_new_origin_opens_a_new_connection(self, serve):
-        _IdleCloseHandler.server_ports = []
-        conn = JsonConnection()
-        urls = [serve(_IdleCloseHandler), serve(_IdleCloseHandler)]
+    def test_new_origin_opens_a_new_connection(self, serve, conn):
+        urls = [serve(_KeepAliveHandler), serve(_KeepAliveHandler)]
         for url in urls + urls:
             outcome, status, reply, _, _ = post_json(
                 conn, url + "/v1/chat/completions", {"messages": [{"role": "user"}]},
                 _extract_reply, 2000.0,
             )
             assert (outcome, status, reply) == ("ok", 200, "ANSWER: -70")
-        conn.close()
         ports = [int(url.rsplit(":", 1)[1]) for url in urls]
-        assert _IdleCloseHandler.server_ports == ports + ports
+        assert [server for server, _ in _KeepAliveHandler.posts] == ports + ports
 
     @pytest.mark.parametrize("url", BAD_URLS)
     def test_bad_url_is_a_retried_transport_error(self, url):
@@ -366,6 +382,22 @@ class TestJsonConnection:
         assert record.outcome == "transport_error"
         assert record.status is None
         assert record.attempts == attempts
+
+    @pytest.mark.parametrize("trusted", [True, False], ids=["trusted", "untrusted"])
+    def test_https_verifies_against_the_default_trust_store(self, serve, conn, monkeypatch,
+                                                              trusted):
+        tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        tls.load_cert_chain(LOOPBACK_PEM)
+        url = serve(_KeepAliveHandler, tls)
+        if trusted:  # OpenSSL's default verify paths read this variable
+            monkeypatch.setenv("SSL_CERT_FILE", LOOPBACK_PEM)
+        else:
+            monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        cfg = EndpointConfig(base_url=url, model="m", max_retries=0)
+        record = HttpClient(cfg, conn).complete("x")
+        assert (record.outcome, record.attempts) == (
+            ("ok", 1) if trusted else ("transport_error", 1)
+        )
 
     def test_redirect_is_an_http_error(self, chat_server):
         _ChatHandler.status = 307

@@ -493,15 +493,15 @@ def test_external_run_reuses_one_connection(keepalive_url):
 
 @pytest.mark.parametrize("kind", ["external", "llm"])
 def test_run_leaves_no_session_alive(keepalive_url, kind):
-    def sessions():
+    def connections():
         return sum(isinstance(o, JsonConnection) for o in gc.get_objects())
 
     gc.collect()
     gc.disable()  # a connection kept alive by a reference cycle would outlive the run
     try:
-        before = sessions()
+        before = connections()
         run_experiment(cfg_for(_http_spec(kind, keepalive_url), duration=120))
-        after = sessions()
+        after = connections()
     finally:
         gc.enable()
     assert _KeepAliveHandler.client_ports
