@@ -110,9 +110,6 @@ class FakeJsonConnection:
     def post(self, url, body, timeout):
         return 200, self.reply
 
-    def close(self):
-        pass
-
 
 # Any JSON value, with the keys both HTTP readers look for drawn often.
 json_values = st.recursive(

@@ -508,6 +508,20 @@ def test_run_leaves_no_session_alive(keepalive_url, kind):
     assert after == before
 
 
+@pytest.mark.parametrize("kind", ["external", "llm"])
+def test_run_closes_its_connection(keepalive_url, kind, monkeypatch):
+    opened_at_close = []
+    real = JsonConnection.close
+
+    def recording(self):
+        opened_at_close.append(self._conn is not None)
+        real(self)
+
+    monkeypatch.setattr(JsonConnection, "close", recording)
+    run_experiment(cfg_for(_http_spec(kind, keepalive_url), duration=120))
+    assert opened_at_close[-1]  # the run's last act on it closed an open connection
+
+
 @pytest.mark.parametrize("synth, policy", [
     # timestamps past year 9999, which the llm prompt clock cannot render
     (SynthConfig(num_aps=2, duration=3, base_dbm=(-60.0, -80.0), sample_interval=10**12),
