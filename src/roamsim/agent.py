@@ -161,7 +161,7 @@ def _render_row(sample: ScanSample, fields: frozenset[str], template: dict[str, 
         parts.append(f" lat={ctx.latitude!r} lon={ctx.longitude!r}")
     if "battery" in fields and ctx.battery_pct is not None:
         parts.append(f" battery={ctx.battery_pct:g}%")
-    aps = " ".join(f"{c.bssid}={c.rssi!r}" for c in sample.candidates)
+    aps = " ".join([f"{b}={r!r}" for b, r in zip(sample.bssids, sample.rssis)])
     return template["row"].format(t=ctx.timestamp, context="".join(parts), aps=aps)
 
 
@@ -316,9 +316,7 @@ def ap_select_decide(
     if pick == state.associated and pick is not None:
         # remaining associated is not a roam attempt; no floor check applies
         return PolicyDecision.stay("llm")
-    if pick is not None and rssi_of(latest, pick) >= floor and any(
-        c.bssid == pick for c in latest.candidates
-    ):
+    if pick in latest.bssids and rssi_of(latest, pick) >= floor:
         return PolicyDecision.roam(pick, "llm")
     fallback = legacy_decide(window, state)
     return replace(fallback, source="llm", valid=False, fault=not record.ok)
@@ -364,7 +362,7 @@ def threshold_schedule_step(
 def synthesize_reasoning(win: ContextWindow, current: str, gold: str) -> str:
     """Concise deterministic reasoning trace for a worked example."""
     latest = win.latest
-    best = latest.candidates[0]
+    best, best_rssi = latest.bssids[0], latest.rssis[0]
     cur_rssi = rssi_of(latest, current)
     if gold == current:
         return (
@@ -372,8 +370,8 @@ def synthesize_reasoning(win: ContextWindow, current: str, gold: str) -> str:
             f"offers a clearly better link, so staying is best."
         )
     return (
-        f"The current AP {current} is at {cur_rssi:g} dBm while {best.bssid} is "
-        f"strongest at {best.rssi:g} dBm; {gold} offers the best link going forward."
+        f"The current AP {current} is at {cur_rssi:g} dBm while {best} is "
+        f"strongest at {best_rssi:g} dBm; {gold} offers the best link going forward."
     )
 
 

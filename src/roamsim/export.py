@@ -92,7 +92,7 @@ def _rejected_sequence(trace: Trace, source: str, seed: int, scan_rssi: float) -
     if source == REJECTED_SECOND_BEST:
         out = []
         for s in trace.samples:
-            out.append(s.candidates[1].bssid if len(s.candidates) > 1 else None)
+            out.append(s.bssids[1] if len(s.bssids) > 1 else None)
         return out
     if source == REJECTED_LEGACY:
         decide = legacy_decide

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import re
 import selectors
@@ -67,10 +68,16 @@ class EndpointConfig:
     backoff_ms: float = 250.0
 
     def __post_init__(self):
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout_ms must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        # Each check states the allowed range, which NaN is never in; a
+        # check such as `x < 0` would let NaN through.
+        if not 0 < self.timeout_ms < math.inf:
+            raise ValueError("timeout_ms must be positive and finite")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0")
+        if not self.max_retries >= 0:
+            raise ValueError("max_retries must be >= 0")
+        if not 0 <= self.backoff_ms < math.inf:
+            raise ValueError("backoff_ms must be finite and >= 0")
 
     @staticmethod
     def from_env(base_url: str | None = None, model: str | None = None, **kw) -> "EndpointConfig":

@@ -38,7 +38,6 @@ from .roaming import (
     should_scan,
 )
 from .trace import (
-    ApObservation,
     ContextWindow,
     ScanSample,
     Trace,
@@ -94,8 +93,8 @@ def heuristic_decide(window: ContextWindow, state: AssociationState, seed: int) 
     if not should_scan(current, state.threshold):
         return PolicyDecision.stay("heuristic")
     rng = random.Random(f"{seed}:{latest.context.timestamp}")
-    pick = latest.candidates[rng.randrange(len(latest.candidates))]
-    return PolicyDecision.roam(pick.bssid, "heuristic")
+    pick = latest.bssids[rng.randrange(len(latest.bssids))]
+    return PolicyDecision.roam(pick, "heuristic")
 
 
 def legacy_decide(
@@ -114,7 +113,7 @@ def legacy_decide(
     thr = state.threshold if threshold is None else threshold
     if not should_scan(current, thr):
         return PolicyDecision.stay(source)
-    best = strongest(latest.candidates)
+    best = strongest(latest)
     if best.bssid == state.associated:
         return PolicyDecision.stay(source)
     if not passes_hysteresis(best.rssi, current, state):
@@ -169,14 +168,17 @@ class PlanPolicy:
 # ---------------------------------------------------------------------------
 # Optimal plans
 
-def _step_choices(sample: ScanSample, constraints: OracleConstraints, t: int) -> list[ApObservation]:
-    feasible = [c for c in sample.candidates if c.rssi >= constraints.validity_floor]
+def _step_choices(sample: ScanSample, constraints: OracleConstraints, t: int) -> dict[str, float]:
+    """The step's feasible APs, BSSID -> RSSI, in BSSID order."""
+    pairs = sorted(zip(sample.bssids, sample.rssis))
+    floor = constraints.validity_floor
+    feasible = {b: r for b, r in pairs if r >= floor}
     if not feasible:
         if constraints.empty_feasible_set_rule == EMPTY_SET_ERROR:
             raise OracleInfeasibleError(f"no feasible AP at step {t}")
-        top = max(c.rssi for c in sample.candidates)
-        feasible = [c for c in sample.candidates if c.rssi == top]
-    return sorted(feasible, key=lambda c: c.bssid)
+        top = max(sample.rssis)
+        feasible = {b: r for b, r in pairs if r == top}
+    return feasible
 
 
 def _objective_key(objective: str):
@@ -214,13 +216,12 @@ def solve_plan(
     # by sum first, min_ho by handovers and then by sum. Equal keys go to the
     # smallest BSSID, the one the all-pairs recurrence would meet first.
     value: list[dict[str, tuple[int, float]]] = [dict() for _ in range(T)]
-    value[T - 1] = {c.bssid: (0, c.rssi) for c in choices[T - 1]}
+    value[T - 1] = {a: (0, rssi) for a, rssi in choices[T - 1].items()}
     for t in range(T - 2, -1, -1):
         nxt = value[t + 1]
         ranked = sorted(nxt.items(), key=lambda kv: key(*kv[1]))
         here = value[t]
-        for c in choices[t]:
-            a, rssi = c.bssid, c.rssi
+        for a, rssi in choices[t].items():
             best = None  # (key, bssid, (handovers, rssi sum))
             stay = nxt.get(a)
             if stay is not None:
@@ -241,20 +242,19 @@ def solve_plan(
                     best = ranked_cand
             here[a] = best[2]
 
-    first = min(choices[0], key=lambda c: (key(*value[0][c.bssid]), c.bssid))
-    plan = [first.bssid]
-    rssi_at = [{c.bssid: c.rssi for c in ch} for ch in choices]
+    first = min(choices[0], key=lambda a: (key(*value[0][a]), a))
+    plan = [first]
     for t in range(T - 1):
         target = value[t][plan[-1]]
-        here = rssi_at[t][plan[-1]]
-        for c in choices[t + 1]:
-            ho, srssi = value[t + 1][c.bssid]
-            if (ho + (1 if c.bssid != plan[-1] else 0), here + srssi) == target:
-                plan.append(c.bssid)
+        here = choices[t][plan[-1]]
+        for b in choices[t + 1]:
+            ho, srssi = value[t + 1][b]
+            if (ho + (1 if b != plan[-1] else 0), here + srssi) == target:
+                plan.append(b)
                 break
         else:  # pragma: no cover - would mean the table and plan disagree
             raise AssertionError("plan reconstruction failed")
-    return _finish_plan(plan, value[0][first.bssid][1], objective)
+    return _finish_plan(plan, value[0][first][1], objective)
 
 
 def oracle_opt_ho(
@@ -289,13 +289,13 @@ def brute_force_plan(
     best_srssi = 0.0
     best_key = None
     for combo in itertools.product(*choices):
-        ho = sum(1 for a, b in zip(combo, combo[1:]) if a.bssid != b.bssid)
+        ho = sum(1 for a, b in zip(combo, combo[1:]) if a != b)
         srssi = 0.0
-        for c in reversed(combo):  # back-to-front, matching the DP suffix sums
-            srssi = c.rssi + srssi
+        for t in range(len(combo) - 1, -1, -1):  # back-to-front, matching the DP suffix sums
+            srssi = choices[t][combo[t]] + srssi
         cand_key = key(ho, srssi)
         if best_key is None or cand_key < best_key:
-            best_plan = [c.bssid for c in combo]
+            best_plan = list(combo)
             best_srssi = srssi
             best_key = cand_key
     return _finish_plan(best_plan, best_srssi, objective)

@@ -126,10 +126,10 @@ def passes_hysteresis(candidate_rssi: float, current_rssi: float, state: Associa
 
 def rssi_of(sample: ScanSample, bssid: str | None) -> float:
     """RSSI of `bssid` in this sample, or the absent floor when missing."""
-    for c in sample.candidates:
-        if c.bssid == bssid:
-            return c.rssi
-    return ABSENT_RSSI_DBM
+    try:
+        return sample.rssis[sample.bssids.index(bssid)]
+    except ValueError:
+        return ABSENT_RSSI_DBM
 
 
 def apply_decision(
@@ -149,11 +149,9 @@ def apply_decision(
     valid = not premarked_invalid
 
     if decision.action is Action.ROAM:
-        target_rssi = rssi_of(sample, decision.target)
         target_ok = (
-            decision.target is not None
-            and any(c.bssid == decision.target for c in sample.candidates)
-            and target_rssi >= validity_floor
+            decision.target in sample.bssids
+            and rssi_of(sample, decision.target) >= validity_floor
         )
         if target_ok:
             new_state = replace(state, associated=decision.target)
@@ -181,7 +179,7 @@ def initial_association(trace: Trace) -> str:
     first = trace.samples[0]
     if first.associated is not None:
         return first.associated
-    return strongest(first.candidates).bssid
+    return strongest(first).bssid
 
 
 def run_policy(

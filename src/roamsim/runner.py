@@ -56,8 +56,8 @@ from .trace import (
     SynthConfig,
     Trace,
     generate_synthetic,
+    jsonl_line,
     parse_trace,
-    trace_to_jsonl,
 )
 
 SWEEP_AXES: dict[str, list] = {
@@ -181,10 +181,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def read_trace_file(path) -> Trace:
-    """Parse a trace file; a `.csv` name means CSV, anything else JSONL."""
+    """Parse a trace file; a `.csv` name means CSV, anything else JSONL.
+
+    The open file goes to the parser, which reads JSONL a line at a time.
+    """
     fmt = "csv" if str(path).endswith(".csv") else "jsonl"
     with open(path, "rb") as fh:
-        return parse_trace(fh.read(), fmt)
+        return parse_trace(fh, fmt)
 
 
 def load_trace_source(cfg: ExperimentConfig) -> tuple[Trace, str]:
@@ -198,7 +201,11 @@ def load_trace_source(cfg: ExperimentConfig) -> tuple[Trace, str]:
 
 
 def trace_content_hash(trace: Trace) -> str:
-    return hashlib.sha256(trace_to_jsonl(trace).encode("utf-8")).hexdigest()
+    """sha256 of the trace's canonical JSONL, fed one line at a time."""
+    digest = hashlib.sha256()
+    for sample in trace.samples:
+        digest.update(jsonl_line(sample).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def _jsonable(value):

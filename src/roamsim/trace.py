@@ -2,10 +2,12 @@
 
 A trace is an ordered sequence of scan samples. Each sample carries the
 device context (timestamp, optional location/battery, activity mode) and
-the list of observed APs with their RSSI. Candidate lists are normalized
-on ingest: MAC addresses canonicalized to uppercase colon-hex and
-candidates sorted by descending RSSI (ties by BSSID) so downstream
-argmax/tie-break logic is order-independent.
+the observed APs as two parallel columns, `bssids` and `rssis`. Scans are
+normalized on ingest: MAC addresses canonicalized to uppercase colon-hex
+and the columns sorted by descending RSSI (ties by BSSID), so downstream
+argmax/tie-break logic is order-independent. The hot paths read the
+columns; `ScanSample.candidates` is the cold-path view, one `ApObservation`
+per AP, built on each read.
 
 Two on-disk formats are supported:
 
@@ -15,6 +17,10 @@ Two on-disk formats are supported:
    "battery_pct": <num>?, "activity": "active"|"idle"?}
 * CSV, long format with one row per (t, AP):
   t,bssid,rssi_dbm,lat,lon,battery_pct,activity
+
+JSONL is read as a stream: one `\n`-terminated chunk at a time, each
+decoded and split on its own, so a file is never held in memory whole.
+CSV is read whole.
 
 `parse_trace` is the one statement of the trace rules: a trace in memory
 is valid exactly when `parse_trace(trace_to_jsonl(trace))` gives it back.
@@ -59,11 +65,7 @@ def canonical_mac(raw: str) -> str:
 
 
 class ApObservation(NamedTuple):
-    """One (BSSID, RSSI) pair from a scan.
-
-    A named tuple rather than a frozen dataclass: traces hold one per AP per
-    step, and a tuple is the cheapest immutable record to build.
-    """
+    """One (BSSID, RSSI) pair from a scan, as `ScanSample.candidates` gives it."""
 
     bssid: str
     rssi: float
@@ -82,11 +84,23 @@ class DeviceContext:
 
 @dataclass(frozen=True)
 class ScanSample:
-    """One timestamped scan: context plus the observed candidate APs."""
+    """One timestamped scan: context plus the observed APs as two columns.
+
+    `bssids[i]` was seen at `rssis[i]` dBm. Samples from `parse_trace` and
+    `generate_synthetic` hold them in canonical order: descending RSSI,
+    ties by BSSID. A trace holds one entry per AP per step, and two tuples
+    per step cost less to build and keep than one record per entry.
+    """
 
     context: DeviceContext
-    candidates: tuple[ApObservation, ...]
+    bssids: tuple[str, ...]
+    rssis: tuple[float, ...]
     associated: str | None = None
+
+    @property
+    def candidates(self) -> tuple[ApObservation, ...]:
+        """The scan as records, in column order; built anew on each read."""
+        return tuple(map(ApObservation, self.bssids, self.rssis))
 
 
 @dataclass(frozen=True)
@@ -134,31 +148,32 @@ class SynthConfig:
     seed: int = 0
 
 
-def sort_candidates(candidates) -> tuple[ApObservation, ...]:
-    """Canonical candidate order: descending RSSI, ties by BSSID."""
-    return tuple(sorted(candidates, key=lambda c: (-c.rssi, c.bssid)))
-
-
-def strongest(candidates) -> ApObservation:
-    """The top candidate under the canonical order."""
-    return min(candidates, key=lambda c: (-c.rssi, c.bssid))
+def strongest(sample: ScanSample) -> ApObservation:
+    """The sample's top AP under the canonical order, whatever its column order."""
+    rssis = sample.rssis
+    top = max(rssis)
+    if rssis.count(top) == 1:
+        i = rssis.index(top)
+    else:  # a tie on RSSI goes to the smallest BSSID
+        i = min((b, i) for i, (b, r) in enumerate(zip(sample.bssids, rssis)) if r == top)[1]
+    return ApObservation(sample.bssids[i], rssis[i])
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
 def parse_trace(data, fmt: str = "jsonl") -> Trace:
-    """Parse a trace from bytes, text, or a file-like object.
+    """Parse a trace from bytes, text, or an open binary or text file.
 
-    Raises TraceFormatError (with a 1-based line number where possible) on
+    JSONL is read one line at a time; CSV is read whole. Raises
+    TraceFormatError (with a 1-based line number where possible) on
     malformed lines, duplicate BSSIDs within a sample, non-monotone
     timestamps, out-of-range RSSI, or empty input.
     """
-    text = _as_text(data)
     if fmt == "jsonl":
-        samples = _parse_jsonl(text)
+        samples = _parse_jsonl(data)
     elif fmt == "csv":
-        samples = _parse_csv(text)
+        samples = _parse_csv(_as_text(data))
     else:
         raise ValueError(f"unknown trace format: {fmt!r}")
     if not samples:
@@ -166,19 +181,51 @@ def parse_trace(data, fmt: str = "jsonl") -> Trace:
     return Trace(samples=tuple(samples), sample_interval=_infer_interval(samples))
 
 
+def _not_utf8(exc: UnicodeDecodeError, line: int | None = None) -> TraceFormatError:
+    return TraceFormatError(f"malformed line: not UTF-8 ({exc.reason})", line)
+
+
 def _as_text(data) -> str:
     if not isinstance(data, (bytes, str)):
         try:
             data = data.read()
         except UnicodeDecodeError as exc:  # a text stream decodes as it reads
-            raise TraceFormatError(f"malformed line: not UTF-8 ({exc.reason})") from None
+            raise _not_utf8(exc) from None
     if isinstance(data, str):
         return data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise TraceFormatError(f"malformed line: not UTF-8 ({exc.reason})", line) from None
+        raise _not_utf8(exc, data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def _text_lines(data):
+    """(line number, line) for each line of the input, read as a stream.
+
+    Bytes and files are cut after each `\n` and each piece is decoded and
+    split by str.splitlines on its own. Every piece but the last ends in
+    `\n`, which ends a line and is part of no multi-byte UTF-8 character, so
+    the lines and their numbers are those of splitlines over the whole
+    decoded text. A decode error names the line after the `\n`s before it; a
+    text stream decodes ahead of its lines, so its decode errors name none.
+    """
+    if isinstance(data, bytes):
+        data = io.BytesIO(data)
+    elif isinstance(data, str):  # already text: its own lines are the pieces
+        data = data.splitlines(keepends=True)
+    line_no = 0
+    try:
+        for n, piece in enumerate(data, start=1):
+            if isinstance(piece, bytes):
+                try:
+                    piece = piece.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise _not_utf8(exc, n) from None
+            for line in piece.splitlines():
+                line_no += 1
+                yield line_no, line
+    except UnicodeDecodeError as exc:  # from a text stream, while it reads ahead
+        raise _not_utf8(exc) from None
 
 
 def _infer_interval(samples) -> int:
@@ -246,27 +293,26 @@ def _build_sample(
     """One sample from its scan `entries`, each (-rssi, bssid, rssi), in file order."""
     if not entries:
         raise TraceFormatError("malformed line: empty scan", line)
-    seen: set[str] = set()
-    for _, mac, _ in entries:
-        if mac in seen:
-            raise TraceFormatError(f"duplicate bssid {mac}", line)
-        seen.add(mac)
-    # Sorting the entries gives sort_candidates' order; the BSSIDs are
-    # distinct, so the stored rssi never breaks a tie. tuple.__new__ is the
-    # named tuple's own constructor without its Python-level wrapper.
-    entries.sort()
-    candidates = tuple([tuple.__new__(ApObservation, (mac, rssi)) for _, mac, rssi in entries])
+    # Sorted, the entries are in canonical order; with distinct BSSIDs the
+    # stored rssi never breaks a tie.
+    _, bssids, rssis = zip(*sorted(entries))
+    if len(set(bssids)) < len(bssids):
+        seen: set[str] = set()
+        for _, mac, _ in entries:  # in file order, so the first repeat is named
+            if mac in seen:
+                raise TraceFormatError(f"duplicate bssid {mac}", line)
+            seen.add(mac)
     ctx = DeviceContext(
         timestamp=t, latitude=lat, longitude=lon, battery_pct=battery, activity=activity
     )
-    return ScanSample(context=ctx, candidates=candidates, associated=assoc)
+    return ScanSample(context=ctx, bssids=bssids, rssis=rssis, associated=assoc)
 
 
-def _parse_jsonl(text: str) -> list[ScanSample]:
+def _parse_jsonl(data) -> list[ScanSample]:
     samples: list[ScanSample] = []
     prev_t: int | None = None
     macs: dict[str, str] = {}  # raw BSSID string -> canonical form, for this parse
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in _text_lines(data):
         if not line.strip():
             continue
         try:
@@ -378,7 +424,7 @@ def sample_to_dict(sample: ScanSample) -> dict:
     """JSON-ready dict for one sample, with a stable key order."""
     rec: dict = {
         "t": sample.context.timestamp,
-        "scan": [{"bssid": c.bssid, "rssi_dbm": c.rssi} for c in sample.candidates],
+        "scan": [{"bssid": b, "rssi_dbm": r} for b, r in zip(sample.bssids, sample.rssis)],
     }
     if sample.associated is not None:
         rec["assoc"] = sample.associated
@@ -403,13 +449,17 @@ def trace_to_jsonl(trace: Trace) -> str:
     generate_synthetic returns holds only finite floats, which is what makes
     the two agree (json.dumps would write NaN where repr writes nan).
     """
-    return "".join([_jsonl_line(s) for s in trace.samples])
+    return "".join(map(jsonl_line, trace.samples))
 
 
-def _jsonl_line(sample: ScanSample) -> str:
+def jsonl_line(sample: ScanSample) -> str:
+    """One sample's line of canonical JSONL, with its newline."""
     ctx = sample.context
     scan = ", ".join(
-        [f'{{"bssid": {_json_str(b)}, "rssi_dbm": {r!r}}}' for b, r in sample.candidates]
+        [
+            f'{{"bssid": {_json_str(b)}, "rssi_dbm": {r!r}}}'
+            for b, r in zip(sample.bssids, sample.rssis)
+        ]
     )
     fields = [f'{{"t": {ctx.timestamp!r}, "scan": [{scan}]']
     if sample.associated is not None:
@@ -477,10 +527,9 @@ def generate_synthetic(config: SynthConfig) -> Trace:
     for step in range(config.duration):
         if step > 0:
             levels = [max(floor, min(ceil, v + gauss(0.0, stddev))) for v in levels]
-        # Built as _build_sample builds them: the entries sort into
-        # sort_candidates' order, the BSSIDs being distinct.
-        entries = sorted([(-v, m, v) for m, v in zip(macs, levels)])
-        candidates = tuple([tuple.__new__(ApObservation, (m, v)) for _, m, v in entries])
+        # Built as _build_sample builds them: the entries sort into the
+        # canonical order, the BSSIDs being distinct.
+        _, bssids, rssis = zip(*sorted([(-v, m, v) for m, v in zip(macs, levels)]))
         lat = lon = None
         if config.emit_location:
             lat = 37.0 + step * 1e-5
@@ -495,5 +544,5 @@ def generate_synthetic(config: SynthConfig) -> Trace:
             battery_pct=battery,
             activity=config.activity,
         )
-        samples.append(ScanSample(context=ctx, candidates=candidates))
+        samples.append(ScanSample(context=ctx, bssids=bssids, rssis=rssis))
     return Trace(samples=tuple(samples), sample_interval=config.sample_interval)

@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 from roamsim.roaming import RunTimeline
 from roamsim.runner import recompute_metrics, timeline_log
 from roamsim.trace import (
-    ApObservation,
     DeviceContext,
     ScanSample,
     SynthConfig,
     Trace,
     parse_trace,
-    sort_candidates,
     trace_to_jsonl,
 )
 
@@ -36,8 +34,9 @@ def make_sample(t: int, levels: dict[str, float], assoc: str | None = None,
                 lon: float | None = None, battery: float | None = None) -> ScanSample:
     ctx = DeviceContext(timestamp=t, latitude=lat, longitude=lon,
                         battery_pct=battery, activity=activity)
-    cands = sort_candidates(ApObservation(bssid=b, rssi=r) for b, r in levels.items())
-    return ScanSample(context=ctx, candidates=cands, associated=assoc)
+    ordered = sorted(levels.items(), key=lambda kv: (-kv[1], kv[0]))  # canonical order
+    return ScanSample(context=ctx, bssids=tuple(b for b, _ in ordered),
+                      rssis=tuple(r for _, r in ordered), associated=assoc)
 
 
 def make_trace(rows: list[dict[str, float]], interval: int = 1, assoc0: str | None = None,
@@ -85,12 +84,12 @@ def trace_to_csv(trace: Trace) -> str:
     writer.writerow(["t", "bssid", "rssi_dbm", "lat", "lon", "battery_pct", "activity"])
     for s in trace.samples:
         ctx = s.context
-        for c in s.candidates:
+        for bssid, rssi in zip(s.bssids, s.rssis):
             writer.writerow(
                 [
                     ctx.timestamp,
-                    c.bssid,
-                    c.rssi,
+                    bssid,
+                    rssi,
                     "" if ctx.latitude is None else ctx.latitude,
                     "" if ctx.longitude is None else ctx.longitude,
                     "" if ctx.battery_pct is None else ctx.battery_pct,

@@ -127,6 +127,7 @@ class TestSimulate:
                        "--external-url", url, "--out", str(tmp_path / "runs")])
         finally:
             server.shutdown()
+            server.server_close()
         assert rc == 0
         assert "policy=external" in capsys.readouterr().out
 

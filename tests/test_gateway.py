@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import ssl
 import threading
@@ -252,6 +253,24 @@ class TestHttpClient:
         with pytest.raises(ValueError):
             EndpointConfig(base_url="x", model="m", temperature=-1)
 
+    # Each of these once reached the transport: a NaN or infinite temperature
+    # failed every attempt with nothing sent, max_retries=-1 made no attempt,
+    # and a negative backoff or an infinite timeout raised out of complete().
+    @pytest.mark.parametrize("field, value", [
+        ("temperature", math.nan), ("temperature", math.inf), ("temperature", -0.5),
+        ("timeout_ms", math.nan), ("timeout_ms", math.inf), ("timeout_ms", -1.0),
+        ("max_retries", -1),
+        ("backoff_ms", -1.0), ("backoff_ms", math.nan), ("backoff_ms", math.inf),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EndpointConfig(base_url="x", model="m", **{field: value})
+
+    def test_edge_values_accepted(self):
+        cfg = EndpointConfig(base_url="x", model="m", temperature=0.0, timeout_ms=1e-3,
+                             max_retries=0, backoff_ms=0.0)
+        assert (cfg.max_retries, cfg.backoff_ms) == (0, 0.0)
+
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("ROAMSIM_LLM_BASE_URL", "http://example:9999")
         monkeypatch.setenv("ROAMSIM_LLM_MODEL", "other")
@@ -374,14 +393,17 @@ class TestJsonConnection:
         assert decision.action is Action.STAY
 
     @pytest.mark.parametrize("max_retries, attempts", [(0, 1), (2, 3)])
-    def test_nan_payload_is_a_transport_error(self, chat_server, max_retries, attempts):
-        # json cannot encode NaN, so nothing is sent; retries fail the same way
-        cfg = replace(endpoint(chat_server, max_retries=max_retries, backoff_ms=0.0),
-                      temperature=float("nan"))
-        record = HttpClient(cfg).complete("hello")
-        assert record.outcome == "transport_error"
-        assert record.status is None
-        assert record.attempts == attempts
+    def test_nan_payload_is_a_transport_error(self, chat_server, conn, max_retries, attempts):
+        # json cannot encode NaN, so nothing is sent; retries fail the same way.
+        # EndpointConfig refuses a NaN temperature, so the payload goes to
+        # post_json directly.
+        url = f"http://127.0.0.1:{chat_server.server_address[1]}/v1/chat/completions"
+        payload = {"model": "m", "temperature": float("nan"), "messages": []}
+        outcome, status, _, _, got = post_json(conn, url, payload, _extract_reply, 2000.0,
+                                               max_retries, 0.0)
+        assert outcome == "transport_error"
+        assert status is None
+        assert got == attempts
 
     @pytest.mark.parametrize("trusted", [True, False], ids=["trusted", "untrusted"])
     def test_https_verifies_against_the_default_trust_store(self, serve, conn, monkeypatch,
@@ -447,7 +469,7 @@ class TestMockRules:
         state = AssociationState(associated=trace.samples[0].candidates[0].bssid)
         prompt = build_prompt(win, state, PromptConfig())
         reply = MockClient(MockRule.argmax_rssi()).complete(prompt)
-        assert parse_ap_response(reply.reply) == strongest(win.latest.candidates).bssid
+        assert parse_ap_response(reply.reply) == strongest(win.latest).bssid
 
     def test_prompt_argmax_tie_breaks_lexicographically(self):
         prompt = "aps: AA:00:00:00:00:02=-60.0 AA:00:00:00:00:01=-60.0\n"

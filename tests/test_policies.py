@@ -278,31 +278,30 @@ def reference_solve_plan(trace, objective, constraints):
     choices = [_step_choices(s, constraints, t) for t, s in enumerate(trace.samples)]
     T = len(choices)
     value = [dict() for _ in range(T)]
-    value[T - 1] = {c.bssid: (0, c.rssi) for c in choices[T - 1]}
+    value[T - 1] = {a: (0, rssi) for a, rssi in choices[T - 1].items()}
     for t in range(T - 2, -1, -1):
         nxt = value[t + 1]
-        for c in choices[t]:
+        for a, rssi in choices[t].items():
             best = None
             best_key = None
             for b, (ho, srssi) in nxt.items():
-                cand = (ho + (1 if b != c.bssid else 0), c.rssi + srssi)
+                cand = (ho + (1 if b != a else 0), rssi + srssi)
                 cand_key = key(*cand)
                 if best_key is None or cand_key < best_key:
                     best, best_key = cand, cand_key
-            value[t][c.bssid] = best
+            value[t][a] = best
 
-    first = min(choices[0], key=lambda c: (key(*value[0][c.bssid]), c.bssid))
-    plan = [first.bssid]
-    rssi_at = [{c.bssid: c.rssi for c in ch} for ch in choices]
+    first = min(choices[0], key=lambda a: (key(*value[0][a]), a))
+    plan = [first]
     for t in range(T - 1):
         target = value[t][plan[-1]]
-        here = rssi_at[t][plan[-1]]
-        for c in choices[t + 1]:
-            ho, srssi = value[t + 1][c.bssid]
-            if (ho + (1 if c.bssid != plan[-1] else 0), here + srssi) == target:
-                plan.append(c.bssid)
+        here = choices[t][plan[-1]]
+        for b in choices[t + 1]:
+            ho, srssi = value[t + 1][b]
+            if (ho + (1 if b != plan[-1] else 0), here + srssi) == target:
+                plan.append(b)
                 break
-    return _finish_plan(plan, value[0][first.bssid][1], objective)
+    return _finish_plan(plan, value[0][first][1], objective)
 
 
 # Values whose sums round together: -60.0 + -59.99999999999999 and
@@ -413,6 +412,7 @@ def stub_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 class TestExternalAdapter:

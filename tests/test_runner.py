@@ -185,6 +185,7 @@ class TestLiveEndpointIntegration:
             assert verify_report(report)
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_dead_endpoint_raises_endpoint_error(self):
         endpoint = EndpointConfig(
@@ -391,6 +392,7 @@ def loopback_url():
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def _golden_config(name: str, url: str, tmp_path) -> ExperimentConfig:
@@ -476,6 +478,7 @@ def keepalive_url():
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def _http_spec(kind: str, url: str) -> PolicySpec:

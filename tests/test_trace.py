@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,16 +15,27 @@ from hypothesis import strategies as st
 
 from conftest import MAC_A, MAC_B, mac, make_sample, make_trace, round_trips, trace_to_csv
 from roamsim.errors import TraceFormatError
-from roamsim.runner import trace_content_hash
+from roamsim.policies import legacy_decide
+from roamsim.roaming import AssociationState
+from roamsim.runner import read_trace_file, trace_content_hash
 from roamsim.trace import (
     T_MAX,
     ApObservation,
+    ContextWindow,
+    DeviceContext,
+    ScanSample,
     SynthConfig,
     Trace,
+    _check_activity,
+    _check_float,
+    _check_timestamp,
+    _infer_interval,
+    _opt_float,
     canonical_mac,
     generate_synthetic,
     parse_trace,
     sample_to_dict,
+    strongest,
     trace_to_jsonl,
     window,
 )
@@ -293,14 +307,10 @@ class TestValidate:
         assert exc.value.line == 1  # the first sample
 
     def test_duplicate_bssid_flagged(self):
-        from roamsim.trace import ApObservation, DeviceContext, ScanSample, Trace
+        from roamsim.trace import DeviceContext, ScanSample, Trace
 
         sample = ScanSample(
-            context=DeviceContext(timestamp=0),
-            candidates=(
-                ApObservation(bssid=MAC_A, rssi=-60.0),
-                ApObservation(bssid=MAC_A, rssi=-61.0),
-            ),
+            context=DeviceContext(timestamp=0), bssids=(MAC_A, MAC_A), rssis=(-60.0, -61.0)
         )
         with pytest.raises(TraceFormatError, match="duplicate bssid"):
             round_trips(Trace(samples=(sample,)))
@@ -427,3 +437,264 @@ GOLDEN_SYNTH_SHA256 = {
 def test_golden_synthetic(name):
     text = trace_to_jsonl(generate_synthetic(GOLDEN_SYNTH[name]))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SYNTH_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# Streaming ingest against the whole-text parser it replaced
+
+def whole_text_parse_jsonl(data) -> Trace:
+    """Reference for parse_trace(data, "jsonl"): the whole-text parser.
+
+    It decodes the whole input, splits it with str.splitlines and parses line
+    by line, as the package did before JSONL ingest streamed. The per-field
+    checks are the package's own.
+    """
+    if not isinstance(data, (bytes, str)):
+        try:
+            data = data.read()
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"malformed line: not UTF-8 ({exc.reason})") from None
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise TraceFormatError(f"malformed line: not UTF-8 ({exc.reason})", line) from None
+    samples = []
+    prev_t = None
+    for line_no, line in enumerate(data.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(f"malformed line: {exc.msg}", line_no) from None
+        if not isinstance(rec, dict) or "t" not in rec or "scan" not in rec:
+            raise TraceFormatError("malformed line: expected object with t and scan", line_no)
+        t = _check_timestamp(rec["t"], line_no)
+        if prev_t is not None and t <= prev_t:
+            raise TraceFormatError("non-monotone timestamps", line_no)
+        prev_t = t
+        if not isinstance(rec["scan"], list):
+            raise TraceFormatError("malformed line: scan must be a list", line_no)
+        entries = []
+        for entry in rec["scan"]:
+            try:
+                raw, rssi = entry["bssid"], entry["rssi_dbm"]
+            except (KeyError, TypeError):
+                raise TraceFormatError(
+                    "malformed line: scan entry needs bssid and rssi_dbm", line_no
+                ) from None
+            try:
+                bssid = canonical_mac(raw)
+            except ValueError as exc:
+                raise TraceFormatError(f"malformed line: {exc}", line_no) from None
+            entries.append((-_check_float(rssi, line_no), bssid))
+        assoc = None
+        if rec.get("assoc") is not None:
+            try:
+                assoc = canonical_mac(rec["assoc"])
+            except ValueError as exc:
+                raise TraceFormatError(f"malformed line: {exc}", line_no) from None
+        if not entries:
+            raise TraceFormatError("malformed line: empty scan", line_no)
+        seen = set()
+        for _, bssid in entries:
+            if bssid in seen:
+                raise TraceFormatError(f"duplicate bssid {bssid}", line_no)
+            seen.add(bssid)
+        entries.sort()
+        ctx = DeviceContext(
+            timestamp=t,
+            latitude=_opt_float(rec.get("lat"), line_no, "latitude", -90.0, 90.0),
+            longitude=_opt_float(rec.get("lon"), line_no, "longitude", -180.0, 180.0),
+            battery_pct=_opt_float(rec.get("battery_pct"), line_no, "battery_pct", 0.0, 100.0),
+            activity=_check_activity(rec.get("activity"), line_no),
+        )
+        samples.append(ScanSample(context=ctx, bssids=tuple(b for _, b in entries),
+                                  rssis=tuple(-r for r, _ in entries), associated=assoc))
+    if not samples:
+        raise TraceFormatError("empty trace")
+    return Trace(samples=tuple(samples), sample_interval=_infer_interval(samples))
+
+
+def _ingest_line(t: int, extra: str = "") -> str:
+    return ('{"t": %d, "scan": [{"bssid": "aa-00-00-00-00-02", "rssi_dbm": -61},'
+            ' {"bssid": "AA:00:00:00:00:01", "rssi_dbm": -0.0}]%s}' % (t, extra))
+
+
+# Pieces of a JSONL file: valid lines (t filled in as drawn), blank lines,
+# lines each rule rejects, non-ASCII text (U+2028 inside a JSON string splits
+# its line), and bytes that are not UTF-8. A drawn file is clean (valid and
+# blank lines only), text (clean or bad UTF-8 pieces), bytes (clean pieces or
+# bytes that are not UTF-8) or anything.
+CLEAN_PIECES = ["valid", "valid", "valid-extra", b"", b"   ", b"\t"]
+BAD_PIECES = [
+    "early-t", b"{nope", b'{"t": 1}', b'{"t": 0, "scan": []}', b"[1, 2]",
+    '{"t": 0, "scan": [{"bssid": "aa:00:00:00:00:01", "rssi_dbm": -60},'
+    ' {"bssid": "AA:00:00:00:00:01", "rssi_dbm": -70}]}'.encode(),
+    '{"t": 0, "scan": [], "x": "caf\u00e9 \u2028 \u20ac\U0001f600"}'.encode(),
+    '{"t": 0, "activity": "\u00fcber", "scan": [1]}'.encode(),
+]
+NOT_UTF8_PIECES = [b"\xff", b"\xe2\x82", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80",
+                   b"\x80abc", "any bytes"]
+INGEST_BREAKS = [b"\n", b"\n", b"\r\n", b"\r", "\u2028".encode(), "\x85".encode(),
+                 b"\x0c", b"\x1e", b"\n\n", b""]
+
+
+@st.composite
+def jsonl_bytes(draw) -> bytes:
+    mode = draw(st.sampled_from(["clean", "text", "bytes", "any"]))
+    pieces = CLEAN_PIECES + (BAD_PIECES if mode in ("text", "any") else [])
+    pieces += NOT_UTF8_PIECES if mode in ("bytes", "any") else []
+    breaks = INGEST_BREAKS[:-1] if mode == "clean" else INGEST_BREAKS  # b"" joins two lines
+    out, t = [], 0
+    for _ in range(draw(st.integers(0, 10))):
+        piece = draw(st.sampled_from(pieces))
+        if piece in ("valid", "valid-extra"):
+            t += draw(st.integers(1, 3))
+            extra = ', "activity": "idle", "lat": 1.5' if piece == "valid-extra" else ""
+            piece = _ingest_line(t, extra).encode()
+        elif piece == "early-t":
+            piece = _ingest_line(t - 1).encode()
+        elif piece == "any bytes":
+            piece = draw(st.binary(max_size=4))
+        out.append(piece + draw(st.sampled_from(breaks)))
+    return b"".join(out)
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except TraceFormatError as exc:
+        return str(exc), exc.line
+
+
+def _input_forms(data: bytes) -> dict:
+    forms = {
+        "bytes": data,
+        "binary file": io.BytesIO(data),
+        "text stream": io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+    }
+    try:
+        forms["str"] = data.decode("utf-8")
+    except UnicodeDecodeError:
+        pass
+    return forms
+
+
+class TestStreamingIngest:
+    @settings(max_examples=400, deadline=None)
+    @given(data=jsonl_bytes())
+    def test_equals_the_whole_text_parser(self, data):
+        want = _outcome(whole_text_parse_jsonl, data)
+        # The one difference: the stream parses the lines before an invalid
+        # UTF-8 piece first, so a bad line there is raised in its place.
+        earlier = None
+        if isinstance(want, tuple) and "not UTF-8" in want[0]:
+            # the pieces before the one that fails to decode, each with its "\n"
+            head = b"".join(p + b"\n" for p in data.split(b"\n")[: want[1] - 1])
+            prefix = _outcome(whole_text_parse_jsonl, head)
+            if isinstance(prefix, tuple) and prefix[0] != "empty trace":
+                earlier = prefix
+        for name, form in _input_forms(data).items():
+            got = _outcome(lambda d: parse_trace(d, "jsonl"), form)
+            if name == "text stream" and isinstance(want, tuple) and "not UTF-8" in want[0]:
+                # a text stream decodes ahead of its lines: no line number,
+                # and how far ahead depends on its buffer
+                assert got in ((want[0].split(" at line ")[0], None), earlier), name
+            elif earlier is not None:
+                assert got == earlier, name
+            else:
+                assert got == want, name
+
+    def test_a_bad_line_before_invalid_utf8_is_raised_first(self):
+        data = b"{nope\n" + _ingest_line(1).encode() + b"\n\xff\n"
+        with pytest.raises(TraceFormatError, match="not UTF-8 .* at line 3"):
+            whole_text_parse_jsonl(data)
+        for form in (data, io.BytesIO(data)):
+            with pytest.raises(TraceFormatError, match="Expecting .* at line 1"):
+                parse_trace(form, "jsonl")
+
+    @pytest.mark.parametrize("brk", ["\r", "\r\n", "\u2028", "\x85", "\x0c"],
+                             ids=["cr", "crlf", "u2028", "nel", "ff"])
+    def test_line_numbers_count_every_line_break(self, brk):
+        text = _ingest_line(1) + brk + " \n{nope\n"  # line 2 is blank
+        for form in (text, text.encode(), io.BytesIO(text.encode())):
+            with pytest.raises(TraceFormatError, match="at line 3"):
+                parse_trace(form, "jsonl")
+
+    def test_decode_error_counts_newlines_only(self):
+        data = _ingest_line(1).encode() + b"\r" + _ingest_line(2).encode() + b"\n\xe2\x82\n"
+        with pytest.raises(TraceFormatError, match="not UTF-8 .* at line 2"):
+            parse_trace(io.BytesIO(data), "jsonl")
+
+    def test_reads_the_file_a_line_at_a_time(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(trace_to_jsonl(make_trace([{MAC_A: -60.0}] * 3)))
+
+        class Lines(io.BytesIO):
+            def read(self, *args):
+                raise AssertionError("the JSONL parser read the whole file")
+
+        assert len(parse_trace(Lines(path.read_bytes()), "jsonl")) == 3
+        assert read_trace_file(path) == parse_trace(path.read_bytes(), "jsonl")
+
+
+class TestIngestMemory:
+    """tracemalloc counts Python allocations exactly, so these bounds are not
+    timing-dependent: the whole file text, or a second rendering of the trace
+    for the hash, would each break them."""
+
+    def test_read_and_hash_stay_small(self, tmp_path):
+        trace = generate_synthetic(SynthConfig(num_aps=32, duration=2000, base_dbm=-65.0,
+                                               step_stddev=2.0, seed=1))
+        path = tmp_path / "dense.jsonl"
+        path.write_text(trace_to_jsonl(trace))
+        size = path.stat().st_size
+        del trace
+        tracemalloc.start()
+        try:
+            loaded = read_trace_file(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            digest = trace_content_hash(loaded)
+            _, hash_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size > 4_000_000
+        assert read_peak < size
+        assert hash_peak - before < 1_000_000
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(levels=st.dictionaries(st.integers(0, 40).map(mac),
+                                  st.sampled_from([-60.0, -60.5, -75.0, -0.0, 0.0])
+                                  | st.floats(-100.0, 0.0), min_size=1, max_size=8),
+           rnd=st.randoms(use_true_random=False), threshold=st.sampled_from([-100.0, -70.0, 0.0]))
+    def test_column_order_changes_no_answer(self, levels, rnd, threshold):
+        canonical = make_sample(0, levels)
+        pairs = list(zip(canonical.bssids, canonical.rssis))
+        rnd.shuffle(pairs)
+        shuffled = replace(canonical, bssids=tuple(b for b, _ in pairs),
+                           rssis=tuple(r for _, r in pairs))
+        top = canonical.candidates[0]
+        for sample in (canonical, shuffled):
+            best = strongest(sample)
+            assert best == top
+            assert math.copysign(1.0, best.rssi) == math.copysign(1.0, top.rssi)
+        for assoc in (*canonical.bssids, "AA:00:00:00:FF:FF"):
+            state = AssociationState(associated=assoc, threshold=threshold)
+            assert legacy_decide(ContextWindow((shuffled,), 1), state) == legacy_decide(
+                ContextWindow((canonical,), 1), state
+            )
+
+    def test_candidates_is_a_view_of_the_columns(self):
+        sample = make_sample(0, {MAC_A: -70.0, MAC_B: -60.0})
+        assert sample.bssids == (MAC_B, MAC_A)
+        assert sample.rssis == (-60.0, -70.0)
+        assert sample.candidates == (ApObservation(MAC_B, -60.0), ApObservation(MAC_A, -70.0))
+        assert sample.candidates is not sample.candidates  # built on each read, not cached
