@@ -459,6 +459,37 @@ def test_golden_report(name, loopback_url, tmp_path):
     assert digest == GOLDEN_REPORT_SHA256[name]
 
 
+# Written report files, in their own key order with the config echo and
+# seedprint kept. Only fixtures whose config holds no path or port qualify.
+GOLDEN_REPORT_FILE_SHA256 = {
+    "fixed-ap-select": "6fd37e3f46875983c0c3258a85de58e171ac52e4773fd63b51f3e930a172e8e2",
+    "fixed-threshold": "640279c6198bea67a1397af09e01275585aa7ed9a455cf9f07abc20b36cc4b84",
+    "heuristic": "c24d4a5a682dcffc5c13f7da5418db7e3d12a11b17c3be48e8ecf35cda188d82",
+    "hysteresis": "f3d314a34c484e0d65750697245756f4b04dfea9aa659c2e0a918055056afc4d",
+    "legacy": "cb2e37cca4527ed81ba7ebeeaf8e927a6e1de04b12bd26863b874b955c16ebc7",
+    "legacy-holdout": "cf5e438ca7b45c641a00befd43ba28cfb9d0bdb536f10276e6cc200f8c3c76ff",
+    "llm-ap-select": "3a1dbdf1a49c258fe4bc00dded2cf02f6c6f2bf7d92be690d83b9ad36f507b9d",
+    "llm-faults": "e970944129358c2e27d64400ecb97f3d8b0c70779124fbe1cfbc13a222e621e3",
+    "llm-score-against": "8a37c9aa59cfa88e46ed4f0aba067b3e1046a1dfff7158b56dfbf3d9da412924",
+    "llm-shots-holdout": "d010f929edf987a78d85106e3bb2db81c61f54b6e6d23b0e7479adeab43a8464",
+    "llm-threshold": "42aba715e332a9a81796a3ba19f39b44f11533622776262a311d596874ef1167",
+    "opt-ho": "11858ab015b486898377829d41653e76d50f3253aa45169fd37102929a3dd463",
+    "opt-rssi": "82856be78985f4af280c63e8f5a83559691df653edcda6f0a58385a61cf0cf3e",
+    "score-against": "bacec634b1fc0175e362d39a1f2e6c54e6c0ac195e58cdd5540b340f46eee639",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_FILE_SHA256))
+def test_golden_report_file(name, tmp_path):
+    report = run_experiment(_golden_config(name, "", tmp_path))
+    with open(write_report(report, str(tmp_path)), encoding="utf-8") as fh:
+        d = json.load(fh)
+    d["wall_clock_ms"] = 0
+    d["latency"] = strip_volatile(d)["latency"]
+    digest = hashlib.sha256(json.dumps(d, indent=2).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_REPORT_FILE_SHA256[name]
+
+
 # ---------------------------------------------------------------------------
 # HTTP transport: one kept-alive connection per run, released when the run ends.
 
