@@ -31,7 +31,6 @@ from .policies import (
     AssociationPlan,
     OracleConstraints,
     brute_force_plan,
-    fixed_threshold_policy,
     heuristic_decide,
     legacy_decide,
     oracle_opt_ho,
@@ -43,7 +42,6 @@ from .roaming import (
     AssociationState,
     PolicyDecision,
     RunTimeline,
-    StepRecord,
     apply_decision,
     passes_hysteresis,
     run_policy,

@@ -253,22 +253,14 @@ def parse_ap_response(raw: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class ThresholdReply:
-    """Parsed threshold with a flag for out-of-range values that were clamped."""
-
-    value: float | None
-    clamped: bool = False
-
-
-def parse_threshold_response(raw: str) -> ThresholdReply:
+def parse_threshold_response(raw: str) -> float | None:
     """Threshold named by the reply, clamped into [-100, 0] dBm.
 
     The final ANSWER line wins; otherwise the trailing number anywhere in
-    the text. Returns value None when no number can be found.
+    the text. Returns None when no number can be found.
     """
     if not raw:
-        return ThresholdReply(value=None)
+        return None
     answer_lines = [m.group(1) for ln in raw.splitlines() if (m := _ANSWER_LINE_RE.match(ln))]
     nums: list[str] = []
     if answer_lines:
@@ -276,14 +268,13 @@ def parse_threshold_response(raw: str) -> ThresholdReply:
     if not nums:
         nums = _NUMBER_RE.findall(raw)
     if not nums:
-        return ThresholdReply(value=None)
+        return None
     value = float(nums[-1])
-    clamped = not RSSI_MIN_DBM <= value <= RSSI_MAX_DBM
-    if clamped:
-        original = value
-        value = max(RSSI_MIN_DBM, min(RSSI_MAX_DBM, value))
-        logger.warning("threshold reply %s clamped to %s", original, value)
-    return ThresholdReply(value=value, clamped=clamped)
+    if not RSSI_MIN_DBM <= value <= RSSI_MAX_DBM:
+        clamped = max(RSSI_MIN_DBM, min(RSSI_MAX_DBM, value))
+        logger.warning("threshold reply %s clamped to %s", value, clamped)
+        return clamped
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +323,14 @@ def threshold_schedule_step(
     client,
     template: dict[str, str] | None = None,
     rows: dict[ScanSample, str] | None = None,
-) -> PolicyDecision | None:
-    """One scheduler tick: a threshold decision when an adjustment is due.
+) -> dict | None:
+    """One scheduler tick: the threshold-log entry when an adjustment is due.
 
     Fires on the first call and whenever `now - last_adjust >= interval`;
     between adjustments the run proceeds under the legacy rule at the
-    current threshold. A failed or unparseable call keeps the threshold
-    and is flagged, so the run never stalls.
+    current threshold. The entry is {"t", "value", "valid", "fault"},
+    `value` being the threshold from then on. A failed or unparseable call
+    keeps the current threshold and is flagged, so the run never stalls.
     """
     if interval < 1:
         raise ValueError("interval must be >= 1")
@@ -346,14 +338,13 @@ def threshold_schedule_step(
         return None
     prompt = build_prompt(window, state, cfg, (), template, rows)
     record = client.complete(prompt)
-    if not record.ok:
-        return PolicyDecision.set_threshold(
-            state.threshold, "llm-threshold", valid=False, fault=True
-        )
-    parsed = parse_threshold_response(record.reply)
-    if parsed.value is None:
-        return PolicyDecision.set_threshold(state.threshold, "llm-threshold", valid=False)
-    return PolicyDecision.set_threshold(parsed.value, "llm-threshold")
+    value = parse_threshold_response(record.reply) if record.ok else None
+    return {
+        "t": now,
+        "value": state.threshold if value is None else value,
+        "valid": value is not None,
+        "fault": not record.ok,
+    }
 
 
 # ---------------------------------------------------------------------------

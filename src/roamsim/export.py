@@ -101,7 +101,7 @@ def _rejected_sequence(trace: Trace, source: str, seed: int, scan_rssi: float) -
     else:
         raise DataError(f"unknown rejected source: {source!r}")
     timeline = run_policy(trace, decide, scan_rssi=scan_rssi, validity_floor=-100.0)
-    return [step.bssid for step in timeline.steps]
+    return [e["bssid"] for e in timeline.steps]
 
 
 def export_preferences(

@@ -1,7 +1,9 @@
-"""Comparison policies: random-pick heuristic, highest-RSSI legacy, fixed
-thresholds, globally optimal association plans, and an adapter for an
-external decision service, which posts through the gateway's HTTP
-transport (gateway.post_json on a kept-alive gateway.JsonConnection).
+"""Comparison policies: random-pick heuristic, highest-RSSI legacy (which,
+given a constant threshold, is the fixed policy), globally optimal
+association plans, and an adapter for an external decision service, which
+posts through the gateway's HTTP transport (gateway.post_json on a
+kept-alive gateway.JsonConnection). The two decision rules are functions;
+only the plan replay and the external adapter, which hold state, are classes.
 
 The two plan solvers optimize over whole association sequences:
 
@@ -119,35 +121,6 @@ def legacy_decide(
     if not passes_hysteresis(best.rssi, current, state):
         return PolicyDecision.stay(source)
     return PolicyDecision.roam(best.bssid, source)
-
-
-class HeuristicPolicy:
-    """Random-pick baseline."""
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-        self.name = "heuristic"
-
-    def decide(self, window: ContextWindow, state: AssociationState) -> PolicyDecision:
-        return heuristic_decide(window, state, self.seed)
-
-
-class LegacyPolicy:
-    """Highest-RSSI baseline."""
-
-    def __init__(self, threshold: float | None = None, name: str = "legacy"):
-        self.threshold = threshold
-        self.name = name
-
-    def decide(self, window: ContextWindow, state: AssociationState) -> PolicyDecision:
-        return legacy_decide(window, state, threshold=self.threshold, source=self.name)
-
-
-def fixed_threshold_policy(threshold: float) -> LegacyPolicy:
-    """Legacy decision rule pinned to a constant scan threshold."""
-    if not -100.0 <= threshold <= 0.0:
-        raise ValueError(f"threshold out of range: {threshold}")
-    return LegacyPolicy(threshold=threshold, name=f"fixed({threshold:g})")
 
 
 class PlanPolicy:

@@ -1,11 +1,13 @@
 """Association state machine, decision application, and the replay loop.
 
 A run replays a trace step by step: the policy looks at a context window
-and the current association state, emits a decision (stay, roam to a
-BSSID, or set the scan threshold), and the state machine applies it. The
-per-step records form a RunTimeline; the headline metrics (handover
-count, average RSSI, error rate) are computed from its decision log by
-`runner.recompute_metrics`.
+and the current association state, emits a decision (stay or roam to a
+BSSID), and the state machine applies it. Applying a decision yields the
+step's decision-log entry, the dict a run report stores; the headline
+metrics (handover count, average RSSI, error rate) are computed from
+those entries by `runner.recompute_metrics`. The scan threshold is not a
+per-step decision: the threshold task retunes it before a step, through
+run_policy's `pre_decide` hook.
 
 Validity rule: a roam target must be present in the current scan with
 RSSI at or above the validity floor. Invalid roams never change the
@@ -23,8 +25,6 @@ from typing import Callable
 
 from .trace import (
     ACTIVITY_ACTIVE,
-    RSSI_MAX_DBM,
-    RSSI_MIN_DBM,
     ContextWindow,
     ScanSample,
     Trace,
@@ -47,7 +47,6 @@ HYSTERESIS_PRESETS: dict[str, tuple[float, float]] = {
 class Action(str, enum.Enum):
     STAY = "stay"
     ROAM = "roam"
-    SET_THRESHOLD = "set_threshold"
 
 
 @dataclass(frozen=True)
@@ -65,14 +64,14 @@ class AssociationState:
 class PolicyDecision:
     """One policy output: what to do, who said so, and whether it held up.
 
-    `valid` is None until resolved by apply_decision; a policy that already
-    knows its pick failed (and substituted a fallback action) sets it to
-    False up front. `fault` marks transport-level failures.
+    `valid` is None until apply_decision resolves it into the step's log
+    entry; a policy that already knows its pick failed (and substituted a
+    fallback action) sets it to False up front. `fault` marks
+    transport-level failures.
     """
 
     action: Action
     target: str | None = None
-    value: float | None = None
     source: str = ""
     valid: bool | None = None
     fault: bool = False
@@ -85,29 +84,16 @@ class PolicyDecision:
     def roam(bssid: str, source: str, **kw) -> "PolicyDecision":
         return PolicyDecision(action=Action.ROAM, target=bssid, source=source, **kw)
 
-    @staticmethod
-    def set_threshold(value: float, source: str, **kw) -> "PolicyDecision":
-        if not RSSI_MIN_DBM <= value <= RSSI_MAX_DBM:
-            raise ValueError(f"threshold out of range: {value}")
-        return PolicyDecision(action=Action.SET_THRESHOLD, value=value, source=source, **kw)
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One timeline entry: the post-decision association at step t."""
-
-    t: int
-    bssid: str
-    rssi: float
-    decision: PolicyDecision
-    handover: bool
-
 
 @dataclass(frozen=True)
 class RunTimeline:
-    """Per-step records of a full run."""
+    """A run's decision-log entries, one dict per step (see apply_decision).
 
-    steps: tuple[StepRecord, ...]
+    A class rather than a bare list because perfbench's tracer counts a
+    run's steps as `len(run_policy(...).steps)`.
+    """
+
+    steps: list[dict]
 
 
 def should_scan(current_rssi: float, threshold: float) -> bool:
@@ -137,17 +123,15 @@ def apply_decision(
     sample: ScanSample,
     decision: PolicyDecision,
     validity_floor: float = DEFAULT_SCAN_RSSI_DBM,
-) -> tuple[AssociationState, StepRecord]:
-    """Apply one decision, returning the new state and the step record.
+) -> tuple[AssociationState, dict]:
+    """Apply one decision, returning the new state and the step's log entry.
 
     Invalidity is recorded, never raised: a roam to an absent or
     below-floor AP leaves the association unchanged and marks the step
     invalid.
     """
-    premarked_invalid = decision.valid is False
     new_state = state
-    valid = not premarked_invalid
-
+    valid = decision.valid is not False
     if decision.action is Action.ROAM:
         target_ok = (
             decision.target in sample.bssids
@@ -156,19 +140,19 @@ def apply_decision(
         if target_ok:
             new_state = replace(state, associated=decision.target)
         valid = valid and target_ok
-    elif decision.action is Action.SET_THRESHOLD:
-        if decision.value is None or not RSSI_MIN_DBM <= decision.value <= RSSI_MAX_DBM:
-            raise ValueError(f"set_threshold value out of range: {decision.value}")
-        new_state = replace(state, threshold=decision.value)
-
-    record = StepRecord(
-        t=sample.context.timestamp,
-        bssid=new_state.associated,
-        rssi=rssi_of(sample, new_state.associated),
-        decision=replace(decision, valid=valid),
-        handover=new_state.associated != state.associated,
-    )
-    return new_state, record
+    entry = {
+        "t": sample.context.timestamp,
+        "bssid": new_state.associated,
+        "rssi": rssi_of(sample, new_state.associated),
+        "action": decision.action.value,
+        "target": decision.target,
+        "value": None,  # no decision sets one; the report format keeps the key
+        "source": decision.source,
+        "valid": valid,
+        "handover": new_state.associated != state.associated,
+        "fault": decision.fault,
+    }
+    return new_state, entry
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +189,14 @@ def run_policy(
         hysteresis_active=hysteresis[0],
         hysteresis_idle=hysteresis[1],
     )
-    records: list[StepRecord] = []
+    steps: list[dict] = []
     for t, sample in enumerate(trace.samples):
         state = replace(state, activity=sample.context.activity)
         win = window(trace, t, k)
         if pre_decide is not None:
             state = pre_decide(t, win, state)
-        decision = decide(win, state)
-        state, record = apply_decision(state, sample, decision, validity_floor)
-        if t == 0 and record.handover:
-            record = replace(record, handover=False)
-        records.append(record)
-    return RunTimeline(steps=tuple(records))
+        state, entry = apply_decision(state, sample, decide(win, state), validity_floor)
+        steps.append(entry)
+    if steps:
+        steps[0]["handover"] = False
+    return RunTimeline(steps=steps)

@@ -18,6 +18,7 @@ import tempfile
 import time
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 from .agent import (
     TASK_AP_SELECT,
@@ -42,15 +43,14 @@ from .gateway import (
 from .policies import (
     AssociationPlan,
     ExternalPolicy,
-    HeuristicPolicy,
     OracleConstraints,
     PlanPolicy,
-    fixed_threshold_policy,
+    heuristic_decide,
     legacy_decide,
     oracle_opt_ho,
     oracle_opt_rssi,
 )
-from .roaming import DEFAULT_SCAN_RSSI_DBM, HYSTERESIS_PRESETS, RunTimeline, run_policy
+from .roaming import DEFAULT_SCAN_RSSI_DBM, HYSTERESIS_PRESETS, run_policy
 from .trace import (
     ScanSample,
     SynthConfig,
@@ -229,32 +229,11 @@ def _seedprint(config_dict: dict, trace_hash: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def timeline_log(timeline: RunTimeline) -> list[dict]:
-    out = []
-    for s in timeline.steps:
-        d = s.decision
-        out.append(
-            {
-                "t": s.t,
-                "bssid": s.bssid,
-                "rssi": s.rssi,
-                "action": d.action.value,
-                "target": d.target,
-                "value": d.value,
-                "source": d.source,
-                "valid": d.valid,
-                "handover": s.handover,
-                "fault": d.fault,
-            }
-        )
-    return out
-
-
 def recompute_metrics(decision_log: list[dict]) -> dict:
     """Headline metrics of a decision log: what reports store and verify_report rechecks.
 
     A roam attempt, for the error rate, is a roam or a stay marked invalid
-    (an invalid pick whose fallback stayed put); threshold steps never count.
+    (an invalid pick whose fallback stayed put).
     """
     if not decision_log:
         raise DataError("empty decision log")
@@ -304,6 +283,7 @@ class _Run:
     """What a policy factory needs for one run, and what it leaves behind."""
 
     cfg: ExperimentConfig
+    label: str  # the report's policy label
     trace: Trace  # the evaluated trace
     prompt: PromptConfig
     template: dict[str, str] | None
@@ -315,12 +295,11 @@ class _Run:
 
 
 def _plan_policy(run: _Run) -> dict:
-    kind = run.cfg.policy.kind
-    plan = _oracle_plan(run.trace, kind, run.cfg.validity_floor)
+    plan = _oracle_plan(run.trace, run.cfg.policy.kind, run.cfg.validity_floor)
     # plan entries may sit below the floor on relaxed steps; replay
     # must still follow the plan
     return {
-        "decide": PlanPolicy(run.trace, plan, kind.replace("_", "-")).decide,
+        "decide": PlanPolicy(run.trace, plan, run.label).decide,
         "validity_floor": -100.0,
         "initial": plan.plan[0],
     }
@@ -342,22 +321,14 @@ def _llm_policy(run: _Run) -> dict:
     log = run.threshold_log
 
     def scheduler(t, win, state):
-        now = win.latest.context.timestamp
-        decision = threshold_schedule_step(
-            now, log[-1]["t"] if log else None, interval, win, state, run.prompt,
-            run.client, template=run.template, rows=run.rows,
+        entry = threshold_schedule_step(
+            win.latest.context.timestamp, log[-1]["t"] if log else None, interval, win,
+            state, run.prompt, run.client, template=run.template, rows=run.rows,
         )
-        if decision is None:
+        if entry is None:
             return state
-        log.append(
-            {
-                "t": now,
-                "value": decision.value,
-                "valid": decision.valid is not False,
-                "fault": decision.fault,
-            }
-        )
-        return replace(state, threshold=decision.value)
+        log.append(entry)
+        return replace(state, threshold=entry["value"])
 
     return {"decide": legacy_decide, "pre_decide": scheduler}
 
@@ -366,12 +337,14 @@ def _llm_policy(run: _Run) -> dict:
 POLICIES = {
     "heuristic": (
         lambda spec: f"heuristic(seed={spec.seed})",
-        lambda run: {"decide": HeuristicPolicy(run.cfg.policy.seed).decide},
+        lambda run: {"decide": partial(heuristic_decide, seed=run.cfg.policy.seed)},
     ),
     "legacy": (lambda spec: "legacy", lambda run: {"decide": legacy_decide}),
     "fixed": (
         lambda spec: f"fixed({spec.fixed_dbm:g})",
-        lambda run: {"decide": fixed_threshold_policy(run.cfg.policy.fixed_dbm).decide},
+        lambda run: {
+            "decide": partial(legacy_decide, threshold=run.cfg.policy.fixed_dbm, source=run.label)
+        },
     ),
     "opt_ho": (lambda spec: "opt-ho", _plan_policy),
     "opt_rssi": (lambda spec: "opt-rssi", _plan_policy),
@@ -414,7 +387,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         eval_trace = full_trace
 
     label, build = POLICIES[spec.kind]
-    run = _Run(cfg, eval_trace, prompt_cfg, template, shots)
+    run = _Run(cfg, label(spec), eval_trace, prompt_cfg, template, shots)
     replay = {
         "k": cfg.window_k,
         "scan_rssi": cfg.scan_rssi,
@@ -429,12 +402,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     if isinstance(run.client, HttpClient) and latency["count"] == 0 and latency["failures"]:
         raise EndpointError("completion endpoint never answered")
 
-    decision_log = timeline_log(timeline)
-    metrics = recompute_metrics(decision_log)
+    metrics = recompute_metrics(timeline.steps)
     if cfg.score_against is not None:
         ref = _oracle_plan(eval_trace, cfg.score_against, cfg.validity_floor)
         metrics["oracle_accuracy_pct"] = label_accuracy(
-            [s.bssid for s in timeline.steps], ref
+            [e["bssid"] for e in timeline.steps], ref
         )
 
     config_dict = config_to_dict(cfg)
@@ -443,12 +415,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         config=config_dict,
         scenario=scenario,
         task=cfg.task,
-        policy=label(spec),
+        policy=run.label,
         trace_hash=trace_hash,
         seedprint=_seedprint(config_dict, trace_hash),
         metrics=metrics,
         latency=latency,
-        decision_log=decision_log,
+        decision_log=timeline.steps,
         threshold_log=run.threshold_log,
         wall_clock_ms=(time.perf_counter() - start) * 1000.0,
     )

@@ -9,8 +9,8 @@ import json
 import pytest
 from hypothesis import strategies as st
 
-from roamsim.roaming import RunTimeline
-from roamsim.runner import recompute_metrics, timeline_log
+from roamsim.roaming import PolicyDecision, RunTimeline
+from roamsim.runner import recompute_metrics
 from roamsim.trace import (
     DeviceContext,
     ScanSample,
@@ -49,9 +49,28 @@ def make_trace(rows: list[dict[str, float]], interval: int = 1, assoc0: str | No
     return Trace(samples=samples, sample_interval=interval)
 
 
+def timeline_of(series, decisions=None, source: str = "test") -> RunTimeline:
+    """Timeline of decision-log entries from (bssid, rssi) pairs.
+
+    Each step takes its decision from `decisions`, or a valid stay by
+    default, and is a handover when its BSSID differs from the step before.
+    """
+    steps = []
+    prev = None
+    for t, (bssid, rssi) in enumerate(series):
+        d = decisions[t] if decisions else PolicyDecision.stay(source, valid=True)
+        steps.append({
+            "t": t, "bssid": bssid, "rssi": rssi, "action": d.action.value,
+            "target": d.target, "value": None, "source": d.source, "valid": d.valid,
+            "handover": prev is not None and bssid != prev, "fault": d.fault,
+        })
+        prev = bssid
+    return RunTimeline(steps=steps)
+
+
 def metrics_of(timeline: RunTimeline) -> dict:
     """Headline metrics of a replayed timeline, as a run report computes them."""
-    return recompute_metrics(timeline_log(timeline))
+    return recompute_metrics(timeline.steps)
 
 
 def timeline_signature(timeline: RunTimeline) -> tuple:
@@ -61,9 +80,9 @@ def timeline_signature(timeline: RunTimeline) -> tuple:
     policies producing the same behavior.
     """
     return tuple(
-        (s.t, s.bssid, s.rssi, s.decision.action.value, s.decision.target,
-         s.decision.value, s.decision.valid, s.handover)
-        for s in timeline.steps
+        (e["t"], e["bssid"], e["rssi"], e["action"], e["target"], e["value"], e["valid"],
+         e["handover"])
+        for e in timeline.steps
     )
 
 

@@ -17,31 +17,23 @@ from __future__ import annotations
 
 import random
 import time
+from functools import partial
 
-from conftest import MAC_A, MAC_B, band_synth, make_trace, metrics_of
+from conftest import MAC_A, MAC_B, band_synth, make_trace, metrics_of, timeline_of
 from roamsim.agent import PromptConfig, ap_select_decide
 from roamsim.export import export_preferences, export_sft, label_accuracy
 from roamsim.gateway import MockClient, MockRule, latency_stats
 from roamsim.policies import (
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
-    HeuristicPolicy,
-    LegacyPolicy,
     OracleConstraints,
     PlanPolicy,
     brute_force_plan,
-    fixed_threshold_policy,
+    heuristic_decide,
     legacy_decide,
     solve_plan,
 )
-from roamsim.roaming import (
-    Action,
-    AssociationState,
-    PolicyDecision,
-    RunTimeline,
-    StepRecord,
-    run_policy,
-)
+from roamsim.roaming import Action, AssociationState, RunTimeline, run_policy
 from roamsim.runner import ExperimentConfig, PolicySpec, run_experiment, strip_volatile
 from roamsim.trace import generate_synthetic, trace_to_jsonl
 from roamsim.trace import window as trace_window
@@ -58,16 +50,7 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
 
 
 def _fixture_timeline(series) -> RunTimeline:
-    steps = []
-    prev = None
-    for t, (bssid, rssi) in enumerate(series):
-        steps.append(
-            StepRecord(t=t, bssid=bssid, rssi=rssi,
-                       decision=PolicyDecision.stay("fixture", valid=True),
-                       handover=prev is not None and bssid != prev)
-        )
-        prev = bssid
-    return RunTimeline(steps=tuple(steps))
+    return timeline_of(series, source="fixture")
 
 
 def test_c1_metric_exactness():
@@ -138,12 +121,12 @@ def test_c3_oracle_dominance():
         )
         client = MockClient(MockRule.argmax_rssi())
         policies = [
-            HeuristicPolicy(seed).decide,
-            LegacyPolicy().decide,
-            fixed_threshold_policy(-50.0).decide,
-            fixed_threshold_policy(-60.0).decide,
-            fixed_threshold_policy(-70.0).decide,
-            fixed_threshold_policy(-80.0).decide,
+            partial(heuristic_decide, seed=seed),
+            legacy_decide,
+            partial(legacy_decide, threshold=-50.0, source="fixed(-50)"),
+            partial(legacy_decide, threshold=-60.0, source="fixed(-60)"),
+            partial(legacy_decide, threshold=-70.0, source="fixed(-70)"),
+            partial(legacy_decide, threshold=-80.0, source="fixed(-80)"),
             lambda w, s: ap_select_decide(w, s, prompt_cfg, client, validity_floor=floor),
         ]
         for decide in policies:
@@ -151,7 +134,7 @@ def test_c3_oracle_dominance():
             if opt_ho.handovers > metrics_of(tl)["handovers"]:
                 ho_violations += 1
             roam_targets_feasible = all(
-                s.decision.valid for s in tl.steps if s.decision.action is Action.ROAM
+                e["valid"] for e in tl.steps if e["action"] == "roam"
             )
             plan_avg = metrics_of(rssi_plan_tl)["avg_rssi_dbm"]
             if roam_targets_feasible and plan_avg < metrics_of(tl)["avg_rssi_dbm"] - 1e-9:
@@ -243,26 +226,25 @@ def test_c5_error_rate_accounting():
         validity_floor=-100.0,
     )
     n = sum(
-        1 for s in tl.steps
-        if s.decision.action is Action.ROAM
-        or (s.decision.valid is False and s.decision.action is Action.STAY)
+        1 for e in tl.steps
+        if e["action"] == "roam" or (e["valid"] is False and e["action"] == "stay")
     )
-    m = sum(1 for s in tl.steps if s.decision.valid is False)
+    m = sum(1 for e in tl.steps if e["valid"] is False)
     rate = metrics_of(tl)["error_rate"]
     ok = n == T and m == len(invalid_steps) and rate == m / n
     # every invalid pick fell back to the legacy choice, never the bad BSSID
     for t in sorted(invalid_steps):
         step = tl.steps[t]
-        prev = tl.steps[t - 1].bssid if t else MAC_A
+        prev = tl.steps[t - 1]["bssid"] if t else MAC_A
         fallback = legacy_decide(
             trace_window(trace, t, 10),
             AssociationState(associated=prev, threshold=-70.0),
         )
-        ok = ok and step.bssid != MAC_X
+        ok = ok and step["bssid"] != MAC_X
         if fallback.action is Action.ROAM:
-            ok = ok and step.bssid == fallback.target
+            ok = ok and step["bssid"] == fallback.target
         else:
-            ok = ok and step.bssid == prev
+            ok = ok and step["bssid"] == prev
     _verdict("C5 error-rate accounting", ok,
              f"error_rate={rate} expected {len(invalid_steps)}/{T}")
 
@@ -328,9 +310,9 @@ def test_c8_export_integrity(crossover_trace, tmp_path):
     pairs = export_preferences(
         crossover_trace, cross_plan, "legacy", PromptConfig(), str(pref_path)
     )
-    legacy_tl = run_policy(crossover_trace, LegacyPolicy().decide, validity_floor=-100.0)
+    legacy_tl = run_policy(crossover_trace, legacy_decide, validity_floor=-100.0)
     hand_diff = sum(
-        1 for t, s in enumerate(legacy_tl.steps) if s.bssid != cross_plan.plan[t]
+        1 for t, e in enumerate(legacy_tl.steps) if e["bssid"] != cross_plan.plan[t]
     )
     ok = ok and pairs == 6 and hand_diff == 6
 

@@ -211,30 +211,27 @@ class TestParseApResponse:
 
 
 class TestParseThresholdResponse:
-    def test_plain_answer(self):
-        parsed = parse_threshold_response("ANSWER: -68")
-        assert parsed.value == -68.0
-        assert parsed.clamped is False
+    def test_plain_answer(self, caplog):
+        assert parse_threshold_response("ANSWER: -68") == -68.0
+        assert "clamped" not in caplog.text
 
-    def test_clamps_extremes(self):
-        parsed = parse_threshold_response("ANSWER: -150")
-        assert parsed.value == -100.0
-        assert parsed.clamped is True
-        assert parse_threshold_response("ANSWER: 10").value == 0.0
+    def test_clamps_extremes(self, caplog):
+        assert parse_threshold_response("ANSWER: -150") == -100.0
+        assert "threshold reply -150.0 clamped to -100.0" in caplog.text
+        assert parse_threshold_response("ANSWER: 10") == 0.0
 
     def test_fallback_scans_trailing_number(self):
-        parsed = parse_threshold_response("threshold should be around -65 dBm")
-        assert parsed.value == -65.0
+        assert parse_threshold_response("threshold should be around -65 dBm") == -65.0
 
     def test_unparseable(self):
-        assert parse_threshold_response("no idea").value is None
-        assert parse_threshold_response("").value is None
+        assert parse_threshold_response("no idea") is None
+        assert parse_threshold_response("") is None
 
     @settings(max_examples=100, deadline=None)
     @given(st.text(max_size=200))
     def test_never_raises_and_always_in_range(self, noise):
-        parsed = parse_threshold_response(noise)
-        assert parsed.value is None or -100.0 <= parsed.value <= 0.0
+        value = parse_threshold_response(noise)
+        assert value is None or -100.0 <= value <= 0.0
 
 
 class TestApSelectDecide:
@@ -337,22 +334,21 @@ class TestThresholdScheduler:
     def test_decision_carries_parsed_value(self):
         trace = generate_synthetic(band_synth(seed=43, duration=5))
         client = MockClient(MockRule.fixed_threshold(-64.0))
-        decision = threshold_schedule_step(
+        entry = threshold_schedule_step(
             0, None, 30, window(trace, 0, 10), state_at(),
             PromptConfig(task="threshold"), client,
         )
-        assert decision.action is Action.SET_THRESHOLD
-        assert decision.value == -64.0
+        assert entry == {"t": 0, "value": -64.0, "valid": True, "fault": False}
 
     def test_failure_keeps_current_threshold(self):
         trace = generate_synthetic(band_synth(seed=44, duration=5))
         client = MockClient(MockRule.fail_after(0))
-        decision = threshold_schedule_step(
+        entry = threshold_schedule_step(
             0, None, 30, window(trace, 0, 10), state_at(threshold=-72.0),
             PromptConfig(task="threshold"), client,
         )
-        assert decision.value == -72.0
-        assert decision.fault is True
+        assert entry["value"] == -72.0
+        assert entry["fault"] is True
 
     def test_bad_interval_rejected(self):
         trace = generate_synthetic(band_synth(seed=44, duration=5))

@@ -20,8 +20,8 @@ from roamsim.export import (
     split_trace,
 )
 from roamsim.policies import (
-    LegacyPolicy,
     OracleConstraints,
+    legacy_decide,
     oracle_opt_ho,
 )
 from roamsim.roaming import run_policy
@@ -92,11 +92,11 @@ class TestExportSft:
 class TestExportPreferences:
     def test_degenerate_same_policy_yields_zero_pairs(self):
         trace = generate_synthetic(band_synth(seed=65, duration=30))
-        legacy_tl = run_policy(trace, LegacyPolicy().decide, validity_floor=-100.0)
+        legacy_tl = run_policy(trace, legacy_decide, validity_floor=-100.0)
         from roamsim.policies import AssociationPlan
 
         legacy_plan = AssociationPlan(
-            plan=tuple(s.bssid for s in legacy_tl.steps),
+            plan=tuple(e["bssid"] for e in legacy_tl.steps),
             objective="min_ho",
             objective_value=0.0,
             handovers=0,
@@ -113,9 +113,9 @@ class TestExportPreferences:
     def test_crossover_pair_count_matches_hand_diff(self, crossover_trace):
         constraints = OracleConstraints(validity_floor=-100.0)
         plan = oracle_opt_ho(crossover_trace, constraints)
-        legacy_tl = run_policy(crossover_trace, LegacyPolicy().decide, validity_floor=-100.0)
+        legacy_tl = run_policy(crossover_trace, legacy_decide, validity_floor=-100.0)
         expected = sum(
-            1 for t, s in enumerate(legacy_tl.steps) if s.bssid != plan.plan[t]
+            1 for t, e in enumerate(legacy_tl.steps) if e["bssid"] != plan.plan[t]
         )
         buf = io.StringIO()
         count = export_preferences(crossover_trace, plan, "legacy", PromptConfig(), buf)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -29,14 +30,11 @@ from roamsim.policies import (
     OBJECTIVE_MIN_HO,
     RELAX_TO_ARGMAX,
     ExternalPolicy,
-    HeuristicPolicy,
-    LegacyPolicy,
     OracleConstraints,
     _finish_plan,
     _objective_key,
     _step_choices,
     brute_force_plan,
-    fixed_threshold_policy,
     heuristic_decide,
     legacy_decide,
     oracle_opt_ho,
@@ -127,16 +125,16 @@ class TestFixedThreshold:
     def test_triggers_where_rssi_below_constant(self):
         rows = [{MAC_A: -55.0, MAC_B: -58.0}, {MAC_A: -62.0, MAC_B: -58.0}]
         trace = make_trace(rows, assoc0=MAC_A)
-        policy = fixed_threshold_policy(-60.0)
+        decide = partial(legacy_decide, threshold=-60.0, source="fixed(-60)")
         state = AssociationState(associated=MAC_A, threshold=-10.0)  # ignored
-        assert policy.decide(win_of(trace, 0), state).action is Action.STAY
-        assert policy.decide(win_of(trace, 1), state).action is Action.ROAM
+        assert decide(win_of(trace, 0), state).action is Action.STAY
+        assert decide(win_of(trace, 1), state).action is Action.ROAM
 
     def test_minus_100_never_triggers(self):
         trace = generate_synthetic(band_synth(seed=8, duration=120))
-        tl = run_policy(trace, fixed_threshold_policy(-100.0).decide, validity_floor=-100.0)
+        tl = run_policy(trace, partial(legacy_decide, threshold=-100.0), validity_floor=-100.0)
         assert metrics_of(tl)["handovers"] == 0
-        assert all(s.decision.action is Action.STAY for s in tl.steps)
+        assert all(e["action"] == "stay" for e in tl.steps)
 
     def test_lower_threshold_triggers_less(self):
         trace = generate_synthetic(band_synth(seed=12, duration=300))
@@ -373,11 +371,11 @@ class TestPolicyPurity:
     @given(seed=st.integers(0, 500))
     def test_replays_are_bit_identical(self, seed):
         trace = generate_synthetic(band_synth(seed=seed, duration=60))
-        a = run_policy(trace, HeuristicPolicy(seed).decide)
-        b = run_policy(trace, HeuristicPolicy(seed).decide)
+        a = run_policy(trace, partial(heuristic_decide, seed=seed))
+        b = run_policy(trace, partial(heuristic_decide, seed=seed))
         assert a == b
-        la = run_policy(trace, LegacyPolicy().decide)
-        lb = run_policy(trace, LegacyPolicy().decide)
+        la = run_policy(trace, legacy_decide)
+        lb = run_policy(trace, legacy_decide)
         assert la == lb
 
 
@@ -428,7 +426,7 @@ class TestExternalAdapter:
         url = f"http://127.0.0.1:{stub_server.server_address[1]}/decide"
         trace = generate_synthetic(band_synth(seed=22, duration=80))
         ext = run_policy(trace, ExternalPolicy(url).decide, validity_floor=-100.0)
-        leg = run_policy(trace, LegacyPolicy().decide, validity_floor=-100.0)
+        leg = run_policy(trace, legacy_decide, validity_floor=-100.0)
         assert timeline_signature(ext) == timeline_signature(leg)
 
     def test_unreachable_endpoint_degrades_to_stay(self):
@@ -438,12 +436,12 @@ class TestExternalAdapter:
                 {MAC_A: -75.0, MAC_B: -65.0}, {MAC_A: -71.0, MAC_C: -50.0}]
         trace = make_trace(rows, assoc0=MAC_A)
         tl = run_policy(trace, policy.decide, validity_floor=-100.0)
-        assert all(s.decision.action is Action.STAY for s in tl.steps)
-        faults = sum(1 for s in tl.steps if s.decision.fault)
+        assert all(e["action"] == "stay" for e in tl.steps)
+        faults = sum(1 for e in tl.steps if e["fault"])
         from roamsim.roaming import rssi_of
 
         expected_triggers = 0
-        assoc = tl.steps[0].bssid
+        assoc = tl.steps[0]["bssid"]
         for s in trace.samples:  # association never changes in this run
             if should_scan(rssi_of(s, assoc), -70.0):
                 expected_triggers += 1
@@ -466,8 +464,8 @@ class TestExternalAdapter:
                 {MAC_A: -75.0, MAC_B: -65.0}]
         trace = make_trace(rows, assoc0=MAC_A)
         tl = run_policy(trace, ExternalPolicy(url).decide, validity_floor=-100.0)
-        assert all(s.decision.action is Action.STAY for s in tl.steps)
-        assert [s.decision.fault for s in tl.steps] == [True, False, True]
+        assert all(e["action"] == "stay" for e in tl.steps)
+        assert [e["fault"] for e in tl.steps] == [True, False, True]
 
     @settings(max_examples=200, deadline=None)
     @given(body=json_values)
