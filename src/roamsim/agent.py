@@ -30,9 +30,11 @@ from __future__ import annotations
 import logging
 import random
 import re
+import string
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
+from .errors import ConfigError
 from .policies import legacy_decide
 from .roaming import (
     AssociationState,
@@ -132,8 +134,30 @@ DEFAULT_TEMPLATE: dict[str, str] = {
 }
 
 
+# The template blocks that are str.format()ted, with the fields each gets;
+# window.header and instruction.* are emitted as they are.
+_TEMPLATE_FIELDS = {
+    "preamble.ap_select": {"associated", "threshold"},
+    "preamble.threshold": {"associated", "threshold"},
+    "shot": {"index", "window", "reasoning", "answer"},
+    "row": {"t", "context", "aps"},
+}
+
+
+def _format_fields(text: str):
+    """(field, conversion) of each replacement field, nested ones included."""
+    for _, field, spec, conversion in string.Formatter().parse(text):
+        if field is not None:
+            yield field, conversion
+            yield from _format_fields(spec or "")
+
+
 def load_template(path) -> dict[str, str]:
-    """Read a template override file: [section] headers, literal bodies."""
+    """Read a template override file: [section] headers, literal bodies.
+
+    ConfigError when a formatted block names a field it is not given, or
+    has a lone brace; `{{` and `}}` stand for literal braces there.
+    """
     sections = dict(DEFAULT_TEMPLATE)
     name = None
     body: list[str] = []
@@ -148,6 +172,15 @@ def load_template(path) -> dict[str, str]:
                 body.append(line)
     if name is not None:
         sections[name] = "".join(body)
+    for name, allowed in _TEMPLATE_FIELDS.items():
+        try:
+            bad = [f + (f"!{c}" if c else "") for f, c in _format_fields(sections[name])
+                   if f not in allowed or c not in (None, "r", "s", "a")]
+        except ValueError as exc:  # a lone brace
+            raise ConfigError(f"template {path}: [{name}]: {exc}") from None
+        if bad:
+            raise ConfigError(f"template {path}: [{name}] names {{{bad[0]}}}, "
+                              f"but its fields are {', '.join(sorted(allowed))}")
     return sections
 
 

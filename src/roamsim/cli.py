@@ -87,9 +87,12 @@ def _load_ini(path: str | None) -> dict[str, dict[str, str]]:
     if not path:
         return {}
     cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise ConfigError(f"cannot read config file {path!r}")
-    return {section: dict(cp.items(section)) for section in cp.sections()}
+    try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        return {section: dict(cp.items(section)) for section in cp.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path!r}: {exc}") from None
 
 
 def _pick(flag, ini: dict, section: str, key: str, default=None, cast=None):
@@ -478,7 +481,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory where a file goes, ...
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -74,6 +74,8 @@ class EndpointConfig:
             raise ValueError("timeout_ms must be positive and finite")
         if not 0 <= self.temperature < math.inf:
             raise ValueError("temperature must be finite and >= 0")
+        if isinstance(self.max_tokens, bool) or not 0 < self.max_tokens < math.inf:
+            raise ValueError("max_tokens must be positive and finite")
         if not self.max_retries >= 0:
             raise ValueError("max_retries must be >= 0")
         if not 0 <= self.backoff_ms < math.inf:

@@ -2,11 +2,10 @@
 
 A run replays a trace step by step: the policy looks at a context window
 and the current association state, emits a decision (stay or roam to a
-BSSID), and the state machine applies it. Applying a decision yields the
-step's decision-log entry, the dict a run report stores; the headline
-metrics (handover count, average RSSI, error rate) are computed from
-those entries by `runner.recompute_metrics`. The scan threshold is not a
-per-step decision: the threshold task retunes it before a step, through
+BSSID), and the state machine applies it, yielding the step's entry in
+the report's decision log; `runner.recompute_metrics` computes the
+headline metrics (handover count, average RSSI, error rate) from those
+entries. The threshold task retunes the scan threshold through
 run_policy's `pre_decide` hook.
 
 Validity rule: a roam target must be present in the current scan with
@@ -101,13 +100,11 @@ def should_scan(current_rssi: float, threshold: float) -> bool:
     return current_rssi < threshold
 
 
-def hysteresis_margin(state: AssociationState) -> float:
-    return state.hysteresis_active if state.activity == ACTIVITY_ACTIVE else state.hysteresis_idle
-
-
 def passes_hysteresis(candidate_rssi: float, current_rssi: float, state: AssociationState) -> bool:
     """True when the candidate beats the current link by the activity margin."""
-    return candidate_rssi - current_rssi >= hysteresis_margin(state)
+    active = state.activity == ACTIVITY_ACTIVE
+    margin = state.hysteresis_active if active else state.hysteresis_idle
+    return candidate_rssi - current_rssi >= margin
 
 
 def rssi_of(sample: ScanSample, bssid: str | None) -> float:

@@ -110,7 +110,10 @@ class ExperimentConfig:
 
 @dataclass
 class RunReport:
-    """One run's config echo, metrics, latency summary, and decision log."""
+    """One run's config echo, metrics, latency summary, and decision log.
+
+    The fields are declared in the order a report lists its keys.
+    """
 
     config: dict
     scenario: str
@@ -118,28 +121,15 @@ class RunReport:
     policy: str
     trace_hash: str
     seedprint: str
+    axis: dict | None = field(default=None, kw_only=True)  # set by sweep
     metrics: dict
     latency: dict
     decision_log: list
     threshold_log: list
     wall_clock_ms: float
-    axis: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "scenario": self.scenario,
-            "task": self.task,
-            "policy": self.policy,
-            "trace_hash": self.trace_hash,
-            "seedprint": self.seedprint,
-            "axis": self.axis,
-            "metrics": self.metrics,
-            "latency": self.latency,
-            "decision_log": self.decision_log,
-            "threshold_log": self.threshold_log,
-            "wall_clock_ms": self.wall_clock_ms,
-        }
+        return dict(vars(self))
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -220,15 +210,6 @@ def _jsonable(value):
     return value
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return _jsonable(asdict(cfg))
-
-
-def _seedprint(config_dict: dict, trace_hash: str) -> str:
-    blob = json.dumps(config_dict, sort_keys=True) + trace_hash
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 def recompute_metrics(decision_log: list[dict]) -> dict:
     """Headline metrics of a decision log: what reports store and verify_report rechecks.
 
@@ -255,12 +236,7 @@ def verify_report(report: dict | RunReport) -> bool:
     """True when the report's metrics match a recomputation from its log."""
     d = report.to_dict() if isinstance(report, RunReport) else report
     rec = recompute_metrics(d["decision_log"])
-    m = d["metrics"]
-    return (
-        rec["handovers"] == m["handovers"]
-        and rec["avg_rssi_dbm"] == m["avg_rssi_dbm"]
-        and rec["error_rate"] == m["error_rate"]
-    )
+    return all(d["metrics"][k] == v for k, v in rec.items())
 
 
 def strip_volatile(report_dict: dict) -> dict:
@@ -409,15 +385,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             [e["bssid"] for e in timeline.steps], ref
         )
 
-    config_dict = config_to_dict(cfg)
+    config_dict = _jsonable(asdict(cfg))
     trace_hash = trace_content_hash(eval_trace)
+    seed_blob = json.dumps(config_dict, sort_keys=True) + trace_hash
     report = RunReport(
         config=config_dict,
         scenario=scenario,
         task=cfg.task,
         policy=run.label,
         trace_hash=trace_hash,
-        seedprint=_seedprint(config_dict, trace_hash),
+        seedprint=hashlib.sha256(seed_blob.encode("utf-8")).hexdigest()[:16],
         metrics=metrics,
         latency=latency,
         decision_log=timeline.steps,

@@ -26,6 +26,7 @@ from roamsim.agent import (
     render_window_block,
     threshold_schedule_step,
 )
+from roamsim.errors import ConfigError
 from roamsim.gateway import MockClient, MockRule
 from roamsim.policies import OracleConstraints, legacy_decide, oracle_opt_ho
 from roamsim.roaming import Action, AssociationState
@@ -131,6 +132,43 @@ class TestBuildPrompt:
         text = build_prompt(simple_window(), state_at(), PromptConfig(), template=tpl)
         assert text.startswith("PICK AN AP")
         assert "ROW 0:" in text
+
+    # Each of these once raised out of build_prompt when the block was formatted.
+    @pytest.mark.parametrize("section, body, shown", [
+        ("row", "ROW {t} {bogus}", "{bogus}"),
+        ("row", "ROW {0}", "{0}"),
+        ("row", "ROW {}", "{}"),
+        ("preamble.ap_select", "AT {associated.x}", "{associated.x}"),
+        ("preamble.threshold", "AT {threshold[0]}", "{threshold[0]}"),
+        ("shot", "{index:{width}}", "{width}"),
+        ("shot", "{answer!z}", "{answer!z}"),
+        ("row", "ROW } {t}", "Single '}'"),
+    ], ids=["unknown", "positional", "empty", "attribute", "index", "nested", "conversion",
+            "lone-brace"])
+    def test_template_field_errors_name_file_section_and_field(
+        self, tmp_path, section, body, shown
+    ):
+        path = tmp_path / "tpl.txt"
+        path.write_text(f"[{section}]\n{body}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_template(path)
+        message = str(exc.value)
+        assert str(path) in message and f"[{section}]" in message and shown in message
+
+    def test_literal_braces_still_load(self, tmp_path):
+        path = tmp_path / "tpl.txt"
+        path.write_text(
+            "[preamble.ap_select]\nPICK {{one}} ({associated})\n"
+            "[row]\n{{ {t!r}: {aps:>4}{context} }}\n"
+            "[window.header]\nlog {raw\n"
+            "[instruction.ap_select.cot]\nReply as {\"bssid\": ...} }\n",
+            encoding="utf-8",
+        )
+        text = build_prompt(simple_window(), state_at(), PromptConfig(),
+                            template=load_template(path))
+        assert text.startswith("PICK {one} (")
+        assert "{ 0: " in text and "log {raw\n" in text
+        assert text.endswith('Reply as {"bssid": ...} }\n')
 
 
 def _window_steps(kind: str, T: int) -> list[int]:

@@ -151,6 +151,17 @@ class TestSimulate:
                    "--mock", "argmax", "--template", str(tpl)])
         assert rc == 0
 
+    def test_template_with_unknown_field_exits_1(self, trace_file, tmp_path, capsys):
+        tpl = tmp_path / "tpl.txt"
+        tpl.write_text("[row]\nROW {bogus}\n", encoding="utf-8")
+        rc = main(["export", "--trace", str(trace_file), "--kind", "sft",
+                   "--template", str(tpl), "-o", str(tmp_path / "sft.jsonl")])
+        assert rc == 1
+        rc = main(["simulate", "--trace", str(trace_file), "--policy", "llm",
+                   "--mock", "argmax", "--template", str(tpl)])
+        assert rc == 1
+        assert capsys.readouterr().err.count("config error: template") == 2
+
     def test_config_file_with_flag_override(self, trace_file, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text(
@@ -164,6 +175,50 @@ class TestSimulate:
         # flag overrides the config's policy
         assert main(["simulate", "--config", str(ini), "--policy", "legacy"]) == 0
         assert "legacy" in capsys.readouterr().out
+
+
+def _no_header_ini(tmp_path, trace_file):
+    path = tmp_path / "run.ini"
+    path.write_text(f"file = {trace_file}\n", encoding="utf-8")
+    return ["simulate", "--config", str(path), "--policy", "legacy"]
+
+
+def _duplicate_section_ini(tmp_path, trace_file):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[trace]\nfile = {trace_file}\n[trace]\nsynth_aps = 2\n",
+                    encoding="utf-8")
+    return ["simulate", "--config", str(path), "--policy", "legacy"]
+
+
+def _bad_interpolation_ini(tmp_path, trace_file):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[trace]\nfile = {trace_file}\n[output]\ndir = runs%\n",
+                    encoding="utf-8")
+    return ["simulate", "--config", str(path), "--policy", "legacy"]
+
+
+def _out_is_a_file(tmp_path, trace_file):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    return ["simulate", "--trace", str(trace_file), "--policy", "legacy", "--out", str(taken)]
+
+
+# Each of these ended in a traceback: the OS refusing a path is a data error,
+# an INI file configparser refuses is a config error.
+@pytest.mark.parametrize("argv, code", [
+    (lambda tmp, tf: ["simulate", "--trace", str(tmp), "--policy", "legacy"], 2),
+    (lambda tmp, tf: ["oracle", "--trace", str(tmp), "--objective", "min-ho"], 2),
+    (lambda tmp, tf: ["compare", str(tmp), str(tmp)], 2),
+    (_out_is_a_file, 2),
+    (_no_header_ini, 1),
+    (_duplicate_section_ini, 1),
+    (_bad_interpolation_ini, 1),
+], ids=["trace-directory", "oracle-trace-directory", "compare-directory", "out-is-a-file",
+        "ini-no-section-header", "ini-duplicate-section", "ini-bad-interpolation"])
+def test_refused_path_or_ini_exits_with_its_code(tmp_path, trace_file, capsys, argv, code):
+    assert main(argv(tmp_path, trace_file)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("data error:" if code == 2 else "config error: config file")
 
 
 class TestOracleExport:

@@ -256,8 +256,12 @@ class TestHttpClient:
     # Each of these once reached the transport: a NaN or infinite temperature
     # failed every attempt with nothing sent, max_retries=-1 made no attempt,
     # and a negative backoff or an infinite timeout raised out of complete().
+    # A NaN max_tokens also failed every attempt; zero, negative and boolean
+    # ones were sent.
     @pytest.mark.parametrize("field, value", [
         ("temperature", math.nan), ("temperature", math.inf), ("temperature", -0.5),
+        ("max_tokens", math.nan), ("max_tokens", math.inf), ("max_tokens", 0),
+        ("max_tokens", -5), ("max_tokens", True),
         ("timeout_ms", math.nan), ("timeout_ms", math.inf), ("timeout_ms", -1.0),
         ("max_retries", -1),
         ("backoff_ms", -1.0), ("backoff_ms", math.nan), ("backoff_ms", math.inf),

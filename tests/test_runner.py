@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib.util
 import json
 import os
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -15,7 +17,8 @@ from conftest import MAC_A, MAC_B, band_synth, make_trace
 from roamsim.agent import PromptConfig
 from roamsim.errors import ConfigError, DataError, EndpointError
 from roamsim.gateway import EndpointConfig, JsonConnection, MockRule, prompt_argmax_bssid
-from roamsim.roaming import initial_association, rssi_of, should_scan
+from roamsim.policies import legacy_decide
+from roamsim.roaming import initial_association, rssi_of, run_policy, should_scan
 from roamsim.runner import (
     ExperimentConfig,
     PolicySpec,
@@ -566,3 +569,25 @@ def test_bad_synth_config_is_a_config_error(synth, policy):
     cfg = ExperimentConfig(policy=policy, synth=synth, scan_rssi=-50.0)
     with pytest.raises(ConfigError):
         run_experiment(cfg)
+
+
+# perfbench/tests cannot run in the same pytest session as this suite (their
+# conftest modules clash), so this is where renaming a traced function fails.
+def test_benchmark_trace_points_resolve(monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_module)  # dataclasses looks it up
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    assert tracer.missing == set()
+    cfg = cfg_for(PolicySpec(kind="legacy"), duration=40)
+    tracer.install()
+    try:
+        report = run_experiment(cfg)
+    finally:
+        tracer.uninstall()
+    trace = generate_synthetic(cfg.synth)
+    assert len(run_policy(trace, legacy_decide).steps) == len(trace.samples)
+    spans = [s for s in tracer.spans if s.name == "roaming.run_policy"]
+    assert [s.data for s in spans] == [len(trace.samples)] == [len(report.decision_log)]
