@@ -19,10 +19,15 @@ as invalid and replaced by the legacy decision, so the agent always
 yields a usable decision and every bad pick is attributable in the
 error-rate metric.
 
+The threshold task's scheduler returns the run's threshold-log entry
+({"t", "value", "valid", "fault"}) when an adjustment is due; the runner
+appends it and sets the scan threshold to its value.
+
 Templates are override-able: a template file is plain text with
 [section] headers for preamble.ap_select, preamble.threshold, shot, row,
 and instruction.<task>.<style> blocks, each using the same named
-placeholders as the defaults.
+placeholders as the defaults. Loading checks the placeholders of the
+formatted blocks, so a bad one is a ConfigError, not a failed prompt.
 """
 
 from __future__ import annotations
@@ -153,11 +158,7 @@ def _format_fields(text: str):
 
 
 def load_template(path) -> dict[str, str]:
-    """Read a template override file: [section] headers, literal bodies.
-
-    ConfigError when a formatted block names a field it is not given, or
-    has a lone brace; `{{` and `}}` stand for literal braces there.
-    """
+    """Read a template override file: [section] headers, literal bodies."""
     sections = dict(DEFAULT_TEMPLATE)
     name = None
     body: list[str] = []

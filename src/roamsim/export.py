@@ -90,10 +90,7 @@ def export_sft(
 def _rejected_sequence(trace: Trace, source: str, seed: int, scan_rssi: float) -> list[str | None]:
     """Per-step rejected label: the named policy's association, or the runner-up AP."""
     if source == REJECTED_SECOND_BEST:
-        out = []
-        for s in trace.samples:
-            out.append(s.bssids[1] if len(s.bssids) > 1 else None)
-        return out
+        return [s.bssids[1] if len(s.bssids) > 1 else None for s in trace.samples]
     if source == REJECTED_LEGACY:
         decide = legacy_decide
     elif source == REJECTED_HEURISTIC:

@@ -63,10 +63,9 @@ class AssociationState:
 class PolicyDecision:
     """One policy output: what to do, who said so, and whether it held up.
 
-    `valid` is None until apply_decision resolves it into the step's log
-    entry; a policy that already knows its pick failed (and substituted a
-    fallback action) sets it to False up front. `fault` marks
-    transport-level failures.
+    `valid` is None until apply_decision resolves it into the log entry; a
+    policy that already knows its pick failed (and substituted a fallback
+    action) sets it to False up front. `fault` marks transport failures.
     """
 
     action: Action
@@ -86,11 +85,8 @@ class PolicyDecision:
 
 @dataclass(frozen=True)
 class RunTimeline:
-    """A run's decision-log entries, one dict per step (see apply_decision).
-
-    A class rather than a bare list because perfbench's tracer counts a
-    run's steps as `len(run_policy(...).steps)`.
-    """
+    """A run's decision-log entries, one dict per step (see apply_decision);
+    a class because perfbench's tracer counts `len(run_policy(...).steps)`."""
 
     steps: list[dict]
 
