@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import threading
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 import roamsim
-from roamsim.cli import main
+from roamsim.cli import _experiment_config, build_parser, main
+from roamsim.runner import _jsonable
 
 
 @pytest.fixture
@@ -390,3 +393,113 @@ def test_import_loads_no_http_library():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.strip() == "[]"
+
+
+# Argv and INI cases that between them give every simulate/sweep setting at
+# least once by flag and once by INI key, plus flags over INI keys. Paths are
+# relative to a temporary working directory, so the digests hold anywhere.
+CONFIG_INI = {
+    "synth.ini": (
+        "[trace]\nsynth_aps = 3\nsynth_duration = 60\nsynth_seed = 8\n"
+        "synth_base = -57,-66,-79\nsynth_stddev = 1.5\nsynth_floor = -92\nsynth_ceil = -33\n"
+        "[task]\ntask = threshold\nscan_rssi = -68\nhysteresis = standard-80211\n"
+        "validity_floor = -74\nwindow_k = 6\ninterval = 25\nscore_against = opt_ho\n"
+        "[policy]\npolicy = llm\nseed = 11\nfixed_dbm = -64\nexternal_url = http://127.0.0.1:9/x\n"
+        "[llm]\nmock = scripted:replies.txt\nmock_delay_ms = 0.5\nstyle = plain\nshots = 2\n"
+        "context = battery\ntemplate = tpl.txt\n"
+        "[output]\ndir = ini-runs\n"
+    ),
+    "endpoint.ini": (
+        "[trace]\nfile = walk.jsonl\nsynth_base = -61\n"
+        "[policy]\npolicy = llm\n"
+        "[llm]\nbase_url = http://127.0.0.1:9/v1\nmodel = tiny\ncontext = none\n"
+    ),
+    "default.ini": "[DEFAULT]\nseed = 3\n[policy]\npolicy = heuristic\n[trace]\nfile = walk.jsonl\n",
+}
+
+CONFIG_CASES = {
+    "flags-synth-mock": [
+        "simulate", "--synth-aps", "3", "--synth-duration", "50", "--synth-seed", "4",
+        "--synth-base=-58,-68,-76", "--synth-stddev", "2.5", "--synth-floor", "-90",
+        "--synth-ceil", "-35", "--task", "threshold", "--policy", "llm", "--seed", "7",
+        "--mock", "fixed:-65", "--mock-delay-ms", "1.5", "--scan-rssi", "-72",
+        "--hysteresis", "standard-80211", "--validity-floor", "-75", "--window-k", "4",
+        "--interval", "20", "--style", "plain", "--shots", "1", "--context", "battery,time",
+        "--template", "tpl.txt", "--score-against", "opt_rssi", "--out", "runs",
+    ],
+    "flags-trace-endpoint": [
+        "simulate", "--trace", "walk.jsonl", "--policy", "llm", "--endpoint-url",
+        "http://127.0.0.1:9/v1", "--model", "tiny", "--fixed-dbm", "-66",
+        "--external-url", "http://127.0.0.1:9/decide", "-k", "5", "--context", "none",
+    ],
+    "flags-fixed": ["simulate", "--trace", "walk.jsonl", "--policy", "fixed",
+                    "--fixed-dbm", "-67", "--synth-base", "-62"],
+    "flags-mock-constant": ["simulate", "--trace", "walk.jsonl", "--policy", "llm",
+                            "--mock", "constant:ANSWER: x; y"],
+    "flags-minimal": ["simulate", "--trace", "walk.jsonl", "--policy", "legacy"],
+    "flags-sweep": ["sweep", "--trace", "walk.jsonl", "--policy", "opt-ho",
+                    "--axis", "threshold", "--values", "-60"],
+    "ini-synth-mock": ["simulate", "--config", "synth.ini"],
+    "ini-endpoint": ["sweep", "--config", "endpoint.ini", "--axis", "shots"],
+    "ini-default-section": ["simulate", "--config", "default.ini"],
+    "flags-over-ini": [
+        "simulate", "--config", "synth.ini", "--task", "ap_select", "--policy", "llm",
+        "--mock", "fail-after:3", "--synth-aps", "2", "--synth-base", "-59", "--window-k",
+        "3", "--scan-rssi", "-75", "--style", "cot", "--context", "location,time",
+        "--seed", "2", "--out", "flag-runs", "--interval", "40",
+    ],
+}
+
+CONFIG_GOLDEN = {
+    "flags-synth-mock": "fe15bc3da0e3dfb09d8dca62f2d153d2addb223e55e854f8373a46ca50f9d321",
+    "flags-trace-endpoint": "aef6bb5ce94c24ca47a4d65f2787ebfeb4eddef75989174705ff28ba8841d0b9",
+    "flags-fixed": "1112e1dd3ce081b55c09c7509715ed8ac4ccc007614ac287ed3cf72bd502c991",
+    "flags-mock-constant": "7f889961c1eff73f5ef517a09deb0985ae58ecd11ba12281bab280e9f73cb8c2",
+    "flags-minimal": "a95f13df5d39f2671493902f8a60235b6d58bd4cc6c16ce40ae89050ab90dd4e",
+    "flags-sweep": "f01b8f04aa6b082c4e14fd8fb6c45c3b193765dba65f6f2acf26d6119fd7329d",
+    "ini-synth-mock": "d00ac544ee3e5ef1b53562f3e3ff8250e67b4a757df2db6b9e4a5ad17207f186",
+    "ini-endpoint": "7843a7224b2bb82d4959400ba3ad2c187e992d92af464116305f19d7355ea888",
+    "ini-default-section": "26010e732e64a39afc9bb191bf33ede2df82c477a92d644972a853cbf8aef20b",
+    "flags-over-ini": "0f67a57830c003a2c91b89013e36166db49e74944304397ddcb27e7a6f012535",
+}
+
+
+@pytest.fixture
+def config_cwd(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ROAMSIM_LLM_BASE_URL", raising=False)
+    monkeypatch.delenv("ROAMSIM_LLM_MODEL", raising=False)
+    for name, text in CONFIG_INI.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "replies.txt").write_text("ANSWER: -70\nANSWER: -60\n", encoding="utf-8")
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", list(CONFIG_CASES))
+def test_golden_experiment_config(config_cwd, case):
+    args = build_parser().parse_args(CONFIG_CASES[case])
+    echo = json.dumps(_jsonable(asdict(_experiment_config(args))), sort_keys=True)
+    assert hashlib.sha256(echo.encode("utf-8")).hexdigest() == CONFIG_GOLDEN[case]
+
+
+# What gen-trace, oracle and export write when every optional flag is left out.
+DEFAULT_OUTPUT_GOLDEN = {
+    "walk.jsonl": "459045fdf769a2a6c922b3f4b7c39b9bf9de880682f25841c917d939ae8b8f49",
+    "plan.json": "8678a59a262948c469bd548c35656945718437de517c43cf7a095a35c4b66b14",
+    "sft.jsonl": "fe2d302769211a96ed07a9495b3b632d4399e0d48f198099286e7c5df688ea98",
+    "prefs.jsonl": "cfe5f6a02c139a305da97771d141d37f057833bc8e131baa8c8cc44ec8d497ee",
+}
+
+
+def test_golden_default_flag_outputs(config_cwd):
+    argvs = [
+        ["gen-trace", "-o", "walk.jsonl"],
+        ["oracle", "--trace", "walk.jsonl", "--objective", "min-ho", "-o", "plan.json"],
+        ["export", "--trace", "walk.jsonl", "--kind", "sft", "-o", "sft.jsonl"],
+        ["export", "--trace", "walk.jsonl", "--kind", "preferences", "-o", "prefs.jsonl"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0
+    digests = {name: hashlib.sha256((config_cwd / name).read_bytes()).hexdigest()
+               for name in DEFAULT_OUTPUT_GOLDEN}
+    assert digests == DEFAULT_OUTPUT_GOLDEN
