@@ -6,7 +6,8 @@ plot-data, bench-latency. Exit codes: 0 ok, 1 configuration error,
 
 simulate and sweep optionally read an INI config whose sections mirror
 the parameter grouping ([trace], [task], [policy], [llm], [output]);
-every command-line flag overrides its config key.
+every command-line flag overrides its config key, and a section or key
+the CLI does not know is refused.
 """
 
 from __future__ import annotations
@@ -17,10 +18,24 @@ import json
 import os
 import sys
 from contextlib import closing
+from dataclasses import replace
 
-from .agent import PromptConfig, load_template
+from .agent import (
+    STYLE_COT,
+    STYLE_PLAIN,
+    TASK_AP_SELECT,
+    TASK_THRESHOLD,
+    PromptConfig,
+    load_template,
+)
 from .errors import ConfigError, DataError, EndpointError
-from .export import export_preferences, export_sft
+from .export import (
+    REJECTED_HEURISTIC,
+    REJECTED_LEGACY,
+    REJECTED_SECOND_BEST,
+    export_preferences,
+    export_sft,
+)
 from .gateway import (
     EndpointConfig,
     HttpClient,
@@ -32,6 +47,7 @@ from .gateway import (
 from .policies import (
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
+    EMPTY_SET_ERROR,
     AssociationPlan,
     OracleConstraints,
     brute_force_plan,
@@ -49,6 +65,7 @@ from .runner import (
     run_experiment,
     sweep,
 )
+from .roaming import HYSTERESIS_PRESETS
 from .trace import SynthConfig, generate_synthetic, trace_to_jsonl
 
 
@@ -57,23 +74,28 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_objective(name: str) -> str:
-    return {"min-ho": OBJECTIVE_MIN_HO, "max-rssi": OBJECTIVE_MAX_RSSI}[name]
+_OBJECTIVES = {"min-ho": OBJECTIVE_MIN_HO, "max-rssi": OBJECTIVE_MAX_RSSI}
 
 
-def _parse_mock(spec: str, delay_ms: float) -> MockRule:
+def _parse_dbm(spec: str) -> float | tuple[float, ...]:
+    base = tuple(float(b) for b in spec.split(","))
+    return base[0] if len(base) == 1 else base
+
+
+def _parse_mock(spec: str, delay_ms: float | None = None) -> MockRule:
+    kw = {} if delay_ms is None else {"delay_ms": delay_ms}
     if spec == "argmax":
-        return MockRule.argmax_rssi(delay_ms=delay_ms)
+        return MockRule.argmax_rssi(**kw)
     kind, _, arg = spec.partition(":")
     if kind == "fixed":
-        return MockRule.fixed_threshold(float(arg), delay_ms=delay_ms)
+        return MockRule.fixed_threshold(float(arg), **kw)
     if kind == "constant":
-        return MockRule.constant_text(arg, delay_ms=delay_ms)
+        return MockRule.constant_text(arg, **kw)
     if kind == "fail-after":
-        return MockRule.fail_after(int(arg), delay_ms=delay_ms)
+        return MockRule.fail_after(int(arg), **kw)
     if kind == "scripted":
         with open(arg, encoding="utf-8") as fh:
-            return MockRule.scripted([ln.rstrip("\n") for ln in fh], delay_ms=delay_ms)
+            return MockRule.scripted([ln.rstrip("\n") for ln in fh], **kw)
     raise ConfigError(f"unknown mock spec {spec!r}")
 
 
@@ -83,6 +105,45 @@ def _parse_context(spec: str) -> frozenset[str]:
     return frozenset(part.strip() for part in spec.split(",") if part.strip())
 
 
+# Each simulate/sweep setting: its flags, its INI section and key, and its
+# add_argument keywords. An unset flag takes its INI key's value, cast by the
+# flag's type; a setting given nowhere keeps its config class default.
+_EXPERIMENT_SETTINGS = (
+    (("--trace",), "trace", "file", {"help": "trace file (.jsonl or .csv)"}),
+    (("--synth-aps",), "trace", "synth_aps",
+     {"type": int, "help": "generate a synthetic trace with N APs"}),
+    (("--synth-duration",), "trace", "synth_duration", {"type": int}),
+    (("--synth-seed",), "trace", "synth_seed", {"type": int}),
+    (("--synth-base",), "trace", "synth_base",
+     {"type": _parse_dbm, "help": "base dBm, single value or comma list per AP"}),
+    (("--synth-stddev",), "trace", "synth_stddev", {"type": float}),
+    (("--synth-floor",), "trace", "synth_floor", {"type": float}),
+    (("--synth-ceil",), "trace", "synth_ceil", {"type": float}),
+    (("--task",), "task", "task", {"choices": [TASK_AP_SELECT, TASK_THRESHOLD]}),
+    (("--policy",), "policy", "policy", {"choices": [k.replace("_", "-") for k in POLICIES]}),
+    (("--seed",), "policy", "seed", {"type": int}),
+    (("--fixed-dbm",), "policy", "fixed_dbm", {"type": float}),
+    (("--mock",), "llm", "mock",
+     {"help": "argmax | fixed:V | constant:TEXT | fail-after:N | scripted:FILE"}),
+    (("--mock-delay-ms",), "llm", "mock_delay_ms", {"type": float}),
+    (("--endpoint-url",), "llm", "base_url", {}),
+    (("--model",), "llm", "model", {}),
+    (("--external-url",), "policy", "external_url", {}),
+    (("--scan-rssi",), "task", "scan_rssi", {"type": float}),
+    (("--hysteresis",), "task", "hysteresis", {"choices": list(HYSTERESIS_PRESETS)}),
+    (("--validity-floor",), "task", "validity_floor", {"type": float}),
+    (("--window-k", "-k"), "task", "window_k", {"type": int}),
+    (("--interval",), "task", "interval", {"type": int}),
+    (("--style",), "llm", "style", {"choices": [STYLE_PLAIN, STYLE_COT]}),
+    (("--shots",), "llm", "shots", {"type": int}),
+    (("--context",), "llm", "context",
+     {"type": _parse_context, "help": "comma list of location,time,battery or 'none'"}),
+    (("--template",), "llm", "template", {"help": "prompt template override file"}),
+    (("--score-against",), "task", "score_against", {"choices": ["opt_ho", "opt_rssi"]}),
+    (("--out",), "output", "dir", {"help": "output directory for the report"}),
+)
+
+
 def _load_ini(path: str | None) -> dict[str, dict[str, str]]:
     if not path:
         return {}
@@ -90,122 +151,67 @@ def _load_ini(path: str | None) -> dict[str, dict[str, str]]:
     try:
         if not cp.read(path):
             raise ConfigError(f"cannot read config file {path!r}")
-        return {section: dict(cp.items(section)) for section in cp.sections()}
+        ini = {section: dict(cp.items(section)) for section in cp.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"config file {path!r}: {exc}") from None
+    known: dict[str, set[str]] = {}
+    for _, section, key, _ in _EXPERIMENT_SETTINGS:
+        known.setdefault(section, set()).add(key)
+    known[cp.default_section] = set().union(*known.values())  # a key some section knows
+    inherited = cp.defaults().keys()
+    for section, keys in {cp.default_section: inherited,
+                          **{sec: ini[sec].keys() - inherited for sec in ini}}.items():
+        if section not in known:
+            raise ConfigError(f"config file {path!r}: unknown section [{section}]")
+        if keys - known[section]:
+            key = min(keys - known[section])
+            raise ConfigError(f"config file {path!r}: unknown key {key!r} in [{section}]")
+    return ini
 
 
-def _pick(flag, ini: dict, section: str, key: str, default=None, cast=None):
-    if flag is not None:
-        return flag
-    raw = ini.get(section, {}).get(key)
-    if raw is None:
-        return default
-    return cast(raw) if cast else raw
-
-
-def _synth_from(args, ini) -> SynthConfig | None:
-    num_aps = _pick(args.synth_aps, ini, "trace", "synth_aps", cast=int)
-    if num_aps is None:
-        return None
-    bases = _pick(args.synth_base, ini, "trace", "synth_base", default="-60")
-    base = tuple(float(b) for b in str(bases).split(","))
-    return SynthConfig(
-        num_aps=num_aps,
-        duration=_pick(args.synth_duration, ini, "trace", "synth_duration", 300, int),
-        base_dbm=base[0] if len(base) == 1 else base,
-        step_stddev=_pick(args.synth_stddev, ini, "trace", "synth_stddev", 1.0, float),
-        floor_dbm=_pick(args.synth_floor, ini, "trace", "synth_floor", -95.0, float),
-        ceil_dbm=_pick(args.synth_ceil, ini, "trace", "synth_ceil", -30.0, float),
-        seed=_pick(args.synth_seed, ini, "trace", "synth_seed", 0, int),
-    )
+def _fields(given: dict, *names: str, **renamed: str) -> dict:
+    """Keyword arguments for the given (not None) settings: each by its name, or renamed."""
+    pairs = {**{name: name for name in names}, **renamed}
+    return {f: given[name] for f, name in pairs.items() if given.get(name) is not None}
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    ini = _load_ini(getattr(args, "config", None))
-    mock_spec = _pick(args.mock, ini, "llm", "mock")
-    delay = _pick(args.mock_delay_ms, ini, "llm", "mock_delay_ms", 0.0, float)
-    base_url = _pick(args.endpoint_url, ini, "llm", "base_url")
-    policy_kind = _pick(args.policy, ini, "policy", "policy")
-    if policy_kind is None:
+    ini = _load_ini(args.config)
+    s = {}  # each setting given by flag or INI key, under its flag's dest
+    for flags, section, key, kw in _EXPERIMENT_SETTINGS:
+        dest = flags[0][2:].replace("-", "_")
+        value = getattr(args, dest)
+        if value is None and key in ini.get(section, {}):
+            value = kw.get("type", str)(ini[section][key])
+        s[dest] = value
+    if s["policy"] is None:
         raise ConfigError("a policy is required (--policy or [policy] policy=...)")
-    policy_kind = policy_kind.replace("-", "_")
-
-    mock = _parse_mock(mock_spec, delay) if mock_spec else None
-    endpoint = None
-    if base_url and not mock:
-        endpoint = EndpointConfig.from_env(
-            base_url=base_url, model=_pick(args.model, ini, "llm", "model") or "local"
-        )
-
-    prompt = None
-    if policy_kind == "llm":
-        task = _pick(args.task, ini, "task", "task", "ap_select")
-        prompt = PromptConfig(
-            style=_pick(args.style, ini, "llm", "style", "cot"),
-            shots=_pick(args.shots, ini, "llm", "shots", 0, int),
-            context_fields=_parse_context(
-                _pick(args.context, ini, "llm", "context", "location,time")
-            ),
-            window_k=_pick(args.window_k, ini, "task", "window_k", 10, int),
-            task=task,
-        )
-
-    spec = PolicySpec(
-        kind=policy_kind,
-        seed=_pick(args.seed, ini, "policy", "seed", 0, int),
-        fixed_dbm=_pick(args.fixed_dbm, ini, "policy", "fixed_dbm", cast=float),
-        prompt=prompt,
-        mock=mock,
-        endpoint=endpoint,
-        external_url=_pick(args.external_url, ini, "policy", "external_url"),
-    )
-    return ExperimentConfig(
-        policy=spec,
-        trace_path=_pick(args.trace, ini, "trace", "file"),
-        synth=_synth_from(args, ini),
-        task=_pick(args.task, ini, "task", "task", "ap_select"),
-        scan_rssi=_pick(args.scan_rssi, ini, "task", "scan_rssi", -70.0, float),
-        hysteresis=_pick(args.hysteresis, ini, "task", "hysteresis", "off"),
-        validity_floor=_pick(args.validity_floor, ini, "task", "validity_floor", -70.0, float),
-        window_k=_pick(args.window_k, ini, "task", "window_k", 10, int),
-        interval=_pick(args.interval, ini, "task", "interval", cast=int),
-        score_against=_pick(args.score_against, ini, "task", "score_against"),
-        template_path=_pick(args.template, ini, "llm", "template"),
-        out_dir=_pick(args.out, ini, "output", "dir"),
-    )
+    kind = s["policy"].replace("-", "_")
+    mock = _parse_mock(s["mock"], s["mock_delay_ms"]) if s["mock"] else None
+    endpoint = (EndpointConfig.from_env(base_url=s["endpoint_url"], model=s["model"])
+                if s["endpoint_url"] and not mock else None)
+    prompt = (PromptConfig(**_fields(s, "style", "shots", "window_k", "task",
+                                     context_fields="context")) if kind == "llm" else None)
+    synth = None if s["synth_aps"] is None else SynthConfig(**_fields(
+        s, num_aps="synth_aps", duration="synth_duration", base_dbm="synth_base",
+        step_stddev="synth_stddev", floor_dbm="synth_floor", ceil_dbm="synth_ceil",
+        seed="synth_seed",
+    ))
+    spec = PolicySpec(kind, prompt=prompt, mock=mock, endpoint=endpoint,
+                      **_fields(s, "seed", "fixed_dbm", "external_url"))
+    return ExperimentConfig(spec, synth=synth, **_fields(
+        s, "task", "scan_rssi", "hysteresis", "validity_floor", "window_k", "interval",
+        "score_against", trace_path="trace", template_path="template", out_dir="out",
+    ))
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI config file; flags override its keys")
-    p.add_argument("--trace", help="trace file (.jsonl or .csv)")
-    p.add_argument("--synth-aps", type=int, help="generate a synthetic trace with N APs")
-    p.add_argument("--synth-duration", type=int)
-    p.add_argument("--synth-seed", type=int)
-    p.add_argument("--synth-base", help="base dBm, single value or comma list per AP")
-    p.add_argument("--synth-stddev", type=float)
-    p.add_argument("--synth-floor", type=float)
-    p.add_argument("--synth-ceil", type=float)
-    p.add_argument("--task", choices=["ap_select", "threshold"])
-    p.add_argument("--policy", choices=[k.replace("_", "-") for k in POLICIES])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--fixed-dbm", type=float)
-    p.add_argument("--mock", help="argmax | fixed:V | constant:TEXT | fail-after:N | scripted:FILE")
-    p.add_argument("--mock-delay-ms", type=float)
-    p.add_argument("--endpoint-url")
-    p.add_argument("--model")
-    p.add_argument("--external-url")
-    p.add_argument("--scan-rssi", type=float)
-    p.add_argument("--hysteresis", choices=["off", "standard-80211"])
-    p.add_argument("--validity-floor", type=float)
-    p.add_argument("--window-k", "-k", type=int, dest="window_k")
-    p.add_argument("--interval", type=int)
-    p.add_argument("--style", choices=["plain", "cot"])
-    p.add_argument("--shots", type=int)
-    p.add_argument("--context", help="comma list of location,time,battery or 'none'")
-    p.add_argument("--template", help="prompt template override file")
-    p.add_argument("--score-against", choices=["opt_ho", "opt_rssi"])
-    p.add_argument("--out", help="output directory for the report")
+def _add_experiment_flags(p: argparse.ArgumentParser, *only: str) -> None:
+    """Add --config and every setting's flags, or just the named long flags."""
+    if not only:
+        p.add_argument("--config", help="INI config file; flags override its keys")
+    for flags, _, _, kw in _EXPERIMENT_SETTINGS:
+        if not only or flags[0] in only:
+            p.add_argument(*(flags[:1] if only else flags), **kw)
 
 
 def build_parser() -> _Parser:
@@ -213,16 +219,16 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-trace", help="generate a synthetic trace as JSONL")
-    p.add_argument("--num-aps", type=int, default=4)
-    p.add_argument("--duration", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--base", default="-60", help="base dBm, single value or comma list")
-    p.add_argument("--stddev", type=float, default=1.0)
-    p.add_argument("--floor", type=float, default=-95.0)
-    p.add_argument("--ceil", type=float, default=-30.0)
+    p.add_argument("--num-aps", type=int)
+    p.add_argument("--duration", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--base", type=_parse_dbm, help="base dBm, single value or comma list")
+    p.add_argument("--stddev", type=float)
+    p.add_argument("--floor", type=float)
+    p.add_argument("--ceil", type=float)
     p.add_argument("--location", action="store_true", help="emit a location path")
     p.add_argument("--battery-drain", type=float, help="battery %% drained per step")
-    p.add_argument("--sample-interval", type=int, default=1)
+    p.add_argument("--sample-interval", type=int)
     p.add_argument("-o", "--out", help="output file (default: stdout)")
 
     p = sub.add_parser("simulate", help="run one policy over one trace")
@@ -230,26 +236,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="solve an optimal association plan")
     p.add_argument("--trace", required=True)
-    p.add_argument("--objective", choices=["min-ho", "max-rssi"], required=True)
-    p.add_argument("--floor", type=float, default=-70.0)
-    p.add_argument("--empty-rule", choices=["relax", "error"], default="relax")
+    p.add_argument("--objective", choices=list(_OBJECTIVES), required=True)
+    p.add_argument("--floor", type=float)
+    p.add_argument("--empty-rule", choices=["relax", "error"])
     p.add_argument("--brute-force", action="store_true", help="use the exhaustive solver")
     p.add_argument("-o", "--out", help="plan JSON output (default: stdout)")
 
     p = sub.add_parser("export", help="export a fine-tuning corpus from a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--kind", choices=["sft", "preferences"], required=True)
-    p.add_argument("--objective", choices=["min-ho", "max-rssi"], default="min-ho")
+    p.add_argument("--objective", choices=list(_OBJECTIVES), default="min-ho")
     p.add_argument("--plan", help="precomputed plan JSON (otherwise solved here)")
-    p.add_argument("--rejected", choices=["legacy", "heuristic", "second_best"],
-                   default="legacy")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--style", choices=["plain", "cot"], default="cot")
-    p.add_argument("--context", default="location,time")
-    p.add_argument("--window-k", type=int, default=10)
-    p.add_argument("--scan-rssi", type=float, default=-70.0)
-    p.add_argument("--floor", type=float, default=-70.0)
-    p.add_argument("--template", help="prompt template override file")
+    p.add_argument("--rejected", choices=[REJECTED_LEGACY, REJECTED_HEURISTIC,
+                                          REJECTED_SECOND_BEST], default=REJECTED_LEGACY)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--floor", type=float)
+    _add_experiment_flags(p, "--style", "--context", "--window-k", "--scan-rssi", "--template")
     p.add_argument("-o", "--out", required=True)
 
     p = sub.add_parser("sweep", help="run one policy across an axis of settings")
@@ -266,29 +268,18 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("bench-latency", help="probe an endpoint or mock N times")
-    p.add_argument("--endpoint-url")
-    p.add_argument("--model", default="local")
-    p.add_argument("--mock", help="mock spec instead of a live endpoint")
-    p.add_argument("--mock-delay-ms", type=float, default=0.0)
+    _add_experiment_flags(p, "--endpoint-url", "--model", "--mock", "--mock-delay-ms")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--prompt", default="t=0 | aps: AA:00:00:00:00:01=-60.0")
     return parser
 
 
 def _cmd_gen_trace(args) -> int:
-    base = tuple(float(b) for b in str(args.base).split(","))
-    cfg = SynthConfig(
-        num_aps=args.num_aps,
-        duration=args.duration,
-        base_dbm=base[0] if len(base) == 1 else base,
-        step_stddev=args.stddev,
-        floor_dbm=args.floor,
-        ceil_dbm=args.ceil,
-        emit_location=args.location,
-        battery_drain_pct_per_step=args.battery_drain,
-        sample_interval=args.sample_interval,
-        seed=args.seed,
-    )
+    cfg = SynthConfig(**_fields(
+        vars(args), "num_aps", "duration", "sample_interval", "seed", base_dbm="base",
+        step_stddev="stddev", floor_dbm="floor", ceil_dbm="ceil", emit_location="location",
+        battery_drain_pct_per_step="battery_drain",
+    ))
     try:
         text = trace_to_jsonl(generate_synthetic(cfg))
     except ValueError as exc:
@@ -342,13 +333,11 @@ def plan_from_dict(d: dict) -> AssociationPlan:
 
 def _cmd_oracle(args) -> int:
     trace = read_trace_file(args.trace)
-    constraints = OracleConstraints(
-        validity_floor=args.floor,
-        empty_feasible_set_rule="relax_to_argmax" if args.empty_rule == "relax" else "error",
-    )
-    objective = _parse_objective(args.objective)
+    constraints = OracleConstraints(**_fields(vars(args), validity_floor="floor"))
+    if args.empty_rule == "error":
+        constraints = replace(constraints, empty_feasible_set_rule=EMPTY_SET_ERROR)
     solver = brute_force_plan if args.brute_force else solve_plan
-    plan = solver(trace, objective, constraints)
+    plan = solver(trace, _OBJECTIVES[args.objective], constraints)
     text = json.dumps(plan_to_dict(plan), indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -365,25 +354,16 @@ def _cmd_export(args) -> int:
         with open(args.plan, encoding="utf-8") as fh:
             plan = plan_from_dict(json.load(fh))
     else:
-        plan = solve_plan(
-            trace, _parse_objective(args.objective), OracleConstraints(validity_floor=args.floor)
-        )
-    cfg = PromptConfig(
-        style=args.style,
-        shots=0,
-        context_fields=_parse_context(args.context),
-        window_k=args.window_k,
-        task="ap_select",
-    )
+        constraints = OracleConstraints(**_fields(vars(args), validity_floor="floor"))
+        plan = solve_plan(trace, _OBJECTIVES[args.objective], constraints)
+    cfg = PromptConfig(**_fields(vars(args), "style", "window_k", context_fields="context"))
     template = load_template(args.template) if args.template else None
     if args.kind == "sft":
-        count = export_sft(trace, plan, cfg, args.out, scan_rssi=args.scan_rssi,
-                           template=template)
+        count = export_sft(trace, plan, cfg, args.out, template=template,
+                           **_fields(vars(args), "scan_rssi"))
     else:
-        count = export_preferences(
-            trace, plan, args.rejected, cfg, args.out, seed=args.seed,
-            scan_rssi=args.scan_rssi, template=template,
-        )
+        count = export_preferences(trace, plan, args.rejected, cfg, args.out,
+                                   template=template, **_fields(vars(args), "seed", "scan_rssi"))
     print(f"wrote {count} records to {args.out}")
     return 0
 

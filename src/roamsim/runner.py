@@ -341,9 +341,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     full_trace, scenario = load_trace_source(cfg)
 
     spec = cfg.policy
-    prompt_cfg = spec.prompt or PromptConfig(task=cfg.task, window_k=cfg.window_k)
-    if prompt_cfg.task != cfg.task:
-        prompt_cfg = replace(prompt_cfg, task=cfg.task)
+    prompt_cfg = replace(spec.prompt or PromptConfig(), task=cfg.task, window_k=cfg.window_k)
     template = load_template(cfg.template_path) if cfg.template_path else None
 
     wants_shots = spec.kind == "llm" and prompt_cfg.shots > 0

@@ -224,6 +224,20 @@ def test_refused_path_or_ini_exits_with_its_code(tmp_path, trace_file, capsys, a
     assert err.startswith("data error:" if code == 2 else "config error: config file")
 
 
+@pytest.mark.parametrize("text, named", [
+    ("[task]\nscan_rsi = -50\n", "unknown key 'scan_rsi' in [task]"),
+    ("[trace]\nseed = 1\n", "unknown key 'seed' in [trace]"),
+    ("[tasks]\n", "unknown section [tasks]"),
+    ("[DEFAULT]\nbogus = 1\n[policy]\nseed = 1\n", "unknown key 'bogus' in [DEFAULT]"),
+], ids=["key-typo", "key-of-another-section", "section", "default-key"])
+def test_unknown_ini_name_exits_1(tmp_path, trace_file, capsys, text, named):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text, encoding="utf-8")
+    rc = main(["simulate", "--config", str(ini), "--trace", str(trace_file), "--policy", "legacy"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: config file {str(ini)!r}: {named}\n"
+
+
 class TestOracleExport:
     def test_oracle_plan_json(self, trace_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"

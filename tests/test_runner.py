@@ -16,7 +16,13 @@ import pytest
 from conftest import MAC_A, MAC_B, band_synth, make_trace
 from roamsim.agent import PromptConfig
 from roamsim.errors import ConfigError, DataError, EndpointError
-from roamsim.gateway import EndpointConfig, JsonConnection, MockRule, prompt_argmax_bssid
+from roamsim.gateway import (
+    EndpointConfig,
+    JsonConnection,
+    MockClient,
+    MockRule,
+    prompt_argmax_bssid,
+)
 from roamsim.policies import legacy_decide
 from roamsim.roaming import initial_association, rssi_of, run_policy, should_scan
 from roamsim.runner import (
@@ -143,6 +149,22 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.scenario.endswith(":test")
         assert len(report.decision_log) == 20  # evaluated on the 20% block
+
+    def test_worked_examples_take_the_run_window(self, monkeypatch):
+        # the run's window_k sizes the worked example as well as the live window
+        prompts = []
+        complete = MockClient.complete
+        monkeypatch.setattr(MockClient, "complete",
+                            lambda self, prompt: prompts.append(prompt) or complete(self, prompt))
+        spec = PolicySpec(kind="llm", mock=MockRule.argmax_rssi(), prompt=PromptConfig(shots=1))
+        run_experiment(cfg_for(spec, duration=100, window_k=3, scan_rssi=-30.0))  # scan each step
+        runs, rows = [], 0  # lengths of the runs of scan rows in the last prompt
+        for line in prompts[-1].splitlines() + [""]:
+            if line.startswith("t="):
+                rows += 1
+            elif rows:
+                runs, rows = runs + [rows], 0
+        assert runs == [3, 3]
 
     def test_report_write_and_read_roundtrip(self, tmp_path):
         cfg = cfg_for(PolicySpec(kind="legacy"), out_dir=str(tmp_path))
