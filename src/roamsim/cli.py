@@ -322,7 +322,13 @@ def plan_to_dict(plan: AssociationPlan) -> dict:
     }
 
 
-def plan_from_dict(d: dict) -> AssociationPlan:
+def plan_from_dict(d: dict, path: str) -> AssociationPlan:
+    """The plan that plan_to_dict wrote to `path`; anything else is a DataError."""
+    keys = {"plan", "objective", "objective_value", "handovers"}
+    if not (isinstance(d, dict) and keys <= d.keys() and isinstance(d["plan"], list)
+            and all(isinstance(b, str) for b in d["plan"])):
+        raise DataError(f"plan {path}: not an object with objective, objective_value, "
+                        "handovers and a plan list of BSSIDs")
     return AssociationPlan(
         plan=tuple(d["plan"]),
         objective=d["objective"],
@@ -352,7 +358,11 @@ def _cmd_export(args) -> int:
     trace = read_trace_file(args.trace)
     if args.plan:
         with open(args.plan, encoding="utf-8") as fh:
-            plan = plan_from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise DataError(f"plan {args.plan}: {exc}") from None
+        plan = plan_from_dict(d, args.plan)
     else:
         constraints = OracleConstraints(**_fields(vars(args), validity_floor="floor"))
         plan = solve_plan(trace, _OBJECTIVES[args.objective], constraints)
@@ -417,6 +427,8 @@ def _cmd_plot_data(args) -> int:
 
 
 def _cmd_bench_latency(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, not {args.n}")
     conn = JsonConnection()
     if args.mock:
         client = MockClient(_parse_mock(args.mock, args.mock_delay_ms))

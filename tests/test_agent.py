@@ -155,6 +155,30 @@ class TestBuildPrompt:
         message = str(exc.value)
         assert str(path) in message and f"[{section}]" in message and shown in message
 
+    @pytest.mark.parametrize("section, body, shown", [
+        ("row", "ROW {t} {aps:d}", "{aps:d}"),
+        ("row", "ROW {t:s}", "{t:s}"),
+        ("row", "ROW {t!r:d}", "{t!r:d}"),
+        ("preamble.threshold", "AT {threshold:.1f}", "{threshold:.1f}"),
+        ("shot", "{index:,}{answer:=5}", "{answer:=5}"),
+    ], ids=["str-as-int", "int-as-str", "repr-as-int", "str-as-float", "str-alignment"])
+    def test_template_format_spec_errors_name_file_section_and_spec(
+        self, tmp_path, section, body, shown
+    ):
+        path = tmp_path / "tpl.txt"
+        path.write_text(f"[{section}]\n{body}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_template(path)
+        assert str(exc.value).startswith(f"template {path}: [{section}] {shown}: ")
+
+    def test_format_specs_the_fields_take_load(self, tmp_path):
+        path = tmp_path / "tpl.txt"
+        path.write_text("[row]\nt={t:05d}{context:<2} | {aps!r:>8}\n"
+                        "[shot]\n{index:>{index}}: {answer:.3}\n", encoding="utf-8")
+        text = build_prompt(simple_window(), state_at(), PromptConfig(),
+                            template=load_template(path))
+        assert "t=00000" in text
+
     def test_literal_braces_still_load(self, tmp_path):
         path = tmp_path / "tpl.txt"
         path.write_text(

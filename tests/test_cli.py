@@ -10,6 +10,7 @@ import sys
 import threading
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +166,18 @@ class TestSimulate:
         assert rc == 1
         assert capsys.readouterr().err.count("config error: template") == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "export"])
+    def test_template_format_spec_its_field_refuses_exits_1(self, trace_file, tmp_path,
+                                                            capsys, command):
+        tpl = tmp_path / "tpl.txt"
+        tpl.write_text("[row]\nROW {t:>4} {aps:d}\n", encoding="utf-8")
+        argv = {"simulate": ["--policy", "llm", "--mock", "argmax"],
+                "export": ["--kind", "sft", "-o", str(tmp_path / "sft.jsonl")]}[command]
+        rc = main([command, "--trace", str(trace_file), "--template", str(tpl), *argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: template {tpl}: [row] {{aps:d}}: ")
+
     def test_config_file_with_flag_override(self, trace_file, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text(
@@ -267,6 +280,21 @@ class TestOracleExport:
         rc = main(["export", "--trace", str(trace_file), "--kind", "preferences",
                    "--rejected", "second_best", "-o", str(dpo)])
         assert rc == 0
+
+    @pytest.mark.parametrize("text", [
+        "{}",
+        "[]",
+        '{"plan": 5, "objective": "min_ho", "objective_value": 0, "handovers": 0}',
+        '{"plan": [1], "objective": "min_ho", "objective_value": 0, "handovers": 0}',
+        "{not json",
+    ], ids=["empty-object", "list", "plan-number", "plan-of-numbers", "not-json"])
+    def test_malformed_plan_is_a_data_error(self, trace_file, tmp_path, capsys, text):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(text, encoding="utf-8")
+        rc = main(["export", "--trace", str(trace_file), "--kind", "sft",
+                   "--plan", str(plan_path), "-o", str(tmp_path / "sft.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"data error: plan {plan_path}: ")
 
     def test_export_with_precomputed_plan(self, trace_file, tmp_path):
         plan_path = tmp_path / "plan.json"
@@ -395,6 +423,16 @@ class TestBenchLatency:
     def test_missing_target_exits_1(self):
         assert main(["bench-latency", "--n", "1"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--endpoint-url", "http://127.0.0.1:1", "--n", "0"],
+        ["--mock", "argmax", "--n", "-3"],
+    ], ids=["endpoint-zero", "mock-negative"])
+    def test_fewer_than_one_probe_exits_1(self, capsys, argv):
+        assert main(["bench-latency", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --n must be at least 1")
+        assert captured.out == ""
+
 
 def test_import_loads_no_http_library():
     # a fresh interpreter, so modules the test run imported do not count
@@ -407,6 +445,17 @@ def test_import_loads_no_http_library():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_ini_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text(example, encoding="utf-8")
+    assert main(["gen-trace", "-o", "walk.jsonl"]) == 0
+    assert main(["simulate", "--config", "run.ini"]) == 0
+    assert "policy=llm" in capsys.readouterr().out
+    assert (tmp_path / "runs" / "report_llm.json").exists()
 
 
 # Argv and INI cases that between them give every simulate/sweep setting at
