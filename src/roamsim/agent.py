@@ -182,7 +182,7 @@ def load_template(path) -> dict[str, str]:
         if bad:
             raise ConfigError(f"template {path}: [{name}] names {{{bad[0]}}}, "
                               f"but its fields are {', '.join(sorted(allowed))}")
-        samples = {f: 0 if f in ("t", "index") else "" for f in allowed}  # as rendered
+        samples = {f: 0 if f in ("t", "index") else "" for f in allowed}  # typed as rendered
         for _, f, spec, c in string.Formatter().parse(sections[name]):
             field = f"{{{f}{'!' + c if c else ''}:{spec}}}"
             try:

@@ -45,14 +45,15 @@ from .gateway import (
     latency_stats,
 )
 from .policies import (
+    EMPTY_SET_ERROR,
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
-    EMPTY_SET_ERROR,
     AssociationPlan,
     OracleConstraints,
     brute_force_plan,
     solve_plan,
 )
+from .roaming import HYSTERESIS_PRESETS
 from .runner import (
     ExperimentConfig,
     POLICIES,
@@ -65,7 +66,6 @@ from .runner import (
     run_experiment,
     sweep,
 )
-from .roaming import HYSTERESIS_PRESETS
 from .trace import SynthConfig, generate_synthetic, trace_to_jsonl
 
 
