@@ -28,7 +28,7 @@ from roamsim.roaming import (
     run_policy,
     should_scan,
 )
-from roamsim.trace import generate_synthetic
+from roamsim.trace import Trace, generate_synthetic
 
 
 class TestShouldScan:
@@ -243,3 +243,12 @@ class TestRunPolicy:
         )
         assert seen == ["idle", "idle"]
         assert len(tl.steps) == 2
+
+    def test_hysteresis_margin_follows_each_steps_activity(self):
+        # a candidate 10 dB stronger clears the active margin (8) but not the idle one (12)
+        trace = Trace(samples=(
+            make_sample(0, {MAC_A: -80.0, MAC_B: -70.0}, assoc=MAC_A, activity="active"),
+            make_sample(1, {MAC_B: -80.0, MAC_C: -70.0}, activity="idle"),
+        ))
+        tl = run_policy(trace, legacy_decide, hysteresis=(8.0, 12.0))
+        assert [(e["action"], e["bssid"]) for e in tl.steps] == [("roam", MAC_B), ("stay", MAC_B)]
