@@ -61,7 +61,6 @@ from .runner import (
 from .trace import (
     ApObservation,
     ContextWindow,
-    DeviceContext,
     ScanSample,
     SynthConfig,
     Trace,

@@ -194,17 +194,16 @@ def load_template(path) -> dict[str, str]:
 
 
 def _render_row(sample: ScanSample, fields: frozenset[str], template: dict[str, str]) -> str:
-    ctx = sample.context
     parts = []
     if "time" in fields:
-        clock = datetime.fromtimestamp(ctx.timestamp, tz=timezone.utc).strftime("%H:%M:%S")
+        clock = datetime.fromtimestamp(sample.timestamp, tz=timezone.utc).strftime("%H:%M:%S")
         parts.append(f" time={clock}")
-    if "location" in fields and ctx.latitude is not None and ctx.longitude is not None:
-        parts.append(f" lat={ctx.latitude!r} lon={ctx.longitude!r}")
-    if "battery" in fields and ctx.battery_pct is not None:
-        parts.append(f" battery={ctx.battery_pct:g}%")
+    if "location" in fields and sample.latitude is not None and sample.longitude is not None:
+        parts.append(f" lat={sample.latitude!r} lon={sample.longitude!r}")
+    if "battery" in fields and sample.battery_pct is not None:
+        parts.append(f" battery={sample.battery_pct:g}%")
     aps = " ".join([f"{b}={r!r}" for b, r in zip(sample.bssids, sample.rssis)])
-    return template["row"].format(t=ctx.timestamp, context="".join(parts), aps=aps)
+    return template["row"].format(t=sample.timestamp, context="".join(parts), aps=aps)
 
 
 def render_window_block(

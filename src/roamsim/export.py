@@ -36,10 +36,7 @@ def split_trace(trace: Trace, train_frac: float = 0.8) -> tuple[Trace, Trace]:
     if T < 2:
         raise DataError("cannot split a trace with fewer than 2 samples")
     cut = min(T - 1, max(1, round(T * train_frac)))
-    return (
-        Trace(samples=trace.samples[:cut], sample_interval=trace.sample_interval),
-        Trace(samples=trace.samples[cut:], sample_interval=trace.sample_interval),
-    )
+    return Trace(trace.samples[:cut]), Trace(trace.samples[cut:])
 
 
 def _step_prompt(

@@ -94,7 +94,7 @@ def heuristic_decide(window: ContextWindow, state: AssociationState, seed: int) 
     current = rssi_of(latest, state.associated)
     if not should_scan(current, state.threshold):
         return PolicyDecision.stay("heuristic")
-    rng = random.Random(f"{seed}:{latest.context.timestamp}")
+    rng = random.Random(f"{seed}:{latest.timestamp}")
     pick = latest.bssids[rng.randrange(len(latest.bssids))]
     return PolicyDecision.roam(pick, "heuristic")
 
@@ -118,7 +118,7 @@ def legacy_decide(
     best = strongest(latest)
     if best.bssid == state.associated:
         return PolicyDecision.stay(source)
-    if not passes_hysteresis(best.rssi, current, state):
+    if not passes_hysteresis(best.rssi, current, state, latest.activity):
         return PolicyDecision.stay(source)
     return PolicyDecision.roam(best.bssid, source)
 
@@ -129,10 +129,10 @@ class PlanPolicy:
     def __init__(self, trace: Trace, plan: AssociationPlan, name: str):
         self.plan = plan
         self.name = name
-        self._index = {s.context.timestamp: i for i, s in enumerate(trace.samples)}
+        self._index = {s.timestamp: i for i, s in enumerate(trace.samples)}
 
     def decide(self, window: ContextWindow, state: AssociationState) -> PolicyDecision:
-        target = self.plan.plan[self._index[window.latest.context.timestamp]]
+        target = self.plan.plan[self._index[window.latest.timestamp]]
         if target == state.associated:
             return PolicyDecision.stay(self.name)
         return PolicyDecision.roam(target, self.name)

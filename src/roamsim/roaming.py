@@ -8,6 +8,12 @@ headline metrics (handover count, average RSSI, error rate) from those
 entries. The threshold task retunes the scan threshold through
 run_policy's `pre_decide` hook.
 
+A scan sample is one flat record (see `trace.ScanSample`): a policy reads
+the latest sample's columns, timestamp and activity straight from the
+window. The state holds only what the replay changes or the run fixes:
+the association, the scan threshold and the two hysteresis margins. The
+margin that applies at a step is picked by that step's `activity`.
+
 Validity rule: a roam target must be present in the current scan with
 RSSI at or above the validity floor. Invalid roams never change the
 association (the device stays put) and are recorded so they feed the
@@ -54,7 +60,6 @@ class AssociationState:
 
     associated: str
     threshold: float = DEFAULT_SCAN_RSSI_DBM
-    activity: str = ACTIVITY_ACTIVE
     hysteresis_active: float = 0.0
     hysteresis_idle: float = 0.0
 
@@ -96,9 +101,11 @@ def should_scan(current_rssi: float, threshold: float) -> bool:
     return current_rssi < threshold
 
 
-def passes_hysteresis(candidate_rssi: float, current_rssi: float, state: AssociationState) -> bool:
-    """True when the candidate beats the current link by the activity margin."""
-    active = state.activity == ACTIVITY_ACTIVE
+def passes_hysteresis(
+    candidate_rssi: float, current_rssi: float, state: AssociationState, activity: str
+) -> bool:
+    """True when the candidate beats the current link by the margin for `activity`."""
+    active = activity == ACTIVITY_ACTIVE
     margin = state.hysteresis_active if active else state.hysteresis_idle
     return candidate_rssi - current_rssi >= margin
 
@@ -134,7 +141,7 @@ def apply_decision(
             new_state = replace(state, associated=decision.target)
         valid = valid and target_ok
     entry = {
-        "t": sample.context.timestamp,
+        "t": sample.timestamp,
         "bssid": new_state.associated,
         "rssi": rssi_of(sample, new_state.associated),
         "action": decision.action.value,
@@ -184,7 +191,6 @@ def run_policy(
     )
     steps: list[dict] = []
     for t, sample in enumerate(trace.samples):
-        state = replace(state, activity=sample.context.activity)
         win = window(trace, t, k)
         if pre_decide is not None:
             state = pre_decide(t, win, state)

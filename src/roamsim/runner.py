@@ -298,7 +298,7 @@ def _llm_policy(run: _Run) -> dict:
 
     def scheduler(t, win, state):
         entry = threshold_schedule_step(
-            win.latest.context.timestamp, log[-1]["t"] if log else None, interval, win,
+            win.latest.timestamp, log[-1]["t"] if log else None, interval, win,
             state, run.prompt, run.client, template=run.template, rows=run.rows,
         )
         if entry is None:

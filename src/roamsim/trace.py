@@ -1,8 +1,10 @@
 """Trace data model: scan samples, parsing, windowing, synthesis.
 
-A trace is an ordered sequence of scan samples. Each sample carries the
-device context (timestamp, optional location/battery, activity mode) and
-the observed APs as two parallel columns, `bssids` and `rssis`. Scans are
+A trace is an ordered sequence of scan samples. Each sample is one flat
+record: its timestamp, the observed APs as two parallel columns, `bssids`
+and `rssis`, the recorded association if any, and the device context the
+prompts can show (optional latitude, longitude and battery, and the
+activity mode that picks the hysteresis margin). Scans are
 normalized on ingest: MAC addresses canonicalized to uppercase colon-hex
 and the columns sorted by descending RSSI (ties by BSSID), so downstream
 argmax/tie-break logic is order-independent. The hot paths read the
@@ -33,7 +35,6 @@ import io
 import json
 import random
 import re
-from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
@@ -72,19 +73,8 @@ class ApObservation(NamedTuple):
 
 
 @dataclass(frozen=True)
-class DeviceContext:
-    """Device-side context recorded alongside a scan."""
-
-    timestamp: int
-    latitude: float | None = None
-    longitude: float | None = None
-    battery_pct: float | None = None
-    activity: str = ACTIVITY_ACTIVE
-
-
-@dataclass(frozen=True)
 class ScanSample:
-    """One timestamped scan: context plus the observed APs as two columns.
+    """One timestamped scan with its device context, in one record.
 
     `bssids[i]` was seen at `rssis[i]` dBm. Samples from `parse_trace` and
     `generate_synthetic` hold them in canonical order: descending RSSI,
@@ -92,10 +82,14 @@ class ScanSample:
     per step cost less to build and keep than one record per entry.
     """
 
-    context: DeviceContext
+    timestamp: int
     bssids: tuple[str, ...]
     rssis: tuple[float, ...]
     associated: str | None = None
+    latitude: float | None = None
+    longitude: float | None = None
+    battery_pct: float | None = None
+    activity: str = ACTIVITY_ACTIVE
 
     @property
     def candidates(self) -> tuple[ApObservation, ...]:
@@ -105,10 +99,9 @@ class ScanSample:
 
 @dataclass(frozen=True)
 class Trace:
-    """An ordered sequence of scan samples with a nominal sample spacing."""
+    """An ordered sequence of scan samples."""
 
     samples: tuple[ScanSample, ...]
-    sample_interval: int = 1
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -119,7 +112,6 @@ class ContextWindow:
     """The last up-to-k samples ending at a decision step."""
 
     samples: tuple[ScanSample, ...]
-    k: int
 
     @property
     def latest(self) -> ScanSample:
@@ -178,7 +170,7 @@ def parse_trace(data, fmt: str = "jsonl") -> Trace:
         raise ValueError(f"unknown trace format: {fmt!r}")
     if not samples:
         raise TraceFormatError("empty trace")
-    return Trace(samples=tuple(samples), sample_interval=_infer_interval(samples))
+    return Trace(samples=tuple(samples))
 
 
 def _not_utf8(exc: UnicodeDecodeError, line: int | None = None) -> TraceFormatError:
@@ -226,17 +218,6 @@ def _text_lines(data):
                 yield line_no, line
     except UnicodeDecodeError as exc:  # from a text stream, while it reads ahead
         raise _not_utf8(exc) from None
-
-
-def _infer_interval(samples) -> int:
-    if len(samples) < 2:
-        return 1
-    diffs = Counter(
-        b.context.timestamp - a.context.timestamp for a, b in zip(samples, samples[1:])
-    )
-    # most common spacing; ties resolved toward the smaller gap
-    best = max(diffs.items(), key=lambda kv: (kv[1], -kv[0]))
-    return best[0]
 
 
 def _check_float(
@@ -302,10 +283,10 @@ def _build_sample(
             if mac in seen:
                 raise TraceFormatError(f"duplicate bssid {mac}", line)
             seen.add(mac)
-    ctx = DeviceContext(
-        timestamp=t, latitude=lat, longitude=lon, battery_pct=battery, activity=activity
+    return ScanSample(
+        t, bssids, rssis, assoc,
+        latitude=lat, longitude=lon, battery_pct=battery, activity=activity,
     )
-    return ScanSample(context=ctx, bssids=bssids, rssis=rssis, associated=assoc)
 
 
 def _parse_jsonl(data) -> list[ScanSample]:
@@ -423,19 +404,18 @@ def _parse_csv(text: str) -> list[ScanSample]:
 def sample_to_dict(sample: ScanSample) -> dict:
     """JSON-ready dict for one sample, with a stable key order."""
     rec: dict = {
-        "t": sample.context.timestamp,
+        "t": sample.timestamp,
         "scan": [{"bssid": b, "rssi_dbm": r} for b, r in zip(sample.bssids, sample.rssis)],
     }
     if sample.associated is not None:
         rec["assoc"] = sample.associated
-    ctx = sample.context
-    if ctx.latitude is not None:
-        rec["lat"] = ctx.latitude
-    if ctx.longitude is not None:
-        rec["lon"] = ctx.longitude
-    if ctx.battery_pct is not None:
-        rec["battery_pct"] = ctx.battery_pct
-    rec["activity"] = ctx.activity
+    if sample.latitude is not None:
+        rec["lat"] = sample.latitude
+    if sample.longitude is not None:
+        rec["lon"] = sample.longitude
+    if sample.battery_pct is not None:
+        rec["battery_pct"] = sample.battery_pct
+    rec["activity"] = sample.activity
     return rec
 
 
@@ -454,23 +434,22 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 def jsonl_line(sample: ScanSample) -> str:
     """One sample's line of canonical JSONL, with its newline."""
-    ctx = sample.context
     scan = ", ".join(
         [
             f'{{"bssid": {_json_str(b)}, "rssi_dbm": {r!r}}}'
             for b, r in zip(sample.bssids, sample.rssis)
         ]
     )
-    fields = [f'{{"t": {ctx.timestamp!r}, "scan": [{scan}]']
+    fields = [f'{{"t": {sample.timestamp!r}, "scan": [{scan}]']
     if sample.associated is not None:
         fields.append(f'"assoc": {_json_str(sample.associated)}')
-    if ctx.latitude is not None:
-        fields.append(f'"lat": {ctx.latitude!r}')
-    if ctx.longitude is not None:
-        fields.append(f'"lon": {ctx.longitude!r}')
-    if ctx.battery_pct is not None:
-        fields.append(f'"battery_pct": {ctx.battery_pct!r}')
-    fields.append(f'"activity": {_json_str(ctx.activity)}}}\n')
+    if sample.latitude is not None:
+        fields.append(f'"lat": {sample.latitude!r}')
+    if sample.longitude is not None:
+        fields.append(f'"lon": {sample.longitude!r}')
+    if sample.battery_pct is not None:
+        fields.append(f'"battery_pct": {sample.battery_pct!r}')
+    fields.append(f'"activity": {_json_str(sample.activity)}}}\n')
     return ", ".join(fields)
 
 
@@ -483,7 +462,7 @@ def window(trace: Trace, t: int, k: int) -> ContextWindow:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= t < len(trace.samples):
         raise ValueError(f"step {t} out of range for trace of length {len(trace.samples)}")
-    return ContextWindow(samples=trace.samples[max(0, t - k + 1): t + 1], k=k)
+    return ContextWindow(samples=trace.samples[max(0, t - k + 1): t + 1])
 
 
 def synth_bssid(index: int) -> str:
@@ -537,12 +516,8 @@ def generate_synthetic(config: SynthConfig) -> Trace:
         battery = None
         if config.battery_drain_pct_per_step is not None:
             battery = max(0.0, min(100.0, 100.0 - config.battery_drain_pct_per_step * step))
-        ctx = DeviceContext(
-            timestamp=step * config.sample_interval,
-            latitude=lat,
-            longitude=lon,
-            battery_pct=battery,
-            activity=config.activity,
-        )
-        samples.append(ScanSample(context=ctx, bssids=bssids, rssis=rssis))
-    return Trace(samples=tuple(samples), sample_interval=config.sample_interval)
+        samples.append(ScanSample(
+            step * config.sample_interval, bssids, rssis,
+            latitude=lat, longitude=lon, battery_pct=battery, activity=config.activity,
+        ))
+    return Trace(samples=tuple(samples))

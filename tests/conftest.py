@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from roamsim.roaming import PolicyDecision, RunTimeline
 from roamsim.runner import recompute_metrics
 from roamsim.trace import (
-    DeviceContext,
     ScanSample,
     SynthConfig,
     Trace,
@@ -32,11 +31,10 @@ MAC_A, MAC_B, MAC_C, MAC_D = mac(0), mac(1), mac(2), mac(3)
 def make_sample(t: int, levels: dict[str, float], assoc: str | None = None,
                 activity: str = "active", lat: float | None = None,
                 lon: float | None = None, battery: float | None = None) -> ScanSample:
-    ctx = DeviceContext(timestamp=t, latitude=lat, longitude=lon,
-                        battery_pct=battery, activity=activity)
     ordered = sorted(levels.items(), key=lambda kv: (-kv[1], kv[0]))  # canonical order
-    return ScanSample(context=ctx, bssids=tuple(b for b, _ in ordered),
-                      rssis=tuple(r for _, r in ordered), associated=assoc)
+    return ScanSample(timestamp=t, bssids=tuple(b for b, _ in ordered),
+                      rssis=tuple(r for _, r in ordered), associated=assoc, latitude=lat,
+                      longitude=lon, battery_pct=battery, activity=activity)
 
 
 def make_trace(rows: list[dict[str, float]], interval: int = 1, assoc0: str | None = None,
@@ -46,7 +44,7 @@ def make_trace(rows: list[dict[str, float]], interval: int = 1, assoc0: str | No
                     activity=activity)
         for t, levels in enumerate(rows)
     )
-    return Trace(samples=samples, sample_interval=interval)
+    return Trace(samples=samples)
 
 
 def timeline_of(series, decisions=None, source: str = "test") -> RunTimeline:
@@ -102,17 +100,16 @@ def trace_to_csv(trace: Trace) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["t", "bssid", "rssi_dbm", "lat", "lon", "battery_pct", "activity"])
     for s in trace.samples:
-        ctx = s.context
         for bssid, rssi in zip(s.bssids, s.rssis):
             writer.writerow(
                 [
-                    ctx.timestamp,
+                    s.timestamp,
                     bssid,
                     rssi,
-                    "" if ctx.latitude is None else ctx.latitude,
-                    "" if ctx.longitude is None else ctx.longitude,
-                    "" if ctx.battery_pct is None else ctx.battery_pct,
-                    ctx.activity,
+                    "" if s.latitude is None else s.latitude,
+                    "" if s.longitude is None else s.longitude,
+                    "" if s.battery_pct is None else s.battery_pct,
+                    s.activity,
                 ]
             )
     return out.getvalue()

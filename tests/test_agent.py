@@ -56,7 +56,7 @@ class TestBuildPrompt:
         from dataclasses import replace
 
         sample = trace.samples[0]
-        sample = replace(sample, context=replace(sample.context, battery_pct=87.0))
+        sample = replace(sample, battery_pct=87.0)
         trace = replace(trace, samples=(sample,))
         win = window(trace, 0, 10)
         no_battery = build_prompt(win, state_at(), PromptConfig(
@@ -109,10 +109,7 @@ class TestBuildPrompt:
         from dataclasses import replace
 
         sample = trace.samples[0]
-        sample = replace(
-            sample,
-            context=replace(sample.context, timestamp=3723, latitude=37.4, longitude=-122.1),
-        )
+        sample = replace(sample, timestamp=3723, latitude=37.4, longitude=-122.1)
         win = window(replace(trace, samples=(sample,)), 0, 10)
         text = build_prompt(win, state_at(), PromptConfig())
         assert "t=3723" in text

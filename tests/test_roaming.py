@@ -56,18 +56,16 @@ class TestShouldScan:
 class TestHysteresis:
     def test_active_margin(self):
         state = AssociationState(associated=MAC_A, hysteresis_active=8.0, hysteresis_idle=12.0)
-        assert passes_hysteresis(-60.0, -70.0, state) is True
+        assert passes_hysteresis(-60.0, -70.0, state, "active") is True
 
     def test_idle_margin(self):
-        state = AssociationState(
-            associated=MAC_A, activity="idle", hysteresis_active=8.0, hysteresis_idle=12.0
-        )
-        assert passes_hysteresis(-60.0, -70.0, state) is False
+        state = AssociationState(associated=MAC_A, hysteresis_active=8.0, hysteresis_idle=12.0)
+        assert passes_hysteresis(-60.0, -70.0, state, "idle") is False
 
     def test_zero_margin_disables(self):
         state = AssociationState(associated=MAC_A)
-        assert passes_hysteresis(-70.0, -70.0, state) is True
-        assert passes_hysteresis(-69.9, -70.0, state) is True
+        assert passes_hysteresis(-70.0, -70.0, state, "active") is True
+        assert passes_hysteresis(-69.9, -70.0, state, "idle") is True
 
 
 class TestApplyDecision:
@@ -233,16 +231,6 @@ class TestRunPolicy:
         assert tl.steps[0]["bssid"] == MAC_B  # roamed at step 0
         assert tl.steps[0]["handover"] is False
         assert metrics_of(tl)["handovers"] == 0
-
-    def test_activity_follows_the_samples(self):
-        trace = make_trace([{MAC_A: -75.0, MAC_B: -69.0}] * 2, activity="idle")
-        seen = []
-        tl = run_policy(
-            trace,
-            lambda w, s: (seen.append(s.activity), PolicyDecision.stay("t"))[1],
-        )
-        assert seen == ["idle", "idle"]
-        assert len(tl.steps) == 2
 
     def test_hysteresis_margin_follows_each_steps_activity(self):
         # a candidate 10 dB stronger clears the active margin (8) but not the idle one (12)

@@ -22,14 +22,12 @@ from roamsim.trace import (
     T_MAX,
     ApObservation,
     ContextWindow,
-    DeviceContext,
     ScanSample,
     SynthConfig,
     Trace,
     _check_activity,
     _check_float,
     _check_timestamp,
-    _infer_interval,
     _opt_float,
     canonical_mac,
     generate_synthetic,
@@ -130,7 +128,7 @@ class TestParseJsonl:
             "-62135596800,aa:00:00:00:00:01,-60\n253402300799,aa:00:00:00:00:01,-60\n"
         )
         for trace in (parse_trace(text, "jsonl"), parse_trace(csv_text, "csv")):
-            assert [s.context.timestamp for s in trace.samples] == [-62135596800, 253402300799]
+            assert [s.timestamp for s in trace.samples] == [-62135596800, 253402300799]
 
     @pytest.mark.parametrize("extra, message", [
         ('"rssi_dbm":false}]', "bad rssi False"),
@@ -178,9 +176,9 @@ class TestParseJsonl:
         )
         s = parse_trace(line, "jsonl").samples[0]
         assert s.associated == MAC_A
-        assert s.context.latitude == 37.4
-        assert s.context.battery_pct == 81.5
-        assert s.context.activity == "idle"
+        assert s.latitude == 37.4
+        assert s.battery_pct == 81.5
+        assert s.activity == "idle"
 
     def test_bad_latitude_rejected(self):
         line = '{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}],"lat":94.0}'
@@ -307,37 +305,16 @@ class TestValidate:
         assert exc.value.line == 1  # the first sample
 
     def test_duplicate_bssid_flagged(self):
-        from roamsim.trace import DeviceContext, ScanSample, Trace
-
-        sample = ScanSample(
-            context=DeviceContext(timestamp=0), bssids=(MAC_A, MAC_A), rssis=(-60.0, -61.0)
-        )
+        sample = ScanSample(timestamp=0, bssids=(MAC_A, MAC_A), rssis=(-60.0, -61.0))
         with pytest.raises(TraceFormatError, match="duplicate bssid"):
             round_trips(Trace(samples=(sample,)))
-
-    def test_irregular_spacing_flagged(self):
-        from dataclasses import replace
-
-        trace = make_trace([{MAC_A: -60.0}, {MAC_A: -61.0}])
-        bumped = replace(
-            trace,
-            samples=(
-                trace.samples[0],
-                replace(
-                    trace.samples[1],
-                    context=replace(trace.samples[1].context, timestamp=5),
-                ),
-            ),
-        )
-        # the parser infers interval 5 from the one gap; the trace says 1
-        assert not round_trips(bumped)
 
 
 class TestWindow:
     def test_full_window_at_t9_k10(self):
         trace = make_trace([{MAC_A: -60.0}] * 20)
         win = window(trace, 9, 10)
-        assert [s.context.timestamp for s in win.samples] == list(range(10))
+        assert [s.timestamp for s in win.samples] == list(range(10))
 
     def test_trace_start_truncates(self):
         trace = make_trace([{MAC_A: -60.0}] * 20)
@@ -346,7 +323,7 @@ class TestWindow:
     def test_k1_returns_single(self):
         trace = make_trace([{MAC_A: -60.0}] * 20)
         win = window(trace, 19, 1)
-        assert [s.context.timestamp for s in win.samples] == [19]
+        assert [s.timestamp for s in win.samples] == [19]
 
     def test_out_of_range(self):
         trace = make_trace([{MAC_A: -60.0}] * 3)
@@ -404,7 +381,7 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="9999"):
             generate_synthetic(SynthConfig(duration=3, sample_interval=10**12))
         edge = generate_synthetic(SynthConfig(duration=2, sample_interval=T_MAX))
-        assert edge.samples[-1].context.timestamp == T_MAX
+        assert edge.samples[-1].timestamp == T_MAX
         assert parse_trace(trace_to_jsonl(edge)) == edge
 
 
@@ -504,18 +481,19 @@ def whole_text_parse_jsonl(data) -> Trace:
                 raise TraceFormatError(f"duplicate bssid {bssid}", line_no)
             seen.add(bssid)
         entries.sort()
-        ctx = DeviceContext(
+        samples.append(ScanSample(
             timestamp=t,
+            bssids=tuple(b for _, b in entries),
+            rssis=tuple(-r for r, _ in entries),
+            associated=assoc,
             latitude=_opt_float(rec.get("lat"), line_no, "latitude", -90.0, 90.0),
             longitude=_opt_float(rec.get("lon"), line_no, "longitude", -180.0, 180.0),
             battery_pct=_opt_float(rec.get("battery_pct"), line_no, "battery_pct", 0.0, 100.0),
             activity=_check_activity(rec.get("activity"), line_no),
-        )
-        samples.append(ScanSample(context=ctx, bssids=tuple(b for _, b in entries),
-                                  rssis=tuple(-r for r, _ in entries), associated=assoc))
+        ))
     if not samples:
         raise TraceFormatError("empty trace")
-    return Trace(samples=tuple(samples), sample_interval=_infer_interval(samples))
+    return Trace(samples=tuple(samples))
 
 
 def _ingest_line(t: int, extra: str = "") -> str:
@@ -688,8 +666,8 @@ class TestColumns:
             assert math.copysign(1.0, best.rssi) == math.copysign(1.0, top.rssi)
         for assoc in (*canonical.bssids, "AA:00:00:00:FF:FF"):
             state = AssociationState(associated=assoc, threshold=threshold)
-            assert legacy_decide(ContextWindow((shuffled,), 1), state) == legacy_decide(
-                ContextWindow((canonical,), 1), state
+            assert legacy_decide(ContextWindow((shuffled,)), state) == legacy_decide(
+                ContextWindow((canonical,)), state
             )
 
     def test_candidates_is_a_view_of_the_columns(self):
