@@ -76,19 +76,20 @@ class EndpointConfig:
             raise ValueError("temperature must be finite and >= 0")
         if isinstance(self.max_tokens, bool) or not 0 < self.max_tokens < math.inf:
             raise ValueError("max_tokens must be positive and finite")
-        if not self.max_retries >= 0:
-            raise ValueError("max_retries must be >= 0")
+        if type(self.max_retries) is not int or self.max_retries < 0:
+            raise ValueError("max_retries must be an int >= 0")
         if not 0 <= self.backoff_ms < math.inf:
             raise ValueError("backoff_ms must be finite and >= 0")
 
     @staticmethod
-    def from_env(base_url: str | None = None, model: str | None = None, **kw) -> "EndpointConfig":
-        """Build a config, letting environment variables override the defaults."""
-        return EndpointConfig(
-            base_url=os.environ.get(ENV_BASE_URL, base_url or "http://127.0.0.1:8080"),
-            model=os.environ.get(ENV_MODEL, model or "local"),
-            **kw,
-        )
+    def from_env(base_url: str | None = None, model: str | None = None) -> "EndpointConfig":
+        """Build a config. An explicit argument wins; one left None is taken
+        from the environment, or else from the default."""
+        if base_url is None:
+            base_url = os.environ.get(ENV_BASE_URL, "http://127.0.0.1:8080")
+        if model is None:
+            model = os.environ.get(ENV_MODEL, "local")
+        return EndpointConfig(base_url=base_url, model=model)
 
 
 @dataclass(frozen=True)

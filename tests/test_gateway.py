@@ -257,13 +257,15 @@ class TestHttpClient:
     # failed every attempt with nothing sent, max_retries=-1 made no attempt,
     # and a negative backoff or an infinite timeout raised out of complete().
     # A NaN max_tokens also failed every attempt; zero, negative and boolean
-    # ones were sent.
+    # ones were sent. A fractional, infinite or boolean max_retries raised a
+    # bare TypeError out of the first complete().
     @pytest.mark.parametrize("field, value", [
         ("temperature", math.nan), ("temperature", math.inf), ("temperature", -0.5),
         ("max_tokens", math.nan), ("max_tokens", math.inf), ("max_tokens", 0),
         ("max_tokens", -5), ("max_tokens", True),
         ("timeout_ms", math.nan), ("timeout_ms", math.inf), ("timeout_ms", -1.0),
-        ("max_retries", -1),
+        ("max_retries", -1), ("max_retries", 1.5), ("max_retries", math.inf),
+        ("max_retries", True),
         ("backoff_ms", -1.0), ("backoff_ms", math.nan), ("backoff_ms", math.inf),
     ])
     def test_out_of_range_field_rejected(self, field, value):
@@ -276,11 +278,18 @@ class TestHttpClient:
         assert (cfg.max_retries, cfg.backoff_ms) == (0, 0.0)
 
     def test_env_overrides(self, monkeypatch):
+        # the environment fills absent arguments only: explicit ones win
         monkeypatch.setenv("ROAMSIM_LLM_BASE_URL", "http://example:9999")
         monkeypatch.setenv("ROAMSIM_LLM_MODEL", "other")
-        cfg = EndpointConfig.from_env(base_url="http://ignored", model="ignored")
-        assert cfg.base_url == "http://example:9999"
-        assert cfg.model == "other"
+        cfg = EndpointConfig.from_env(base_url="http://127.0.0.1:9/v1", model="mine")
+        assert (cfg.base_url, cfg.model) == ("http://127.0.0.1:9/v1", "mine")
+
+    def test_env_fills_an_absent_model(self, monkeypatch):
+        monkeypatch.setenv("ROAMSIM_LLM_MODEL", "other")
+        cfg = EndpointConfig.from_env(base_url="http://127.0.0.1:9/v1")
+        assert (cfg.base_url, cfg.model) == ("http://127.0.0.1:9/v1", "other")
+        monkeypatch.delenv("ROAMSIM_LLM_MODEL")
+        assert EndpointConfig.from_env(base_url="http://127.0.0.1:9/v1").model == "local"
 
     def test_total_time_bounded_by_retry_budget(self, chat_server):
         _ChatHandler.delay_s = 2.0
