@@ -152,6 +152,7 @@ def _load_ini(path: str | None) -> dict[str, dict[str, str]]:
         if not cp.read(path):
             raise ConfigError(f"cannot read config file {path!r}")
         ini = {section: dict(cp.items(section)) for section in cp.sections()}
+        defaults = dict(cp.items(cp.default_section))
     except configparser.Error as exc:
         raise ConfigError(f"config file {path!r}: {exc}") from None
     known: dict[str, set[str]] = {}
@@ -166,7 +167,8 @@ def _load_ini(path: str | None) -> dict[str, dict[str, str]]:
         if keys - known[section]:
             key = min(keys - known[section])
             raise ConfigError(f"config file {path!r}: unknown key {key!r} in [{section}]")
-    return ini
+    # A [DEFAULT] key reaches the section that owns it, listed in the file or not.
+    return {section: ini.get(section, defaults) for section in known}
 
 
 def _fields(given: dict, *names: str, **renamed: str) -> dict:

@@ -16,7 +16,7 @@ import pytest
 
 import roamsim
 from roamsim.cli import _experiment_config, build_parser, main
-from roamsim.runner import _jsonable
+from roamsim.runner import _jsonable, strip_volatile
 
 
 @pytest.fixture
@@ -249,6 +249,19 @@ def test_unknown_ini_name_exits_1(tmp_path, trace_file, capsys, text, named):
     rc = main(["simulate", "--config", str(ini), "--trace", str(trace_file), "--policy", "legacy"])
     assert rc == 1
     assert capsys.readouterr().err == f"config error: config file {str(ini)!r}: {named}\n"
+
+
+def test_default_key_reaches_a_section_the_file_leaves_out(tmp_path, trace_file):
+    # the file has no [policy] section for [DEFAULT] policy to be inherited by
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[DEFAULT]\npolicy = heuristic\n[trace]\nfile = {trace_file}\n",
+                   encoding="utf-8")
+    out, reports = tmp_path / "runs", []
+    for argv in (["--config", str(ini)], ["--trace", str(trace_file), "--policy", "heuristic"]):
+        assert main(["simulate", *argv, "--out", str(out)]) == 0
+        [path] = out.glob("report_*.json")
+        reports.append((path.name, strip_volatile(json.loads(path.read_text()))))
+    assert reports[0] == reports[1]
 
 
 class TestOracleExport:
