@@ -276,22 +276,22 @@ def build_prompt(
 # ---------------------------------------------------------------------------
 # Reply parsing
 
+def _final_answer(raw: str, pattern: re.Pattern) -> str | None:
+    """Last `pattern` match in the final ANSWER line, else the last anywhere, else None."""
+    if not raw:
+        return None
+    answers = [m.group(1) for ln in raw.splitlines() if (m := _ANSWER_LINE_RE.match(ln))]
+    found = (answers and pattern.findall(answers[-1])) or pattern.findall(raw)
+    return found[-1] if found else None
+
+
 def parse_ap_response(raw: str) -> str | None:
     """BSSID named by the reply, canonicalized, or None when unparseable.
 
     The final ANSWER line wins; otherwise the last MAC mentioned anywhere.
     """
-    if not raw:
-        return None
-    answer_lines = [m.group(1) for ln in raw.splitlines() if (m := _ANSWER_LINE_RE.match(ln))]
-    if answer_lines:
-        macs = _MAC_IN_TEXT_RE.findall(answer_lines[-1])
-        if macs:
-            return canonical_mac(macs[-1])
-    macs = _MAC_IN_TEXT_RE.findall(raw)
-    if macs:
-        return canonical_mac(macs[-1])
-    return None
+    mac = _final_answer(raw, _MAC_IN_TEXT_RE)
+    return None if mac is None else canonical_mac(mac)
 
 
 def parse_threshold_response(raw: str) -> float | None:
@@ -300,17 +300,10 @@ def parse_threshold_response(raw: str) -> float | None:
     The final ANSWER line wins; otherwise the trailing number anywhere in
     the text. Returns None when no number can be found.
     """
-    if not raw:
+    num = _final_answer(raw, _NUMBER_RE)
+    if num is None:
         return None
-    answer_lines = [m.group(1) for ln in raw.splitlines() if (m := _ANSWER_LINE_RE.match(ln))]
-    nums: list[str] = []
-    if answer_lines:
-        nums = _NUMBER_RE.findall(answer_lines[-1])
-    if not nums:
-        nums = _NUMBER_RE.findall(raw)
-    if not nums:
-        return None
-    value = float(nums[-1])
+    value = float(num)
     if not RSSI_MIN_DBM <= value <= RSSI_MAX_DBM:
         clamped = max(RSSI_MIN_DBM, min(RSSI_MAX_DBM, value))
         logger.warning("threshold reply %s clamped to %s", value, clamped)
