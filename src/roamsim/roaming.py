@@ -8,11 +8,9 @@ headline metrics (handover count, average RSSI, error rate) from those
 entries. The threshold task retunes the scan threshold through
 run_policy's `pre_decide` hook.
 
-A scan sample is one flat record (see `trace.ScanSample`): a policy reads
-the latest sample's columns, timestamp and activity straight from the
-window. The state holds only what the replay changes or the run fixes:
-the association, the scan threshold and the two hysteresis margins. The
-margin that applies at a step is picked by that step's `activity`.
+Policies read the latest sample of the window, one flat record (see
+`trace.ScanSample`). The state holds the association, the scan threshold
+and both hysteresis margins; the sample's `activity` picks the margin.
 
 Validity rule: a roam target must be present in the current scan with
 RSSI at or above the validity floor. Invalid roams never change the

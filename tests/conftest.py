@@ -37,14 +37,10 @@ def make_sample(t: int, levels: dict[str, float], assoc: str | None = None,
                       longitude=lon, battery_pct=battery, activity=activity)
 
 
-def make_trace(rows: list[dict[str, float]], interval: int = 1, assoc0: str | None = None,
-               activity: str = "active") -> Trace:
-    samples = tuple(
-        make_sample(t * interval, levels, assoc=assoc0 if t == 0 else None,
-                    activity=activity)
-        for t, levels in enumerate(rows)
-    )
-    return Trace(samples=samples)
+def make_trace(rows: list[dict[str, float]], assoc0: str | None = None) -> Trace:
+    return Trace(samples=tuple(
+        make_sample(t, levels, assoc=assoc0 if t == 0 else None) for t, levels in enumerate(rows)
+    ))
 
 
 def timeline_of(series, decisions=None, source: str = "test") -> RunTimeline:
