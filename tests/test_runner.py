@@ -166,6 +166,20 @@ class TestRunExperiment:
                 runs, rows = runs + [rows], 0
         assert runs == [3, 3]
 
+    @pytest.mark.parametrize("dbm", [-50.0, -70.0, -90.0])
+    def test_fixed_policy_is_legacy_at_its_threshold(self, dbm):
+        synth = band_synth(seed=5, duration=150, num_aps=3)
+        fixed = run_experiment(ExperimentConfig(
+            policy=PolicySpec(kind="fixed", fixed_dbm=dbm), synth=synth))
+        legacy = run_experiment(ExperimentConfig(
+            policy=PolicySpec(kind="legacy"), synth=synth, scan_rssi=dbm))
+        assert {e["source"] for e in fixed.decision_log} == {f"fixed({dbm:g})"}
+        without_source = [
+            [{k: v for k, v in e.items() if k != "source"} for e in r.decision_log]
+            for r in (fixed, legacy)
+        ]
+        assert without_source[0] == without_source[1]
+
     def test_report_write_and_read_roundtrip(self, tmp_path):
         cfg = cfg_for(PolicySpec(kind="legacy"), out_dir=str(tmp_path))
         report = run_experiment(cfg)
