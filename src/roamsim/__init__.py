@@ -60,7 +60,6 @@ from .runner import (
 )
 from .trace import (
     ApObservation,
-    ContextWindow,
     ScanSample,
     SynthConfig,
     Trace,

@@ -1,11 +1,12 @@
 """Prompt construction, reply parsing, and the two agent decision paths.
 
-Prompts are built from a context window: a task preamble (current
-association and scan threshold), optional worked examples, the window
-rendered one scan per line, and a closing instruction demanding exactly
-one final line of the form "ANSWER: <BSSID>" (AP selection) or
-"ANSWER: <dBm>" (threshold adjustment). Building is a pure function:
-identical inputs yield byte-identical text.
+Prompts are built from a context window, the tuple of the last k samples
+that `trace.window` returns: a task preamble (current association and scan
+threshold), optional worked examples, the window rendered one scan per
+line, and a closing instruction demanding exactly one final line of the
+form "ANSWER: <BSSID>" (AP selection) or "ANSWER: <dBm>" (threshold
+adjustment). Building is a pure function: identical inputs yield
+byte-identical text.
 
 Consecutive windows share all but one of their rows, so a run renders each
 scan row once per window it enters: the caller passes one dict of rendered
@@ -47,15 +48,7 @@ from .roaming import (
     rssi_of,
     should_scan,
 )
-from .trace import (
-    RSSI_MAX_DBM,
-    RSSI_MIN_DBM,
-    ContextWindow,
-    ScanSample,
-    Trace,
-    canonical_mac,
-    window,
-)
+from .trace import RSSI_MAX_DBM, RSSI_MIN_DBM, ScanSample, Trace, canonical_mac, window
 
 logger = logging.getLogger(__name__)
 
@@ -207,7 +200,7 @@ def _render_row(sample: ScanSample, fields: frozenset[str], template: dict[str, 
 
 
 def render_window_block(
-    window: ContextWindow,
+    window: tuple[ScanSample, ...],
     cfg: PromptConfig,
     template: dict[str, str] | None = None,
     rows: dict[ScanSample, str] | None = None,
@@ -224,7 +217,7 @@ def render_window_block(
     known = {} if rows is None else rows
     kept: dict[ScanSample, str] = {}
     text = []
-    for s in window.samples:
+    for s in window:
         row = known.get(s)
         if row is None:
             row = _render_row(s, fields, tpl)
@@ -236,7 +229,7 @@ def render_window_block(
 
 
 def build_prompt(
-    window: ContextWindow,
+    window: tuple[ScanSample, ...],
     state: AssociationState,
     cfg: PromptConfig,
     shots: tuple[FewShotExample, ...] = (),
@@ -315,12 +308,12 @@ def parse_threshold_response(raw: str) -> float | None:
 # Decisions
 
 def ap_select_decide(
-    window: ContextWindow,
+    window: tuple[ScanSample, ...],
     state: AssociationState,
     cfg: PromptConfig,
     client,
+    validity_floor: float,
     shots: tuple[FewShotExample, ...] = (),
-    validity_floor: float | None = None,
     template: dict[str, str] | None = None,
     rows: dict[ScanSample, str] | None = None,
 ) -> PolicyDecision:
@@ -331,27 +324,25 @@ def ap_select_decide(
     failures, unparseable replies, and invalid picks all terminate in the
     legacy decision, marked invalid so they feed the error rate.
     """
-    latest = window.latest
+    latest = window[-1]
     if not should_scan(rssi_of(latest, state.associated), state.threshold):
         return PolicyDecision.stay("llm")
     prompt = build_prompt(window, state, cfg, shots, template, rows)
     record = client.complete(prompt)
-    floor = state.threshold if validity_floor is None else validity_floor
     pick = parse_ap_response(record.reply) if record.ok else None
     if pick == state.associated and pick is not None:
         # remaining associated is not a roam attempt; no floor check applies
         return PolicyDecision.stay("llm")
-    if pick in latest.bssids and rssi_of(latest, pick) >= floor:
+    if pick in latest.bssids and rssi_of(latest, pick) >= validity_floor:
         return PolicyDecision.roam(pick, "llm")
     fallback = legacy_decide(window, state)
     return replace(fallback, source="llm", valid=False, fault=not record.ok)
 
 
 def threshold_schedule_step(
-    now: int,
     last_adjust: int | None,
     interval: int,
-    window: ContextWindow,
+    window: tuple[ScanSample, ...],
     state: AssociationState,
     cfg: PromptConfig,
     client,
@@ -360,14 +351,16 @@ def threshold_schedule_step(
 ) -> dict | None:
     """One scheduler tick: the threshold-log entry when an adjustment is due.
 
-    Fires on the first call and whenever `now - last_adjust >= interval`;
-    between adjustments the run proceeds under the legacy rule at the
-    current threshold. The entry is {"t", "value", "valid", "fault"},
-    `value` being the threshold from then on. A failed or unparseable call
+    Fires on the first call and whenever `now - last_adjust >= interval`,
+    `now` being the timestamp of `window[-1]`; between adjustments the run
+    proceeds under the legacy rule at the current threshold. The entry is
+    {"t", "value", "valid", "fault"}, `value` being the threshold from then
+    on. A failed or unparseable call
     keeps the current threshold and is flagged, so the run never stalls.
     """
     if interval < 1:
         raise ValueError("interval must be >= 1")
+    now = window[-1].timestamp
     if last_adjust is not None and now - last_adjust < interval:
         return None
     prompt = build_prompt(window, state, cfg, (), template, rows)
@@ -384,9 +377,9 @@ def threshold_schedule_step(
 # ---------------------------------------------------------------------------
 # Few-shot pool
 
-def synthesize_reasoning(win: ContextWindow, current: str, gold: str) -> str:
+def synthesize_reasoning(win: tuple[ScanSample, ...], current: str, gold: str) -> str:
     """Concise deterministic reasoning trace for a worked example."""
-    latest = win.latest
+    latest = win[-1]
     best, best_rssi = latest.bssids[0], latest.rssis[0]
     cur_rssi = rssi_of(latest, current)
     if gold == current:

@@ -37,6 +37,7 @@ from .export import (
     export_sft,
 )
 from .gateway import (
+    ENV_BASE_URL,
     EndpointConfig,
     HttpClient,
     JsonConnection,
@@ -190,8 +191,10 @@ def _experiment_config(args) -> ExperimentConfig:
         raise ConfigError("a policy is required (--policy or [policy] policy=...)")
     kind = s["policy"].replace("-", "_")
     mock = _parse_mock(s["mock"], s["mock_delay_ms"]) if s["mock"] else None
+    # An llm run with neither a mock nor a URL takes its URL from the environment.
+    url_given = s["endpoint_url"] or (kind == "llm" and os.environ.get(ENV_BASE_URL))
     endpoint = (EndpointConfig.from_env(base_url=s["endpoint_url"], model=s["model"])
-                if s["endpoint_url"] and not mock else None)
+                if url_given and not mock else None)
     prompt = (PromptConfig(**_fields(s, "style", "shots", "window_k", "task",
                                      context_fields="context")) if kind == "llm" else None)
     synth = None if s["synth_aps"] is None else SynthConfig(**_fields(
@@ -365,17 +368,20 @@ def _cmd_export(args) -> int:
             except ValueError as exc:  # not JSON, or not UTF-8
                 raise DataError(f"plan {args.plan}: {exc}") from None
         plan = plan_from_dict(d, args.plan)
+        if len(plan.plan) != len(trace):  # checked before the output file opens
+            raise DataError(f"plan {args.plan}: {len(plan.plan)} steps, trace has {len(trace)}")
     else:
         constraints = OracleConstraints(**_fields(vars(args), validity_floor="floor"))
         plan = solve_plan(trace, _OBJECTIVES[args.objective], constraints)
     cfg = PromptConfig(**_fields(vars(args), "style", "window_k", context_fields="context"))
     template = load_template(args.template) if args.template else None
-    if args.kind == "sft":
-        count = export_sft(trace, plan, cfg, args.out, template=template,
-                           **_fields(vars(args), "scan_rssi"))
-    else:
-        count = export_preferences(trace, plan, args.rejected, cfg, args.out,
-                                   template=template, **_fields(vars(args), "seed", "scan_rssi"))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        if args.kind == "sft":
+            count = export_sft(trace, plan, cfg, fh, template=template,
+                               **_fields(vars(args), "scan_rssi"))
+        else:
+            count = export_preferences(trace, plan, args.rejected, cfg, fh, template=template,
+                                       **_fields(vars(args), "seed", "scan_rssi"))
     print(f"wrote {count} records to {args.out}")
     return 0
 

@@ -6,7 +6,8 @@ Two JSONL shapes, the ones mainstream tuning stacks consume directly:
 * preference pairs: {"prompt": ..., "chosen": ..., "rejected": ...}
 
 Prompts come from the same builder the agent uses at decision time, so
-training and serving text cannot drift apart. Each export call passes one
+training and serving text cannot drift apart. The exporters write to a
+text file their caller opens and closes. Each export call passes one
 dict of rendered scan rows through the builder, as a run does, so a row is
 rendered once per window it enters. Completions are the plan's
 label at each step; preference pairs are emitted only where the rejected
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from functools import partial
+from typing import TextIO
 
 from .agent import PromptConfig, build_prompt
 from .errors import DataError
@@ -29,13 +31,16 @@ REJECTED_LEGACY = "legacy"
 REJECTED_HEURISTIC = "heuristic"
 REJECTED_SECOND_BEST = "second_best"
 
+TRAIN_FRAC = 0.8
 
-def split_trace(trace: Trace, train_frac: float = 0.8) -> tuple[Trace, Trace]:
-    """Contiguous time split, training block first, to avoid temporal leakage."""
+
+def split_trace(trace: Trace) -> tuple[Trace, Trace]:
+    """Contiguous time split, the first TRAIN_FRAC for training, to avoid
+    temporal leakage."""
     T = len(trace.samples)
     if T < 2:
         raise DataError("cannot split a trace with fewer than 2 samples")
-    cut = min(T - 1, max(1, round(T * train_frac)))
+    cut = min(T - 1, max(1, round(T * TRAIN_FRAC)))
     return Trace(trace.samples[:cut]), Trace(trace.samples[cut:])
 
 
@@ -51,36 +56,25 @@ def _step_prompt(
     return build_prompt(window(trace, t, cfg.window_k), state, bare, (), template, rows)
 
 
-def _open_out(out):
-    if hasattr(out, "write"):
-        return out, False
-    return open(out, "w", encoding="utf-8"), True
-
-
 def export_sft(
     trace: Trace,
     plan: AssociationPlan,
     cfg: PromptConfig,
-    out,
+    out: TextIO,
     scan_rssi: float = DEFAULT_SCAN_RSSI_DBM,
     template: dict[str, str] | None = None,
 ) -> int:
-    """Write one supervised record per step; returns the record count."""
+    """Write one supervised record per step to `out`; returns the record count."""
     T = len(trace.samples)
     if len(plan.plan) != T:
         raise DataError(f"plan length {len(plan.plan)} != trace length {T}")
     rows: dict[ScanSample, str] = {}
-    fh, owned = _open_out(out)
-    try:
-        for t in range(T):
-            rec = {
-                "prompt": _step_prompt(trace, t, plan, cfg, scan_rssi, template, rows),
-                "completion": f"ANSWER: {plan.plan[t]}",
-            }
-            fh.write(json.dumps(rec) + "\n")
-    finally:
-        if owned:
-            fh.close()
+    for t in range(T):
+        rec = {
+            "prompt": _step_prompt(trace, t, plan, cfg, scan_rssi, template, rows),
+            "completion": f"ANSWER: {plan.plan[t]}",
+        }
+        out.write(json.dumps(rec) + "\n")
     return T
 
 
@@ -103,41 +97,36 @@ def export_preferences(
     preferred: AssociationPlan,
     rejected_source: str,
     cfg: PromptConfig,
-    out,
+    out: TextIO,
     seed: int = 0,
     scan_rssi: float = DEFAULT_SCAN_RSSI_DBM,
     template: dict[str, str] | None = None,
 ) -> int:
-    """Write preference pairs at steps where the rejected source disagrees."""
+    """Write preference pairs to `out` at steps where the rejected source disagrees."""
     T = len(trace.samples)
     if len(preferred.plan) != T:
         raise DataError(f"plan length {len(preferred.plan)} != trace length {T}")
     rejected = _rejected_sequence(trace, rejected_source, seed, scan_rssi)
     count = 0
     rows: dict[ScanSample, str] = {}
-    fh, owned = _open_out(out)
-    try:
-        for t in range(T):
-            chosen = preferred.plan[t]
-            reject = rejected[t]
-            if reject is None or reject == chosen:
-                continue
-            rec = {
-                "prompt": _step_prompt(trace, t, preferred, cfg, scan_rssi, template, rows),
-                "chosen": f"ANSWER: {chosen}",
-                "rejected": f"ANSWER: {reject}",
-            }
-            fh.write(json.dumps(rec) + "\n")
-            count += 1
-    finally:
-        if owned:
-            fh.close()
+    for t in range(T):
+        chosen = preferred.plan[t]
+        reject = rejected[t]
+        if reject is None or reject == chosen:
+            continue
+        rec = {
+            "prompt": _step_prompt(trace, t, preferred, cfg, scan_rssi, template, rows),
+            "chosen": f"ANSWER: {chosen}",
+            "rejected": f"ANSWER: {reject}",
+        }
+        out.write(json.dumps(rec) + "\n")
+        count += 1
     return count
 
 
-def label_accuracy(predictions, plan: AssociationPlan | tuple[str, ...]) -> float:
+def label_accuracy(predictions, plan: AssociationPlan) -> float:
     """Percentage of predictions matching the plan's labels exactly."""
-    labels = plan.plan if isinstance(plan, AssociationPlan) else tuple(plan)
+    labels = plan.plan
     preds = tuple(predictions)
     if len(preds) != len(labels):
         raise DataError(f"length mismatch: {len(preds)} predictions vs {len(labels)} labels")

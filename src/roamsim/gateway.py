@@ -197,12 +197,15 @@ class MockClient:
 
 
 class HttpClient:
-    """Chat-completions client; retries timeouts, transport errors, 5xx, 408 and 429."""
+    """Chat-completions client; retries timeouts, transport errors, 5xx, 408 and 429.
 
-    def __init__(self, cfg: EndpointConfig, conn: JsonConnection | None = None):
+    Posts on `conn`, the kept-alive connection its owner closes.
+    """
+
+    def __init__(self, cfg: EndpointConfig, conn: JsonConnection):
         self.cfg = cfg
         self.records: list[CompletionRecord] = []
-        self._conn = conn or JsonConnection()
+        self._conn = conn
         self._lock = threading.Lock()
 
     def complete(self, prompt: str) -> CompletionRecord:

@@ -39,14 +39,7 @@ from .roaming import (
     rssi_of,
     should_scan,
 )
-from .trace import (
-    ContextWindow,
-    ScanSample,
-    Trace,
-    canonical_mac,
-    sample_to_dict,
-    strongest,
-)
+from .trace import ScanSample, Trace, canonical_mac, sample_to_dict, strongest
 
 BRUTE_FORCE_GUARD = 10_000_000
 
@@ -55,6 +48,8 @@ EMPTY_SET_ERROR = "error"
 
 OBJECTIVE_MIN_HO = "min_ho"
 OBJECTIVE_MAX_RSSI = "max_rssi"
+
+EXTERNAL_TIMEOUT_MS = 5000.0
 
 
 @dataclass(frozen=True)
@@ -84,13 +79,15 @@ class AssociationPlan:
 # ---------------------------------------------------------------------------
 # Per-step decision policies
 
-def heuristic_decide(window: ContextWindow, state: AssociationState, seed: int) -> PolicyDecision:
+def heuristic_decide(
+    window: tuple[ScanSample, ...], state: AssociationState, seed: int
+) -> PolicyDecision:
     """Roam to a uniformly random candidate when the scan trigger fires.
 
     The pick is deterministic in (seed, decision-step timestamp), so
     replays and parallel evaluation order cannot change results.
     """
-    latest = window.latest
+    latest = window[-1]
     current = rssi_of(latest, state.associated)
     if not should_scan(current, state.threshold):
         return PolicyDecision.stay("heuristic")
@@ -100,20 +97,16 @@ def heuristic_decide(window: ContextWindow, state: AssociationState, seed: int) 
 
 
 def legacy_decide(
-    window: ContextWindow,
-    state: AssociationState,
-    threshold: float | None = None,
-    source: str = "legacy",
+    window: tuple[ScanSample, ...], state: AssociationState, source: str = "legacy"
 ) -> PolicyDecision:
     """Roam to the strongest candidate when the scan trigger fires.
 
     Stays when the strongest candidate is the current AP or fails the
     hysteresis margin (margins of zero disable hysteresis).
     """
-    latest = window.latest
+    latest = window[-1]
     current = rssi_of(latest, state.associated)
-    thr = state.threshold if threshold is None else threshold
-    if not should_scan(current, thr):
+    if not should_scan(current, state.threshold):
         return PolicyDecision.stay(source)
     best = strongest(latest)
     if best.bssid == state.associated:
@@ -131,8 +124,8 @@ class PlanPolicy:
         self.name = name
         self._index = {s.timestamp: i for i, s in enumerate(trace.samples)}
 
-    def decide(self, window: ContextWindow, state: AssociationState) -> PolicyDecision:
-        target = self.plan.plan[self._index[window.latest.timestamp]]
+    def decide(self, window: tuple[ScanSample, ...], state: AssociationState) -> PolicyDecision:
+        target = self.plan.plan[self._index[window[-1].timestamp]]
         if target == state.associated:
             return PolicyDecision.stay(self.name)
         return PolicyDecision.roam(target, self.name)
@@ -282,29 +275,26 @@ class ExternalPolicy:
 
     Request: {"window": [<sample>...], "state": {"associated", "threshold"}}.
     Reply:   {"action": "stay"|"roam", "bssid": "<MAC>"?}.
-    Posts through gateway.post_json on one kept-alive connection per
-    policy (`conn`, or a new one), one attempt each. A failed call or a
-    malformed reply degrades to a stay decision flagged as a fault, so a
-    run always completes.
+    Posts through gateway.post_json on `conn`, the kept-alive connection
+    its owner closes, one attempt of up to EXTERNAL_TIMEOUT_MS each. A
+    failed call or a malformed reply degrades to a stay decision flagged as
+    a fault, so a run always completes.
     """
 
-    def __init__(self, url: str, timeout_ms: float = 5000.0,
-                 conn: JsonConnection | None = None):
+    def __init__(self, url: str, conn: JsonConnection):
         self.url = url
-        self.timeout_ms = timeout_ms
         self.name = "external"
-        self._conn = conn or JsonConnection()
+        self._conn = conn
 
-    def decide(self, window: ContextWindow, state: AssociationState) -> PolicyDecision:
-        latest = window.latest
-        if not should_scan(rssi_of(latest, state.associated), state.threshold):
+    def decide(self, window: tuple[ScanSample, ...], state: AssociationState) -> PolicyDecision:
+        if not should_scan(rssi_of(window[-1], state.associated), state.threshold):
             return PolicyDecision.stay(self.name)
         payload = {
-            "window": [sample_to_dict(s) for s in window.samples],
+            "window": [sample_to_dict(s) for s in window],
             "state": {"associated": state.associated, "threshold": state.threshold},
         }
         outcome, _, decision, _, _ = post_json(
-            self._conn, self.url, payload, self._read_action, self.timeout_ms
+            self._conn, self.url, payload, self._read_action, EXTERNAL_TIMEOUT_MS
         )
         if outcome != OUTCOME_OK:
             return PolicyDecision.stay("external-unavailable", fault=True)

@@ -1,16 +1,18 @@
 """Association state machine, decision application, and the replay loop.
 
 A run replays a trace step by step: the policy looks at a context window
-and the current association state, emits a decision (stay or roam to a
-BSSID), and the state machine applies it, yielding the step's entry in
-the report's decision log; `runner.recompute_metrics` computes the
-headline metrics (handover count, average RSSI, error rate) from those
-entries. The threshold task retunes the scan threshold through
-run_policy's `pre_decide` hook.
+(the tuple of the last k samples, see `trace.window`) and the current
+association state, emits a decision (stay or roam to a BSSID), and the
+state machine applies it, yielding the step's entry in the report's
+decision log; `runner.recompute_metrics` computes the headline metrics
+(handover count, average RSSI, error rate) from those entries. The
+threshold task retunes the scan threshold through run_policy's
+`pre_decide(window, state)` hook.
 
-Policies read the latest sample of the window, one flat record (see
-`trace.ScanSample`). The state holds the association, the scan threshold
-and both hysteresis margins; the sample's `activity` picks the margin.
+Policies read the latest sample of the window, `window[-1]`, one flat
+record (see `trace.ScanSample`). The state holds the association, the
+scan threshold and both hysteresis margins; the sample's `activity` picks
+the margin.
 
 Validity rule: a roam target must be present in the current scan with
 RSSI at or above the validity floor. Invalid roams never change the
@@ -26,14 +28,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .trace import (
-    ACTIVITY_ACTIVE,
-    ContextWindow,
-    ScanSample,
-    Trace,
-    strongest,
-    window,
-)
+from .trace import ACTIVITY_ACTIVE, ScanSample, Trace, strongest, window
 
 # RSSI charged to a step whose associated AP is missing from the scan.
 ABSENT_RSSI_DBM = -100.0
@@ -166,14 +161,14 @@ def initial_association(trace: Trace) -> str:
 
 def run_policy(
     trace: Trace,
-    decide: Callable[[ContextWindow, AssociationState], PolicyDecision],
+    decide: Callable[[tuple[ScanSample, ...], AssociationState], PolicyDecision],
     *,
     k: int = 10,
     scan_rssi: float = DEFAULT_SCAN_RSSI_DBM,
     hysteresis: tuple[float, float] = (0.0, 0.0),
     validity_floor: float = DEFAULT_SCAN_RSSI_DBM,
     initial: str | None = None,
-    pre_decide: Callable[[int, ContextWindow, AssociationState], AssociationState] | None = None,
+    pre_decide: Callable[[tuple[ScanSample, ...], AssociationState], AssociationState] | None = None,
 ) -> RunTimeline:
     """Replay a trace through the state machine with one decision per step.
 
@@ -191,7 +186,7 @@ def run_policy(
     for t, sample in enumerate(trace.samples):
         win = window(trace, t, k)
         if pre_decide is not None:
-            state = pre_decide(t, win, state)
+            state = pre_decide(win, state)
         state, entry = apply_decision(state, sample, decide(win, state), validity_floor)
         steps.append(entry)
     if steps:

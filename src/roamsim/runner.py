@@ -10,6 +10,7 @@ wall-clock timing is deterministic for a fixed config with a mock client.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -289,17 +290,17 @@ def _llm_policy(run: _Run) -> dict:
     if cfg.task == TASK_AP_SELECT:
         return {
             "decide": lambda win, state: ap_select_decide(
-                win, state, run.prompt, run.client, run.shots, cfg.validity_floor,
+                win, state, run.prompt, run.client, cfg.validity_floor, run.shots,
                 template=run.template, rows=run.rows,
             )
         }
     interval = cfg.interval if cfg.interval is not None else 30
     log = run.threshold_log
 
-    def scheduler(t, win, state):
+    def scheduler(win, state):
         entry = threshold_schedule_step(
-            win.latest.timestamp, log[-1]["t"] if log else None, interval, win,
-            state, run.prompt, run.client, template=run.template, rows=run.rows,
+            log[-1]["t"] if log else None, interval, win, state, run.prompt, run.client,
+            template=run.template, rows=run.rows,
         )
         if entry is None:
             return state
@@ -319,7 +320,8 @@ POLICIES = {
     "fixed": (
         lambda spec: f"fixed({spec.fixed_dbm:g})",
         lambda run: {
-            "decide": partial(legacy_decide, threshold=run.cfg.policy.fixed_dbm, source=run.label)
+            "decide": partial(legacy_decide, source=run.label),
+            "scan_rssi": run.cfg.policy.fixed_dbm,
         },
     ),
     "opt_ho": (lambda spec: "opt-ho", _plan_policy),
@@ -327,9 +329,7 @@ POLICIES = {
     "llm": (lambda spec: "llm", _llm_policy),
     "external": (
         lambda spec: "external",
-        lambda run: {
-            "decide": ExternalPolicy(run.cfg.policy.external_url, conn=run.conn).decide
-        },
+        lambda run: {"decide": ExternalPolicy(run.cfg.policy.external_url, run.conn).decide},
     ),
 }
 
@@ -351,9 +351,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         train, eval_trace = split_trace(full_trace)
         if wants_shots:
             train_plan = _oracle_plan(train, "opt_ho", cfg.validity_floor)
-            shots = build_shot_pool(
-                train, train_plan, prompt_cfg, prompt_cfg.shots, spec.seed, template
-            )
+            try:
+                shots = build_shot_pool(
+                    train, train_plan, prompt_cfg, prompt_cfg.shots, spec.seed, template
+                )
+            except ValueError as exc:  # more shots than training steps
+                raise ConfigError(str(exc)) from None
         scenario = f"{scenario}:test"
     else:
         if wants_shots:
@@ -546,14 +549,13 @@ def emit_plot_data(obj, out_dir: str) -> list[str]:
     paths = []
     for metric, fname in metric_files:
         path = os.path.join(out_dir, fname)
-        lines = ["policy,scenario,value"]
-        for r in obj.rows:
-            value = r[metric]
-            if value is None:
-                continue
-            lines.append(f"{r['policy']},{r['scenario']},{value!r}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(("policy", "scenario", "value"))
+            out.writerows(
+                (r["policy"], r["scenario"], repr(r[metric]))
+                for r in obj.rows if r[metric] is not None
+            )
         paths.append(path)
     return paths
 

@@ -9,7 +9,8 @@ normalized on ingest: MAC addresses canonicalized to uppercase colon-hex
 and the columns sorted by descending RSSI (ties by BSSID), so downstream
 argmax/tie-break logic is order-independent. The hot paths read the
 columns; `ScanSample.candidates` is the cold-path view, one `ApObservation`
-per AP, built on each read.
+per AP, built on each read. A decision's context window is a plain slice of
+`Trace.samples`, oldest first (see `window`).
 
 Two on-disk formats are supported:
 
@@ -105,17 +106,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-
-@dataclass(frozen=True)
-class ContextWindow:
-    """The last up-to-k samples ending at a decision step."""
-
-    samples: tuple[ScanSample, ...]
-
-    @property
-    def latest(self) -> ScanSample:
-        return self.samples[-1]
 
 
 @dataclass(frozen=True)
@@ -456,13 +446,14 @@ def jsonl_line(sample: ScanSample) -> str:
 # ---------------------------------------------------------------------------
 # Windowing and synthesis
 
-def window(trace: Trace, t: int, k: int) -> ContextWindow:
-    """Samples max(0, t-k+1)..t inclusive, order preserved."""
+def window(trace: Trace, t: int, k: int) -> tuple[ScanSample, ...]:
+    """The context window at step t: samples max(0, t-k+1)..t inclusive, a
+    slice of the trace's own tuple, so `window[-1]` is the decision step."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= t < len(trace.samples):
         raise ValueError(f"step {t} out of range for trace of length {len(trace.samples)}")
-    return ContextWindow(samples=trace.samples[max(0, t - k + 1): t + 1])
+    return trace.samples[max(0, t - k + 1): t + 1]
 
 
 def synth_bssid(index: int) -> str:

@@ -9,6 +9,7 @@ import json
 import pytest
 from hypothesis import strategies as st
 
+from roamsim.gateway import JsonConnection
 from roamsim.roaming import PolicyDecision, RunTimeline
 from roamsim.runner import recompute_metrics
 from roamsim.trace import (
@@ -148,6 +149,14 @@ def band_synth(seed: int, duration: int = 200, num_aps: int = 4) -> SynthConfig:
         ceil_dbm=-45.0,
         seed=seed,
     )
+
+
+@pytest.fixture
+def conn():
+    """A kept-alive connection for a client or policy under test, closed after it."""
+    connection = JsonConnection()
+    yield connection
+    connection.close()
 
 
 @pytest.fixture

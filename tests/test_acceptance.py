@@ -120,17 +120,16 @@ def test_c3_oracle_dominance():
             validity_floor=floor, initial=opt_rssi.plan[0],
         )
         client = MockClient(MockRule.argmax_rssi())
-        policies = [
-            partial(heuristic_decide, seed=seed),
-            legacy_decide,
-            partial(legacy_decide, threshold=-50.0, source="fixed(-50)"),
-            partial(legacy_decide, threshold=-60.0, source="fixed(-60)"),
-            partial(legacy_decide, threshold=-70.0, source="fixed(-70)"),
-            partial(legacy_decide, threshold=-80.0, source="fixed(-80)"),
-            lambda w, s: ap_select_decide(w, s, prompt_cfg, client, validity_floor=floor),
+        policies = [  # (decide, scan threshold)
+            (partial(heuristic_decide, seed=seed), -70.0),
+            (legacy_decide, -70.0),
+            *((partial(legacy_decide, source=f"fixed({thr:g})"), thr)
+              for thr in (-50.0, -60.0, -70.0, -80.0)),
+            (lambda w, s: ap_select_decide(w, s, prompt_cfg, client, validity_floor=floor),
+             -70.0),
         ]
-        for decide in policies:
-            tl = run_policy(trace, decide, validity_floor=floor)
+        for decide, scan_rssi in policies:
+            tl = run_policy(trace, decide, scan_rssi=scan_rssi, validity_floor=floor)
             if opt_ho.handovers > metrics_of(tl)["handovers"]:
                 ho_violations += 1
             roam_targets_feasible = all(
@@ -287,7 +286,8 @@ def test_c8_export_integrity(crossover_trace, tmp_path):
     trace = generate_synthetic(band_synth(seed=37, duration=30))
     plan = solve_plan(trace, OBJECTIVE_MIN_HO, constraints)
     sft_path = tmp_path / "sft.jsonl"
-    count = export_sft(trace, plan, PromptConfig(), str(sft_path))
+    with open(sft_path, "w", encoding="utf-8") as fh:
+        count = export_sft(trace, plan, PromptConfig(), fh)
     lines = sft_path.read_text().splitlines()
     ok = count == 30 and len(lines) == 30
     import json as _json
@@ -307,9 +307,8 @@ def test_c8_export_integrity(crossover_trace, tmp_path):
     cross_constraints = OracleConstraints(validity_floor=-100.0)
     cross_plan = solve_plan(crossover_trace, OBJECTIVE_MIN_HO, cross_constraints)
     pref_path = tmp_path / "prefs.jsonl"
-    pairs = export_preferences(
-        crossover_trace, cross_plan, "legacy", PromptConfig(), str(pref_path)
-    )
+    with open(pref_path, "w", encoding="utf-8") as fh:
+        pairs = export_preferences(crossover_trace, cross_plan, "legacy", PromptConfig(), fh)
     legacy_tl = run_policy(crossover_trace, legacy_decide, validity_floor=-100.0)
     hand_diff = sum(
         1 for t, e in enumerate(legacy_tl.steps) if e["bssid"] != cross_plan.plan[t]

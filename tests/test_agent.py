@@ -227,7 +227,7 @@ class TestRowDict:
             shared = build_prompt(win, state, cfg, template=template, rows=rows)
             assert shared == build_prompt(win, state, cfg, template=template)
             assert len(rows) <= k
-            assert set(rows) == set(win.samples)
+            assert set(rows) == set(win)
 
     def test_sliding_windows_render_each_row_once(self, monkeypatch):
         rendered = []
@@ -334,7 +334,8 @@ class TestApSelectDecide:
     def test_no_call_above_threshold(self):
         win = simple_window({MAC_A: -60.0, MAC_B: -50.0})
         client = MockClient(MockRule.argmax_rssi())
-        decision = ap_select_decide(win, state_at(), PromptConfig(), client)
+        decision = ap_select_decide(win, state_at(), PromptConfig(), client,
+                                    validity_floor=-100.0)
         assert decision.action is Action.STAY
         assert client.records == []
 
@@ -368,7 +369,7 @@ class TestThresholdScheduler:
             for t in range(duration):
                 win = window(trace, t, 10)
                 decision = threshold_schedule_step(
-                    t, last["t"], interval, win, state_at(),
+                    last["t"], interval, win, state_at(),
                     PromptConfig(task="threshold"), client,
                 )
                 if decision is not None:
@@ -384,7 +385,7 @@ class TestThresholdScheduler:
         fired = 0
         for t in range(50):
             win = window(trace, t, 10)
-            if threshold_schedule_step(t, last, 10**9, win, state_at(),
+            if threshold_schedule_step(last, 10**9, win, state_at(),
                                        PromptConfig(task="threshold"), client) is not None:
                 fired += 1
                 last = t
@@ -394,8 +395,7 @@ class TestThresholdScheduler:
         trace = generate_synthetic(band_synth(seed=43, duration=5))
         client = MockClient(MockRule.fixed_threshold(-64.0))
         entry = threshold_schedule_step(
-            0, None, 30, window(trace, 0, 10), state_at(),
-            PromptConfig(task="threshold"), client,
+            None, 30, window(trace, 0, 10), state_at(), PromptConfig(task="threshold"), client,
         )
         assert entry == {"t": 0, "value": -64.0, "valid": True, "fault": False}
 
@@ -403,7 +403,7 @@ class TestThresholdScheduler:
         trace = generate_synthetic(band_synth(seed=44, duration=5))
         client = MockClient(MockRule.fail_after(0))
         entry = threshold_schedule_step(
-            0, None, 30, window(trace, 0, 10), state_at(threshold=-72.0),
+            None, 30, window(trace, 0, 10), state_at(threshold=-72.0),
             PromptConfig(task="threshold"), client,
         )
         assert entry["value"] == -72.0
@@ -412,7 +412,7 @@ class TestThresholdScheduler:
     def test_bad_interval_rejected(self):
         trace = generate_synthetic(band_synth(seed=44, duration=5))
         with pytest.raises(ValueError):
-            threshold_schedule_step(0, None, 0, window(trace, 0, 10), state_at(),
+            threshold_schedule_step(None, 0, window(trace, 0, 10), state_at(),
                                     PromptConfig(task="threshold"), None)
 
 

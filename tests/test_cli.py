@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -121,6 +122,23 @@ class TestSimulate:
                    "--mock", "argmax", "--window-k", "2"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("data error:")
+
+    @pytest.mark.parametrize("env, argv, base_url", [
+        ("http://127.0.0.1:9", ["--policy", "llm"], "http://127.0.0.1:9"),
+        ("http://127.0.0.1:9", ["--policy", "llm", "--endpoint-url", "http://127.0.0.1:7"],
+         "http://127.0.0.1:7"),
+        ("http://127.0.0.1:9", ["--policy", "llm", "--mock", "argmax"], None),
+        ("http://127.0.0.1:9", ["--policy", "legacy"], None),
+        (None, ["--policy", "llm"], None),
+    ], ids=["llm", "flag-wins", "mock", "legacy", "unset"])
+    def test_env_base_url_configures_an_llm_run_given_no_url(self, monkeypatch, env, argv,
+                                                              base_url):
+        monkeypatch.delenv("ROAMSIM_LLM_BASE_URL", raising=False)
+        if env is not None:
+            monkeypatch.setenv("ROAMSIM_LLM_BASE_URL", env)
+        args = build_parser().parse_args(["simulate", "--trace", "t.jsonl", *argv])
+        endpoint = _experiment_config(args).policy.endpoint
+        assert (endpoint and endpoint.base_url) == base_url
 
     def test_external_non_object_replies_exit_0(self, trace_file, tmp_path, capsys):
         server = ThreadingHTTPServer(("127.0.0.1", 0), _EmptyListHandler)
@@ -378,6 +396,18 @@ class TestCompareAndPlot:
         assert rc == 0
         assert (plots / "ho.csv").exists()
         assert (plots / "avg_rssi.csv").exists()
+
+    def test_plot_data_quotes_a_scenario_with_a_comma(self, tmp_path):
+        trace, runs, plots = tmp_path / "walk,1.jsonl", tmp_path / "runs", tmp_path / "plots"
+        assert main(["gen-trace", "--duration", "20", "-o", str(trace)]) == 0
+        assert main(["simulate", "--trace", str(trace), "--policy", "legacy",
+                     "--out", str(runs)]) == 0
+        assert main(["plot-data", str(runs / "report_legacy.json"), "--out", str(plots)]) == 0
+        lines = (plots / "ho.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1].startswith('legacy,"walk,1",')
+        with open(plots / "ho.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[:2] for row in rows] == [["policy", "scenario"], ["legacy", "walk,1"]]
 
     @pytest.mark.parametrize("command", ["compare", "plot-data"])
     @pytest.mark.parametrize("text", list(MALFORMED_REPORTS.values()), ids=list(MALFORMED_REPORTS))

@@ -20,12 +20,18 @@ from roamsim.export import (
     split_trace,
 )
 from roamsim.policies import (
+    AssociationPlan,
     OracleConstraints,
     legacy_decide,
     oracle_opt_ho,
 )
 from roamsim.roaming import run_policy
 from roamsim.trace import generate_synthetic
+
+
+def plan_of(labels) -> AssociationPlan:
+    return AssociationPlan(plan=tuple(labels), objective="min_ho", objective_value=0.0,
+                           handovers=0)
 
 
 def sft_lines(trace, plan, cfg=None):
@@ -53,8 +59,9 @@ class TestExportSft:
         trace = generate_synthetic(band_synth(seed=62, duration=15))
         plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        export_sft(trace, plan, PromptConfig(), str(p1))
-        export_sft(trace, plan, PromptConfig(), str(p2))
+        for path in (p1, p2):
+            with open(path, "w", encoding="utf-8") as fh:
+                export_sft(trace, plan, PromptConfig(), fh)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_completions_are_feasible_under_constraints(self):
@@ -93,14 +100,7 @@ class TestExportPreferences:
     def test_degenerate_same_policy_yields_zero_pairs(self):
         trace = generate_synthetic(band_synth(seed=65, duration=30))
         legacy_tl = run_policy(trace, legacy_decide, validity_floor=-100.0)
-        from roamsim.policies import AssociationPlan
-
-        legacy_plan = AssociationPlan(
-            plan=tuple(e["bssid"] for e in legacy_tl.steps),
-            objective="min_ho",
-            objective_value=0.0,
-            handovers=0,
-        )
+        legacy_plan = plan_of(e["bssid"] for e in legacy_tl.steps)
         count = export_preferences(trace, legacy_plan, "legacy", PromptConfig(), io.StringIO())
         assert count == 0
 
@@ -148,19 +148,19 @@ class TestLabelAccuracy:
     def test_half_match(self):
         plan_seq = (MAC_A,) * 10
         preds = [MAC_A] * 5 + [MAC_B] * 5
-        assert label_accuracy(preds, plan_seq) == 50.0
+        assert label_accuracy(preds, plan_of(plan_seq)) == 50.0
 
     def test_relabel_symmetry(self):
         preds = [MAC_A, MAC_B, MAC_A, MAC_A]
         labels = (MAC_A, MAC_A, MAC_A, MAC_B)
         swap = {MAC_A: MAC_B, MAC_B: MAC_A}
-        assert label_accuracy(preds, labels) == label_accuracy(
-            [swap[p] for p in preds], tuple(swap[g] for g in labels)
+        assert label_accuracy(preds, plan_of(labels)) == label_accuracy(
+            [swap[p] for p in preds], plan_of(swap[g] for g in labels)
         )
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError, match="length mismatch"):
-            label_accuracy([MAC_A], (MAC_A, MAC_B))
+            label_accuracy([MAC_A], plan_of((MAC_A, MAC_B)))
 
 
 class TestSplitTrace:

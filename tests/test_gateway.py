@@ -172,31 +172,31 @@ def endpoint(server, **kw) -> EndpointConfig:
 
 
 class TestHttpClient:
-    def test_ok_roundtrip(self, chat_server):
-        record = HttpClient(endpoint(chat_server)).complete("hello")
+    def test_ok_roundtrip(self, chat_server, conn):
+        record = HttpClient(endpoint(chat_server), conn).complete("hello")
         assert record.ok
         assert record.reply == "ANSWER: -70"
         assert record.attempts == 1
         assert record.latency_ms >= 0
 
-    def test_raw_completion_fallback_shape(self, chat_server):
+    def test_raw_completion_fallback_shape(self, chat_server, conn):
         _ChatHandler.shape = "raw"
-        record = HttpClient(endpoint(chat_server)).complete("hello")
+        record = HttpClient(endpoint(chat_server), conn).complete("hello")
         assert record.ok
         assert record.reply == "ANSWER: -70"
 
-    def test_http_error_after_retries(self, chat_server):
+    def test_http_error_after_retries(self, chat_server, conn):
         _ChatHandler.status = 500
-        record = HttpClient(endpoint(chat_server)).complete("hello")
+        record = HttpClient(endpoint(chat_server), conn).complete("hello")
         assert record.outcome == "http_error"
         assert record.status == 500
         assert record.attempts == 3
         assert record.reply == ""
 
     @pytest.mark.parametrize("status, attempts", [(400, 1), (429, 3)])
-    def test_only_retryable_client_errors_are_retried(self, chat_server, status, attempts):
+    def test_only_retryable_client_errors_are_retried(self, chat_server, status, attempts, conn):
         _ChatHandler.status = status
-        record = HttpClient(endpoint(chat_server)).complete("hello")
+        record = HttpClient(endpoint(chat_server), conn).complete("hello")
         assert record.outcome == "http_error"
         assert record.status == status
         assert record.attempts == attempts
@@ -206,9 +206,9 @@ class TestHttpClient:
         "body", [b"[]", b'"x"', b'{"choices": "abc"}', b'{"choices": [1]}', b"{not json"],
         ids=["list", "string", "choices-string", "choices-int", "not-json"],
     )
-    def test_malformed_reply_is_a_retried_transport_error(self, chat_server, body):
+    def test_malformed_reply_is_a_retried_transport_error(self, chat_server, body, conn):
         _ChatHandler.raw_reply = body
-        record = HttpClient(endpoint(chat_server)).complete("hello")
+        record = HttpClient(endpoint(chat_server), conn).complete("hello")
         assert record.outcome == "transport_error"
         assert record.attempts == 3
         assert record.reply == ""
@@ -222,27 +222,27 @@ class TestHttpClient:
         assert isinstance(record.reply, str)
         assert record.attempts == (1 if record.ok else 3)
 
-    def test_server_down_transport_error(self):
+    def test_server_down_transport_error(self, conn):
         cfg = EndpointConfig(base_url="http://127.0.0.1:1", model="m",
                              timeout_ms=500.0, max_retries=2, backoff_ms=5.0)
-        record = HttpClient(cfg).complete("hello")
+        record = HttpClient(cfg, conn).complete("hello")
         assert record.outcome == "transport_error"
         assert record.attempts == 3
 
-    def test_timeout_outcome(self, chat_server):
+    def test_timeout_outcome(self, chat_server, conn):
         _ChatHandler.delay_s = 0.5
         cfg = endpoint(chat_server, timeout_ms=100.0, max_retries=0)
-        record = HttpClient(cfg).complete("hello")
+        record = HttpClient(cfg, conn).complete("hello")
         assert record.outcome == "timeout"
 
-    def test_latency_reflects_artificial_delay(self, chat_server):
+    def test_latency_reflects_artificial_delay(self, chat_server, conn):
         _ChatHandler.delay_s = 0.05
-        record = HttpClient(endpoint(chat_server)).complete("hello")
+        record = HttpClient(endpoint(chat_server), conn).complete("hello")
         assert record.ok
         assert record.latency_ms >= 50.0
 
-    def test_records_are_retained(self, chat_server):
-        client = HttpClient(endpoint(chat_server))
+    def test_records_are_retained(self, chat_server, conn):
+        client = HttpClient(endpoint(chat_server), conn)
         for _ in range(4):
             client.complete("p")
         assert len(client.records) == 4
@@ -291,11 +291,11 @@ class TestHttpClient:
         monkeypatch.delenv("ROAMSIM_LLM_MODEL")
         assert EndpointConfig.from_env(base_url="http://127.0.0.1:9/v1").model == "local"
 
-    def test_total_time_bounded_by_retry_budget(self, chat_server):
+    def test_total_time_bounded_by_retry_budget(self, chat_server, conn):
         _ChatHandler.delay_s = 2.0
         cfg = endpoint(chat_server, timeout_ms=100.0, max_retries=2, backoff_ms=10.0)
         start = time.perf_counter()
-        record = HttpClient(cfg).complete("hello")
+        record = HttpClient(cfg, conn).complete("hello")
         elapsed = time.perf_counter() - start
         assert record.outcome == "timeout"
         # timeout * (retries + 1) + backoff budget, with scheduling slack
@@ -341,13 +341,6 @@ def serve(chat_server):
         server.server_close()
 
 
-@pytest.fixture
-def conn():
-    connection = JsonConnection()
-    yield connection
-    connection.close()
-
-
 BAD_URLS = ["ftp://x", "http://", "not-a-url", "http://127.0.0.1:abc"]
 
 # A self-signed certificate for 127.0.0.1 and its key, made for these tests only.
@@ -372,8 +365,8 @@ class TestJsonConnection:
         assert all(client.complete("hello").ok for _ in range(3))
         assert len({port for _, port in _KeepAliveHandler.posts}) == 1
 
-    def test_http10_server_closing_each_reply(self, chat_server):
-        client = HttpClient(endpoint(chat_server, max_retries=0))
+    def test_http10_server_closing_each_reply(self, chat_server, conn):
+        client = HttpClient(endpoint(chat_server, max_retries=0), conn)
         records = [client.complete("hello") for _ in range(3)]
         assert [(r.outcome, r.attempts) for r in records] == [("ok", 1)] * 3
 
@@ -389,19 +382,19 @@ class TestJsonConnection:
         assert [server for server, _ in _KeepAliveHandler.posts] == ports + ports
 
     @pytest.mark.parametrize("url", BAD_URLS)
-    def test_bad_url_is_a_retried_transport_error(self, url):
+    def test_bad_url_is_a_retried_transport_error(self, url, conn):
         cfg = EndpointConfig(base_url=url, model="m", max_retries=2, backoff_ms=0.0)
-        record = HttpClient(cfg).complete("hello")
+        record = HttpClient(cfg, conn).complete("hello")
         assert record.outcome == "transport_error"
         assert record.attempts == cfg.max_retries + 1
 
     @pytest.mark.parametrize("url", BAD_URLS)
-    def test_bad_url_is_an_external_fault(self, url):
+    def test_bad_url_is_an_external_fault(self, url, conn):
         trace = generate_synthetic(band_synth(seed=5, duration=3, num_aps=2))
         # a -20 dBm trigger makes the step consult the service
         state = AssociationState(associated=trace.samples[0].candidates[1].bssid,
                                  threshold=-20.0)
-        decision = ExternalPolicy(url + "/decide").decide(window(trace, 2, 3), state)
+        decision = ExternalPolicy(url + "/decide", conn).decide(window(trace, 2, 3), state)
         assert decision.fault
         assert decision.action is Action.STAY
 
@@ -434,9 +427,9 @@ class TestJsonConnection:
             ("ok", 1) if trusted else ("transport_error", 1)
         )
 
-    def test_redirect_is_an_http_error(self, chat_server):
+    def test_redirect_is_an_http_error(self, chat_server, conn):
         _ChatHandler.status = 307
-        record = HttpClient(endpoint(chat_server)).complete("hello")
+        record = HttpClient(endpoint(chat_server), conn).complete("hello")
         assert (record.outcome, record.status, record.attempts) == ("http_error", 307, 1)
 
 
@@ -482,7 +475,7 @@ class TestMockRules:
         state = AssociationState(associated=trace.samples[0].candidates[0].bssid)
         prompt = build_prompt(win, state, PromptConfig())
         reply = MockClient(MockRule.argmax_rssi()).complete(prompt)
-        assert parse_ap_response(reply.reply) == strongest(win.latest).bssid
+        assert parse_ap_response(reply.reply) == strongest(win[-1]).bssid
 
     def test_prompt_argmax_tie_breaks_lexicographically(self):
         prompt = "aps: AA:00:00:00:00:02=-60.0 AA:00:00:00:00:01=-60.0\n"

@@ -91,7 +91,7 @@ class TestHeuristic:
             decision = heuristic_decide(win, state, seed=0)
             from roamsim.roaming import rssi_of
 
-            triggered = should_scan(rssi_of(win.latest, MAC_A), state_thr)
+            triggered = should_scan(rssi_of(win[-1], MAC_A), state_thr)
             assert (decision.action is Action.ROAM) == triggered
 
 
@@ -125,14 +125,14 @@ class TestFixedThreshold:
     def test_triggers_where_rssi_below_constant(self):
         rows = [{MAC_A: -55.0, MAC_B: -58.0}, {MAC_A: -62.0, MAC_B: -58.0}]
         trace = make_trace(rows, assoc0=MAC_A)
-        decide = partial(legacy_decide, threshold=-60.0, source="fixed(-60)")
-        state = AssociationState(associated=MAC_A, threshold=-10.0)  # ignored
+        decide = partial(legacy_decide, source="fixed(-60)")
+        state = AssociationState(associated=MAC_A, threshold=-60.0)
         assert decide(win_of(trace, 0), state).action is Action.STAY
         assert decide(win_of(trace, 1), state).action is Action.ROAM
 
     def test_minus_100_never_triggers(self):
         trace = generate_synthetic(band_synth(seed=8, duration=120))
-        tl = run_policy(trace, partial(legacy_decide, threshold=-100.0), validity_floor=-100.0)
+        tl = run_policy(trace, legacy_decide, scan_rssi=-100.0, validity_floor=-100.0)
         assert metrics_of(tl)["handovers"] == 0
         assert all(e["action"] == "stay" for e in tl.steps)
 
@@ -414,23 +414,23 @@ def stub_server():
 
 
 class TestExternalAdapter:
-    def test_always_stay_stub_means_zero_handovers(self, stub_server):
+    def test_always_stay_stub_means_zero_handovers(self, stub_server, conn):
         _StubHandler.mode = "stay"
         url = f"http://127.0.0.1:{stub_server.server_address[1]}/decide"
         trace = generate_synthetic(band_synth(seed=21, duration=60))
-        tl = run_policy(trace, ExternalPolicy(url).decide, validity_floor=-100.0)
+        tl = run_policy(trace, ExternalPolicy(url, conn).decide, validity_floor=-100.0)
         assert metrics_of(tl)["handovers"] == 0
 
-    def test_argmax_stub_matches_legacy(self, stub_server):
+    def test_argmax_stub_matches_legacy(self, stub_server, conn):
         _StubHandler.mode = "argmax"
         url = f"http://127.0.0.1:{stub_server.server_address[1]}/decide"
         trace = generate_synthetic(band_synth(seed=22, duration=80))
-        ext = run_policy(trace, ExternalPolicy(url).decide, validity_floor=-100.0)
+        ext = run_policy(trace, ExternalPolicy(url, conn).decide, validity_floor=-100.0)
         leg = run_policy(trace, legacy_decide, validity_floor=-100.0)
         assert timeline_signature(ext) == timeline_signature(leg)
 
-    def test_unreachable_endpoint_degrades_to_stay(self):
-        policy = ExternalPolicy("http://127.0.0.1:1/decide", timeout_ms=300)
+    def test_unreachable_endpoint_degrades_to_stay(self, conn):
+        policy = ExternalPolicy("http://127.0.0.1:1/decide", conn)
         # the scan trigger (-70 dBm on the associated AP) fires on steps 0, 2 and 3
         rows = [{MAC_A: -80.0, MAC_B: -60.0}, {MAC_A: -60.0, MAC_B: -80.0},
                 {MAC_A: -75.0, MAC_B: -65.0}, {MAC_A: -71.0, MAC_C: -50.0}]
@@ -456,14 +456,14 @@ class TestExternalAdapter:
         ids=["list", "string", "null", "number", "bssid-int", "no-bssid", "bad-action",
              "not-json"],
     )
-    def test_malformed_reply_is_a_fault_stay(self, stub_server, raw):
+    def test_malformed_reply_is_a_fault_stay(self, stub_server, raw, conn):
         _StubHandler.raw_reply = raw
         url = f"http://127.0.0.1:{stub_server.server_address[1]}/decide"
         # the scan trigger (-70 dBm on the associated AP) fires on steps 0 and 2
         rows = [{MAC_A: -80.0, MAC_B: -60.0}, {MAC_A: -60.0, MAC_B: -80.0},
                 {MAC_A: -75.0, MAC_B: -65.0}]
         trace = make_trace(rows, assoc0=MAC_A)
-        tl = run_policy(trace, ExternalPolicy(url).decide, validity_floor=-100.0)
+        tl = run_policy(trace, ExternalPolicy(url, conn).decide, validity_floor=-100.0)
         assert all(e["action"] == "stay" for e in tl.steps)
         assert [e["fault"] for e in tl.steps] == [True, False, True]
 
@@ -471,7 +471,7 @@ class TestExternalAdapter:
     @given(body=json_values)
     def test_any_json_reply_ends_in_a_decision(self, body):
         trace = make_trace([{MAC_A: -80.0, MAC_B: -60.0}])
-        policy = ExternalPolicy("http://127.0.0.1:1/decide", conn=FakeJsonConnection(body))
+        policy = ExternalPolicy("http://127.0.0.1:1/decide", FakeJsonConnection(body))
         decision = policy.decide(win_of(trace, 0), AssociationState(associated=MAC_A))
         if decision.fault:
             assert decision.action is Action.STAY

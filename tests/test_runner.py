@@ -150,6 +150,11 @@ class TestRunExperiment:
         assert report.scenario.endswith(":test")
         assert len(report.decision_log) == 20  # evaluated on the 20% block
 
+    def test_more_shots_than_training_steps_is_a_config_error(self):
+        spec = PolicySpec(kind="llm", mock=MockRule.argmax_rssi(), prompt=PromptConfig(shots=5))
+        with pytest.raises(ConfigError, match="cannot draw 5 shots from a 3-step trace"):
+            run_experiment(ExperimentConfig(policy=spec, synth=SynthConfig(num_aps=3, duration=4)))
+
     def test_worked_examples_take_the_run_window(self, monkeypatch):
         # the run's window_k sizes the worked example as well as the live window
         prompts = []

@@ -21,7 +21,6 @@ from roamsim.runner import read_trace_file, trace_content_hash
 from roamsim.trace import (
     T_MAX,
     ApObservation,
-    ContextWindow,
     ScanSample,
     SynthConfig,
     Trace,
@@ -314,16 +313,17 @@ class TestWindow:
     def test_full_window_at_t9_k10(self):
         trace = make_trace([{MAC_A: -60.0}] * 20)
         win = window(trace, 9, 10)
-        assert [s.timestamp for s in win.samples] == list(range(10))
+        assert win == trace.samples[:10]  # the trace's own tuple, sliced
+        assert [s.timestamp for s in win] == list(range(10))
 
     def test_trace_start_truncates(self):
         trace = make_trace([{MAC_A: -60.0}] * 20)
-        assert len(window(trace, 0, 10).samples) == 1
+        assert len(window(trace, 0, 10)) == 1
 
     def test_k1_returns_single(self):
         trace = make_trace([{MAC_A: -60.0}] * 20)
         win = window(trace, 19, 1)
-        assert [s.timestamp for s in win.samples] == [19]
+        assert [s.timestamp for s in win] == [19]
 
     def test_out_of_range(self):
         trace = make_trace([{MAC_A: -60.0}] * 3)
@@ -336,7 +336,7 @@ class TestWindow:
     @given(t=st.integers(0, 19), k=st.integers(1, 30))
     def test_length_formula(self, t, k):
         trace = make_trace([{MAC_A: -60.0}] * 20)
-        assert len(window(trace, t, k).samples) == min(t + 1, k)
+        assert len(window(trace, t, k)) == min(t + 1, k)
 
 
 class TestSynthetic:
@@ -666,9 +666,7 @@ class TestColumns:
             assert math.copysign(1.0, best.rssi) == math.copysign(1.0, top.rssi)
         for assoc in (*canonical.bssids, "AA:00:00:00:FF:FF"):
             state = AssociationState(associated=assoc, threshold=threshold)
-            assert legacy_decide(ContextWindow((shuffled,)), state) == legacy_decide(
-                ContextWindow((canonical,)), state
-            )
+            assert legacy_decide((shuffled,), state) == legacy_decide((canonical,), state)
 
     def test_candidates_is_a_view_of_the_columns(self):
         sample = make_sample(0, {MAC_A: -70.0, MAC_B: -60.0})
