@@ -336,6 +336,21 @@ class TestOracleExport:
                    "--plan", str(plan_path), "-o", str(out)])
         assert rc == 0
 
+    @pytest.mark.parametrize("kind", ["sft", "preferences"])
+    def test_plan_for_another_trace_exits_2_without_a_file(self, trace_file, tmp_path,
+                                                           capsys, kind):
+        short, plan_path = tmp_path / "short.jsonl", tmp_path / "plan.json"
+        assert main(["gen-trace", "--duration", "5", "-o", str(short)]) == 0
+        assert main(["oracle", "--trace", str(short), "--objective", "min-ho",
+                     "-o", str(plan_path)]) == 0
+        out = tmp_path / "corpus.jsonl"
+        rc = main(["export", "--trace", str(trace_file), "--kind", kind,
+                   "--plan", str(plan_path), "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: plan {plan_path}: 5 steps, trace has 80\n")
+        assert not out.exists()
+
 
 # A well-typed hand-written report, and one-field edits of it that compare and
 # plot-data must reject as data errors.

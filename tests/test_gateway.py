@@ -30,7 +30,6 @@ from roamsim.gateway import (
     CompletionRecord,
     EndpointConfig,
     HttpClient,
-    JsonConnection,
     MockClient,
     MockRule,
     _extract_reply,
