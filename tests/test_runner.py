@@ -534,6 +534,56 @@ def test_golden_report_file(name, tmp_path):
     assert digest == GOLDEN_REPORT_FILE_SHA256[name]
 
 
+# The report files sweep writes, one per axis value, hashed as above.
+GOLDEN_SWEEP_FILE_SHA256 = {
+    "threshold": {
+        "report_fixed_-50__threshold_-50.0.json":
+            "32f24f529d4d9e3ebe3beb420759a57630439b1f35f442cd76ef81b9c2ee9145",
+        "report_fixed_-60__threshold_-60.0.json":
+            "273c3db056c83d43a05a0b194e1b001edbccf31ce5178da4ae1fdf49e123d593",
+        "report_fixed_-70__threshold_-70.0.json":
+            "018ea16ebf9aee6bdba8b6ccd23433b8cc61ad90007e5e23fb6cf13e56d7d2de",
+        "report_fixed_-80__threshold_-80.0.json":
+            "e25a70a15e5bf8ebc0097fffd32d4234bc71f752ccd23f64effd0aca6acfc75f",
+    },
+    "context_fields": {
+        "report_llm_context_fields___.json":
+            "492693bba3821009c6925d33ddb392d11f99a961bbae8b7111c792cab50830bd",
+        "report_llm_context_fields___battery____location__.json":
+            "7651704cc2e61202e6c91b1817a19a17d5a51d1d36754ecfe13cdfe33d543641",
+        "report_llm_context_fields___battery____location____time__.json":
+            "65d80b0b86fcdac6f037baec22a1cd26bd1d8e797d91ae4790c35e5169cafd2a",
+        "report_llm_context_fields___battery____time__.json":
+            "48ece9e4d0dd34cc900f466402ca639254364fe1a529ff366ecbb3c17e52612b",
+        "report_llm_context_fields___location____time__.json":
+            "650fd64ac78e71a6f4c3d72e91a8ac4632c7dc4989757b1a7b50c2581c7ccfb3",
+    },
+    "shots": {
+        "report_llm_shots_0.json":
+            "68a9f93edd8fc4f8efedf549f95b2fd3edbb7237ac74135a56fe4cffbc707bc5",
+        "report_llm_shots_1.json":
+            "ade2a0f719139159c1d4108b80ca209978e3b743cad8a7538c077cc4c09fadf4",
+        "report_llm_shots_5.json":
+            "7a61c6c6681951e49434be45ef2217500147eadcf202a81c73d9cba61e12034a",
+    },
+}
+
+
+@pytest.mark.parametrize("axis", sorted(GOLDEN_SWEEP_FILE_SHA256))
+def test_golden_sweep_files(axis, tmp_path):
+    template = cfg_for(PolicySpec(kind="llm", mock=MockRule.argmax_rssi()), duration=80,
+                       out_dir=str(tmp_path))
+    sweep(template, axis)
+    digests = {}
+    for name in sorted(os.listdir(tmp_path)):
+        with open(tmp_path / name, encoding="utf-8") as fh:
+            d = json.load(fh)
+        d["wall_clock_ms"] = 0
+        d["latency"] = strip_volatile(d)["latency"]
+        digests[name] = hashlib.sha256(json.dumps(d, indent=2).encode("utf-8")).hexdigest()
+    assert digests == GOLDEN_SWEEP_FILE_SHA256[axis]
+
+
 # ---------------------------------------------------------------------------
 # HTTP transport: one kept-alive connection per run, released when the run ends.
 
