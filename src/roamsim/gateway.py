@@ -2,9 +2,10 @@
 model, and latency metering.
 
 `post_json` is the one routine that speaks HTTP, for the completion client
-and the external decision policy (policies.ExternalPolicy) alike: a JSON
-POST on the caller's JsonConnection, with the retry rule and the outcomes
-ok, timeout, transport_error and http_error. JsonConnection is one
+and the external decision policy (policies.ExternalPolicy) alike: a POST of
+a JSON body the caller has encoded once, on the caller's JsonConnection,
+with the retry rule and the outcomes ok, timeout, transport_error and
+http_error. JsonConnection is one
 kept-alive http.client connection, standard library only. Three edges
 differ from a general-purpose HTTP client, and nothing here relies
 on them:
@@ -210,15 +211,15 @@ class HttpClient:
 
     def complete(self, prompt: str) -> CompletionRecord:
         cfg = self.cfg
-        payload = {
+        body = json.dumps({
             "model": cfg.model,
             "temperature": cfg.temperature,
             "max_tokens": cfg.max_tokens,
             "messages": [{"role": "user", "content": prompt}],
-        }
+        }, allow_nan=False).encode()
         url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
         outcome, status, reply, latency, attempts = post_json(
-            self._conn, url, payload, _extract_reply, cfg.timeout_ms, cfg.max_retries,
+            self._conn, url, body, _extract_reply, cfg.timeout_ms, cfg.max_retries,
             cfg.backoff_ms,
         )
         record = CompletionRecord(
@@ -324,15 +325,15 @@ class JsonConnection:
 
 
 def post_json(
-    conn: JsonConnection, url: str, payload: dict, read, timeout_ms: float,
+    conn: JsonConnection, url: str, body: bytes, read, timeout_ms: float,
     max_retries: int = 0, backoff_ms: float = 0.0,
 ) -> tuple[str, int | None, object, float, int]:
-    """POST `payload` as JSON; return (outcome, status, read(body), latency_ms, attempts).
+    """POST `body`, encoded JSON; return (outcome, status, read(reply), latency_ms, attempts).
 
-    Retries timeouts, transport errors (a payload json cannot encode, a
-    bad URL, a dropped connection), bodies `read` rejects with ValueError,
-    5xx, 408 and 429, up to `max_retries` times. The read value is None
-    unless the outcome is ok.
+    The same bytes go out on every attempt. Retries timeouts, transport
+    errors (a bad URL, a dropped connection), replies `read` rejects with
+    ValueError, 5xx, 408 and 429, up to `max_retries` times. The read value
+    is None unless the outcome is ok.
     """
     outcome, status, value, latency = OUTCOME_TRANSPORT, None, None, 0.0
     attempts = 0
@@ -342,7 +343,6 @@ def post_json(
         attempts = attempt + 1
         start = time.perf_counter()
         try:
-            body = json.dumps(payload, allow_nan=False).encode()
             code, data = conn.post(url, body, timeout_ms / 1000.0)
             latency = (time.perf_counter() - start) * 1000.0
             if not 200 <= code < 300:

@@ -25,6 +25,7 @@ solvers so their float objectives match exactly.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from math import prod
@@ -39,7 +40,7 @@ from .roaming import (
     rssi_of,
     should_scan,
 )
-from .trace import ScanSample, Trace, canonical_mac, sample_to_dict, strongest
+from .trace import ScanSample, Trace, canonical_mac, jsonl_line, strongest
 
 BRUTE_FORCE_GUARD = 10_000_000
 
@@ -273,7 +274,9 @@ def brute_force_plan(
 class ExternalPolicy:
     """Forwards trigger-step windows to an external service over HTTP.
 
-    Request: {"window": [<sample>...], "state": {"associated", "threshold"}}.
+    Request: {"window": [<sample>...], "state": {"associated", "threshold"}},
+    each sample the object its trace.jsonl_line writes, and the whole body
+    what json.dumps(..., allow_nan=False) would write.
     Reply:   {"action": "stay"|"roam", "bssid": "<MAC>"?}.
     Posts through gateway.post_json on `conn`, the kept-alive connection
     its owner closes, one attempt of up to EXTERNAL_TIMEOUT_MS each. A
@@ -289,12 +292,13 @@ class ExternalPolicy:
     def decide(self, window: tuple[ScanSample, ...], state: AssociationState) -> PolicyDecision:
         if not should_scan(rssi_of(window[-1], state.associated), state.threshold):
             return PolicyDecision.stay(self.name)
-        payload = {
-            "window": [sample_to_dict(s) for s in window],
-            "state": {"associated": state.associated, "threshold": state.threshold},
-        }
+        samples = ", ".join([jsonl_line(s)[:-1] for s in window])  # each without its "\n"
+        state_json = json.dumps(
+            {"associated": state.associated, "threshold": state.threshold}, allow_nan=False
+        )
+        body = f'{{"window": [{samples}], "state": {state_json}}}'.encode()
         outcome, _, decision, _, _ = post_json(
-            self._conn, self.url, payload, self._read_action, EXTERNAL_TIMEOUT_MS
+            self._conn, self.url, body, self._read_action, EXTERNAL_TIMEOUT_MS
         )
         if outcome != OUTCOME_OK:
             return PolicyDecision.stay("external-unavailable", fault=True)

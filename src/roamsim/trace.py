@@ -21,9 +21,10 @@ Two on-disk formats are supported:
 * CSV, long format with one row per (t, AP):
   t,bssid,rssi_dbm,lat,lon,battery_pct,activity
 
-JSONL is read as a stream: one `\n`-terminated chunk at a time, each
-decoded and split on its own, so a file is never held in memory whole.
-CSV is read whole.
+Both are read as a stream of lines (see `_text_lines`), so a file is
+never held in memory whole. A line ends at any break str.splitlines knows:
+`\n`, `\r`, `\r\n`, `\u2028`, `\x85`, a form feed and the rest. A decode
+error names the line after the `\n`s that come before it.
 
 `parse_trace` is the one statement of the trace rules: a trace in memory
 is valid exactly when `parse_trace(trace_to_jsonl(trace))` gives it back.
@@ -147,17 +148,15 @@ def strongest(sample: ScanSample) -> ApObservation:
 def parse_trace(data, fmt: str = "jsonl") -> Trace:
     """Parse a trace from bytes, text, or an open binary or text file.
 
-    JSONL is read one line at a time; CSV is read whole. Raises
-    TraceFormatError (with a 1-based line number where possible) on
+    Both formats are read one line at a time, through `_text_lines`.
+    Raises TraceFormatError (with a 1-based line number where possible) on
     malformed lines, duplicate BSSIDs within a sample, non-monotone
     timestamps, out-of-range RSSI, or empty input.
     """
-    if fmt == "jsonl":
-        samples = _parse_jsonl(data)
-    elif fmt == "csv":
-        samples = _parse_csv(_as_text(data))
-    else:
+    parse = {"jsonl": _parse_jsonl, "csv": _parse_csv}.get(fmt)
+    if parse is None:
         raise ValueError(f"unknown trace format: {fmt!r}")
+    samples = parse(_text_lines(data))
     if not samples:
         raise TraceFormatError("empty trace")
     return Trace(samples=tuple(samples))
@@ -165,20 +164,6 @@ def parse_trace(data, fmt: str = "jsonl") -> Trace:
 
 def _not_utf8(exc: UnicodeDecodeError, line: int | None = None) -> TraceFormatError:
     return TraceFormatError(f"malformed line: not UTF-8 ({exc.reason})", line)
-
-
-def _as_text(data) -> str:
-    if not isinstance(data, (bytes, str)):
-        try:
-            data = data.read()
-        except UnicodeDecodeError as exc:  # a text stream decodes as it reads
-            raise _not_utf8(exc) from None
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _text_lines(data):
@@ -251,17 +236,13 @@ def _check_activity(value, line: int) -> str:
 
 
 def _build_sample(
-    t: int,
-    entries: list[tuple[float, str, float]],
-    line: int,
-    *,
-    assoc=None,
-    lat=None,
-    lon=None,
-    battery=None,
-    activity: str = ACTIVITY_ACTIVE,
+    t: int, entries: list[tuple[float, str, float]], line: int, rec, assoc=None
 ) -> ScanSample:
-    """One sample from its scan `entries`, each (-rssi, bssid, rssi), in file order."""
+    """One sample from its scan `entries`, each (-rssi, bssid, rssi), in file order.
+
+    `rec` is the JSONL object or the CSV row that opens the step; the device
+    context is read from it after the scan is checked.
+    """
     if not entries:
         raise TraceFormatError("malformed line: empty scan", line)
     # Sorted, the entries are in canonical order; with distinct BSSIDs the
@@ -275,15 +256,18 @@ def _build_sample(
             seen.add(mac)
     return ScanSample(
         t, bssids, rssis, assoc,
-        latitude=lat, longitude=lon, battery_pct=battery, activity=activity,
+        latitude=_opt_float(rec.get("lat"), line, "latitude", -90.0, 90.0),
+        longitude=_opt_float(rec.get("lon"), line, "longitude", -180.0, 180.0),
+        battery_pct=_opt_float(rec.get("battery_pct"), line, "battery_pct", 0.0, 100.0),
+        activity=_check_activity(rec.get("activity"), line),
     )
 
 
-def _parse_jsonl(data) -> list[ScanSample]:
+def _parse_jsonl(lines) -> list[ScanSample]:
     samples: list[ScanSample] = []
     prev_t: int | None = None
     macs: dict[str, str] = {}  # raw BSSID string -> canonical form, for this parse
-    for line_no, line in _text_lines(data):
+    for line_no, line in lines:
         if not line.strip():
             continue
         try:
@@ -322,30 +306,19 @@ def _parse_jsonl(data) -> list[ScanSample]:
                 assoc = canonical_mac(rec["assoc"])
             except ValueError as exc:
                 raise TraceFormatError(f"malformed line: {exc}", line_no) from None
-        samples.append(
-            _build_sample(
-                t,
-                entries,
-                line_no,
-                assoc=assoc,
-                lat=_opt_float(rec.get("lat"), line_no, "latitude", -90.0, 90.0),
-                lon=_opt_float(rec.get("lon"), line_no, "longitude", -180.0, 180.0),
-                battery=_opt_float(rec.get("battery_pct"), line_no, "battery_pct", 0.0, 100.0),
-                activity=_check_activity(rec.get("activity"), line_no),
-            )
-        )
+        samples.append(_build_sample(t, entries, line_no, rec, assoc))
     return samples
 
 
-def _parse_csv(text: str) -> list[ScanSample]:
-    reader = csv.DictReader(io.StringIO(text))
-    required = {"t", "bssid", "rssi_dbm"}
-    if reader.fieldnames is None:
-        return []
-    missing = required - set(reader.fieldnames)
-    if missing:
-        raise TraceFormatError(f"missing csv columns: {sorted(missing)}", 1)
+def _parse_csv(lines) -> list[ScanSample]:
+    last = 1  # the line csv read last, which is the one a csv.Error is about
 
+    def fed():
+        nonlocal last
+        for last, line in lines:
+            yield line + "\n"  # so a quoted field keeps its line break
+
+    reader = csv.DictReader(fed())
     samples: list[ScanSample] = []
     group_t: int | None = None
     group_entries: list[tuple[float, str, float]] = []
@@ -353,77 +326,60 @@ def _parse_csv(text: str) -> list[ScanSample]:
     group_line = 2
     prev_t: int | None = None
 
-    def flush(line_no: int) -> None:
+    def flush() -> None:
         nonlocal prev_t
         if group_t is None:
             return
         if prev_t is not None and group_t <= prev_t:
-            raise TraceFormatError("non-monotone timestamps", line_no)
+            raise TraceFormatError("non-monotone timestamps", group_line)
         prev_t = group_t
-        samples.append(
-            _build_sample(
-                group_t,
-                group_entries,
-                line_no,
-                lat=_opt_float(group_row.get("lat"), line_no, "latitude", -90.0, 90.0),
-                lon=_opt_float(group_row.get("lon"), line_no, "longitude", -180.0, 180.0),
-                battery=_opt_float(group_row.get("battery_pct"), line_no, "battery_pct", 0.0, 100.0),
-                activity=_check_activity(group_row.get("activity"), line_no),
-            )
-        )
+        samples.append(_build_sample(group_t, group_entries, group_line, group_row))
 
-    for row in reader:
-        line_no = reader.line_num
-        t = _check_timestamp(row.get("t"), line_no)
-        try:
-            mac = canonical_mac(row.get("bssid") or "")
-        except ValueError as exc:
-            raise TraceFormatError(f"malformed line: {exc}", line_no) from None
-        rssi = _check_float(row.get("rssi_dbm"), line_no)
-        if t != group_t:
-            flush(group_line)
-            group_t, group_entries, group_row, group_line = t, [], row, line_no
-        group_entries.append((-rssi, mac, rssi))
-    flush(group_line)
+    try:
+        if reader.fieldnames is None:
+            return []
+        missing = {"t", "bssid", "rssi_dbm"} - set(reader.fieldnames)
+        if missing:
+            raise TraceFormatError(f"missing csv columns: {sorted(missing)}", 1)
+        for row in reader:
+            t = _check_timestamp(row.get("t"), last)
+            try:
+                mac = canonical_mac(row.get("bssid") or "")
+            except ValueError as exc:
+                raise TraceFormatError(f"malformed line: {exc}", last) from None
+            rssi = _check_float(row.get("rssi_dbm"), last)
+            if t != group_t:
+                flush()
+                group_t, group_entries, group_row, group_line = t, [], row, last
+            group_entries.append((-rssi, mac, rssi))
+    except csv.Error as exc:
+        raise TraceFormatError(f"malformed line: {exc}", last) from None
+    flush()
     return samples
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
-def sample_to_dict(sample: ScanSample) -> dict:
-    """JSON-ready dict for one sample, with a stable key order."""
-    rec: dict = {
-        "t": sample.timestamp,
-        "scan": [{"bssid": b, "rssi_dbm": r} for b, r in zip(sample.bssids, sample.rssis)],
-    }
-    if sample.associated is not None:
-        rec["assoc"] = sample.associated
-    if sample.latitude is not None:
-        rec["lat"] = sample.latitude
-    if sample.longitude is not None:
-        rec["lon"] = sample.longitude
-    if sample.battery_pct is not None:
-        rec["battery_pct"] = sample.battery_pct
-    rec["activity"] = sample.activity
-    return rec
-
-
 def trace_to_jsonl(trace: Trace) -> str:
-    """Canonical JSONL: each line is byte for byte json.dumps(sample_to_dict(s)).
-
-    Written directly rather than through dicts and json.dumps, because the
-    content hash serializes every trace on every run. json.dumps writes ints
-    and finite floats with repr, strings with encode_basestring_ascii, and
-    ", " / ": " separators; this does the same. Every trace parse_trace or
-    generate_synthetic returns holds only finite floats, which is what makes
-    the two agree (json.dumps would write NaN where repr writes nan).
-    """
+    """Canonical JSONL: one `jsonl_line` per sample."""
     return "".join(map(jsonl_line, trace.samples))
 
 
 def jsonl_line(sample: ScanSample) -> str:
-    """One sample's line of canonical JSONL, with its newline."""
+    """One sample's line of canonical JSONL, with its newline.
+
+    The line is byte for byte what json.dumps writes for the object with
+    keys t, scan (bssid and rssi_dbm per entry), then assoc, lat, lon and
+    battery_pct where set, then activity, so the external policy's request
+    body embeds it as is. It is written directly rather than through a
+    dict and json.dumps, because the content hash serializes every trace on
+    every run. json.dumps writes ints and finite floats with repr, strings
+    with encode_basestring_ascii, and ", " / ": " separators; this does the
+    same. Every trace parse_trace or generate_synthetic returns holds only
+    finite floats, which is what makes the two agree (json.dumps would
+    write NaN where repr writes nan).
+    """
     scan = ", ".join(
         [
             f'{{"bssid": {_json_str(b)}, "rssi_dbm": {r!r}}}'

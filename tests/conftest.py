@@ -114,12 +114,14 @@ def trace_to_csv(trace: Trace) -> str:
 
 class FakeJsonConnection:
     """Stands in for gateway.JsonConnection: every POST answers 200 with
-    `body` as JSON."""
+    `body` as JSON, and the request bodies are kept in `bodies`."""
 
     def __init__(self, body):
         self.reply = json.dumps(body).encode()
+        self.bodies: list[bytes] = []
 
     def post(self, url, body, timeout):
+        self.bodies.append(body)
         return 200, self.reply
 
 

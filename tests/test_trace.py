@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -13,10 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MAC_A, MAC_B, mac, make_sample, make_trace, round_trips, trace_to_csv
+from conftest import (
+    MAC_A,
+    MAC_B,
+    FakeJsonConnection,
+    mac,
+    make_sample,
+    make_trace,
+    round_trips,
+    trace_to_csv,
+)
 from roamsim.errors import TraceFormatError
-from roamsim.policies import legacy_decide
-from roamsim.roaming import AssociationState
+from roamsim.policies import ExternalPolicy, legacy_decide
+from roamsim.roaming import AssociationState, rssi_of, should_scan
 from roamsim.runner import read_trace_file, trace_content_hash
 from roamsim.trace import (
     T_MAX,
@@ -31,7 +41,6 @@ from roamsim.trace import (
     canonical_mac,
     generate_synthetic,
     parse_trace,
-    sample_to_dict,
     strongest,
     trace_to_jsonl,
     window,
@@ -268,6 +277,24 @@ def valid_samples(draw):
     )
 
 
+def sample_to_dict(sample: ScanSample) -> dict:
+    """Reference for jsonl_line: the sample as the dict json.dumps writes."""
+    rec: dict = {
+        "t": sample.timestamp,
+        "scan": [{"bssid": b, "rssi_dbm": r} for b, r in zip(sample.bssids, sample.rssis)],
+    }
+    if sample.associated is not None:
+        rec["assoc"] = sample.associated
+    if sample.latitude is not None:
+        rec["lat"] = sample.latitude
+    if sample.longitude is not None:
+        rec["lon"] = sample.longitude
+    if sample.battery_pct is not None:
+        rec["battery_pct"] = sample.battery_pct
+    rec["activity"] = sample.activity
+    return rec
+
+
 class TestCanonicalJsonl:
     def test_golden_content_hash(self):
         # sha256 of the lines json.dumps(sample_to_dict(s)) writes; stored
@@ -284,6 +311,23 @@ class TestCanonicalJsonl:
         assert all(round_trips(Trace(samples=(s,))) for s in samples)
         lines = trace_to_jsonl(trace).splitlines(keepends=True)
         assert lines == [json.dumps(sample_to_dict(s)) + "\n" for s in samples]
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(valid_samples(), min_size=1, max_size=4), data=st.data())
+    def test_external_body_equals_json_dumps(self, samples, data):
+        window = tuple(samples)
+        state = AssociationState(
+            associated=data.draw(st.sampled_from((None, *window[-1].bssids))),
+            threshold=data.draw(st.floats(-100.0, 0.0)),
+        )
+        conn = FakeJsonConnection({"action": "stay"})
+        ExternalPolicy("http://127.0.0.1:1/decide", conn).decide(window, state)
+        want = json.dumps({
+            "window": [sample_to_dict(s) for s in window],
+            "state": {"associated": state.associated, "threshold": state.threshold},
+        }, allow_nan=False).encode()
+        posted = should_scan(rssi_of(window[-1], state.associated), state.threshold)
+        assert conn.bodies == ([want] if posted else [])
 
     def test_observations_are_immutable_named_records(self):
         obs = ApObservation(bssid=MAC_A, rssi=-60.0)
@@ -417,15 +461,11 @@ def test_golden_synthetic(name):
 
 
 # ---------------------------------------------------------------------------
-# Streaming ingest against the whole-text parser it replaced
+# Streaming ingest against the whole-text parsers it replaced
 
-def whole_text_parse_jsonl(data) -> Trace:
-    """Reference for parse_trace(data, "jsonl"): the whole-text parser.
-
-    It decodes the whole input, splits it with str.splitlines and parses line
-    by line, as the package did before JSONL ingest streamed. The per-field
-    checks are the package's own.
-    """
+def _decode_whole(data) -> str:
+    """The whole input as text; a decode error names the line after the `\n`s
+    before it, or none for a text stream."""
     if not isinstance(data, (bytes, str)):
         try:
             data = data.read()
@@ -437,6 +477,17 @@ def whole_text_parse_jsonl(data) -> Trace:
         except UnicodeDecodeError as exc:
             line = data.count(b"\n", 0, exc.start) + 1
             raise TraceFormatError(f"malformed line: not UTF-8 ({exc.reason})", line) from None
+    return data
+
+
+def whole_text_parse_jsonl(data) -> Trace:
+    """Reference for parse_trace(data, "jsonl"): the whole-text parser.
+
+    It decodes the whole input, splits it with str.splitlines and parses line
+    by line, as the package did before JSONL ingest streamed. The per-field
+    checks are the package's own.
+    """
+    data = _decode_whole(data)
     samples = []
     prev_t = None
     for line_no, line in enumerate(data.splitlines(), start=1):
@@ -491,6 +542,67 @@ def whole_text_parse_jsonl(data) -> Trace:
             battery_pct=_opt_float(rec.get("battery_pct"), line_no, "battery_pct", 0.0, 100.0),
             activity=_check_activity(rec.get("activity"), line_no),
         ))
+    if not samples:
+        raise TraceFormatError("empty trace")
+    return Trace(samples=tuple(samples))
+
+
+def whole_text_parse_csv(data) -> Trace:
+    """Reference for parse_trace(data, "csv"): the whole-text parser.
+
+    It decodes the whole input and runs csv.DictReader over io.StringIO, as
+    the package did before CSV ingest streamed, with the package's own
+    per-field checks. A step's rows share its t; the step is checked when the
+    next one starts, or at the end. StringIO reads `\r` and `\r\n` as `\n`,
+    which is what the stream does with them, but no other line break.
+    """
+    reader = csv.DictReader(io.StringIO(_decode_whole(data), newline=None))
+    rows = reader.reader  # its line_num counts the line it read last
+    samples = []
+    step = None  # (t, line, row, [(-rssi, bssid)]) of the step being read
+
+    def close(t, line, row, entries):
+        if samples and t <= samples[-1].timestamp:
+            raise TraceFormatError("non-monotone timestamps", line)
+        seen = set()
+        for _, bssid in entries:
+            if bssid in seen:
+                raise TraceFormatError(f"duplicate bssid {bssid}", line)
+            seen.add(bssid)
+        entries.sort()
+        samples.append(ScanSample(
+            timestamp=t,
+            bssids=tuple(b for _, b in entries),
+            rssis=tuple(-r for r, _ in entries),
+            latitude=_opt_float(row.get("lat"), line, "latitude", -90.0, 90.0),
+            longitude=_opt_float(row.get("lon"), line, "longitude", -180.0, 180.0),
+            battery_pct=_opt_float(row.get("battery_pct"), line, "battery_pct", 0.0, 100.0),
+            activity=_check_activity(row.get("activity"), line),
+        ))
+
+    try:
+        if reader.fieldnames is None:
+            raise TraceFormatError("empty trace")
+        missing = {"t", "bssid", "rssi_dbm"} - set(reader.fieldnames)
+        if missing:
+            raise TraceFormatError(f"missing csv columns: {sorted(missing)}", 1)
+        for row in reader:
+            line = rows.line_num
+            t = _check_timestamp(row.get("t"), line)
+            try:
+                bssid = canonical_mac(row.get("bssid") or "")
+            except ValueError as exc:
+                raise TraceFormatError(f"malformed line: {exc}", line) from None
+            rssi = _check_float(row.get("rssi_dbm"), line)
+            if step is None or step[0] != t:
+                if step is not None:
+                    close(*step)
+                step = (t, line, row, [])
+            step[3].append((-rssi, bssid))
+    except csv.Error as exc:
+        raise TraceFormatError(f"malformed line: {exc}", rows.line_num) from None
+    if step is not None:
+        close(*step)
     if not samples:
         raise TraceFormatError("empty trace")
     return Trace(samples=tuple(samples))
@@ -617,6 +729,113 @@ class TestStreamingIngest:
 
         assert len(parse_trace(Lines(path.read_bytes()), "jsonl")) == 3
         assert read_trace_file(path) == parse_trace(path.read_bytes(), "jsonl")
+
+
+CSV_HEADERS = [b"t,bssid,rssi_dbm,lat,lon,battery_pct,activity"] * 3 + [
+    b"t,bssid,rssi_dbm", b"t,bssid,rssi_dbm", b"rssi_dbm,t,bssid,activity", b"t,bssid", b""]
+CSV_MACS = ["aa-00-00-00-00-01", "AA:00:00:00:00:02", "aa:00:00:00:00:03"]
+CSV_RSSIS = ["-60", "-61.5", "-0.0", "-1e-05", "-100"]
+CSV_CONTEXTS = ["", ",37.4,-122.1,88,idle", ",,,,active", ',"1.5",,,"idle"']
+# Rows each rule rejects, quoted fields that hold a line break or never end,
+# and non-ASCII text.
+CSV_BAD_PIECES = [
+    "early-t", b"   ", b"0,zz,-60", b"x,aa:00:00:00:00:01,-60", b"1e400,aa:00:00:00:00:01,-60",
+    b"1,aa:00:00:00:00:01,5", b"1,aa:00:00:00:00:01,-60,95,,,",
+    b"1,aa:00:00:00:00:01,-60,,,,walk", b'1,aa:00:00:00:00:01,-60,,,,"id\nle"', b'1,"aa',
+    b'"9\n",aa:00:00:00:00:01,-60', "caf\u00e9,\u20ac".encode(), b"1,aa:00:00:00:00:01,-60\x00",
+]
+# Line breaks StringIO reads as the stream does; no piece holds any other.
+CSV_BREAKS = [b"\n", b"\n", b"\r\n", b"\r", b"\n\n", b""]
+_OTHER_BREAK_BYTES = b"\x0b\x0c\x1c\x1d\x1e\x85\xa8\xa9"  # with \xc2 or \xe2\x80, a break
+
+
+@st.composite
+def csv_bytes(draw) -> bytes:
+    """A CSV file, drawn as jsonl_bytes draws a JSONL one."""
+    mode = draw(st.sampled_from(["clean", "text", "bytes", "any"]))
+    pieces = ["row", "row", "next", b""] + (CSV_BAD_PIECES if mode in ("text", "any") else [])
+    pieces += NOT_UTF8_PIECES if mode in ("bytes", "any") else []
+    breaks = CSV_BREAKS[:-1] if mode == "clean" else CSV_BREAKS  # b"" joins two lines
+    out = [draw(st.sampled_from(CSV_HEADERS)) + draw(st.sampled_from(breaks[:-1]))]
+    t, used = 0, set()
+    for _ in range(draw(st.integers(0, 10))):
+        piece = draw(st.sampled_from(pieces))
+        if piece in ("row", "next", "early-t"):
+            fresh = [m for m in CSV_MACS if m not in used]
+            if piece == "next" or not fresh:
+                t, used, fresh = t + draw(st.integers(1, 3)), set(), CSV_MACS
+            bssid = draw(st.sampled_from(fresh))
+            used.add(bssid)
+            piece = (f"{t - 1 if piece == 'early-t' else t},{bssid},"
+                     f"{draw(st.sampled_from(CSV_RSSIS))}"
+                     f"{draw(st.sampled_from(CSV_CONTEXTS))}").encode()
+        elif piece == "any bytes":
+            piece = draw(st.binary(max_size=4)).translate(None, _OTHER_BREAK_BYTES)
+        out.append(piece + draw(st.sampled_from(breaks)))
+    return b"".join(out)
+
+
+def _csv_text(breaks: str = "\n") -> str:
+    text = trace_to_csv(make_trace([{MAC_A: -60.0, MAC_B: -70.5}, {MAC_A: -62.0}]))
+    return text.replace("\n", breaks)
+
+
+class TestStreamingCsv:
+    @settings(max_examples=400, deadline=None)
+    @given(data=csv_bytes())
+    def test_equals_the_whole_text_parser(self, data):
+        want = _outcome(whole_text_parse_csv, data)
+        if not (isinstance(want, tuple) and "not UTF-8" in want[0]):
+            for name, form in _input_forms(data).items():
+                assert _outcome(lambda d: parse_trace(d, "csv"), form) == want, name
+            return
+        # The stream reads the rows before the piece that fails to decode
+        # first, so their error may come in its place; one the whole-text
+        # parser finds only when those rows end (a step checked at the end,
+        # a quoted field cut off) may not.
+        head = b"".join(p + b"\n" for p in data.split(b"\n")[: want[1] - 1])
+        earlier = _outcome(whole_text_parse_csv, head)
+        for name, form in _input_forms(data).items():
+            got = _outcome(lambda d: parse_trace(d, "csv"), form)
+            # a text stream decodes ahead of its lines, as for JSONL
+            decode = (want[0].split(" at line ")[0], None) if name == "text stream" else want
+            assert got == decode or (got == earlier and got[0] != "empty trace"), name
+
+    @pytest.mark.parametrize("brk", ["\r", "\r\n", "\u2028", "\x85", "\x0c"],
+                             ids=["cr", "crlf", "u2028", "nel", "ff"])
+    def test_every_line_break_ends_a_row(self, brk):
+        text = _csv_text(brk)
+        for form in (text, text.encode(), io.BytesIO(text.encode())):
+            assert parse_trace(form, "csv") == parse_trace(_csv_text(), "csv")
+        bad = "t,bssid,rssi_dbm" + brk + brk + "0,zz,-60\n"  # line 2 is blank
+        for form in (bad, bad.encode(), io.BytesIO(bad.encode())):
+            with pytest.raises(TraceFormatError, match="not a MAC address: 'zz' at line 3"):
+                parse_trace(form, "csv")
+
+    def test_a_quoted_field_keeps_its_line_break(self):
+        text = 't,bssid,rssi_dbm,activity\r0,aa:00:00:00:00:01,-60,"id\rle"\r'
+        with pytest.raises(TraceFormatError, match="bad activity 'id\\\\nle' at line 3"):
+            parse_trace(text, "csv")
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_over_long_field_names_its_line(self, line):
+        rows = ["t,bssid,rssi_dbm", "0,aa:00:00:00:00:01,-60", "1,aa:00:00:00:00:01,-60"]
+        rows[line - 1] += "," + "x" * 131073
+        with pytest.raises(TraceFormatError, match=f"field larger than .* at line {line}$"):
+            parse_trace("\n".join(rows), "csv")
+
+    def test_decode_error_counts_newlines_only(self):
+        data = b"t,bssid,rssi_dbm\r0,aa:00:00:00:00:01,-60\n\xe2\x82\n"
+        with pytest.raises(TraceFormatError, match="not UTF-8 .* at line 2"):
+            parse_trace(io.BytesIO(data), "csv")
+
+    def test_reads_the_file_a_line_at_a_time(self):
+        class Lines(io.BytesIO):
+            def read(self, *args):
+                raise AssertionError("the CSV parser read the whole file")
+
+        text = _csv_text()
+        assert parse_trace(Lines(text.encode()), "csv") == parse_trace(text, "csv")
 
 
 class TestIngestMemory:
