@@ -274,6 +274,8 @@ def _parse_jsonl(lines) -> list[ScanSample]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"malformed line: {exc.msg}", line_no) from None
+        except (ValueError, RecursionError) as exc:  # an int past the digit limit; deep nesting
+            raise TraceFormatError(f"malformed line: {exc}", line_no) from None
         if not isinstance(rec, dict) or "t" not in rec or "scan" not in rec:
             raise TraceFormatError("malformed line: expected object with t and scan", line_no)
         t = _check_timestamp(rec["t"], line_no)

@@ -112,6 +112,19 @@ class TestSimulate:
         assert main(["simulate", "--trace", str(bad), "--policy", "legacy"]) == 2
         assert capsys.readouterr().err.startswith("data error:")
 
+    @pytest.mark.parametrize("name, data", [
+        ("long.csv", b"t,bssid,rssi_dbm\n0,aa:00:00:00:00:01," + b"1" * 131073 + b"\n"),
+        ("deep.jsonl", b"\n" + b"[" * 100_000 + b"\n"),
+        ("long-int.jsonl", b'\n{"t": ' + b"1" * 5000 + b', "scan": []}\n'),
+    ], ids=["csv-field", "deep", "long-int"])
+    def test_input_past_a_reader_limit_is_a_data_error(self, tmp_path, capsys, name, data):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        assert main(["simulate", "--trace", str(bad), "--policy", "legacy"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert err.endswith(" at line 2\n")
+
     def test_timestamp_beyond_year_9999_is_a_data_error(self, tmp_path, capsys):
         # assoc on the weaker AP, so the threshold prompt renders both rows
         scan = '"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60},' \

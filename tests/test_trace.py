@@ -11,7 +11,7 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -497,6 +497,8 @@ def whole_text_parse_jsonl(data) -> Trace:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"malformed line: {exc.msg}", line_no) from None
+        except (ValueError, RecursionError) as exc:
+            raise TraceFormatError(f"malformed line: {exc}", line_no) from None
         if not isinstance(rec, dict) or "t" not in rec or "scan" not in rec:
             raise TraceFormatError("malformed line: expected object with t and scan", line_no)
         t = _check_timestamp(rec["t"], line_no)
@@ -836,6 +838,33 @@ class TestStreamingCsv:
 
         text = _csv_text()
         assert parse_trace(Lines(text.encode()), "csv") == parse_trace(text, "csv")
+
+
+DEEP_JSONL = b"[" * 100_000
+LONG_INT_JSONL = b'{"t": ' + b"1" * 5000 + b', "scan": []}'
+
+
+class TestTotality:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(), fmt=st.sampled_from(["jsonl", "csv"]))
+    @example(data=_csv_text("\r").encode(), fmt="csv")
+    @example(data=b"t,bssid,rssi_dbm\n0," + b"x" * 131073 + b",-60\n", fmt="csv")
+    @example(data=DEEP_JSONL, fmt="jsonl")
+    @example(data=LONG_INT_JSONL, fmt="jsonl")
+    def test_any_bytes_parse_or_raise_trace_format_error(self, data, fmt):
+        try:
+            parse_trace(data, fmt)
+        except TraceFormatError:
+            pass
+
+    @pytest.mark.parametrize("line, message", [
+        (DEEP_JSONL, "maximum recursion depth exceeded"),
+        (LONG_INT_JSONL, "Exceeds the limit \\(4300 digits\\)"),
+    ], ids=["deep", "long-int"])
+    def test_json_past_the_decoder_limits_names_its_line(self, line, message):
+        data = _ingest_line(1).encode() + b"\n" + line + b"\n"
+        with pytest.raises(TraceFormatError, match=f"malformed line: {message}.* at line 2$"):
+            parse_trace(data, "jsonl")
 
 
 class TestIngestMemory:
