@@ -556,9 +556,15 @@ def whole_text_parse_csv(data) -> Trace:
     the package did before CSV ingest streamed, with the package's own
     per-field checks. A step's rows share its t; the step is checked when the
     next one starts, or at the end. StringIO reads `\r` and `\r\n` as `\n`,
-    which is what the stream does with them, but no other line break.
+    which is what the stream does with them, but no other line break. The
+    stream ends every line with `\n`, the last one too, which only a quoted
+    field left open at the end can hold; so the text gets a final `\n` here
+    when it has no final line break.
     """
-    reader = csv.DictReader(io.StringIO(_decode_whole(data), newline=None))
+    text = _decode_whole(data)
+    if text and text[-1] not in "\r\n":
+        text += "\n"
+    reader = csv.DictReader(io.StringIO(text, newline=None))
     rows = reader.reader  # its line_num counts the line it read last
     samples = []
     step = None  # (t, line, row, [(-rssi, bssid)]) of the step being read
@@ -818,6 +824,12 @@ class TestStreamingCsv:
         text = 't,bssid,rssi_dbm,activity\r0,aa:00:00:00:00:01,-60,"id\rle"\r'
         with pytest.raises(TraceFormatError, match="bad activity 'id\\\\nle' at line 3"):
             parse_trace(text, "csv")
+
+    def test_a_quoted_field_open_at_the_end_ends_in_a_line_break(self):
+        text = "t,bssid,rssi_dbm\n0,aa:00:00:00:00:01,-60\n1,\"aa"
+        for end in ("", "\n", "\r"):
+            with pytest.raises(TraceFormatError, match="address: 'aa\\\\n' at line 3$"):
+                parse_trace(text + end, "csv")
 
     @pytest.mark.parametrize("line", [1, 2])
     def test_over_long_field_names_its_line(self, line):
