@@ -49,6 +49,8 @@ OUTCOME_TIMEOUT = "timeout"
 OUTCOME_TRANSPORT = "transport_error"
 OUTCOME_HTTP = "http_error"
 
+MOCK_DELAY_MAX_MS = 86_400_000
+
 # MAC=rssi pairs as rendered in prompt window rows (rssi kept at full
 # precision, so scientific notation near zero must parse too).
 _PAIR_RE = re.compile(
@@ -118,6 +120,11 @@ class MockRule:
     replies: tuple[str, ...] | None = None
     fail_after_n: int | None = None
     delay_ms: float = 0.0
+
+    def __post_init__(self):
+        # NaN is never in range; past about 292 years time.sleep overflows
+        if not 0 <= self.delay_ms <= MOCK_DELAY_MAX_MS:
+            raise ValueError(f"delay_ms must be between 0 and {MOCK_DELAY_MAX_MS} (one day)")
 
     @staticmethod
     def argmax_rssi(delay_ms: float = 0.0) -> "MockRule":

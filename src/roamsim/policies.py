@@ -66,6 +66,12 @@ class OracleConstraints:
     validity_floor: float = DEFAULT_SCAN_RSSI_DBM
     empty_feasible_set_rule: str = RELAX_TO_ARGMAX
 
+    def __post_init__(self):
+        if not -100.0 <= self.validity_floor <= 0.0:  # NaN is never in range
+            raise ValueError(f"validity_floor out of range: {self.validity_floor}")
+        if self.empty_feasible_set_rule not in (RELAX_TO_ARGMAX, EMPTY_SET_ERROR):
+            raise ValueError(f"unknown empty-set rule {self.empty_feasible_set_rule!r}")
+
 
 @dataclass(frozen=True)
 class AssociationPlan:

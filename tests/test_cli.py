@@ -305,6 +305,21 @@ class TestOracleExport:
         assert plan["objective"] == "min_ho"
         assert len(plan["plan"]) == 80
 
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "--objective", "min-ho", "--floor", "nan"], "validity_floor out of range"),
+        (["oracle", "--objective", "min-ho", "--floor", "5"], "validity_floor out of range"),
+        (["export", "--kind", "sft", "--floor", "nan"], "validity_floor out of range"),
+        (["export", "--kind", "sft", "--scan-rssi", "nan"], "scan_rssi out of range"),
+        (["export", "--kind", "preferences", "--scan-rssi", "5"], "scan_rssi out of range"),
+    ], ids=["oracle-nan", "oracle-above", "export-floor", "sft-nan", "preferences-above"])
+    def test_out_of_range_dbm_exits_1_without_a_file(self, trace_file, tmp_path, capsys,
+                                                     argv, message):
+        out = tmp_path / "out.json"
+        rc = main([*argv, "--trace", str(trace_file), "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
     def test_oracle_brute_force_small(self, tmp_path, capsys):
         small = tmp_path / "small.jsonl"
         main(["gen-trace", "--num-aps", "2", "--duration", "6", "--seed", "1",
@@ -493,6 +508,14 @@ class TestBenchLatency:
 
     def test_missing_target_exits_1(self):
         assert main(["bench-latency", "--n", "1"]) == 1
+
+    @pytest.mark.parametrize("delay", ["inf", "1e300", "nan", "-1"])
+    def test_bad_mock_delay_exits_1(self, trace_file, capsys, delay):
+        for argv in (["bench-latency", "--mock", "argmax", "--n", "1"],
+                     ["simulate", "--trace", str(trace_file), "--policy", "llm",
+                      "--mock", "argmax"]):
+            assert main([*argv, f"--mock-delay-ms={delay}"]) == 1
+            assert capsys.readouterr().err.startswith("config error: delay_ms must be")
 
     @pytest.mark.parametrize("argv", [
         ["--endpoint-url", "http://127.0.0.1:1", "--n", "0"],

@@ -452,6 +452,11 @@ class TestMockRules:
         client = MockClient(MockRule.constant_text("x", delay_ms=30.0))
         assert client.complete("p").latency_ms >= 30.0
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), 1e300, -1.0, 86_400_001])
+    def test_bad_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="delay_ms must be between 0 and 86400000"):
+            MockRule.argmax_rssi(delay)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 5000), t=st.integers(0, 39))
     def test_argmax_composes_with_prompt_and_parser(self, seed, t):

@@ -208,6 +208,16 @@ class TestOracles:
         with pytest.raises(OracleInfeasibleError):
             oracle_opt_ho(trace, constraints)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(validity_floor=float("nan")), "validity_floor out of range: nan"),
+        (dict(validity_floor=5.0), "validity_floor out of range: 5.0"),
+        (dict(validity_floor=-100.5), "validity_floor out of range: -100.5"),
+        (dict(empty_feasible_set_rule="relax"), "unknown empty-set rule 'relax'"),
+    ], ids=["nan", "above", "below", "rule"])
+    def test_bad_constraints_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            OracleConstraints(**kw)
+
 
 class TestBruteForce:
     def test_t1_picks_best_single_choice(self):
