@@ -54,7 +54,7 @@ from .policies import (
     brute_force_plan,
     solve_plan,
 )
-from .roaming import HYSTERESIS_PRESETS
+from .roaming import HYSTERESIS_PRESETS, check_dbm
 from .runner import (
     ExperimentConfig,
     POLICIES,
@@ -360,8 +360,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.scan_rssi is not None and not -100.0 <= args.scan_rssi <= 0.0:
-        raise ConfigError(f"scan_rssi out of range: {args.scan_rssi}")
+    if args.scan_rssi is not None:
+        check_dbm("scan_rssi", args.scan_rssi)
     trace = read_trace_file(args.trace)
     if args.plan:
         with open(args.plan, encoding="utf-8") as fh:

@@ -30,12 +30,13 @@ import random
 from dataclasses import dataclass
 from math import prod
 
-from .errors import OracleInfeasibleError, SearchSpaceError
+from .errors import ConfigError, OracleInfeasibleError, SearchSpaceError
 from .gateway import OUTCOME_OK, JsonConnection, post_json
 from .roaming import (
     DEFAULT_SCAN_RSSI_DBM,
     AssociationState,
     PolicyDecision,
+    check_dbm,
     passes_hysteresis,
     rssi_of,
     should_scan,
@@ -67,10 +68,9 @@ class OracleConstraints:
     empty_feasible_set_rule: str = RELAX_TO_ARGMAX
 
     def __post_init__(self):
-        if not -100.0 <= self.validity_floor <= 0.0:  # NaN is never in range
-            raise ValueError(f"validity_floor out of range: {self.validity_floor}")
+        check_dbm("validity_floor", self.validity_floor)
         if self.empty_feasible_set_rule not in (RELAX_TO_ARGMAX, EMPTY_SET_ERROR):
-            raise ValueError(f"unknown empty-set rule {self.empty_feasible_set_rule!r}")
+            raise ConfigError(f"unknown empty-set rule {self.empty_feasible_set_rule!r}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Callable
 
+from .errors import ConfigError
 from .trace import ACTIVITY_ACTIVE, ScanSample, Trace, strongest, window
 
 # RSSI charged to a step whose associated AP is missing from the scan.
@@ -40,6 +41,12 @@ HYSTERESIS_PRESETS: dict[str, tuple[float, float]] = {
     "off": (0.0, 0.0),
     "standard-80211": (8.0, 12.0),
 }
+
+
+def check_dbm(name: str, value: float) -> None:
+    """ConfigError unless the `name` setting is a level in [-100, 0] dBm; NaN never is."""
+    if not -100.0 <= value <= 0.0:
+        raise ConfigError(f"{name} out of range: {value}")
 
 
 class Action(str, enum.Enum):

@@ -51,7 +51,7 @@ from .policies import (
     oracle_opt_ho,
     oracle_opt_rssi,
 )
-from .roaming import DEFAULT_SCAN_RSSI_DBM, HYSTERESIS_PRESETS, run_policy
+from .roaming import DEFAULT_SCAN_RSSI_DBM, HYSTERESIS_PRESETS, check_dbm, run_policy
 from .trace import (
     ScanSample,
     SynthConfig,
@@ -142,10 +142,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown policy {cfg.policy.kind!r}")
     if cfg.hysteresis not in HYSTERESIS_PRESETS:
         raise ConfigError(f"unknown hysteresis preset {cfg.hysteresis!r}")
-    if not -100.0 <= cfg.scan_rssi <= 0.0:
-        raise ConfigError(f"scan_rssi out of range: {cfg.scan_rssi}")
-    if not -100.0 <= cfg.validity_floor <= 0.0:
-        raise ConfigError(f"validity_floor out of range: {cfg.validity_floor}")
+    check_dbm("scan_rssi", cfg.scan_rssi)
+    check_dbm("validity_floor", cfg.validity_floor)
     if cfg.window_k < 1:
         raise ConfigError("window_k must be >= 1")
     if cfg.task == TASK_AP_SELECT and cfg.interval is not None:
@@ -160,8 +158,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.policy.kind == "fixed":
         if cfg.policy.fixed_dbm is None:
             raise ConfigError("fixed policy needs fixed_dbm")
-        if not -100.0 <= cfg.policy.fixed_dbm <= 0.0:
-            raise ConfigError(f"fixed_dbm out of range: {cfg.policy.fixed_dbm}")
+        check_dbm("fixed_dbm", cfg.policy.fixed_dbm)
     if cfg.policy.kind == "llm":
         if (cfg.policy.mock is None) == (cfg.policy.endpoint is None):
             raise ConfigError("llm policy needs exactly one of mock or endpoint")

@@ -23,7 +23,7 @@ from conftest import (
     metrics_of,
     timeline_signature,
 )
-from roamsim.errors import OracleInfeasibleError, SearchSpaceError
+from roamsim.errors import ConfigError, OracleInfeasibleError, SearchSpaceError
 from roamsim.policies import (
     EMPTY_SET_ERROR,
     OBJECTIVE_MAX_RSSI,
@@ -215,7 +215,7 @@ class TestOracles:
         (dict(empty_feasible_set_rule="relax"), "unknown empty-set rule 'relax'"),
     ], ids=["nan", "above", "below", "rule"])
     def test_bad_constraints_rejected(self, kw, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ConfigError, match=message):
             OracleConstraints(**kw)
 
 
