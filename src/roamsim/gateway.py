@@ -5,10 +5,9 @@ model, and latency metering.
 and the external decision policy (policies.ExternalPolicy) alike: a POST of
 a JSON body the caller has encoded once, on the caller's JsonConnection,
 with the retry rule and the outcomes ok, timeout, transport_error and
-http_error. JsonConnection is one
-kept-alive http.client connection, standard library only. Three edges
-differ from a general-purpose HTTP client, and nothing here relies
-on them:
+http_error. JsonConnection is one kept-alive http.client connection,
+standard library only. Three edges differ from a general-purpose HTTP
+client, and nothing here relies on them:
 
 * a 3xx reply is an http_error; redirects are not followed;
 * HTTP_PROXY, HTTPS_PROXY and the other proxy variables are ignored;

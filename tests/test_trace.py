@@ -807,7 +807,7 @@ class TestStreamingCsv:
             got = _outcome(lambda d: parse_trace(d, "csv"), form)
             # a text stream decodes ahead of its lines, as for JSONL
             decode = (want[0].split(" at line ")[0], None) if name == "text stream" else want
-            assert got == decode or (got == earlier and got[0] != "empty trace"), name
+            assert got in (decode, earlier), name
 
     @pytest.mark.parametrize("brk", ["\r", "\r\n", "\u2028", "\x85", "\x0c"],
                              ids=["cr", "crlf", "u2028", "nel", "ff"])
