@@ -360,6 +360,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    if args.plan and args.floor is not None:
+        raise ConfigError("--floor applies to a plan export solves; it cannot change a --plan")
     if args.scan_rssi is not None:
         check_dbm("scan_rssi", args.scan_rssi)
     trace = read_trace_file(args.trace)

@@ -5,9 +5,12 @@ model, and latency metering.
 and the external decision policy (policies.ExternalPolicy) alike: a POST of
 a JSON body the caller has encoded once, on the caller's JsonConnection,
 with the retry rule and the outcomes ok, timeout, transport_error and
-http_error. JsonConnection is one kept-alive http.client connection,
-standard library only. Three edges differ from a general-purpose HTTP
-client, and nothing here relies on them:
+http_error. JsonConnection is one kept-alive HTTP/1.1 connection on its
+own socket, standard library only: it writes each request in one send and
+parses the reply itself, within http.client's limits, refusing what would
+make the reply's end uncertain (see its docstring). `ssl` is imported only
+for an https URL. Three edges differ from a general-purpose HTTP client,
+and nothing here relies on them:
 
 * a 3xx reply is an http_error; redirects are not followed;
 * HTTP_PROXY, HTTPS_PROXY and the other proxy variables are ignored;
@@ -29,12 +32,12 @@ against its call count.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import re
-import selectors
+import select
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -253,81 +256,255 @@ def _extract_reply(body) -> str:
     raise ValueError("no reply text in choices[0]")
 
 
-# An idle socket the peer has closed reads as ready. poll, where the
-# platform has it, has no limit on descriptor numbers, unlike select.
-_Selector = getattr(selectors, "PollSelector", selectors.SelectSelector)
-_JSON_HEADERS = {"Content-Type": "application/json"}
-
-
-def _peer_closed(sock) -> bool:
-    """True when an idle connection's socket is readable without blocking.
-
-    A kept-alive connection has no reply pending, so a readable socket
-    holds the peer's close (or bytes no request asked for): either way the
-    connection cannot carry another request.
-    """
-    with _Selector() as sel:
-        sel.register(sock, selectors.EVENT_READ)
-        return bool(sel.select(0))
+# http.client's limits on a reply head: the longest line, in bytes with its
+# line break, and the most header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_RECV_SIZE = 65536
+# A URL with any of these could split the request line; http.client refuses
+# them too (in the host and the path).
+_URL_REFUSED = re.compile(r"[\x00-\x20\x7f]")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+_KEPT_FIELDS = (b"content-length", b"transfer-encoding", b"connection")  # all the reader uses
 
 
 class JsonConnection:
-    """One kept-alive HTTP/1.1 connection for JSON POSTs.
+    """One kept-alive HTTP/1.1 connection for JSON POSTs, on its own socket.
+
+    A request goes out in one write, head and body together. The reply is
+    read through the connection's one buffer: a status line (1xx replies are
+    skipped), at most _MAX_HEADERS header lines of at most _MAX_LINE bytes
+    each, and a body framed by Content-Length, by chunked encoding, or by
+    the close of the connection. A reply that breaks these rules raises
+    ValueError: a bad status line, a Content-Length that is not digits or
+    two that differ, a Transfer-Encoding other than chunked, or both
+    framings at once. A URL with a space or a control character is refused
+    before anything is sent.
 
     The connection opens on first use and is replaced when a request goes
-    to another scheme, host or port. Before an idle connection is reused,
-    a zero-timeout readability check finds one the peer has closed, and
-    the request goes out on a fresh connection instead. A request already
-    sent is never sent again. Any error closes the connection, and so does
-    a reply that ends it (http.client hands that socket to the reply,
-    which closes it once read). One request at a time: concurrent callers
-    wait their turn.
+    to another scheme, host or port. It is kept after a reply when the
+    reply's version and Connection header allow it, its body did not end
+    with the connection, and no bytes follow it. Before an idle connection is reused, a
+    zero-timeout poll (one poll object per socket) finds one the peer has
+    closed, and the request goes out on a fresh connection instead. A
+    request already sent is never sent again, and any error closes the
+    connection. One request at a time: concurrent callers wait their turn.
     """
 
     def __init__(self):
-        self._conn: http.client.HTTPConnection | None = None
+        self._url: str | None = None
         self._origin: tuple[str, str, int] | None = None
+        self._head = b""  # the request head up to the Content-Length value
+        self._sock = None
+        self._poll = None
+        self._timeout: float | None = None
+        self._tls = None  # the ssl context, made on the first https connect
+        self._buf = bytearray()  # the reply's bytes received so far
+        self._pos = 0  # where the part of _buf not yet parsed starts
         self._lock = threading.Lock()
 
     def post(self, url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
         """POST `body` as JSON to `url`; return (status, reply body).
 
-        Raises ValueError for a URL that is not http(s)://host[:port]...,
-        TimeoutError when `timeout` seconds pass with no progress, and
-        OSError or http.client.HTTPException for other failures.
+        Raises ValueError for a URL that is not http(s)://host[:port]... and
+        for a reply that breaks HTTP/1.1's framing, TimeoutError when
+        `timeout` seconds pass with no progress, and OSError for other
+        failures.
         """
+        with self._lock:
+            if url != self._url:
+                self._target(url)
+            try:
+                return self._exchange(body, timeout)
+            except BaseException:
+                self.close()
+                raise
+
+    def _target(self, url: str) -> None:
+        """Point the connection at `url`, closing one open to another origin."""
+        bad = _URL_REFUSED.search(url)
+        if bad:
+            raise ValueError(f"URL can't contain control characters: {url!r} "
+                             f"(found {bad.group()!r})")
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"not an http(s) URL: {url!r}")
         https = parts.scheme == "https"
-        origin = (parts.scheme, parts.hostname, parts.port or (443 if https else 80))
+        host = parts.hostname
+        port = parts.port or (443 if https else 80)
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        with self._lock:
-            if origin != self._origin:
-                self.close()
-                cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
-                self._conn = cls(origin[1], origin[2], timeout=timeout)
-                self._origin = origin
-            conn = self._conn
-            if conn.sock is not None and _peer_closed(conn.sock):
-                conn.close()  # the request below opens a fresh one
-            if conn.timeout != timeout:
-                conn.timeout = timeout
-                if conn.sock is not None:
-                    conn.sock.settimeout(timeout)
-            try:
-                conn.request("POST", target, body, _JSON_HEADERS)
-                resp = conn.getresponse()
-                return resp.status, resp.read()
-            except BaseException:
-                conn.close()
-                raise
+        try:
+            host_header = host.encode("ascii")
+        except UnicodeEncodeError:
+            host_header = host.encode("idna")
+        if ":" in host:  # an IPv6 address
+            host_header = b"[" + host_header + b"]"
+        if port != (443 if https else 80):
+            host_header += b":%d" % port
+        head = (b"POST " + target.encode("ascii") + b" HTTP/1.1\r\nHost: " + host_header
+                + b"\r\nAccept-Encoding: identity\r\nContent-Type: application/json"
+                b"\r\nContent-Length: ")
+        origin = (parts.scheme, host, port)
+        if origin != self._origin:
+            self.close()
+            self._origin = origin
+        self._url, self._head = url, head
+
+    def _exchange(self, body: bytes, timeout: float) -> tuple[int, bytes]:
+        sock = self._sock
+        if sock is not None and self._peer_closed():
+            self.close()  # the request below opens a fresh one
+            sock = None
+        if sock is None:
+            sock = self._connect(timeout)
+        elif timeout != self._timeout:
+            sock.settimeout(timeout)
+            self._timeout = timeout
+        sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
+        status, data, keep = self._read_reply()
+        if keep and self._pos == len(self._buf):
+            del self._buf[:]
+            self._pos = 0
+        else:
+            self.close()  # bytes after a reply leave the connection's state unknown
+        return status, data
+
+    def _peer_closed(self) -> bool:
+        """True when the idle socket is readable without blocking.
+
+        A kept-alive connection has no reply pending, so a readable socket
+        holds the peer's close (or bytes no request asked for): either way
+        the connection cannot carry another request.
+        """
+        if self._poll is not None:
+            return bool(self._poll.poll(0))
+        return bool(select.select([self._sock], [], [], 0)[0])
+
+    def _connect(self, timeout: float):
+        scheme, host, port = self._origin
+        sock = socket.create_connection((host, port), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":
+                if self._tls is None:
+                    import ssl  # only https needs it, and it is slow to import
+
+                    self._tls = ssl.create_default_context()
+                sock = self._tls.wrap_socket(sock, server_hostname=host)
+        except BaseException:
+            sock.close()
+            raise
+        self._sock, self._timeout = sock, timeout
+        if hasattr(select, "poll"):  # no limit on descriptor numbers, unlike select
+            self._poll = select.poll()
+            self._poll.register(sock, select.POLLIN)
+        return sock
+
+    def _read_reply(self) -> tuple[int, bytes, bool]:
+        """Read one reply: (status, body, whether the connection may be kept)."""
+        while True:
+            line = self._readline()
+            version, status = _status_line(line)
+            fields = self._read_headers()
+            if status >= 200:
+                break
+        tokens = {t.strip().lower() for v in fields.get(b"connection", ()) for t in v.split(b",")}
+        # HTTP/1.1 and later 1.x keep the connection unless it says close;
+        # HTTP/1.0 closes it unless it says keep-alive.
+        keep = b"close" not in tokens if version != b"HTTP/1.0" else b"keep-alive" in tokens
+        lengths = fields.get(b"content-length")
+        codings = fields.get(b"transfer-encoding")
+        if status in (204, 304):
+            return status, b"", keep
+        if codings is not None:
+            if lengths is not None:
+                raise ValueError("reply has both Content-Length and Transfer-Encoding")
+            if [c.lower() for c in codings] != [b"chunked"]:
+                raise ValueError(f"unsupported Transfer-Encoding {b', '.join(codings)!r}")
+            return status, self._read_chunked(), keep
+        if lengths is not None:
+            values = {v.strip() for field in lengths for v in field.split(b",")}
+            n = values.pop()
+            if values or not n.isdigit():
+                raise ValueError(f"bad Content-Length {b', '.join(lengths)!r}")
+            return status, self._read_exact(int(n)), keep
+        while self._recv():  # delimited by the close of the connection
+            pass
+        return status, bytes(self._buf[self._pos:]), False
+
+    def _read_headers(self) -> dict[bytes, list[bytes]]:
+        """Read header lines to the blank line; keep the values of _KEPT_FIELDS."""
+        fields: dict[bytes, list[bytes]] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._readline()
+            if line in (b"\r\n", b"\n"):
+                return fields
+            name, colon, value = line.partition(b":")
+            if not colon:
+                raise ValueError(f"malformed header line {line[:80]!r}")
+            name = name.strip().lower()
+            if name in _KEPT_FIELDS:
+                fields.setdefault(name, []).append(value.strip())
+        raise ValueError(f"got more than {_MAX_HEADERS} headers")
+
+    def _read_chunked(self) -> bytes:
+        parts = []
+        while True:
+            size = self._readline().split(b";", 1)[0].strip()
+            if not _CHUNK_SIZE.fullmatch(size):
+                raise ValueError(f"bad chunk size {size[:80]!r}")
+            n = int(size, 16)
+            if n == 0:
+                self._read_headers()  # the trailer section
+                return b"".join(parts)
+            parts.append(self._read_exact(n))
+            if self._readline() not in (b"\r\n", b"\n"):
+                raise ValueError("chunk data longer than its size")
+
+    def _readline(self) -> bytes:
+        """The next line of the reply, with its line break."""
+        buf, start = self._buf, self._pos
+        while True:
+            end = buf.find(b"\n", start, start + _MAX_LINE)
+            if end >= 0:
+                self._pos = end + 1
+                return bytes(buf[start:end + 1])
+            if len(buf) - start >= _MAX_LINE:
+                raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
+            if not self._recv():
+                raise ConnectionError("connection closed before the reply ended")
+
+    def _read_exact(self, n: int) -> bytes:
+        while len(self._buf) - self._pos < n:
+            if not self._recv():
+                raise ConnectionError("connection closed before the reply body ended")
+        start = self._pos
+        self._pos += n
+        return bytes(self._buf[start:self._pos])
+
+    def _recv(self) -> bool:
+        """Append what the socket has to the buffer; False at its end."""
+        data = self._sock.recv(_RECV_SIZE)
+        self._buf += data
+        return bool(data)
 
     def close(self) -> None:
         """Close the connection; the next post opens a new one."""
-        if self._conn is not None:
-            self._conn.close()
-        self._conn = self._origin = None
+        if self._sock is not None:
+            self._sock.close()
+        self._sock = self._poll = None
+        del self._buf[:]
+        self._pos = 0
+
+
+def _status_line(line: bytes) -> tuple[bytes, int]:
+    """(version, status) of an HTTP/1.x status line; ValueError if it is not one."""
+    parts = line.split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith(b"HTTP/1.") or not (
+        len(parts[1]) == 3 and parts[1].isdigit() and parts[1] >= b"100"
+    ):
+        raise ValueError(f"bad status line {line[:80]!r}")
+    return parts[0], int(parts[1])
 
 
 def post_json(
@@ -362,7 +539,7 @@ def post_json(
         except TimeoutError:
             latency = (time.perf_counter() - start) * 1000.0
             outcome = OUTCOME_TIMEOUT
-        except (OSError, http.client.HTTPException, ValueError):
+        except (OSError, ValueError):
             latency = (time.perf_counter() - start) * 1000.0
             outcome = OUTCOME_TRANSPORT
     return outcome, status, value, latency, attempts

@@ -284,6 +284,8 @@ class ExternalPolicy:
     each sample the object its trace.jsonl_line writes, and the whole body
     what json.dumps(..., allow_nan=False) would write.
     Reply:   {"action": "stay"|"roam", "bssid": "<MAC>"?}.
+    Each sample is rendered once per run: `_lines` holds the current
+    window's lines, keyed by sample, for the next call to reuse.
     Posts through gateway.post_json on `conn`, the kept-alive connection
     its owner closes, one attempt of up to EXTERNAL_TIMEOUT_MS each. A
     failed call or a malformed reply degrades to a stay decision flagged as
@@ -294,11 +296,21 @@ class ExternalPolicy:
         self.url = url
         self.name = "external"
         self._conn = conn
+        self._lines: dict[ScanSample, str] = {}
 
     def decide(self, window: tuple[ScanSample, ...], state: AssociationState) -> PolicyDecision:
         if not should_scan(rssi_of(window[-1], state.associated), state.threshold):
             return PolicyDecision.stay(self.name)
-        samples = ", ".join([jsonl_line(s)[:-1] for s in window])  # each without its "\n"
+        # A list, not the dict's values: a window can hold equal samples.
+        known, kept, lines = self._lines, {}, []
+        for s in window:
+            line = known.get(s)
+            if line is None:
+                line = jsonl_line(s)[:-1]  # without its "\n"
+            kept[s] = line
+            lines.append(line)
+        self._lines = kept
+        samples = ", ".join(lines)
         state_json = json.dumps(
             {"associated": state.associated, "threshold": state.threshold}, allow_nan=False
         )

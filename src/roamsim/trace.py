@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -429,8 +430,8 @@ def generate_synthetic(config: SynthConfig) -> Trace:
         raise ValueError("num_aps must be >= 1")
     if config.duration < 1:
         raise ValueError("duration must be >= 1")
-    if config.step_stddev < 0:
-        raise ValueError("step_stddev must be >= 0")
+    if not 0 <= config.step_stddev < math.inf:  # NaN is never in range
+        raise ValueError("step_stddev must be finite and >= 0")
     if not config.floor_dbm < config.ceil_dbm:
         raise ValueError("floor_dbm must be below ceil_dbm")
     if config.sample_interval < 1:
@@ -446,6 +447,13 @@ def generate_synthetic(config: SynthConfig) -> Trace:
         bases = [float(b) for b in config.base_dbm]
         if len(bases) != config.num_aps:
             raise ValueError("base_dbm sequence length must equal num_aps")
+    # A finite base outside [-100, 0] is clipped into range; a NaN one would
+    # clip to the ceiling unnoticed, and a NaN drain would pin the battery.
+    if not all(math.isfinite(b) for b in bases):
+        raise ValueError("base_dbm must be finite")
+    drain = config.battery_drain_pct_per_step
+    if drain is not None and not math.isfinite(drain):
+        raise ValueError("battery_drain_pct_per_step must be finite")
     floor, ceil = config.floor_dbm, config.ceil_dbm
     levels = [max(floor, min(ceil, max(RSSI_MIN_DBM, min(RSSI_MAX_DBM, b)))) for b in bases]
     macs = [synth_bssid(i) for i in range(config.num_aps)]
@@ -463,8 +471,8 @@ def generate_synthetic(config: SynthConfig) -> Trace:
             lat = 37.0 + step * 1e-5
             lon = -122.0 + step * 1e-5
         battery = None
-        if config.battery_drain_pct_per_step is not None:
-            battery = max(0.0, min(100.0, 100.0 - config.battery_drain_pct_per_step * step))
+        if drain is not None:
+            battery = max(0.0, min(100.0, 100.0 - drain * step))
         samples.append(ScanSample(
             step * config.sample_interval, bssids, rssis,
             latitude=lat, longitude=lon, battery_pct=battery, activity=config.activity,

@@ -50,6 +50,16 @@ class TestGenTrace:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--stddev", "nan"], ["--stddev", "inf"],
+                                       ["--base", "nan"], ["--base=-60,nan"],
+                                       ["--battery-drain", "nan"], ["--battery-drain", "inf"]])
+    def test_non_finite_settings_exit_1_without_a_file(self, tmp_path, capsys, flags):
+        out = tmp_path / "walk.jsonl"
+        rc = main(["gen-trace", "--num-aps", "2", *flags, "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
 
 class _EmptyListHandler(BaseHTTPRequestHandler):
     def do_POST(self):
@@ -364,6 +374,20 @@ class TestOracleExport:
                    "--plan", str(plan_path), "-o", str(out)])
         assert rc == 0
 
+    @pytest.mark.parametrize("floor", ["nan", "-70"])
+    def test_floor_with_a_plan_exits_1_without_a_file(self, trace_file, tmp_path, capsys,
+                                                      floor):
+        # a given plan was solved already, so a floor could not change it
+        plan_path, out = tmp_path / "plan.json", tmp_path / "sft.jsonl"
+        assert main(["oracle", "--trace", str(trace_file), "--objective", "min-ho",
+                     "-o", str(plan_path)]) == 0
+        capsys.readouterr()
+        rc = main(["export", "--trace", str(trace_file), "--kind", "sft",
+                   "--plan", str(plan_path), "--floor", floor, "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: --floor")
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["sft", "preferences"])
     def test_plan_for_another_trace_exits_2_without_a_file(self, trace_file, tmp_path,
                                                            capsys, kind):
@@ -533,7 +557,8 @@ def test_import_loads_no_http_library():
     src = os.path.dirname(os.path.dirname(roamsim.__file__))
     code = (
         "import sys, roamsim, roamsim.cli\n"
-        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))"
+        "print(sorted(m for m in ('requests', 'urllib3', 'http.client', 'email.parser',\n"
+        "                         'ssl') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import socket
 import ssl
 import threading
 import time
@@ -30,6 +31,7 @@ from roamsim.gateway import (
     CompletionRecord,
     EndpointConfig,
     HttpClient,
+    JsonConnection,
     MockClient,
     MockRule,
     _extract_reply,
@@ -417,6 +419,293 @@ class TestJsonConnection:
         _ChatHandler.status = 307
         record = HttpClient(endpoint(chat_server), conn).complete("hello")
         assert (record.outcome, record.status, record.attempts) == ("http_error", 307, 1)
+
+
+def _read_request(fh) -> bytes | None:
+    """One request's head and body from a server-side file, or None at the end."""
+    head, length = b"", 0
+    while True:
+        line = fh.readline()
+        if not line:
+            return None
+        head += line
+        if line == b"\r\n":
+            return head + fh.read(length)
+        name, _, value = line.partition(b":")
+        if name.lower() == b"content-length":
+            length = int(value)
+
+
+class RawServer:
+    """A loopback server that answers each request with the next queued bytes.
+
+    `replies` holds (bytes, close) pairs: the bytes go out as they are, and
+    the connection closes after them when `close` is set. `requests` holds
+    (connection number, request bytes) for each request read, so a test can
+    see which requests shared a socket.
+    """
+
+    def __init__(self):
+        self.replies: list[tuple[bytes, bool]] = []
+        self.requests: list[tuple[int, bytes]] = []
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}/decide"
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                sock, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            number = self.connections
+            self.connections += 1
+            sock.settimeout(5.0)
+            with sock, sock.makefile("rb") as fh:
+                try:
+                    while (request := _read_request(fh)) is not None:
+                        self.requests.append((number, request))
+                        reply, close = self.replies.pop(0)
+                        sock.sendall(reply)
+                        if close:
+                            break
+                except OSError:
+                    pass  # the client gave up on the connection
+
+    def stop(self):
+        self._stop.set()
+        self._thread.join(timeout=5)
+        self._listener.close()
+
+
+@pytest.fixture
+def raw_server():
+    server = RawServer()
+    yield server
+    server.stop()
+
+
+def _ok(body: bytes = b'{"action": "stay"}', extra: bytes = b"") -> bytes:
+    """An HTTP/1.1 200 reply framed by Content-Length, with `extra` header lines."""
+    return b"HTTP/1.1 200 OK\r\n%sContent-Length: %d\r\n\r\n%s" % (extra, len(body), body)
+
+
+def _post(conn, server, timeout_ms=2000.0):
+    """post_json to the raw server: (outcome, status, reply JSON)."""
+    outcome, status, value, _, _ = post_json(conn, server.url, b'{"x": 1}', lambda v: v,
+                                             timeout_ms)
+    return outcome, status, value
+
+
+STAY = {"action": "stay"}
+
+# Replies the transport refuses; each is a transport error on a connection
+# that is not kept.
+MALFORMED_REPLIES = {
+    "no-status-code": b"HTTP/1.1 OK\r\nContent-Length: 0\r\n\r\n",
+    "not-http": b"ICY 200 OK\r\nContent-Length: 0\r\n\r\n",
+    "http-2": b"HTTP/2 200\r\nContent-Length: 0\r\n\r\n",
+    "four-digit-status": b"HTTP/1.1 2000 OK\r\nContent-Length: 0\r\n\r\n",
+    "status-below-100": b"HTTP/1.1 099 OK\r\nContent-Length: 0\r\n\r\n",
+    "empty-line": b"\r\n",
+    "long-header": _ok(extra=b"X-Pad: " + b"a" * (65536 - 8) + b"\r\n"),
+    "101-headers": _ok(extra=b"".join(b"X-H%d: v\r\n" % i for i in range(100))),
+    "header-without-colon": _ok(extra=b"no colon here\r\n"),
+    "length-not-digits": b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n{}",
+    "length-negative": b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n{}",
+    "length-plus": b"HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\n{}",
+    "length-empty": b"HTTP/1.1 200 OK\r\nContent-Length:\r\n\r\n{}",
+    # either length alone would frame a JSON body: 1 or 12
+    "two-lengths": b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\n12",
+    "length-list": b"HTTP/1.1 200 OK\r\nContent-Length: 1, 2\r\n\r\n12",
+    "gzip": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n{}",
+    "gzip-chunked": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n"
+                     b"2\r\n{}\r\n0\r\n\r\n"),
+    "both-framings": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 2\r\n"
+                      b"\r\n2\r\n{}\r\n0\r\n\r\n"),
+    "bad-chunk-size": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n{}\r\n0\r\n\r\n",
+    "chunk-overrun": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1\r\n{}\r\n0\r\n\r\n",
+    "short-body": b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{}",
+    "short-chunk": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\n{}",
+    "head-cut-off": b"HTTP/1.1 200 OK\r\nContent-Len",
+}
+
+
+class TestWireFormat:
+    """The transport's reply parsing, against raw-socket servers on loopback."""
+
+    def test_content_length_reply_keeps_the_connection(self, raw_server, conn):
+        raw_server.replies += [(_ok(), False), (_ok(b'{"action": "roam"}'), False)]
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert _post(conn, raw_server) == ("ok", 200, {"action": "roam"})
+        assert [n for n, _ in raw_server.requests] == [0, 0]
+
+    def test_request_bytes(self, raw_server, conn):
+        raw_server.replies.append((_ok(), False))
+        _post(conn, raw_server)
+        port = raw_server.url.split(":")[2].split("/")[0]
+        assert raw_server.requests[0][1] == (
+            b"POST /decide HTTP/1.1\r\nHost: 127.0.0.1:%s\r\nAccept-Encoding: identity\r\n"
+            b"Content-Type: application/json\r\nContent-Length: 8\r\n\r\n"
+            b'{"x": 1}' % port.encode()
+        )
+
+    @pytest.mark.parametrize("eol", [b"\r\n", b"\n"], ids=["crlf", "lf"])
+    def test_chunked_body(self, raw_server, conn, eol):
+        body = b'{"action": "stay", "pad": "' + b"p" * 40 + b'"}'
+        chunked = b"".join(b"%x;ext=1%s%s%s" % (len(part), eol, part, eol)
+                           for part in (body[:5], body[5:30], body[30:]))
+        reply = (b"HTTP/1.1 200 OK" + eol + b"Transfer-Encoding: Chunked" + eol + eol
+                 + chunked + b"0" + eol + b"X-Trailer: t" + eol + eol)
+        raw_server.replies += [(reply, False), (_ok(), False)]
+        assert _post(conn, raw_server) == ("ok", 200, json.loads(body))
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert [n for n, _ in raw_server.requests] == [0, 0]  # the chunked reply kept it
+
+    def test_http10_close_delimited_body(self, raw_server, conn):
+        reply = b'HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{"action": "stay"}'
+        raw_server.replies += [(reply, True), (_ok(), False)]
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert [n for n, _ in raw_server.requests] == [0, 1]
+
+    def test_http10_keep_alive_is_kept(self, raw_server, conn):
+        raw_server.replies += [(b"HTTP/1.0 200 OK\r\nConnection: Keep-Alive\r\n"
+                                b"Content-Length: 18\r\n\r\n" b'{"action": "stay"}', False),
+                               (_ok(), False)]
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert [n for n, _ in raw_server.requests] == [0, 0]
+
+    def test_informational_replies_are_skipped(self, raw_server, conn):
+        reply = (b"HTTP/1.1 100 Continue\r\n\r\n"
+                 b"HTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n" + _ok())
+        raw_server.replies += [(reply, False), (_ok(), False)]
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert [n for n, _ in raw_server.requests] == [0, 0]
+
+    @pytest.mark.parametrize("status", [204, 304])
+    def test_bodiless_status_keeps_the_connection(self, raw_server, conn, status):
+        # whatever length such a reply claims, it has no body
+        raw_server.replies += [(b"HTTP/1.1 %d X\r\nContent-Length: 7\r\n\r\n" % status, False),
+                               (_ok(), False)]
+        assert conn.post(raw_server.url, b"{}", 2.0) == (status, b"")
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert [n for n, _ in raw_server.requests] == [0, 0]
+
+    def test_no_content_is_a_transport_error(self, raw_server, conn):
+        raw_server.replies.append((b"HTTP/1.1 204 No Content\r\n\r\n", False))
+        assert _post(conn, raw_server) == ("transport_error", None, None)
+
+    @pytest.mark.parametrize("value", [b"close", b"Keep-Alive, Close", b"upgrade,close"])
+    def test_connection_close_opens_a_new_socket(self, raw_server, conn, value):
+        raw_server.replies += [(_ok(extra=b"Connection: " + value + b"\r\n"), False),
+                               (_ok(), False)]
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert [n for n, _ in raw_server.requests] == [0, 1]
+
+    def test_bytes_after_a_reply_drop_the_connection(self, raw_server, conn):
+        raw_server.replies += [(_ok() + _ok(b'{"action": "roam"}'), False), (_ok(), False)]
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert _post(conn, raw_server) == ("ok", 200, STAY)  # not the stray reply
+        assert [n for n, _ in raw_server.requests] == [0, 1]
+
+    def test_limits_are_inclusive(self, raw_server, conn):
+        # a 65536-byte header line and 100 header lines are the most allowed
+        line = b"X-Pad: " + b"a" * (65536 - 9) + b"\r\n"
+        assert len(line) == 65536
+        many = b"".join(b"X-H%d: v\r\n" % i for i in range(99))
+        raw_server.replies += [(_ok(extra=line), False), (_ok(extra=many), False)]
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+
+    def test_equal_lengths_are_one_length(self, raw_server, conn):
+        raw_server.replies.append((b"HTTP/1.1 200 OK\r\nContent-Length: 18\r\n"
+                                   b"Content-Length: 18, 18\r\n\r\n" b'{"action": "stay"}', False))
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+
+    @pytest.mark.parametrize("reply", list(MALFORMED_REPLIES.values()),
+                             ids=list(MALFORMED_REPLIES))
+    def test_malformed_reply_is_a_transport_error(self, raw_server, conn, reply):
+        raw_server.replies += [(reply, True), (_ok(), False)]
+        assert _post(conn, raw_server) == ("transport_error", None, None)
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert [n for n, _ in raw_server.requests] == [0, 1]
+
+    @pytest.mark.parametrize("url", [
+        "{base}/de cide", "{base}/de\r\nX-Injected: 1", "{base}/de\ncide", "{base}/de\tcide",
+        "{base}/de\x00cide", "{base}/de\x7fcide", "{base}/decide?q=a b",
+        "http://127.0.0.1\r\nX-Injected: 1:{port}/decide", "http://127.0.0.1 :{port}/decide",
+        "http://127.0.0.1\x0b:{port}/decide",
+    ])
+    def test_control_characters_in_the_url_are_refused_unsent(self, raw_server, conn, url):
+        base = raw_server.url.rsplit("/", 1)[0]
+        port = base.rsplit(":", 1)[1]
+        url = url.format(base=base, port=port)
+        outcome, status, value, _, attempts = post_json(conn, url, b"{}", lambda v: v, 2000.0)
+        assert (outcome, status, value, attempts) == ("transport_error", None, None, 1)
+        time.sleep(0.1)  # a connection, had one been made, would be accepted by now
+        assert raw_server.connections == 0
+
+    def test_url_refusal_keeps_an_open_connection(self, raw_server, conn):
+        raw_server.replies += [(_ok(), False), (_ok(), False)]
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        with pytest.raises(ValueError, match="control characters"):
+            conn.post(raw_server.url + " x", b"{}", 2.0)
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert [n for n, _ in raw_server.requests] == [0, 0]
+
+
+_STATUS_LINES = st.sampled_from([
+    b"HTTP/1.1 200 OK", b"HTTP/1.0 200 OK", b"HTTP/1.1 100 Continue", b"HTTP/1.1 204 No Content",
+    b"HTTP/1.1 500 Oops", b"HTTP/1.1 200", b"HTTP/2 200", b"HTTP/1.1 2x0 OK", b"HTTP/1.1",
+])
+_HEADER_LINES = st.builds(
+    lambda name, value: name + b": " + value,
+    st.sampled_from([b"Content-Length", b"Transfer-Encoding", b"Connection", b"X-Other"]),
+    st.sampled_from([b"0", b"2", b"18", b"-1", b"1e3", b"2, 2", b"chunked", b"gzip", b"close",
+                     b"keep-alive", b""]),
+)
+_BODY_LINES = st.sampled_from([b"0", b"2", b"12;x=y", b"zz", b"{}", b'{"action": "stay"}', b""])
+_REPLIES = st.one_of(
+    st.binary(max_size=300),
+    st.tuples(
+        st.lists(st.one_of(_STATUS_LINES, _HEADER_LINES, _BODY_LINES, st.binary(max_size=12)),
+                 max_size=14),
+        st.sampled_from([b"\r\n", b"\n"]),
+    ).map(lambda parts: parts[1].join(parts[0])),
+)
+
+
+@pytest.fixture(scope="module")
+def shared_raw_server():
+    server = RawServer()
+    yield server
+    server.stop()
+
+
+@settings(max_examples=150, deadline=None)
+@given(reply=_REPLIES)
+def test_any_reply_bytes_end_in_an_outcome(shared_raw_server, reply):
+    # the server closes after its bytes, so no reply waits out the timeout
+    shared_raw_server.replies.append((reply, True))
+    conn = JsonConnection()
+    try:
+        outcome, status, value, _, attempts = post_json(
+            conn, shared_raw_server.url, b"{}", lambda v: v, 2000.0)
+    finally:
+        conn.close()
+    assert outcome in ("ok", "http_error", "transport_error")
+    assert attempts == 1
+    assert (status is None) == (outcome == "transport_error")
+    if outcome != "ok":
+        assert value is None
 
 
 class TestMockRules:

@@ -642,7 +642,7 @@ def test_run_closes_its_connection(keepalive_url, kind, monkeypatch):
     real = JsonConnection.close
 
     def recording(self):
-        opened_at_close.append(self._conn is not None)
+        opened_at_close.append(self._sock is not None)
         real(self)
 
     monkeypatch.setattr(JsonConnection, "close", recording)

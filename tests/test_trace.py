@@ -329,6 +329,26 @@ class TestCanonicalJsonl:
         posted = should_scan(rssi_of(window[-1], state.associated), state.threshold)
         assert conn.bodies == ([want] if posted else [])
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 500), k=st.integers(1, 12))
+    def test_external_bodies_over_a_run_equal_json_dumps(self, seed, k):
+        # one policy over every window of a run, so lines are reused across calls
+        trace = generate_synthetic(SynthConfig(num_aps=4, duration=30, step_stddev=4.0,
+                                               emit_location=True,
+                                               battery_drain_pct_per_step=0.7, seed=seed))
+        conn = FakeJsonConnection({"action": "stay"})
+        policy = ExternalPolicy("http://127.0.0.1:1/decide", conn)
+        state = AssociationState(associated=None, threshold=0.0)  # every step posts
+        for t in range(len(trace)):
+            win = window(trace, t, k)
+            policy.decide(win, state)
+            assert conn.bodies[-1] == json.dumps({
+                "window": [sample_to_dict(s) for s in win],
+                "state": {"associated": None, "threshold": 0.0},
+            }, allow_nan=False).encode()
+            assert set(policy._lines) == set(win)  # only the current window is held
+        assert len(conn.bodies) == len(trace)
+
     def test_observations_are_immutable_named_records(self):
         obs = ApObservation(bssid=MAC_A, rssi=-60.0)
         assert repr(obs) == "ApObservation(bssid='AA:00:00:00:00:01', rssi=-60.0)"
@@ -420,6 +440,19 @@ class TestSynthetic:
             generate_synthetic(SynthConfig(step_stddev=-1.0))
         with pytest.raises(ValueError):
             generate_synthetic(SynthConfig(floor_dbm=-40.0, ceil_dbm=-90.0))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("step_stddev", math.nan, "step_stddev"), ("step_stddev", math.inf, "step_stddev"),
+        ("base_dbm", math.nan, "base_dbm"), ("base_dbm", -math.inf, "base_dbm"),
+        ("base_dbm", (-60.0, math.nan, -70.0, -80.0), "base_dbm"),
+        ("battery_drain_pct_per_step", math.nan, "battery_drain"),
+        ("battery_drain_pct_per_step", math.inf, "battery_drain"),
+    ])
+    def test_non_finite_settings_rejected(self, field, value, message):
+        # each once gave a trace: NaN bases at the -30 dBm ceiling, NaN drain
+        # at 100 % battery on every step
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic(replace(SynthConfig(), **{field: value}))
 
     def test_timestamps_stay_inside_the_ingest_range(self):
         with pytest.raises(ValueError, match="9999"):
