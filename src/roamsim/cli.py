@@ -285,10 +285,7 @@ def _cmd_gen_trace(args) -> int:
         step_stddev="stddev", floor_dbm="floor", ceil_dbm="ceil", emit_location="location",
         battery_drain_pct_per_step="battery_drain",
     ))
-    try:
-        text = trace_to_jsonl(generate_synthetic(cfg))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    text = trace_to_jsonl(generate_synthetic(cfg))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -14,7 +14,9 @@ Both run as a dynamic program over (step, BSSID) with switch-cost edges.
 Every switch costs one handover, so each step ranks the next step's
 suffixes once, O(A log A) for A APs, and then does O(1) work per AP plus
 one look at each suffix whose sum rounds equal to the best one (see
-solve_plan), rather than trying all A successors of every AP. Both share
+solve_plan), rather than trying all A successors of every AP. The backward
+pass holds one step of suffix values and records the successor each AP's
+best suffix takes, so the plan is read forward from those. Both solvers share
 their feasibility rule and tie-breaks with `brute_force_plan`, the
 exhaustive reference used to verify them. Final ties are broken toward
 the lexicographically smallest plan, so solver output is unique and
@@ -179,7 +181,8 @@ def solve_plan(
     choices = [_step_choices(s, constraints, t) for t, s in enumerate(trace.samples)]
     T = len(choices)
 
-    # value[t][a] = (handovers, rssi sum) of the best suffix t..T-1 with a_t = a.
+    # nxt[a] = (handovers, rssi sum) of the best suffix t+1..T-1 with a_{t+1} = a,
+    # the only step of values held; succ[t][a] = a_{t+1} on the best suffix from a_t = a.
     # Every switch costs one handover, so the best successor of `a` is either
     # `a` itself or the best suffix among the other APs. Each step ranks the
     # step-(t+1) suffixes once, best first. For `a`, the switch candidates are
@@ -188,12 +191,11 @@ def solve_plan(
     # so every suffix past that run has a strictly worse key: max_rssi ranks
     # by sum first, min_ho by handovers and then by sum. Equal keys go to the
     # smallest BSSID, the one the all-pairs recurrence would meet first.
-    value: list[dict[str, tuple[int, float]]] = [dict() for _ in range(T)]
-    value[T - 1] = {a: (0, rssi) for a, rssi in choices[T - 1].items()}
+    nxt = {a: (0, rssi) for a, rssi in choices[T - 1].items()}
+    succ: list[dict[str, str]] = [{} for _ in range(T - 1)]
     for t in range(T - 2, -1, -1):
-        nxt = value[t + 1]
         ranked = sorted(nxt.items(), key=lambda kv: key(*kv[1]))
-        here = value[t]
+        here, step_succ = {}, succ[t]
         for a, rssi in choices[t].items():
             best = None  # (key, bssid, (handovers, rssi sum))
             stay = nxt.get(a)
@@ -214,20 +216,14 @@ def solve_plan(
                 if best is None or ranked_cand < best:
                     best = ranked_cand
             here[a] = best[2]
+            step_succ[a] = best[1]
+        nxt = here
 
-    first = min(choices[0], key=lambda a: (key(*value[0][a]), a))
+    first = min(choices[0], key=lambda a: (key(*nxt[a]), a))
     plan = [first]
-    for t in range(T - 1):
-        target = value[t][plan[-1]]
-        here = choices[t][plan[-1]]
-        for b in choices[t + 1]:
-            ho, srssi = value[t + 1][b]
-            if (ho + (1 if b != plan[-1] else 0), here + srssi) == target:
-                plan.append(b)
-                break
-        else:  # pragma: no cover - would mean the table and plan disagree
-            raise AssertionError("plan reconstruction failed")
-    return _finish_plan(plan, value[0][first][1], objective)
+    for step_succ in succ:
+        plan.append(step_succ[plan[-1]])
+    return _finish_plan(plan, nxt[first][1], objective)
 
 
 def oracle_opt_ho(

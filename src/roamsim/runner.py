@@ -146,6 +146,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     check_dbm("validity_floor", cfg.validity_floor)
     if cfg.window_k < 1:
         raise ConfigError("window_k must be >= 1")
+    prompt = cfg.policy.prompt
+    if prompt is not None and (prompt.task, prompt.window_k) != (cfg.task, cfg.window_k):
+        raise ConfigError("the prompt's task and window_k must equal the run's")
     if cfg.task == TASK_AP_SELECT and cfg.interval is not None:
         raise ConfigError("interval only applies to the threshold task")
     if cfg.task == TASK_THRESHOLD:
@@ -153,7 +156,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("threshold task supports only fixed and llm policies")
         if cfg.interval is not None and cfg.interval < 1:
             raise ConfigError("interval must be >= 1")
-        if cfg.policy.prompt is not None and cfg.policy.prompt.shots > 0:
+        if prompt is not None and prompt.shots > 0:
             raise ConfigError("worked examples are only available for the ap_select task")
     if cfg.policy.kind == "fixed":
         if cfg.policy.fixed_dbm is None:
@@ -338,7 +341,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     full_trace, scenario = load_trace_source(cfg)
 
     spec = cfg.policy
-    prompt_cfg = replace(spec.prompt or PromptConfig(), task=cfg.task, window_k=cfg.window_k)
+    prompt_cfg = spec.prompt or PromptConfig(task=cfg.task, window_k=cfg.window_k)
     template = load_template(cfg.template_path) if cfg.template_path else None
 
     wants_shots = spec.kind == "llm" and prompt_cfg.shots > 0

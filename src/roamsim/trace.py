@@ -56,6 +56,7 @@ _MAC_RE = re.compile(r"[0-9A-Fa-f]{2}([:-][0-9A-Fa-f]{2}){5}")
 ACTIVITY_ACTIVE = "active"
 ACTIVITY_IDLE = "idle"
 _ACTIVITIES = (ACTIVITY_ACTIVE, ACTIVITY_IDLE)
+SYNTH_MAX_APS = 1 << 16  # synth_bssid names an AP from the low 16 bits of index + 1
 
 
 def canonical_mac(raw: str) -> str:
@@ -416,7 +417,7 @@ def window(trace: Trace, t: int, k: int) -> tuple[ScanSample, ...]:
 
 
 def synth_bssid(index: int) -> str:
-    """Deterministic BSSID for synthetic AP number `index` (0-based)."""
+    """Deterministic BSSID for synthetic AP number `index` (0-based, below SYNTH_MAX_APS)."""
     n = index + 1
     return f"AA:00:00:00:{(n >> 8) & 0xFF:02X}:{n & 0xFF:02X}"
 
@@ -426,8 +427,8 @@ def generate_synthetic(config: SynthConfig) -> Trace:
 
     Pure function of the config (including seed): re-runs are bit-identical.
     """
-    if config.num_aps < 1:
-        raise ValueError("num_aps must be >= 1")
+    if not 1 <= config.num_aps <= SYNTH_MAX_APS:
+        raise ValueError(f"num_aps must be between 1 and {SYNTH_MAX_APS}")
     if config.duration < 1:
         raise ValueError("duration must be >= 1")
     if not 0 <= config.step_stddev < math.inf:  # NaN is never in range

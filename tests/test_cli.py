@@ -18,6 +18,7 @@ import pytest
 import roamsim
 from roamsim.cli import _experiment_config, build_parser, main
 from roamsim.runner import _jsonable, strip_volatile
+from roamsim.trace import SYNTH_MAX_APS
 
 
 @pytest.fixture
@@ -59,6 +60,22 @@ class TestGenTrace:
         assert rc == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("num_aps", [SYNTH_MAX_APS + 1, 10**20])
+@pytest.mark.parametrize("argv", [
+    ["gen-trace", "--duration", "1", "-o", "walk.jsonl", "--num-aps"],
+    ["simulate", "--policy", "legacy", "--synth-duration", "1", "--out", "out", "--synth-aps"],
+], ids=["gen-trace", "simulate"])
+def test_too_many_synthetic_aps_exit_1_without_output(tmp_path, monkeypatch, capsys, argv,
+                                                      num_aps):
+    # past SYNTH_MAX_APS two APs would share a BSSID
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, str(num_aps)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"config error: num_aps must be between 1 and {SYNTH_MAX_APS}\n"
+    assert out == ""
+    assert os.listdir(tmp_path) == []
 
 
 class _EmptyListHandler(BaseHTTPRequestHandler):

