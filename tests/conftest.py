@@ -1,15 +1,19 @@
-"""Shared builders for hand-crafted traces used across the suite."""
+"""Shared builders for hand-crafted traces, and the suite's loopback HTTP peer."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
+import ssl
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import strategies as st
 
-from roamsim.gateway import JsonConnection
+from roamsim.gateway import JsonConnection, prompt_argmax_bssid
 from roamsim.roaming import PolicyDecision, RunTimeline
 from roamsim.runner import recompute_metrics
 from roamsim.trace import (
@@ -123,6 +127,99 @@ class FakeJsonConnection:
     def post(self, url, body, timeout):
         self.bodies.append(body)
         return 200, self.reply
+
+
+class LoopbackPeer(ThreadingHTTPServer):
+    """An HTTP server on loopback for the two routes roamsim calls.
+
+    POST /decide answers a stay or, with `roam` set, a roam to the newest
+    sample's strongest AP. Any other path is a chat completion: `reply_text`,
+    or else `ANSWER: <the prompt's strongest AP>`, in the chat shape or, with
+    shape="raw", the raw-completion one. A `status` other than 200 (a 3xx
+    one with a Location back to the route), `delay_s` and `raw_reply` (bytes
+    sent as they are) override the reply. With `protocol` HTTP/1.1 a
+    connection is kept until `idle_timeout` seconds pass without a request;
+    HTTP/1.0 closes it after each reply. `posts` records (server port,
+    client port) for each request.
+    """
+
+    def __init__(self, reply_text: str | None = None, shape: str = "chat", roam: bool = False,
+                 status: int = 200, delay_s: float = 0.0, raw_reply: bytes | None = None,
+                 protocol: str = "HTTP/1.0", idle_timeout: float | None = None,
+                 tls: ssl.SSLContext | None = None):
+        super().__init__(("127.0.0.1", 0), _PeerHandler)
+        self.reply_text, self.shape, self.roam = reply_text, shape, roam
+        self.status, self.delay_s, self.raw_reply = status, delay_s, raw_reply
+        self.protocol, self.idle_timeout = protocol, idle_timeout
+        self.posts: list[tuple[int, int]] = []
+        if tls is not None:
+            self.socket = tls.wrap_socket(self.socket, server_side=True)
+        scheme = "http" if tls is None else "https"
+        self.url = f"{scheme}://127.0.0.1:{self.server_address[1]}"
+        threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True).start()
+
+    def handle_error(self, request, client_address):
+        pass  # clients that give up on a reply (the timeout tests) are expected
+
+    def reply(self, path: str, body: dict) -> dict:
+        if path == "/decide":
+            if not self.roam:
+                return {"action": "stay"}
+            scan = body["window"][-1]["scan"]
+            best = min(scan, key=lambda e: (-e["rssi_dbm"], e["bssid"]))
+            return {"action": "roam", "bssid": best["bssid"]}
+        message = body["messages"][0]
+        assert message["role"] == "user"
+        text = self.reply_text
+        if text is None:
+            text = f"ANSWER: {prompt_argmax_bssid(message['content'])}"
+        return {"choices": [{"message": {"content": text}} if self.shape == "chat"
+                            else {"text": text}]}
+
+
+class _PeerHandler(BaseHTTPRequestHandler):
+    def setup(self):
+        self.protocol_version = self.server.protocol
+        self.timeout = self.server.idle_timeout
+        super().setup()
+
+    def do_POST(self):
+        peer = self.server
+        peer.posts.append((peer.server_address[1], self.client_address[1]))
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        payload = peer.reply(self.path, body)
+        time.sleep(peer.delay_s)
+        if peer.status != 200:
+            self.send_response(peer.status)
+            if 300 <= peer.status < 400:  # a redirect back to this route
+                self.send_header("Location", self.path)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        data = peer.raw_reply if peer.raw_reply is not None else json.dumps(payload).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback():
+    """Starts a LoopbackPeer per call, with the call's settings; stops them all after."""
+    peers: list[LoopbackPeer] = []
+
+    def start(**settings) -> LoopbackPeer:
+        peers.append(LoopbackPeer(**settings))
+        return peers[-1]
+
+    yield start
+    for peer in peers:
+        peer.shutdown()
+        peer.server_close()
 
 
 # Any JSON value, with the keys both HTTP readers look for drawn often.

@@ -8,9 +8,7 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from dataclasses import asdict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -76,19 +74,6 @@ def test_too_many_synthetic_aps_exit_1_without_output(tmp_path, monkeypatch, cap
     assert err == f"config error: num_aps must be between 1 and {SYNTH_MAX_APS}\n"
     assert out == ""
     assert os.listdir(tmp_path) == []
-
-
-class _EmptyListHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", "2")
-        self.end_headers()
-        self.wfile.write(b"[]")
-
-    def log_message(self, *args):
-        pass
 
 
 class TestSimulate:
@@ -180,16 +165,10 @@ class TestSimulate:
         endpoint = _experiment_config(args).policy.endpoint
         assert (endpoint and endpoint.base_url) == base_url
 
-    def test_external_non_object_replies_exit_0(self, trace_file, tmp_path, capsys):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _EmptyListHandler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            url = f"http://127.0.0.1:{server.server_address[1]}/decide"
-            rc = main(["simulate", "--trace", str(trace_file), "--policy", "external",
-                       "--external-url", url, "--out", str(tmp_path / "runs")])
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_external_non_object_replies_exit_0(self, loopback, trace_file, tmp_path, capsys):
+        url = loopback(raw_reply=b"[]").url + "/decide"
+        rc = main(["simulate", "--trace", str(trace_file), "--policy", "external",
+                   "--external-url", url, "--out", str(tmp_path / "runs")])
         assert rc == 0
         assert "policy=external" in capsys.readouterr().out
 

@@ -10,7 +10,6 @@ import ssl
 import threading
 import time
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -112,92 +111,39 @@ def pair_text(draw):
     return draw(st.sampled_from(["\n", "\r\n", "\u2028"])).join(lines)
 
 
-class _ChatHandler(BaseHTTPRequestHandler):
-    reply_text = "ANSWER: -70"
-    status = 200
-    delay_s = 0.0
-    shape = "chat"
-    raw_reply = None  # reply bytes, sent as they are when set
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        assert body["messages"][0]["role"] == "user"
-        if self.delay_s:
-            time.sleep(self.delay_s)
-        if self.status != 200:
-            self.send_response(self.status)
-            if 300 <= self.status < 400:  # a redirect back to this route
-                self.send_header("Location", self.path)
-            self.end_headers()
-            return
-        if self.shape == "chat":
-            payload = {"choices": [{"message": {"content": self.reply_text}}]}
-        else:
-            payload = {"choices": [{"text": self.reply_text}]}
-        data = self.raw_reply if self.raw_reply is not None else json.dumps(payload).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
+REPLY = "ANSWER: -70"
 
 
-class _QuietServer(ThreadingHTTPServer):
-    def handle_error(self, request, client_address):
-        pass  # client-side disconnects (timeout test) are expected
-
-
-@pytest.fixture
-def chat_server():
-    _ChatHandler.reply_text = "ANSWER: -70"
-    _ChatHandler.status = 200
-    _ChatHandler.delay_s = 0.0
-    _ChatHandler.shape = "chat"
-    _ChatHandler.raw_reply = None
-    server = _QuietServer(("127.0.0.1", 0), _ChatHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield server
-    server.shutdown()
-    server.server_close()
-
-
-def endpoint(server, **kw) -> EndpointConfig:
+def endpoint(peer, **kw) -> EndpointConfig:
     defaults = dict(timeout_ms=2000.0, max_retries=2, backoff_ms=10.0)
     defaults.update(kw)
-    return EndpointConfig(
-        base_url=f"http://127.0.0.1:{server.server_address[1]}", model="m", **defaults
-    )
+    return EndpointConfig(base_url=peer.url, model="m", **defaults)
 
 
 class TestHttpClient:
-    def test_ok_roundtrip(self, chat_server, conn):
-        record = HttpClient(endpoint(chat_server), conn).complete("hello")
+    def test_ok_roundtrip(self, loopback, conn):
+        record = HttpClient(endpoint(loopback(reply_text=REPLY)), conn).complete("hello")
         assert record.ok
         assert record.reply == "ANSWER: -70"
         assert record.attempts == 1
         assert record.latency_ms >= 0
 
-    def test_raw_completion_fallback_shape(self, chat_server, conn):
-        _ChatHandler.shape = "raw"
-        record = HttpClient(endpoint(chat_server), conn).complete("hello")
+    def test_raw_completion_fallback_shape(self, loopback, conn):
+        peer = loopback(reply_text=REPLY, shape="raw")
+        record = HttpClient(endpoint(peer), conn).complete("hello")
         assert record.ok
         assert record.reply == "ANSWER: -70"
 
-    def test_http_error_after_retries(self, chat_server, conn):
-        _ChatHandler.status = 500
-        record = HttpClient(endpoint(chat_server), conn).complete("hello")
+    def test_http_error_after_retries(self, loopback, conn):
+        record = HttpClient(endpoint(loopback(status=500)), conn).complete("hello")
         assert record.outcome == "http_error"
         assert record.status == 500
         assert record.attempts == 3
         assert record.reply == ""
 
     @pytest.mark.parametrize("status, attempts", [(400, 1), (429, 3)])
-    def test_only_retryable_client_errors_are_retried(self, chat_server, status, attempts, conn):
-        _ChatHandler.status = status
-        record = HttpClient(endpoint(chat_server), conn).complete("hello")
+    def test_only_retryable_client_errors_are_retried(self, loopback, status, attempts, conn):
+        record = HttpClient(endpoint(loopback(status=status)), conn).complete("hello")
         assert record.outcome == "http_error"
         assert record.status == status
         assert record.attempts == attempts
@@ -207,9 +153,8 @@ class TestHttpClient:
         "body", [b"[]", b'"x"', b'{"choices": "abc"}', b'{"choices": [1]}', b"{not json"],
         ids=["list", "string", "choices-string", "choices-int", "not-json"],
     )
-    def test_malformed_reply_is_a_retried_transport_error(self, chat_server, body, conn):
-        _ChatHandler.raw_reply = body
-        record = HttpClient(endpoint(chat_server), conn).complete("hello")
+    def test_malformed_reply_is_a_retried_transport_error(self, loopback, body, conn):
+        record = HttpClient(endpoint(loopback(raw_reply=body)), conn).complete("hello")
         assert record.outcome == "transport_error"
         assert record.attempts == 3
         assert record.reply == ""
@@ -230,20 +175,18 @@ class TestHttpClient:
         assert record.outcome == "transport_error"
         assert record.attempts == 3
 
-    def test_timeout_outcome(self, chat_server, conn):
-        _ChatHandler.delay_s = 0.5
-        cfg = endpoint(chat_server, timeout_ms=100.0, max_retries=0)
+    def test_timeout_outcome(self, loopback, conn):
+        cfg = endpoint(loopback(delay_s=0.5), timeout_ms=100.0, max_retries=0)
         record = HttpClient(cfg, conn).complete("hello")
         assert record.outcome == "timeout"
 
-    def test_latency_reflects_artificial_delay(self, chat_server, conn):
-        _ChatHandler.delay_s = 0.05
-        record = HttpClient(endpoint(chat_server), conn).complete("hello")
+    def test_latency_reflects_artificial_delay(self, loopback, conn):
+        record = HttpClient(endpoint(loopback(delay_s=0.05)), conn).complete("hello")
         assert record.ok
         assert record.latency_ms >= 50.0
 
-    def test_records_are_retained(self, chat_server, conn):
-        client = HttpClient(endpoint(chat_server), conn)
+    def test_records_are_retained(self, loopback, conn):
+        client = HttpClient(endpoint(loopback()), conn)
         for _ in range(4):
             client.complete("p")
         assert len(client.records) == 4
@@ -292,54 +235,14 @@ class TestHttpClient:
         monkeypatch.delenv("ROAMSIM_LLM_MODEL")
         assert EndpointConfig.from_env(base_url="http://127.0.0.1:9/v1").model == "local"
 
-    def test_total_time_bounded_by_retry_budget(self, chat_server, conn):
-        _ChatHandler.delay_s = 2.0
-        cfg = endpoint(chat_server, timeout_ms=100.0, max_retries=2, backoff_ms=10.0)
+    def test_total_time_bounded_by_retry_budget(self, loopback, conn):
+        cfg = endpoint(loopback(delay_s=2.0), timeout_ms=100.0, max_retries=2, backoff_ms=10.0)
         start = time.perf_counter()
         record = HttpClient(cfg, conn).complete("hello")
         elapsed = time.perf_counter() - start
         assert record.outcome == "timeout"
         # timeout * (retries + 1) + backoff budget, with scheduling slack
         assert elapsed < (0.1 * 3 + 0.01 * 2) + 0.5
-
-
-class _KeepAliveHandler(_ChatHandler):
-    """Keeps connections alive (HTTP/1.1) and records (server port, client port)
-    for each POST."""
-
-    protocol_version = "HTTP/1.1"
-    posts: list[tuple[int, int]] = []
-
-    def do_POST(self):
-        self.posts.append((self.server.server_address[1], self.client_address[1]))
-        super().do_POST()
-
-
-class _IdleCloseHandler(_KeepAliveHandler):
-    """Closes a kept-alive connection after 0.2 s without a request."""
-
-    timeout = 0.2
-
-
-@pytest.fixture
-def serve(chat_server):
-    """Start loopback servers for handler classes (chat_server resets _ChatHandler)."""
-    _KeepAliveHandler.posts.clear()
-    servers = []
-
-    def start(handler, tls: ssl.SSLContext | None = None) -> str:
-        server = _QuietServer(("127.0.0.1", 0), handler)
-        servers.append(server)
-        if tls is not None:
-            server.socket = tls.wrap_socket(server.socket, server_side=True)
-        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
-        scheme = "http" if tls is None else "https"
-        return f"{scheme}://127.0.0.1:{server.server_address[1]}"
-
-    yield start
-    for server in servers:
-        server.shutdown()
-        server.server_close()
 
 
 BAD_URLS = ["ftp://x", "http://", "not-a-url", "http://127.0.0.1:abc"]
@@ -351,28 +254,31 @@ LOOPBACK_PEM = os.path.join(os.path.dirname(__file__), "loopback.pem")
 class TestJsonConnection:
     """The transport's edges: kept-alive reuse, closes, bad URLs and bodies, redirects."""
 
-    def test_idle_connection_closed_by_server_is_reopened(self, serve, conn):
-        url = serve(_IdleCloseHandler)
-        client = HttpClient(EndpointConfig(base_url=url, model="m", max_retries=0), conn)
+    def test_idle_connection_closed_by_server_is_reopened(self, loopback, conn):
+        peer = loopback(protocol="HTTP/1.1", idle_timeout=0.2)
+        client = HttpClient(EndpointConfig(base_url=peer.url, model="m", max_retries=0), conn)
         assert client.complete("hello").ok
         time.sleep(0.5)  # the server has closed the idle connection by now
         record = client.complete("hello")
         assert record.ok
         assert record.attempts == 1
-        assert len({port for _, port in _KeepAliveHandler.posts}) == 2
+        assert len({port for _, port in peer.posts}) == 2
 
-    def test_kept_alive_connection_is_reused(self, serve, conn):
-        client = HttpClient(EndpointConfig(base_url=serve(_KeepAliveHandler), model="m"), conn)
+    def test_kept_alive_connection_is_reused(self, loopback, conn):
+        peer = loopback(protocol="HTTP/1.1")
+        client = HttpClient(EndpointConfig(base_url=peer.url, model="m"), conn)
         assert all(client.complete("hello").ok for _ in range(3))
-        assert len({port for _, port in _KeepAliveHandler.posts}) == 1
+        assert len({port for _, port in peer.posts}) == 1
 
-    def test_http10_server_closing_each_reply(self, chat_server, conn):
-        client = HttpClient(endpoint(chat_server, max_retries=0), conn)
+    def test_http10_server_closing_each_reply(self, loopback, conn):
+        client = HttpClient(endpoint(loopback(), max_retries=0), conn)
         records = [client.complete("hello") for _ in range(3)]
         assert [(r.outcome, r.attempts) for r in records] == [("ok", 1)] * 3
 
-    def test_new_origin_opens_a_new_connection(self, serve, conn):
-        urls = [serve(_KeepAliveHandler), serve(_KeepAliveHandler)]
+    def test_new_origin_opens_a_new_connection(self, loopback, conn):
+        peers = [loopback(reply_text=REPLY, protocol="HTTP/1.1") for _ in range(2)]
+        peers[1].posts = peers[0].posts  # one record of both, in request order
+        urls = [peer.url for peer in peers]
         for url in urls + urls:
             outcome, status, reply, _, _ = post_json(
                 conn, url + "/v1/chat/completions", b'{"messages": [{"role": "user"}]}',
@@ -380,7 +286,7 @@ class TestJsonConnection:
             )
             assert (outcome, status, reply) == ("ok", 200, "ANSWER: -70")
         ports = [int(url.rsplit(":", 1)[1]) for url in urls]
-        assert [server for server, _ in _KeepAliveHandler.posts] == ports + ports
+        assert [server for server, _ in peers[0].posts] == ports + ports
 
     @pytest.mark.parametrize("url", BAD_URLS)
     def test_bad_url_is_a_retried_transport_error(self, url, conn):
@@ -400,11 +306,11 @@ class TestJsonConnection:
         assert decision.action is Action.STAY
 
     @pytest.mark.parametrize("trusted", [True, False], ids=["trusted", "untrusted"])
-    def test_https_verifies_against_the_default_trust_store(self, serve, conn, monkeypatch,
+    def test_https_verifies_against_the_default_trust_store(self, loopback, conn, monkeypatch,
                                                               trusted):
         tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         tls.load_cert_chain(LOOPBACK_PEM)
-        url = serve(_KeepAliveHandler, tls)
+        url = loopback(protocol="HTTP/1.1", tls=tls).url
         if trusted:  # OpenSSL's default verify paths read this variable
             monkeypatch.setenv("SSL_CERT_FILE", LOOPBACK_PEM)
         else:
@@ -415,9 +321,8 @@ class TestJsonConnection:
             ("ok", 1) if trusted else ("transport_error", 1)
         )
 
-    def test_redirect_is_an_http_error(self, chat_server, conn):
-        _ChatHandler.status = 307
-        record = HttpClient(endpoint(chat_server), conn).complete("hello")
+    def test_redirect_is_an_http_error(self, loopback, conn):
+        record = HttpClient(endpoint(loopback(status=307)), conn).complete("hello")
         assert (record.outcome, record.status, record.attempts) == ("http_error", 307, 1)
 
 

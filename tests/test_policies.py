@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import json
-import threading
 import tracemalloc
 from functools import partial
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -409,51 +406,15 @@ class TestPolicyPurity:
         assert la == lb
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    mode = "stay"
-    raw_reply = None  # reply bytes, sent as they are when set
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if self.mode == "stay":
-            reply = {"action": "stay"}
-        else:
-            last = body["window"][-1]["scan"]
-            best = min(last, key=lambda e: (-e["rssi_dbm"], e["bssid"]))
-            reply = {"action": "roam", "bssid": best["bssid"]}
-        data = self.raw_reply if self.raw_reply is not None else json.dumps(reply).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    _StubHandler.raw_reply = None
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-
-
 class TestExternalAdapter:
-    def test_always_stay_stub_means_zero_handovers(self, stub_server, conn):
-        _StubHandler.mode = "stay"
-        url = f"http://127.0.0.1:{stub_server.server_address[1]}/decide"
+    def test_always_stay_stub_means_zero_handovers(self, loopback, conn):
+        url = loopback().url + "/decide"
         trace = generate_synthetic(band_synth(seed=21, duration=60))
         tl = run_policy(trace, ExternalPolicy(url, conn).decide, validity_floor=-100.0)
         assert metrics_of(tl)["handovers"] == 0
 
-    def test_argmax_stub_matches_legacy(self, stub_server, conn):
-        _StubHandler.mode = "argmax"
-        url = f"http://127.0.0.1:{stub_server.server_address[1]}/decide"
+    def test_argmax_stub_matches_legacy(self, loopback, conn):
+        url = loopback(roam=True).url + "/decide"
         trace = generate_synthetic(band_synth(seed=22, duration=80))
         ext = run_policy(trace, ExternalPolicy(url, conn).decide, validity_floor=-100.0)
         leg = run_policy(trace, legacy_decide, validity_floor=-100.0)
@@ -486,9 +447,8 @@ class TestExternalAdapter:
         ids=["list", "string", "null", "number", "bssid-int", "no-bssid", "bad-action",
              "not-json"],
     )
-    def test_malformed_reply_is_a_fault_stay(self, stub_server, raw, conn):
-        _StubHandler.raw_reply = raw
-        url = f"http://127.0.0.1:{stub_server.server_address[1]}/decide"
+    def test_malformed_reply_is_a_fault_stay(self, loopback, raw, conn):
+        url = loopback(raw_reply=raw).url + "/decide"
         # the scan trigger (-70 dBm on the associated AP) fires on steps 0 and 2
         rows = [{MAC_A: -80.0, MAC_B: -60.0}, {MAC_A: -60.0, MAC_B: -80.0},
                 {MAC_A: -75.0, MAC_B: -65.0}]

@@ -10,8 +10,6 @@ import os
 import random
 import sys
 import tempfile
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,6 @@ from roamsim.gateway import (
     JsonConnection,
     MockClient,
     MockRule,
-    prompt_argmax_bssid,
 )
 from roamsim.policies import legacy_decide
 from roamsim.roaming import initial_association, rssi_of, run_policy, should_scan
@@ -219,41 +216,17 @@ class TestRunExperiment:
         assert verify_report(loaded)
 
 
-class _ConstantReplyHandler(BaseHTTPRequestHandler):
-    reply_text = "ANSWER: AA:00:00:00:00:99"
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        data = json.dumps({"choices": [{"message": {"content": self.reply_text}}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
 class TestLiveEndpointIntegration:
-    def test_llm_policy_over_real_http(self):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _ConstantReplyHandler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            endpoint = EndpointConfig(
-                base_url=f"http://127.0.0.1:{server.server_address[1]}",
-                model="m", timeout_ms=2000.0, backoff_ms=5.0,
-            )
-            report = run_experiment(
-                cfg_for(PolicySpec(kind="llm", endpoint=endpoint), duration=60)
-            )
-            # every consulted step named an absent AP: all invalid, legacy fallback
-            assert report.metrics["error_rate"] in (None, 1.0)
-            assert report.latency["failures"] == 0
-            assert verify_report(report)
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_llm_policy_over_real_http(self, loopback):
+        endpoint = EndpointConfig(
+            base_url=loopback(reply_text="ANSWER: AA:00:00:00:00:99").url,
+            model="m", timeout_ms=2000.0, backoff_ms=5.0,
+        )
+        report = run_experiment(cfg_for(PolicySpec(kind="llm", endpoint=endpoint), duration=60))
+        # every consulted step named an absent AP: all invalid, legacy fallback
+        assert report.metrics["error_rate"] in (None, 1.0)
+        assert report.latency["failures"] == 0
+        assert verify_report(report)
 
     def test_dead_endpoint_raises_endpoint_error(self):
         endpoint = EndpointConfig(
@@ -500,39 +473,6 @@ class TestSpellingInvariance:
 # seedprint hashed from it) is pinned to a digest, so a refactor of the run
 # pipeline cannot move a number, a log entry or a label unnoticed.
 
-class _LoopbackHandler(BaseHTTPRequestHandler):
-    """Chat completions name the prompt's strongest AP; /decide roams to the
-    strongest AP of the newest sample."""
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if self.path == "/decide":
-            scan = body["window"][-1]["scan"]
-            best = min(scan, key=lambda e: (-e["rssi_dbm"], e["bssid"]))
-            payload = {"action": "roam", "bssid": best["bssid"]}
-        else:
-            pick = prompt_argmax_bssid(body["messages"][0]["content"])
-            payload = {"choices": [{"message": {"content": f"ANSWER: {pick}"}}]}
-        data = json.dumps(payload).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture(scope="module")
-def loopback_url():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _LoopbackHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
-
-
 def _golden_config(name: str, url: str, tmp_path) -> ExperimentConfig:
     llm = dict(kind="llm", mock=MockRule.argmax_rssi())
     threshold = dict(task="threshold", interval=20)
@@ -587,8 +527,8 @@ GOLDEN_REPORT_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_SHA256))
-def test_golden_report(name, loopback_url, tmp_path):
-    report = run_experiment(_golden_config(name, loopback_url, tmp_path))
+def test_golden_report(name, loopback, tmp_path):
+    report = run_experiment(_golden_config(name, loopback(roam=True).url, tmp_path))
     kept = {
         k: v for k, v in strip_volatile(report.to_dict()).items()
         if k not in ("config", "seedprint")
@@ -681,23 +621,9 @@ def test_golden_sweep_files(axis, tmp_path):
 # ---------------------------------------------------------------------------
 # HTTP transport: one kept-alive connection per run, released when the run ends.
 
-class _KeepAliveHandler(_LoopbackHandler):
-    protocol_version = "HTTP/1.1"
-    client_ports: list[int] = []
-
-    def do_POST(self):
-        self.client_ports.append(self.client_address[1])
-        super().do_POST()
-
-
 @pytest.fixture
-def keepalive_url():
-    _KeepAliveHandler.client_ports.clear()
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
+def keepalive(loopback):
+    return loopback(roam=True, protocol="HTTP/1.1")
 
 
 def _http_spec(kind: str, url: str) -> PolicySpec:
@@ -706,15 +632,15 @@ def _http_spec(kind: str, url: str) -> PolicySpec:
     return PolicySpec(kind="llm", endpoint=EndpointConfig(base_url=url, model="m"))
 
 
-def test_external_run_reuses_one_connection(keepalive_url):
-    run_experiment(cfg_for(_http_spec("external", keepalive_url), duration=120))
-    ports = _KeepAliveHandler.client_ports
+def test_external_run_reuses_one_connection(keepalive):
+    run_experiment(cfg_for(_http_spec("external", keepalive.url), duration=120))
+    ports = [client for _, client in keepalive.posts]
     assert len(ports) > 1
     assert len(set(ports)) == 1
 
 
 @pytest.mark.parametrize("kind", ["external", "llm"])
-def test_run_leaves_no_session_alive(keepalive_url, kind):
+def test_run_leaves_no_session_alive(keepalive, kind):
     def connections():
         return sum(isinstance(o, JsonConnection) for o in gc.get_objects())
 
@@ -722,16 +648,16 @@ def test_run_leaves_no_session_alive(keepalive_url, kind):
     gc.disable()  # a connection kept alive by a reference cycle would outlive the run
     try:
         before = connections()
-        run_experiment(cfg_for(_http_spec(kind, keepalive_url), duration=120))
+        run_experiment(cfg_for(_http_spec(kind, keepalive.url), duration=120))
         after = connections()
     finally:
         gc.enable()
-    assert _KeepAliveHandler.client_ports
+    assert keepalive.posts
     assert after == before
 
 
 @pytest.mark.parametrize("kind", ["external", "llm"])
-def test_run_closes_its_connection(keepalive_url, kind, monkeypatch):
+def test_run_closes_its_connection(keepalive, kind, monkeypatch):
     opened_at_close = []
     real = JsonConnection.close
 
@@ -740,7 +666,7 @@ def test_run_closes_its_connection(keepalive_url, kind, monkeypatch):
         real(self)
 
     monkeypatch.setattr(JsonConnection, "close", recording)
-    run_experiment(cfg_for(_http_spec(kind, keepalive_url), duration=120))
+    run_experiment(cfg_for(_http_spec(kind, keepalive.url), duration=120))
     assert opened_at_close[-1]  # the run's last act on it closed an open connection
 
 
