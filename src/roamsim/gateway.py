@@ -112,6 +112,11 @@ class CompletionRecord:
         return self.outcome == OUTCOME_OK
 
 
+# Each mock rule kind, and the field it cannot run without.
+_MOCK_ARGUMENT = {"argmax_rssi": None, "constant_text": None, "fixed_threshold": "value",
+                  "scripted": "replies", "fail_after": "fail_after_n"}
+
+
 @dataclass(frozen=True)
 class MockRule:
     """Behavior of the in-process mock model."""
@@ -127,6 +132,11 @@ class MockRule:
         # NaN is never in range; past about 292 years time.sleep overflows
         if not 0 <= self.delay_ms <= MOCK_DELAY_MAX_MS:
             raise ValueError(f"delay_ms must be between 0 and {MOCK_DELAY_MAX_MS} (one day)")
+        if self.kind not in _MOCK_ARGUMENT:
+            raise ValueError(f"unknown mock rule: {self.kind!r}")
+        argument = _MOCK_ARGUMENT[self.kind]
+        if argument is not None and getattr(self, argument) is None:
+            raise ValueError(f"mock rule {self.kind} needs {argument}")
 
     @staticmethod
     def argmax_rssi(delay_ms: float = 0.0) -> "MockRule":
@@ -185,11 +195,10 @@ class MockClient:
             if call_index < len(rule.replies):
                 return OUTCOME_OK, rule.replies[call_index]
             return OUTCOME_TRANSPORT, ""
-        if rule.kind == "fail_after":
-            if call_index < rule.fail_after_n:
-                return OUTCOME_OK, "OK"
-            return OUTCOME_TRANSPORT, ""
-        raise ValueError(f"unknown mock rule: {rule.kind!r}")
+        # fail_after, the last kind MockRule accepts
+        if call_index < rule.fail_after_n:
+            return OUTCOME_OK, "OK"
+        return OUTCOME_TRANSPORT, ""
 
     def complete(self, prompt: str) -> CompletionRecord:
         with self._lock:

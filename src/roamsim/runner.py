@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -453,6 +454,8 @@ def read_report(path: str) -> dict:
     lat = d.get("latency")
     mean_ms = lat.get("mean_ms") if isinstance(lat, dict) else None
     wrong = [name for name, ok in (
+        ("policy", isinstance(d["policy"], str)),
+        ("scenario", isinstance(d["scenario"], str)),
         ("trace_hash", isinstance(d["trace_hash"], str)),
         ("metrics.handovers", _is_real(m["handovers"]) and isinstance(m["handovers"], int)),
         ("metrics.avg_rssi_dbm", _is_real(m["avg_rssi_dbm"])),
@@ -477,14 +480,12 @@ class ComparisonTable:
     rows: tuple[dict, ...]
 
     def to_csv(self) -> str:
-        lines = ["policy,handovers,avg_rssi_dbm,error_rate,mean_latency_ms"]
-        for r in self.rows:
-            err = "" if r["error_rate"] is None else repr(r["error_rate"])
-            lat = "" if r["mean_latency_ms"] is None else repr(r["mean_latency_ms"])
-            lines.append(
-                f"{r['policy']},{r['handovers']},{r['avg_rssi_dbm']!r},{err},{lat}"
-            )
-        return "\n".join(lines) + "\n"
+        columns = ("policy", "handovers", "avg_rssi_dbm", "error_rate", "mean_latency_ms")
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([r[c] for c in columns] for r in self.rows)  # None writes as ""
+        return out.getvalue()
 
     def render(self) -> str:
         headers = ("policy", "#HO", "AvgRSSI (dBm)", "ErrorRate", "mean latency (ms)")

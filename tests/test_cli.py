@@ -428,6 +428,9 @@ MALFORMED_REPORTS = {
     "avg-rssi-bool": _edited("avg_rssi_dbm", False),
     "error-rate-string": _edited("error_rate", "0.1"),
     "error-rate-bool": _edited("error_rate", True),
+    "policy-int": _edited("policy", 5),
+    "policy-null": _edited("policy", None),
+    "scenario-list": _edited("scenario", ["s"]),
 }
 
 
@@ -484,6 +487,15 @@ class TestCompareAndPlot:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert str(bad) in err
+
+    def test_compare_csv_quotes_a_policy_with_a_comma(self, tmp_path):
+        path, csv_out = tmp_path / "x.json", tmp_path / "cmp.csv"
+        path.write_text(json.dumps({**HAND_REPORT, "policy": "x,y"}))
+        assert main(["compare", str(path), str(path), "-o", str(csv_out)]) == 0
+        with open(csv_out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [5, 5, 5]
+        assert [row[0] for row in rows] == ["policy", "x,y", "x,y"]
 
     @pytest.mark.parametrize("latency", [None, {"mean_ms": None}, {"mean_ms": 2.5}])
     @pytest.mark.parametrize("error_rate", [None, 0, 0.25])

@@ -350,13 +350,16 @@ class RawServer:
     see which requests shared a socket.
     """
 
-    def __init__(self):
+    def __init__(self, host: str = "127.0.0.1"):
         self.replies: list[tuple[bytes, bool]] = []
         self.requests: list[tuple[int, bytes]] = []
         self.connections = 0
-        self._listener = socket.create_server(("127.0.0.1", 0))
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, 0), family=family)
         self._listener.settimeout(0.05)
-        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}/decide"
+        self.port = self._listener.getsockname()[1]
+        netloc = f"[{host}]" if ":" in host else host
+        self.url = f"http://{netloc}:{self.port}/decide"
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
@@ -458,6 +461,19 @@ class TestWireFormat:
             b"Content-Type: application/json\r\nContent-Length: 8\r\n\r\n"
             b'{"x": 1}' % port.encode()
         )
+
+    def test_ipv6_host_is_bracketed(self, conn):
+        try:
+            server = RawServer("::1")
+        except OSError:
+            pytest.skip("no IPv6 loopback")
+        server.replies.append((_ok(), False))
+        try:
+            assert _post(conn, server) == ("ok", 200, STAY)
+            assert b"\r\nHost: [::1]:%d\r\n" % server.port in server.requests[0][1]
+        finally:
+            conn.close()  # ends the server's side of the connection, so it stops at once
+            server.stop()
 
     @pytest.mark.parametrize("eol", [b"\r\n", b"\n"], ids=["crlf", "lf"])
     def test_chunked_body(self, raw_server, conn, eol):
@@ -650,6 +666,16 @@ class TestMockRules:
     def test_bad_delay_rejected(self, delay):
         with pytest.raises(ValueError, match="delay_ms must be between 0 and 86400000"):
             MockRule.argmax_rssi(delay)
+
+    # Each of these once constructed and then raised a bare ValueError or
+    # TypeError from the first complete() of a run.
+    @pytest.mark.parametrize("kind, message", [
+        ("nope", "unknown mock rule"), ("scripted", "needs replies"),
+        ("fail_after", "needs fail_after_n"), ("fixed_threshold", "needs value"),
+    ])
+    def test_rule_it_cannot_run_is_refused(self, kind, message):
+        with pytest.raises(ValueError, match=message):
+            MockRule(kind=kind)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 5000), t=st.integers(0, 39))
