@@ -48,7 +48,9 @@ from .roaming import (
     rssi_of,
     should_scan,
 )
-from .trace import RSSI_MAX_DBM, RSSI_MIN_DBM, ScanSample, Trace, canonical_mac, window
+from .trace import (
+    RSSI_MAX_DBM, RSSI_MIN_DBM, ScanSample, Trace, canonical_mac, render_window, window,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -207,24 +209,15 @@ def render_window_block(
 ) -> str:
     """The scan-log block of a prompt: header plus one row per sample.
 
-    `rows` carries rendered rows from one call to the next, keyed by sample:
-    a row already in it is reused, and afterwards it holds exactly this
-    window's rows, so it never grows past the window. One dict serves one
-    (cfg, template) pair, since the rows it holds were rendered under them.
+    `rows` is `trace.render_window`'s memo, carrying rendered rows from one
+    call to the next. One dict serves one (cfg, template) pair, since the
+    rows it holds were rendered under them.
     """
     tpl = template or DEFAULT_TEMPLATE
     fields = cfg.context_fields
-    known = {} if rows is None else rows
-    kept: dict[ScanSample, str] = {}
-    text = []
-    for s in window:
-        row = known.get(s)
-        if row is None:
-            row = _render_row(s, fields, tpl)
-        kept[s] = row
-        text.append(row)
-    known.clear()
-    known.update(kept)
+    text = render_window(
+        window, lambda s: _render_row(s, fields, tpl), {} if rows is None else rows
+    )
     return tpl["window.header"] + "".join(text)
 
 
@@ -397,11 +390,10 @@ def build_shot_pool(
     trace: Trace,
     plan,
     cfg: PromptConfig,
-    count: int,
     seed: int,
     template: dict[str, str] | None = None,
 ) -> tuple[FewShotExample, ...]:
-    """Worked examples drawn from a labeled trace at seed-fixed steps.
+    """The cfg.shots worked examples, drawn from a labeled trace at seed-fixed steps.
 
     Gold actions come from the supplied plan; the caller is responsible
     for drawing `trace` from training data, never from the evaluated
@@ -409,7 +401,7 @@ def build_shot_pool(
     """
     if cfg.task != TASK_AP_SELECT:
         raise ValueError("shot pools are built for the ap_select task")
-    T = len(trace.samples)
+    T, count = len(trace.samples), cfg.shots
     if count > T:
         raise ValueError(f"cannot draw {count} shots from a {T}-step trace")
     rng = random.Random(f"shots:{seed}")

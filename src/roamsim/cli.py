@@ -43,7 +43,7 @@ from .gateway import (
     JsonConnection,
     MockClient,
     MockRule,
-    latency_stats,
+    client_latency,
 )
 from .policies import (
     EMPTY_SET_ERROR,
@@ -449,10 +449,7 @@ def _cmd_bench_latency(args) -> int:
     with closing(conn):
         for _ in range(args.n):
             client.complete(args.prompt)
-    summary = latency_stats(client.records)
-    if isinstance(client, HttpClient) and summary["count"] == 0:
-        raise EndpointError("endpoint never answered")
-    print(json.dumps(summary, indent=2))
+    print(json.dumps(client_latency(client), indent=2))
     return 0
 
 

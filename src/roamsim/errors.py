@@ -36,4 +36,4 @@ class SearchSpaceError(DataError):
 
 
 class EndpointError(RoamsimError):
-    """A live completion endpoint was required but never answered."""
+    """A live completion endpoint was required, and no call to it succeeded."""

@@ -44,16 +44,28 @@ def split_trace(trace: Trace) -> tuple[Trace, Trace]:
     return Trace(trace.samples[:cut]), Trace(trace.samples[cut:])
 
 
-def _step_prompt(
-    trace: Trace, t: int, plan: AssociationPlan, cfg: PromptConfig, scan_rssi: float, template,
-    rows: dict[ScanSample, str],
-) -> str:
-    # Training prompts are bare prompt->completion pairs: no shots.
+def _write_records(
+    trace: Trace, plan: AssociationPlan, cfg: PromptConfig, out: TextIO, scan_rssi: float,
+    template, records,
+) -> int:
+    """Write {"prompt": ..., **fields} for each (t, fields) of `records`; returns the count.
+
+    The plan's length is checked before the first record is drawn. Training
+    prompts are bare prompt->completion pairs: no shots."""
+    T = len(trace.samples)
+    if len(plan.plan) != T:
+        raise DataError(f"plan length {len(plan.plan)} != trace length {T}")
     bare = replace(cfg, shots=0)
-    state = AssociationState(
-        associated=plan.plan[t - 1] if t > 0 else plan.plan[0], threshold=scan_rssi
-    )
-    return build_prompt(window(trace, t, cfg.window_k), state, bare, (), template, rows)
+    rows: dict[ScanSample, str] = {}
+    count = 0
+    for t, fields in records:
+        state = AssociationState(
+            associated=plan.plan[t - 1] if t > 0 else plan.plan[0], threshold=scan_rssi
+        )
+        prompt = build_prompt(window(trace, t, cfg.window_k), state, bare, (), template, rows)
+        out.write(json.dumps({"prompt": prompt, **fields}) + "\n")
+        count += 1
+    return count
 
 
 def export_sft(
@@ -65,17 +77,8 @@ def export_sft(
     template: dict[str, str] | None = None,
 ) -> int:
     """Write one supervised record per step to `out`; returns the record count."""
-    T = len(trace.samples)
-    if len(plan.plan) != T:
-        raise DataError(f"plan length {len(plan.plan)} != trace length {T}")
-    rows: dict[ScanSample, str] = {}
-    for t in range(T):
-        rec = {
-            "prompt": _step_prompt(trace, t, plan, cfg, scan_rssi, template, rows),
-            "completion": f"ANSWER: {plan.plan[t]}",
-        }
-        out.write(json.dumps(rec) + "\n")
-    return T
+    return _write_records(trace, plan, cfg, out, scan_rssi, template,
+                          ((t, {"completion": f"ANSWER: {b}"}) for t, b in enumerate(plan.plan)))
 
 
 def _rejected_sequence(trace: Trace, source: str, seed: int, scan_rssi: float) -> list[str | None]:
@@ -103,25 +106,14 @@ def export_preferences(
     template: dict[str, str] | None = None,
 ) -> int:
     """Write preference pairs to `out` at steps where the rejected source disagrees."""
-    T = len(trace.samples)
-    if len(preferred.plan) != T:
-        raise DataError(f"plan length {len(preferred.plan)} != trace length {T}")
-    rejected = _rejected_sequence(trace, rejected_source, seed, scan_rssi)
-    count = 0
-    rows: dict[ScanSample, str] = {}
-    for t in range(T):
-        chosen = preferred.plan[t]
-        reject = rejected[t]
-        if reject is None or reject == chosen:
-            continue
-        rec = {
-            "prompt": _step_prompt(trace, t, preferred, cfg, scan_rssi, template, rows),
-            "chosen": f"ANSWER: {chosen}",
-            "rejected": f"ANSWER: {reject}",
-        }
-        out.write(json.dumps(rec) + "\n")
-        count += 1
-    return count
+
+    def records():
+        rejected = _rejected_sequence(trace, rejected_source, seed, scan_rssi)
+        for t, (chosen, reject) in enumerate(zip(preferred.plan, rejected)):
+            if reject is not None and reject != chosen:
+                yield t, {"chosen": f"ANSWER: {chosen}", "rejected": f"ANSWER: {reject}"}
+
+    return _write_records(trace, preferred, cfg, out, scan_rssi, template, records())
 
 
 def label_accuracy(predictions, plan: AssociationPlan) -> float:

@@ -43,6 +43,8 @@ import time
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
+from .errors import EndpointError
+
 ENV_BASE_URL = "ROAMSIM_LLM_BASE_URL"
 ENV_MODEL = "ROAMSIM_LLM_MODEL"
 
@@ -575,3 +577,12 @@ def latency_stats(records) -> dict:
         "p95_ms": rank(95),
         "max_ms": ok[-1] if ok else None,
     }
+
+
+def client_latency(client) -> dict:
+    """`latency_stats` over a client's calls (none without a client); EndpointError when
+    an HttpClient's calls all failed. A mock's failures are its rule: its run completes."""
+    stats = latency_stats(client.records if client is not None else [])
+    if isinstance(client, HttpClient) and stats["count"] == 0 and stats["failures"]:
+        raise EndpointError("completion endpoint never answered")
+    return stats

@@ -43,7 +43,7 @@ from .roaming import (
     rssi_of,
     should_scan,
 )
-from .trace import ScanSample, Trace, canonical_mac, jsonl_line, strongest
+from .trace import ScanSample, Trace, canonical_mac, jsonl_line, render_window, strongest
 
 BRUTE_FORCE_GUARD = 10_000_000
 
@@ -297,16 +297,8 @@ class ExternalPolicy:
     def decide(self, window: tuple[ScanSample, ...], state: AssociationState) -> PolicyDecision:
         if not should_scan(rssi_of(window[-1], state.associated), state.threshold):
             return PolicyDecision.stay(self.name)
-        # A list, not the dict's values: a window can hold equal samples.
-        known, kept, lines = self._lines, {}, []
-        for s in window:
-            line = known.get(s)
-            if line is None:
-                line = jsonl_line(s)[:-1]  # without its "\n"
-            kept[s] = line
-            lines.append(line)
-        self._lines = kept
-        samples = ", ".join(lines)
+        # Each line without its "\n"; `_lines` is render_window's memo.
+        samples = ", ".join(render_window(window, lambda s: jsonl_line(s)[:-1], self._lines))
         state_json = json.dumps(
             {"associated": state.associated, "threshold": state.threshold}, allow_nan=False
         )

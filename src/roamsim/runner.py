@@ -32,15 +32,10 @@ from .agent import (
     load_template,
     threshold_schedule_step,
 )
-from .errors import ConfigError, DataError, EndpointError
+from .errors import ConfigError, DataError
 from .export import label_accuracy, split_trace
 from .gateway import (
-    EndpointConfig,
-    HttpClient,
-    JsonConnection,
-    MockClient,
-    MockRule,
-    latency_stats,
+    EndpointConfig, HttpClient, JsonConnection, MockClient, MockRule, client_latency,
 )
 from .policies import (
     AssociationPlan,
@@ -353,9 +348,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         if wants_shots:
             train_plan = _oracle_plan(train, "opt_ho", cfg.validity_floor)
             try:
-                shots = build_shot_pool(
-                    train, train_plan, prompt_cfg, prompt_cfg.shots, spec.seed, template
-                )
+                shots = build_shot_pool(train, train_plan, prompt_cfg, spec.seed, template)
             except ValueError as exc:  # more shots than training steps
                 raise ConfigError(str(exc)) from None
         scenario = f"{scenario}:test"
@@ -376,9 +369,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     with closing(run.conn):
         timeline = run_policy(eval_trace, **replay)
 
-    latency = latency_stats(run.client.records if run.client is not None else [])
-    if isinstance(run.client, HttpClient) and latency["count"] == 0 and latency["failures"]:
-        raise EndpointError("completion endpoint never answered")
+    latency = client_latency(run.client)
 
     metrics = recompute_metrics(timeline.steps)
     if cfg.score_against is not None:
@@ -599,9 +590,6 @@ def _apply_axis(template: ExperimentConfig, axis: str, value) -> ExperimentConfi
         cfg = replace(template, policy=replace(spec, prompt=replace(prompt, shots=int(value))))
         # all runs share the held-out evaluation span so they stay comparable
         return replace(cfg, holdout=True)
-    if axis == "context_fields":
-        fields = frozenset(value)
-        return replace(
-            template, policy=replace(spec, prompt=replace(prompt, context_fields=fields))
-        )
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+    # context_fields, the last axis: sweep refuses any other
+    fields = frozenset(value)
+    return replace(template, policy=replace(spec, prompt=replace(prompt, context_fields=fields)))

@@ -223,6 +223,13 @@ def _check_timestamp(value, line: int) -> int:
     return t
 
 
+def _check_mac(value, line: int) -> str:
+    try:
+        return canonical_mac(value)
+    except ValueError as exc:
+        raise TraceFormatError(f"malformed line: {exc}", line) from None
+
+
 def _opt_float(value, line: int, name: str, lo: float, hi: float) -> float | None:
     if value is None or value == "":
         return None
@@ -297,19 +304,13 @@ def _parse_jsonl(lines) -> list[ScanSample]:
                 ) from None
             mac = macs.get(raw) if isinstance(raw, str) else None
             if mac is None:
-                try:
-                    mac = macs[raw] = canonical_mac(raw)
-                except ValueError as exc:
-                    raise TraceFormatError(f"malformed line: {exc}", line_no) from None
+                mac = macs[raw] = _check_mac(raw, line_no)
             if type(rssi) is not float or not RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM:
                 rssi = _check_float(rssi, line_no)
             entries.append((-rssi, mac, rssi))
-        assoc = None
-        if rec.get("assoc") is not None:
-            try:
-                assoc = canonical_mac(rec["assoc"])
-            except ValueError as exc:
-                raise TraceFormatError(f"malformed line: {exc}", line_no) from None
+        assoc = rec.get("assoc")
+        if assoc is not None:
+            assoc = _check_mac(assoc, line_no)
         samples.append(_build_sample(t, entries, line_no, rec, assoc))
     return samples
 
@@ -347,10 +348,7 @@ def _parse_csv(lines) -> list[ScanSample]:
             raise TraceFormatError(f"missing csv columns: {sorted(missing)}", 1)
         for row in reader:
             t = _check_timestamp(row.get("t"), last)
-            try:
-                mac = canonical_mac(row.get("bssid") or "")
-            except ValueError as exc:
-                raise TraceFormatError(f"malformed line: {exc}", last) from None
+            mac = _check_mac(row.get("bssid") or "", last)
             rssi = _check_float(row.get("rssi_dbm"), last)
             if t != group_t:
                 flush()
@@ -414,6 +412,20 @@ def window(trace: Trace, t: int, k: int) -> tuple[ScanSample, ...]:
     if not 0 <= t < len(trace.samples):
         raise ValueError(f"step {t} out of range for trace of length {len(trace.samples)}")
     return trace.samples[max(0, t - k + 1): t + 1]
+
+
+def render_window(window: tuple[ScanSample, ...], render, memo: dict) -> list[str]:
+    """Each sample's text, in window order: the one `memo` holds, else `render(sample)`.
+
+    Consecutive windows share all but one sample, so one `memo` passed
+    through every call renders each sample once per window it enters. After
+    the call it holds exactly this window's texts, keyed by sample. A list,
+    not the memo's values: a window can hold equal samples.
+    """
+    texts = [render(s) if (text := memo.get(s)) is None else text for s in window]
+    memo.clear()
+    memo.update(zip(window, texts))
+    return texts
 
 
 def synth_bssid(index: int) -> str:

@@ -421,8 +421,8 @@ class TestShotPool:
         trace = generate_synthetic(band_synth(seed=51, duration=40))
         plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
         cfg = PromptConfig(shots=5)
-        a = build_shot_pool(trace, plan, cfg, 5, seed=3)
-        b = build_shot_pool(trace, plan, cfg, 5, seed=3)
+        a = build_shot_pool(trace, plan, cfg, seed=3)
+        b = build_shot_pool(trace, plan, cfg, seed=3)
         assert a == b
         assert all(s.answer in plan.plan for s in a)
         assert all(s.reasoning for s in a)  # cot style carries reasoning
@@ -430,14 +430,14 @@ class TestShotPool:
     def test_plain_pool_has_no_reasoning(self):
         trace = generate_synthetic(band_synth(seed=52, duration=40))
         plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
-        pool = build_shot_pool(trace, plan, PromptConfig(style="plain", shots=1), 1, seed=0)
+        pool = build_shot_pool(trace, plan, PromptConfig(style="plain", shots=1), seed=0)
         assert pool[0].reasoning is None
 
     def test_pool_rejects_oversampling(self):
         trace = generate_synthetic(band_synth(seed=53, duration=3))
         plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
         with pytest.raises(ValueError):
-            build_shot_pool(trace, plan, PromptConfig(shots=9), 9, seed=0)
+            build_shot_pool(trace, plan, PromptConfig(shots=9), seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from conftest import (
     metrics_of,
     timeline_signature,
 )
+from roamsim import policies
 from roamsim.errors import ConfigError, OracleInfeasibleError, SearchSpaceError
 from roamsim.policies import (
     EMPTY_SET_ERROR,
@@ -456,6 +457,24 @@ class TestExternalAdapter:
         tl = run_policy(trace, ExternalPolicy(url, conn).decide, validity_floor=-100.0)
         assert all(e["action"] == "stay" for e in tl.steps)
         assert [e["fault"] for e in tl.steps] == [True, False, True]
+
+    def test_sliding_windows_render_each_sample_once(self, monkeypatch):
+        rendered = []
+        real = policies.jsonl_line
+
+        def counting(sample):
+            rendered.append(sample)
+            return real(sample)
+
+        monkeypatch.setattr(policies, "jsonl_line", counting)
+        trace = generate_synthetic(band_synth(seed=23, duration=40))
+        conn = FakeJsonConnection({"action": "stay"})
+        policy = ExternalPolicy("http://127.0.0.1:1/decide", conn)
+        state = AssociationState(associated=None, threshold=0.0)  # every step posts
+        for t in range(40):
+            policy.decide(win_of(trace, t, k=10), state)
+        assert len(conn.bodies) == 40
+        assert rendered == list(trace.samples)
 
     @settings(max_examples=200, deadline=None)
     @given(body=json_values)
