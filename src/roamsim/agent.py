@@ -49,7 +49,7 @@ from .roaming import (
     should_scan,
 )
 from .trace import (
-    RSSI_MAX_DBM, RSSI_MIN_DBM, ScanSample, Trace, canonical_mac, render_window, window,
+    RSSI_MAX_DBM, RSSI_MIN_DBM, ScanSample, Trace, canonical_mac, render_window, strongest, window,
 )
 
 logger = logging.getLogger(__name__)
@@ -373,7 +373,7 @@ def threshold_schedule_step(
 def synthesize_reasoning(win: tuple[ScanSample, ...], current: str, gold: str) -> str:
     """Concise deterministic reasoning trace for a worked example."""
     latest = win[-1]
-    best, best_rssi = latest.bssids[0], latest.rssis[0]
+    best, best_rssi = strongest(latest)
     cur_rssi = rssi_of(latest, current)
     if gold == current:
         return (

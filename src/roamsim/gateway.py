@@ -114,6 +114,14 @@ class CompletionRecord:
         return self.outcome == OUTCOME_OK
 
 
+def _finite_real(x) -> bool:
+    """A number a float holds, not a bool; NaN and the infinities are not."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int past the floats
+        return False
+
+
 # Each mock rule kind, and the field it cannot run without.
 _MOCK_ARGUMENT = {"argmax_rssi": None, "constant_text": None, "fixed_threshold": "value",
                   "scripted": "replies", "fail_after": "fail_after_n"}
@@ -139,6 +147,17 @@ class MockRule:
         argument = _MOCK_ARGUMENT[self.kind]
         if argument is not None and getattr(self, argument) is None:
             raise ValueError(f"mock rule {self.kind} needs {argument}")
+        replies = self.replies
+        for name, ok, what in (
+            ("text", self.text is None or isinstance(self.text, str), "a string"),
+            ("value", self.value is None or _finite_real(self.value), "a finite number"),
+            ("replies", replies is None or isinstance(replies, (tuple, list))
+             and all(isinstance(r, str) for r in replies), "a list of strings"),
+            ("fail_after_n", self.fail_after_n is None or type(self.fail_after_n) is int, "an int"),
+        ):
+            if not ok:
+                raise ValueError(f"mock rule {self.kind}: {name} must be {what}, "
+                                 f"not {getattr(self, name)!r}")
 
     @staticmethod
     def argmax_rssi(delay_ms: float = 0.0) -> "MockRule":

@@ -29,7 +29,9 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .errors import ConfigError
-from .trace import ACTIVITY_ACTIVE, ScanSample, Trace, strongest, window
+from .trace import (
+    ACTIVITY_ACTIVE, RSSI_MAX_DBM, RSSI_MIN_DBM, ScanSample, Trace, strongest, window,
+)
 
 # RSSI charged to a step whose associated AP is missing from the scan.
 ABSENT_RSSI_DBM = -100.0
@@ -45,7 +47,7 @@ HYSTERESIS_PRESETS: dict[str, tuple[float, float]] = {
 
 def check_dbm(name: str, value: float) -> None:
     """ConfigError unless the `name` setting is a level in [-100, 0] dBm; NaN never is."""
-    if not -100.0 <= value <= 0.0:
+    if not RSSI_MIN_DBM <= value <= RSSI_MAX_DBM:
         raise ConfigError(f"{name} out of range: {value}")
 
 

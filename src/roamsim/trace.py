@@ -116,7 +116,7 @@ class SynthConfig:
     """Parameters for the synthetic trace generator.
 
     Each AP gets an independent Gaussian random walk clipped to
-    [floor_dbm, ceil_dbm]. base_dbm is broadcast when a single number is
+    [floor_dbm, ceil_dbm], which must lie in [-100, 0] dBm. base_dbm is broadcast when a single number is
     given, or taken per AP when a sequence is given.
     """
 
@@ -445,8 +445,9 @@ def generate_synthetic(config: SynthConfig) -> Trace:
         raise ValueError("duration must be >= 1")
     if not 0 <= config.step_stddev < math.inf:  # NaN is never in range
         raise ValueError("step_stddev must be finite and >= 0")
-    if not config.floor_dbm < config.ceil_dbm:
-        raise ValueError("floor_dbm must be below ceil_dbm")
+    if not RSSI_MIN_DBM <= config.floor_dbm < config.ceil_dbm <= RSSI_MAX_DBM:
+        raise ValueError(f"floor_dbm and ceil_dbm must satisfy "
+                         f"{RSSI_MIN_DBM:g} <= floor_dbm < ceil_dbm <= {RSSI_MAX_DBM:g}")
     if config.sample_interval < 1:
         raise ValueError("sample_interval must be >= 1")
     if (config.duration - 1) * config.sample_interval > T_MAX:
@@ -460,15 +461,16 @@ def generate_synthetic(config: SynthConfig) -> Trace:
         bases = [float(b) for b in config.base_dbm]
         if len(bases) != config.num_aps:
             raise ValueError("base_dbm sequence length must equal num_aps")
-    # A finite base outside [-100, 0] is clipped into range; a NaN one would
-    # clip to the ceiling unnoticed, and a NaN drain would pin the battery.
+    # A finite base outside [floor_dbm, ceil_dbm] is clipped into it; a NaN
+    # one would clip to the ceiling unnoticed, and a NaN drain would pin the
+    # battery.
     if not all(math.isfinite(b) for b in bases):
         raise ValueError("base_dbm must be finite")
     drain = config.battery_drain_pct_per_step
     if drain is not None and not math.isfinite(drain):
         raise ValueError("battery_drain_pct_per_step must be finite")
     floor, ceil = config.floor_dbm, config.ceil_dbm
-    levels = [max(floor, min(ceil, max(RSSI_MIN_DBM, min(RSSI_MAX_DBM, b)))) for b in bases]
+    levels = [max(floor, min(ceil, b)) for b in bases]
     macs = [synth_bssid(i) for i in range(config.num_aps)]
 
     gauss, stddev = random.Random(config.seed).gauss, config.step_stddev

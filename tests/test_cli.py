@@ -12,11 +12,14 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import roamsim
+from conftest import trace_to_csv
 from roamsim.cli import _experiment_config, build_parser, main
 from roamsim.runner import _jsonable, strip_volatile
-from roamsim.trace import SYNTH_MAX_APS
+from roamsim.trace import SYNTH_MAX_APS, parse_trace
 
 
 @pytest.fixture
@@ -72,6 +75,23 @@ def test_too_many_synthetic_aps_exit_1_without_output(tmp_path, monkeypatch, cap
     assert main([*argv, str(num_aps)]) == 1
     out, err = capsys.readouterr()
     assert err == f"config error: num_aps must be between 1 and {SYNTH_MAX_APS}\n"
+    assert out == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-trace", "--num-aps", "2", "--duration", "20", "--floor=-150", "--ceil", "20",
+     "--base=-5", "--stddev", "15", "-o", "bad.jsonl"],
+    ["simulate", "--policy", "legacy", "--synth-aps", "2", "--synth-duration", "20",
+     "--synth-ceil", "20", "--out", "out"],
+], ids=["gen-trace", "simulate"])
+def test_synthetic_range_past_0_dbm_exits_1_without_output(tmp_path, monkeypatch, capsys, argv):
+    # these once wrote RSSIs above 0 dBm, which parse_trace refuses
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ("config error: floor_dbm and ceil_dbm must satisfy "
+                   "-100 <= floor_dbm < ceil_dbm <= 0\n")
     assert out == ""
     assert os.listdir(tmp_path) == []
 
@@ -171,6 +191,15 @@ class TestSimulate:
                    "--external-url", url, "--out", str(tmp_path / "runs")])
         assert rc == 0
         assert "policy=external" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "1e400"])
+    def test_non_finite_fixed_mock_exits_1(self, trace_file, capsys, value):
+        # both once ran to exit 0
+        rc = main(["simulate", "--trace", str(trace_file), "--task", "threshold",
+                   "--policy", "llm", "--mock", f"fixed:{value}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: mock rule fixed_threshold: value must be a finite number")
 
     def test_missing_file_exits_2(self):
         assert main(["simulate", "--trace", "/nonexistent.jsonl", "--policy", "legacy"]) == 2
@@ -693,3 +722,134 @@ def test_golden_default_flag_outputs(config_cwd):
     digests = {name: hashlib.sha256((config_cwd / name).read_bytes()).hexdigest()
                for name in DEFAULT_OUTPUT_GOLDEN}
     assert digests == DEFAULT_OUTPUT_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# Totality: main() on any argv of its subcommands and flags returns an exit
+# code and raises nothing. Values mix good and bad ones; sizes are bounded,
+# no endpoint URL is drawn and every llm run gets a mock, so each example is
+# cheap and stays on this host.
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    f = {name: str(d / name) for name in (
+        "trace.jsonl", "trace.csv", "bad.jsonl", "plan.json", "reports", "tpl.txt",
+        "bad_tpl.txt", "replies.txt", "good.ini", "bad.ini", "missing", "out")}
+    assert main(["gen-trace", "--num-aps", "3", "--duration", "8", "--seed", "5",
+                 "--base=-58,-68,-76", "--stddev", "6", "-o", f["trace.jsonl"]]) == 0
+    Path(f["trace.csv"]).write_text(
+        trace_to_csv(parse_trace(Path(f["trace.jsonl"]).read_bytes())), encoding="utf-8")
+    Path(f["bad.jsonl"]).write_text("{not json\n", encoding="utf-8")
+    assert main(["oracle", "--trace", f["trace.jsonl"], "--objective", "min-ho",
+                 "-o", f["plan.json"]]) == 0
+    for policy in ("legacy", "heuristic"):
+        assert main(["simulate", "--trace", f["trace.jsonl"], "--policy", policy,
+                     "--out", f["reports"]]) == 0
+    Path(f["tpl.txt"]).write_text("[row]\n{t} {aps}\n", encoding="utf-8")
+    Path(f["bad_tpl.txt"]).write_text("[row]\n{nope}\n", encoding="utf-8")
+    Path(f["replies.txt"]).write_text("ANSWER: -60\nno answer\n", encoding="utf-8")
+    Path(f["good.ini"]).write_text(
+        f"[policy]\npolicy = legacy\n[trace]\nfile = {f['trace.jsonl']}\n", encoding="utf-8")
+    Path(f["bad.ini"]).write_text("[nope]\nx = 1\n", encoding="utf-8")
+    os.mkdir(f["out"])
+    f["report_a"] = os.path.join(f["reports"], "report_legacy.json")
+    f["report_b"] = os.path.join(f["reports"], "report_heuristic_seed_0_.json")
+    assert os.path.exists(f["report_a"]) and os.path.exists(f["report_b"])
+    return f
+
+
+def _argv_strategies(f):
+    """Per subcommand: ({flag: value strategy, or None for a switch}, required
+    flags, positional strategy or None)."""
+    pick = st.sampled_from
+    dbm = pick(["-70", "-100", "0", "-60.5", "5", "-150", "nan", "inf", "-inf", "x", ""])
+    ints, floats = pick(["0", "1", "3", "-1", "x", "1.5", "7"]), pick(
+        ["0", "1.5", "-1", "nan", "inf", "x", "1e400"])
+    trace = pick([f["trace.jsonl"], f["trace.csv"], f["bad.jsonl"], f["missing"], f["out"]])
+    out_file = pick([os.path.join(f["out"], "o.txt"), f["out"],
+                     os.path.join(f["missing"], "o.txt")])
+    out_dir = pick([os.path.join(f["out"], "runs"), f["trace.jsonl"]])
+    template = pick([f["tpl.txt"], f["bad_tpl.txt"], f["missing"]])
+    context = pick(["none", "time", "location,battery", "x", ""])
+    mock = pick(["argmax", "fixed:-70", "fixed:nan", "fixed:5", "fixed:", "constant:hi",
+                 "constant:", "fail-after:1", "fail-after:x", f"scripted:{f['replies.txt']}",
+                 f"scripted:{f['missing']}", "bogus"])
+    experiment = {
+        "--config": pick([f["good.ini"], f["bad.ini"], f["missing"]]),
+        "--trace": trace, "--synth-aps": pick(["1", "2", "3", "0", "-2", "x"]),
+        "--synth-duration": pick(["1", "4", "12", "0", "x"]), "--synth-seed": ints,
+        "--synth-base": dbm | pick(["-60,-70", "-60,-70,-80,-90"]), "--synth-stddev": floats,
+        "--synth-floor": dbm, "--synth-ceil": dbm,
+        "--task": pick(["ap_select", "threshold", "x"]),
+        "--policy": pick(["legacy", "heuristic", "fixed", "opt-ho", "opt-rssi", "llm",
+                          "external", "x"]),
+        "--seed": ints, "--fixed-dbm": dbm, "--mock": mock,
+        "--mock-delay-ms": pick(["0", "1", "-1", "nan", "x"]), "--model": st.just("m"),
+        "--external-url": pick(["http://127.0.0.1:1/decide", "x", "ftp://h/", "http://a b/"]),
+        "--scan-rssi": dbm, "--hysteresis": pick(["off", "standard-80211", "x"]),
+        "--validity-floor": dbm, "--window-k": pick(["1", "3", "10", "0", "x"]),
+        "--interval": pick(["1", "5", "0", "x"]), "--style": pick(["plain", "cot", "x"]),
+        "--shots": pick(["0", "1", "2", "-1", "x"]), "--context": context,
+        "--template": template, "--score-against": pick(["opt_ho", "opt_rssi", "x"]),
+        "--out": out_dir,
+    }
+    objective = pick(["min-ho", "max-rssi", "x"])
+    reports = st.lists(pick([f["report_a"], f["report_b"], f["bad.jsonl"], f["missing"],
+                             f["trace.jsonl"]]), max_size=3)
+    return {
+        "gen-trace": ({
+            "--num-aps": pick(["1", "3", "0", "x"]), "--duration": pick(["1", "5", "0", "x"]),
+            "--seed": ints, "--base": dbm | pick(["-60,-70", "-60,-70,-80"]),
+            "--stddev": floats, "--floor": dbm, "--ceil": dbm, "--location": None,
+            "--battery-drain": floats, "--sample-interval": pick(["1", "5", "0", "x", "10" * 6]),
+            "-o": out_file,
+        }, (), None),
+        "simulate": (experiment, ("--trace", "--policy"), None),
+        "sweep": ({**experiment, "--axis": pick(
+            ["threshold", "interval", "shots", "context_fields", "x"]),
+            "--values": pick(["-60", "-60,-70", "1,2", "0", "x", "", "time+battery,none",
+                              "nan"])}, ("--trace", "--policy", "--axis"), None),
+        "oracle": ({"--trace": trace, "--objective": objective, "--floor": dbm,
+                    "--empty-rule": pick(["relax", "error", "x"]), "--brute-force": None,
+                    "-o": out_file}, ("--trace", "--objective"), None),
+        "export": ({"--trace": trace, "--kind": pick(["sft", "preferences", "x"]),
+                    "--objective": objective,
+                    "--plan": pick([f["plan.json"], f["report_a"], f["missing"],
+                                    f["trace.jsonl"]]),
+                    "--rejected": pick(["legacy", "heuristic", "second_best", "x"]),
+                    "--seed": ints, "--floor": dbm, "--style": pick(["plain", "cot", "x"]),
+                    "--context": context, "--window-k": pick(["1", "3", "0", "x"]),
+                    "--scan-rssi": dbm, "--template": template, "-o": out_file},
+                   ("--trace", "--kind", "-o"), None),
+        "compare": ({"-o": out_file}, (), reports),
+        "plot-data": ({"--out": out_dir}, ("--out",), reports),
+        "bench-latency": ({"--mock": mock, "--mock-delay-ms": pick(["0", "1", "-1", "x"]),
+                           "--model": st.just("m"), "--n": pick(["1", "3", "0", "-1", "x"]),
+                           "--prompt": pick(["", "t=0 | aps: AA:00:00:00:00:01=-60.0"])},
+                          (), None),
+    }
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_exits_with_a_mapped_code(fuzz_files, data):
+    command = data.draw(st.sampled_from(sorted(_argv_strategies(fuzz_files))))
+    flags, required, positional = _argv_strategies(fuzz_files)[command]
+    chosen = [flag for flag in required if data.draw(st.integers(0, 3))]  # mostly present
+    chosen += data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=8, unique=True))
+    argv = [command]
+    for flag in dict.fromkeys(chosen):
+        if flags[flag] is None:
+            argv.append(flag)
+        else:
+            argv += [flag, data.draw(flags[flag])] if flag == "-o" else [
+                f"{flag}={data.draw(flags[flag])}"]
+    if "--policy=llm" in argv and not any(a.startswith("--mock=") for a in argv):
+        argv.append("--mock=argmax")
+    if positional is not None:
+        argv += data.draw(positional)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("ROAMSIM_LLM_BASE_URL", raising=False)
+        assert main(argv) in (0, 1, 2, 3), argv

@@ -677,6 +677,25 @@ class TestMockRules:
         with pytest.raises(ValueError, match=message):
             MockRule(kind=kind)
 
+    # Each of these once constructed, and all but the last two then raised a
+    # bare ValueError, TypeError or AttributeError inside a run.
+    @pytest.mark.parametrize("make, message", [
+        (lambda: MockRule.fixed_threshold("x"), "value must be a finite number"),
+        (lambda: MockRule(kind="scripted", replies=5), "replies must be a list of strings"),
+        (lambda: MockRule.constant_text(5), "text must be a string"),
+        (lambda: MockRule.fail_after(1.5), "fail_after_n must be an int"),
+        (lambda: MockRule.fail_after(True), "fail_after_n must be an int"),
+        (lambda: MockRule.scripted(["a", 5]), "replies must be a list of strings"),
+        (lambda: MockRule.fixed_threshold(True), "value must be a finite number"),
+        (lambda: MockRule.fixed_threshold(10**400), "value must be a finite number"),
+        (lambda: MockRule.fixed_threshold(float("nan")), "value must be a finite number"),
+        (lambda: MockRule.fixed_threshold(float("inf")), "value must be a finite number"),
+    ], ids=["value-str", "replies-int", "text-int", "fail-after-float", "fail-after-bool",
+            "replies-item-int", "value-bool", "value-huge-int", "value-nan", "value-inf"])
+    def test_argument_of_the_wrong_type_is_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 5000), t=st.integers(0, 39))
     def test_argmax_composes_with_prompt_and_parser(self, seed, t):

@@ -10,6 +10,7 @@ import os
 import random
 import sys
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import MAC_A, MAC_B, band_synth, mac, make_sample, make_trace, trace_to_csv
 from roamsim.agent import PromptConfig
-from roamsim.errors import ConfigError, DataError, EndpointError
+from roamsim.errors import ConfigError, DataError, EndpointError, RoamsimError
 from roamsim.gateway import (
     EndpointConfig,
     JsonConnection,
@@ -466,6 +467,63 @@ class TestSpellingInvariance:
                 canonical, respelled, long_csv = views
                 assert respelled == canonical == long_csv, spec.kind
         assert canonical[0] == hashlib.sha256(files["canonical.jsonl"]).hexdigest()
+
+
+@st.composite
+def parsed_traces(draw) -> Trace:
+    """Traces of 1-6 steps that parse, each sample's `assoc` unset, scanned or not."""
+    trace = draw(unassociated_traces())
+    foreign = mac(40)  # a BSSID no drawn scan holds
+    return Trace(samples=tuple(
+        replace(s, associated=draw(st.sampled_from((None, foreign, *s.bssids))))
+        for s in trace.samples[:6]
+    ))
+
+
+# One run of each kind over the drawn trace, by name: its ExperimentConfig settings.
+TOTALITY_RUNS = {
+    "legacy": {"policy": PolicySpec(kind="legacy")},
+    "heuristic": {"policy": PolicySpec(kind="heuristic", seed=3)},
+    "fixed": {"policy": PolicySpec(kind="fixed", fixed_dbm=-65.0)},
+    "fixed-threshold": {"policy": PolicySpec(kind="fixed", fixed_dbm=-65.0), "task": "threshold"},
+    "opt-ho": {"policy": PolicySpec(kind="opt_ho"), "score_against": "opt_ho"},
+    "opt-rssi": {"policy": PolicySpec(kind="opt_rssi"), "score_against": "opt_ho"},
+    "holdout": {"policy": PolicySpec(kind="legacy"), "holdout": True,
+                "score_against": "opt_rssi"},
+    "llm-argmax": {"policy": PolicySpec(kind="llm", mock=MockRule.argmax_rssi())},
+    "llm-shots": {"policy": PolicySpec(kind="llm", mock=MockRule.argmax_rssi(),
+                                       prompt=PromptConfig(shots=1)), "window_k": 10},
+    "llm-constant": {"policy": PolicySpec(kind="llm", mock=MockRule.constant_text(
+        f"ANSWER: {MAC_A}"))},
+    "llm-scripted": {"policy": PolicySpec(kind="llm", mock=MockRule.scripted(
+        ["ANSWER: -60", f"ANSWER: {MAC_B}", "no answer"])), "task": "threshold", "interval": 1},
+    "llm-fixed": {"policy": PolicySpec(kind="llm", mock=MockRule.fixed_threshold(-75.0)),
+                  "task": "threshold", "interval": 2},
+    "external": {"policy": PolicySpec(kind="external",
+                                      external_url="http://127.0.0.1:1/decide")},
+}
+
+
+class TestTotality:
+    @settings(max_examples=60, deadline=None)
+    @given(trace=parsed_traces(), k=st.integers(1, 4), scan=st.floats(-100.0, 0.0),
+           floor=st.floats(-100.0, 0.0), hysteresis=st.sampled_from(["off", "standard-80211"]))
+    def test_a_trace_that_parses_completes_or_raises_a_roamsim_error(
+        self, trace, k, scan, floor, hysteresis
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.jsonl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(trace_to_jsonl(trace))
+            for name, run in TOTALITY_RUNS.items():
+                cfg = ExperimentConfig(trace_path=path, **{
+                    "window_k": k, "scan_rssi": scan, "validity_floor": floor,
+                    "hysteresis": hysteresis, **run})
+                try:
+                    report = run_experiment(cfg)
+                except RoamsimError:
+                    continue
+                assert verify_report(report), name
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from conftest import (
     round_trips,
     trace_to_csv,
 )
+from roamsim.agent import synthesize_reasoning
 from roamsim.errors import TraceFormatError
 from roamsim.policies import ExternalPolicy, legacy_decide
 from roamsim.roaming import AssociationState, rssi_of, should_scan
@@ -459,6 +460,30 @@ class TestSynthetic:
         # at 100 % battery on every step
         with pytest.raises(ValueError, match=message):
             generate_synthetic(replace(SynthConfig(), **{field: value}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(num_aps=st.integers(1, 4), duration=st.integers(1, 12),
+           base=st.floats(-200.0, 100.0) | st.lists(st.floats(-200.0, 100.0), min_size=1,
+                                                    max_size=4).map(tuple),
+           stddev=st.floats(0.0, 30.0),
+           floor=st.floats(-200.0, 50.0) | st.sampled_from([-100.0, 0.0, math.nan]),
+           ceil=st.floats(-200.0, 50.0) | st.sampled_from([-100.0, 0.0, math.nan]),
+           location=st.booleans(), drain=st.none() | st.floats(-20.0, 20.0),
+           seed=st.integers(0, 1000))
+    @example(num_aps=2, duration=20, base=-5.0, stddev=15.0, floor=-150.0, ceil=20.0,
+             location=False, drain=None, seed=0)
+    def test_any_config_is_refused_or_gives_a_trace_that_parses(
+        self, num_aps, duration, base, stddev, floor, ceil, location, drain, seed
+    ):
+        # a level past [-100, 0] dBm once gave a trace parse_trace refuses
+        cfg = SynthConfig(num_aps=num_aps, duration=duration, base_dbm=base, step_stddev=stddev,
+                          floor_dbm=floor, ceil_dbm=ceil, emit_location=location,
+                          battery_drain_pct_per_step=drain, seed=seed)
+        try:
+            trace = generate_synthetic(cfg)
+        except ValueError:
+            return
+        assert round_trips(trace)
 
     def test_timestamps_stay_inside_the_ingest_range(self):
         with pytest.raises(ValueError, match="9999"):
@@ -966,6 +991,9 @@ class TestColumns:
         for assoc in (*canonical.bssids, "AA:00:00:00:FF:FF"):
             state = AssociationState(associated=assoc, threshold=threshold)
             assert legacy_decide((shuffled,), state) == legacy_decide((canonical,), state)
+            for gold in (assoc, top.bssid):  # the shot reasoning names the strongest AP
+                assert (synthesize_reasoning((shuffled,), assoc, gold)
+                        == synthesize_reasoning((canonical,), assoc, gold))
 
     def test_candidates_is_a_view_of_the_columns(self):
         sample = make_sample(0, {MAC_A: -70.0, MAC_B: -60.0})
