@@ -153,7 +153,8 @@ class MockRule:
             ("value", self.value is None or _finite_real(self.value), "a finite number"),
             ("replies", replies is None or isinstance(replies, (tuple, list))
              and all(isinstance(r, str) for r in replies), "a list of strings"),
-            ("fail_after_n", self.fail_after_n is None or type(self.fail_after_n) is int, "an int"),
+            ("fail_after_n", self.fail_after_n is None or type(self.fail_after_n) is int,
+             "an int"),
         ):
             if not ok:
                 raise ValueError(f"mock rule {self.kind}: {name} must be {what}, "

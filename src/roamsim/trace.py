@@ -116,8 +116,9 @@ class SynthConfig:
     """Parameters for the synthetic trace generator.
 
     Each AP gets an independent Gaussian random walk clipped to
-    [floor_dbm, ceil_dbm], which must lie in [-100, 0] dBm. base_dbm is broadcast when a single number is
-    given, or taken per AP when a sequence is given.
+    [floor_dbm, ceil_dbm], which must lie in [-100, 0] dBm. base_dbm is
+    broadcast when a single number is given, or taken per AP when a
+    sequence is given.
     """
 
     num_aps: int = 4
@@ -446,7 +447,7 @@ def generate_synthetic(config: SynthConfig) -> Trace:
     if not 0 <= config.step_stddev < math.inf:  # NaN is never in range
         raise ValueError("step_stddev must be finite and >= 0")
     if not RSSI_MIN_DBM <= config.floor_dbm < config.ceil_dbm <= RSSI_MAX_DBM:
-        raise ValueError(f"floor_dbm and ceil_dbm must satisfy "
+        raise ValueError("floor_dbm and ceil_dbm must satisfy "
                          f"{RSSI_MIN_DBM:g} <= floor_dbm < ceil_dbm <= {RSSI_MAX_DBM:g}")
     if config.sample_interval < 1:
         raise ValueError("sample_interval must be >= 1")
