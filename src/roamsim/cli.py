@@ -62,6 +62,7 @@ from .runner import (
     PolicySpec,
     compare,
     emit_plot_data,
+    read_json,
     read_report,
     read_trace_file,
     run_experiment,
@@ -279,19 +280,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _write_out(path: str | None, text: str, message: str) -> None:
+    """Write `text` to the file at `path` and print `message`; no path means stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(message)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_gen_trace(args) -> int:
     cfg = SynthConfig(**_fields(
         vars(args), "num_aps", "duration", "sample_interval", "seed", base_dbm="base",
         step_stddev="stddev", floor_dbm="floor", ceil_dbm="ceil", emit_location="location",
         battery_drain_pct_per_step="battery_drain",
     ))
-    text = trace_to_jsonl(generate_synthetic(cfg))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {cfg.duration} samples to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, trace_to_jsonl(generate_synthetic(cfg)),
+               f"wrote {cfg.duration} samples to {args.out}")
     return 0
 
 
@@ -315,28 +321,20 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+_PLAN_KEYS = ("objective", "objective_value", "handovers", "plan")  # a plan file's, in order
+
+
 def plan_to_dict(plan: AssociationPlan) -> dict:
-    return {
-        "objective": plan.objective,
-        "objective_value": plan.objective_value,
-        "handovers": plan.handovers,
-        "plan": list(plan.plan),
-    }
+    return {key: getattr(plan, key) for key in _PLAN_KEYS} | {"plan": list(plan.plan)}
 
 
 def plan_from_dict(d: dict, path: str) -> AssociationPlan:
     """The plan that plan_to_dict wrote to `path`; anything else is a DataError."""
-    keys = {"plan", "objective", "objective_value", "handovers"}
-    if not (isinstance(d, dict) and keys <= d.keys() and isinstance(d["plan"], list)
+    if not (isinstance(d, dict) and d.keys() >= set(_PLAN_KEYS) and isinstance(d["plan"], list)
             and all(isinstance(b, str) for b in d["plan"])):
         raise DataError(f"plan {path}: not an object with objective, objective_value, "
                         "handovers and a plan list of BSSIDs")
-    return AssociationPlan(
-        plan=tuple(d["plan"]),
-        objective=d["objective"],
-        objective_value=d["objective_value"],
-        handovers=d["handovers"],
-    )
+    return AssociationPlan(**{key: d[key] for key in _PLAN_KEYS} | {"plan": tuple(d["plan"])})
 
 
 def _cmd_oracle(args) -> int:
@@ -346,13 +344,8 @@ def _cmd_oracle(args) -> int:
         constraints = replace(constraints, empty_feasible_set_rule=EMPTY_SET_ERROR)
     solver = brute_force_plan if args.brute_force else solve_plan
     plan = solver(trace, _OBJECTIVES[args.objective], constraints)
-    text = json.dumps(plan_to_dict(plan), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote plan ({plan.handovers} handovers) to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, json.dumps(plan_to_dict(plan), indent=2) + "\n",
+               f"wrote plan ({plan.handovers} handovers) to {args.out}")
     return 0
 
 
@@ -363,12 +356,7 @@ def _cmd_export(args) -> int:
         check_dbm("scan_rssi", args.scan_rssi)
     trace = read_trace_file(args.trace)
     if args.plan:
-        with open(args.plan, encoding="utf-8") as fh:
-            try:
-                d = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
-                raise DataError(f"plan {args.plan}: {exc}") from None
-        plan = plan_from_dict(d, args.plan)
+        plan = plan_from_dict(read_json(args.plan, f"plan {args.plan}"), args.plan)
         if len(plan.plan) != len(trace):  # checked before the output file opens
             raise DataError(f"plan {args.plan}: {len(plan.plan)} steps, trace has {len(trace)}")
     else:
@@ -399,7 +387,7 @@ def _cmd_sweep(args) -> int:
         else:
             values = [_parse_context(v.replace("+", ",")) for v in raw]
     reports = sweep(template, args.axis, values)
-    table = compare([r.to_dict() for r in reports]) if len(reports) > 1 else None
+    table = compare(reports) if len(reports) > 1 else None
     for r in reports:
         m = r.metrics
         err = "-" if m["error_rate"] is None else f"{m['error_rate']:.4f}"
@@ -410,9 +398,7 @@ def _cmd_sweep(args) -> int:
         )
     if table and template.out_dir:
         path = os.path.join(template.out_dir, "comparison.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(table.to_csv())
-        print(f"wrote {path}")
+        _write_out(path, table.to_csv(), f"wrote {path}")
     return 0
 
 
@@ -420,9 +406,7 @@ def _cmd_compare(args) -> int:
     table = compare([read_report(p) for p in args.reports])
     print(table.render())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table.to_csv())
-        print(f"wrote {args.out}")
+        _write_out(args.out, table.to_csv(), f"wrote {args.out}")
     return 0
 
 
@@ -470,19 +454,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except EndpointError as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: a missing file, a directory for a file, ...
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # a missing file, a directory where a file goes, ...
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

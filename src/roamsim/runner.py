@@ -129,6 +129,11 @@ class RunReport:
         return dict(vars(self))
 
 
+def _prompt(cfg: ExperimentConfig) -> PromptConfig:
+    """The run's prompt settings: its spec's, else the defaults for its task and window."""
+    return cfg.policy.prompt or PromptConfig(task=cfg.task, window_k=cfg.window_k)
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     if (cfg.trace_path is None) == (cfg.synth is None):
         raise ConfigError("exactly one of trace_path or synth must be set")
@@ -161,6 +166,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.policy.kind == "llm":
         if (cfg.policy.mock is None) == (cfg.policy.endpoint is None):
             raise ConfigError("llm policy needs exactly one of mock or endpoint")
+        if prompt is not None and prompt.shots > 0 and not (cfg.holdout is None or cfg.holdout):
+            raise ConfigError("shots > 0 requires holdout evaluation")
     if cfg.policy.kind == "external" and not cfg.policy.external_url:
         raise ConfigError("external policy needs external_url")
     if cfg.score_against not in (None, "opt_ho", "opt_rssi"):
@@ -334,16 +341,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Replay the configured trace through the configured policy."""
     validate_config(cfg)
     start = time.perf_counter()
+    spec = cfg.policy
+    prompt_cfg = _prompt(cfg)
+    template = load_template(cfg.template_path) if cfg.template_path else None
     full_trace, scenario = load_trace_source(cfg)
 
-    spec = cfg.policy
-    prompt_cfg = spec.prompt or PromptConfig(task=cfg.task, window_k=cfg.window_k)
-    template = load_template(cfg.template_path) if cfg.template_path else None
-
     wants_shots = spec.kind == "llm" and prompt_cfg.shots > 0
-    holdout = cfg.holdout if cfg.holdout is not None else wants_shots
-    shots: tuple[FewShotExample, ...] = ()
-    if holdout:
+    eval_trace, shots = full_trace, ()
+    if wants_shots or cfg.holdout:  # validate_config refused shots with holdout=False
         train, eval_trace = split_trace(full_trace)
         if wants_shots:
             train_plan = _oracle_plan(train, "opt_ho", cfg.validity_floor)
@@ -352,10 +357,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             except ValueError as exc:  # more shots than training steps
                 raise ConfigError(str(exc)) from None
         scenario = f"{scenario}:test"
-    else:
-        if wants_shots:
-            raise ConfigError("shots > 0 requires holdout evaluation")
-        eval_trace = full_trace
 
     label, build = POLICIES[spec.kind]
     run = _Run(cfg, label(spec), eval_trace, prompt_cfg, template, shots)
@@ -427,17 +428,25 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def read_json(path: str, name: str | None = None):
+    """The JSON value in the file at `path`; DataError, naming the file, when it holds none.
+
+    `name` stands for the path in the message, as in "plan <path>".
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DataError(f"{name or path}: not JSON ({exc})") from None
+
+
 def read_report(path: str) -> dict:
     """Load a report file; DataError, naming the file, when it holds no report.
 
     Beyond the keys, the fields that compare and plot-data format or hash
     must have their report types, so a bad file is a data error there too.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise DataError(f"{path}: not JSON ({exc})") from None
+    d = read_json(path)
     m = d.get("metrics") if isinstance(d, dict) else None
     if not (isinstance(m, dict) and all(k in d for k in ("policy", "scenario", "trace_hash"))
             and all(k in m for k in ("handovers", "avg_rssi_dbm", "error_rate"))):
@@ -583,7 +592,7 @@ def _apply_axis(template: ExperimentConfig, axis: str, value) -> ExperimentConfi
         if template.task != TASK_THRESHOLD or spec.kind != "llm":
             raise ConfigError("interval sweep needs task=threshold and an llm policy")
         return replace(template, interval=int(value))
-    prompt = spec.prompt or PromptConfig(task=template.task, window_k=template.window_k)
+    prompt = _prompt(template)
     if spec.kind != "llm":
         raise ConfigError(f"{axis} sweep needs an llm policy")
     if axis == "shots":
