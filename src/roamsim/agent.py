@@ -62,9 +62,9 @@ STYLE_COT = "cot"
 
 CONTEXT_FIELDS = ("location", "time", "battery")
 
-_MAC_IN_TEXT_RE = re.compile(r"\b[0-9A-Fa-f]{2}(?::[0-9A-Fa-f]{2}){5}\b")
+_MAC_IN_TEXT_RE = re.compile(r"\b[0-9A-Fa-f]{2}(?:[:-][0-9A-Fa-f]{2}){5}\b")  # canonical_mac's forms
 _ANSWER_LINE_RE = re.compile(r"^\s*answer\s*:\s*(.*)$", re.IGNORECASE)
-_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
+_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")  # as repr and :g write them
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,8 @@ def load_template(path) -> dict[str, str]:
                 if name is not None:
                     sections[name] = "".join(body)
                 name, body = stripped[1:-1], []
+                if name not in DEFAULT_TEMPLATE:
+                    raise ConfigError(f"template {path}: unknown block [{name}]")
             elif name is not None:
                 body.append(line)
     if name is not None:
@@ -284,9 +286,10 @@ def parse_threshold_response(raw: str) -> float | None:
     """Threshold named by the reply, clamped into [-100, 0] dBm.
 
     The final ANSWER line wins; otherwise the trailing number anywhere in
-    the text. Returns None when no number can be found.
+    the text. Digits inside a MAC address are not a number. Returns None
+    when no number can be found.
     """
-    num = _final_answer(raw, _NUMBER_RE)
+    num = _final_answer(_MAC_IN_TEXT_RE.sub(" ", raw or ""), _NUMBER_RE)
     if num is None:
         return None
     value = float(num)

@@ -82,9 +82,14 @@ def export_sft(
 
 
 def _rejected_sequence(trace: Trace, source: str, seed: int, scan_rssi: float) -> list[str | None]:
-    """Per-step rejected label: the named policy's association, or the runner-up AP."""
+    """Per-step rejected label: the named policy's association, or the runner-up AP.
+
+    The runner-up is second under the canonical order (descending RSSI, ties
+    by BSSID), whatever the sample's column order.
+    """
     if source == REJECTED_SECOND_BEST:
-        return [s.bssids[1] if len(s.bssids) > 1 else None for s in trace.samples]
+        ranked = (sorted(zip([-r for r in s.rssis], s.bssids)) for s in trace.samples)
+        return [r[1][1] if len(r) > 1 else None for r in ranked]
     if source == REJECTED_LEGACY:
         decide = legacy_decide
     elif source == REJECTED_HEURISTIC:

@@ -168,6 +168,14 @@ class TestBuildPrompt:
             load_template(path)
         assert str(exc.value).startswith(f"template {path}: [{section}] {shown}: ")
 
+    def test_unknown_block_is_refused(self, tmp_path):
+        path = tmp_path / "tpl.txt"
+        path.write_text("[row]\nROW {t}\n[preambel.ap_select]\nPICK {associated}\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"unknown block \[preambel\.ap_select\]") as exc:
+            load_template(path)
+        assert str(path) in str(exc.value)
+
     def test_format_specs_the_fields_take_load(self, tmp_path):
         path = tmp_path / "tpl.txt"
         path.write_text("[row]\nt={t:05d}{context:<2} | {aps!r:>8}\n"
@@ -262,6 +270,9 @@ class TestParseApResponse:
         raw = f"candidates {MAC_A} then {MAC_B} look good"
         assert parse_ap_response(raw) == MAC_B
 
+    def test_dash_separated_mac_is_read(self):
+        assert parse_ap_response("ANSWER: aa-00-00-00-00-01") == "AA:00:00:00:00:01"
+
     @settings(max_examples=100, deadline=None)
     @given(st.text(max_size=200))
     def test_never_raises_on_noise(self, noise):
@@ -285,6 +296,31 @@ class TestParseThresholdResponse:
     def test_unparseable(self):
         assert parse_threshold_response("no idea") is None
         assert parse_threshold_response("") is None
+
+    @pytest.mark.parametrize("raw, value", [
+        ("ANSWER: AA:00:00:00:00:02", None),
+        ("ANSWER: aa-00-00-00-00-02", None),
+        ("ANSWER: -6.5e1", -65.0),
+        ("ANSWER: -1e-05", -1e-05),
+        ("ANSWER: -5E+1 dBm", -50.0),
+        (f"-60 is too low for {MAC_A}", -60.0),
+    ], ids=["mac", "dash-mac", "exponent", "negative-exponent", "signed-exponent",
+            "mac-after-number"])
+    def test_reads_exponents_and_not_mac_digits(self, raw, value):
+        assert parse_threshold_response(raw) == value
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-100.0, 0.0))
+    def test_reads_back_what_the_writers_write(self, v):
+        assert parse_threshold_response(f"ANSWER: {v:g}") == float(f"{v:g}")
+        assert parse_threshold_response(f"ANSWER: {v!r}") == v
+
+    @settings(max_examples=100, deadline=None)
+    @given(octets=st.lists(st.integers(0, 255), min_size=6, max_size=6),
+           sep=st.sampled_from([":", "-"]), upper=st.booleans())
+    def test_a_mac_is_never_a_threshold(self, octets, sep, upper):
+        text = sep.join(f"{o:02x}" for o in octets)
+        assert parse_threshold_response(f"ANSWER: {text.upper() if upper else text}") is None
 
     @settings(max_examples=100, deadline=None)
     @given(st.text(max_size=200))
@@ -398,6 +434,16 @@ class TestThresholdScheduler:
             None, 30, window(trace, 0, 10), state_at(), PromptConfig(task="threshold"), client,
         )
         assert entry == {"t": 0, "value": -64.0, "valid": True, "fault": False}
+
+    @pytest.mark.parametrize("rule, logged", [
+        (MockRule.fixed_threshold(-1e-05), (-1e-05, True)),
+        (MockRule.constant_text("ANSWER: AA:00:00:00:00:02"), (-70.0, False)),
+    ], ids=["exponent", "bssid"])
+    def test_run_logs_what_the_reply_says(self, rule, logged):
+        cfg = ExperimentConfig(PolicySpec(kind="llm", mock=rule),
+                               synth=band_synth(seed=45, duration=40), task="threshold")
+        log = run_experiment(cfg).threshold_log
+        assert len(log) == 2 and {(e["value"], e["valid"]) for e in log} == {logged}
 
     def test_failure_keeps_current_threshold(self):
         trace = generate_synthetic(band_synth(seed=44, duration=5))

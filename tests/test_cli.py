@@ -232,6 +232,20 @@ class TestSimulate:
         assert rc == 1
         assert capsys.readouterr().err.count("config error: template") == 2
 
+    @pytest.mark.parametrize("text, named", [
+        ("[row]\nROW {bogus}\n", "{bogus}"),
+        ("[preambel.ap_select]\nPICK {associated}\n", "unknown block [preambel.ap_select]"),
+    ], ids=["field", "block"])
+    def test_refused_template_exits_1_before_the_trace_is_read(self, tmp_path, capsys, text,
+                                                               named):
+        tpl = tmp_path / "bad.tpl"
+        tpl.write_text(text, encoding="utf-8")
+        rc = main(["simulate", "--trace", str(tmp_path / "missing.jsonl"), "--policy", "llm",
+                   "--mock", "argmax", "--template", str(tpl)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: template {tpl}: ") and named in err
+
     @pytest.mark.parametrize("command", ["simulate", "export"])
     def test_template_format_spec_its_field_refuses_exits_1(self, trace_file, tmp_path,
                                                             capsys, command):

@@ -82,6 +82,12 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="ap_select"):
             run_experiment(cfg)
 
+    def test_shots_without_holdout_are_refused_before_the_trace_is_read(self, tmp_path):
+        spec = PolicySpec(kind="llm", mock=MockRule.argmax_rssi(), prompt=PromptConfig(shots=1))
+        cfg = ExperimentConfig(spec, trace_path=str(tmp_path / "missing.jsonl"), holdout=False)
+        with pytest.raises(ConfigError, match="requires holdout"):
+            run_experiment(cfg)
+
     @pytest.mark.parametrize("prompt, kw", [
         (PromptConfig(window_k=3), {}),
         (PromptConfig(task="threshold"), {}),
