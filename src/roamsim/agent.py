@@ -62,9 +62,10 @@ STYLE_COT = "cot"
 
 CONTEXT_FIELDS = ("location", "time", "battery")
 
-_MAC_IN_TEXT_RE = re.compile(r"\b[0-9A-Fa-f]{2}(?:[:-][0-9A-Fa-f]{2}){5}\b")  # canonical_mac's forms
+# MACs in the forms canonical_mac accepts; numbers in the forms repr and :g write
+_MAC_IN_TEXT_RE = re.compile(r"\b[0-9A-Fa-f]{2}(?:[:-][0-9A-Fa-f]{2}){5}\b")
 _ANSWER_LINE_RE = re.compile(r"^\s*answer\s*:\s*(.*)$", re.IGNORECASE)
-_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")  # as repr and :g write them
+_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
 @dataclass(frozen=True)
