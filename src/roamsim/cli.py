@@ -325,7 +325,9 @@ _PLAN_KEYS = ("objective", "objective_value", "handovers", "plan")  # a plan fil
 
 
 def plan_to_dict(plan: AssociationPlan) -> dict:
-    return {key: getattr(plan, key) for key in _PLAN_KEYS} | {"plan": list(plan.plan)}
+    d = {key: getattr(plan, key) for key in _PLAN_KEYS}
+    d["plan"] = list(plan.plan)
+    return d
 
 
 def plan_from_dict(d: dict, path: str) -> AssociationPlan:
@@ -334,7 +336,9 @@ def plan_from_dict(d: dict, path: str) -> AssociationPlan:
             and all(isinstance(b, str) for b in d["plan"])):
         raise DataError(f"plan {path}: not an object with objective, objective_value, "
                         "handovers and a plan list of BSSIDs")
-    return AssociationPlan(**{key: d[key] for key in _PLAN_KEYS} | {"plan": tuple(d["plan"])})
+    fields = {key: d[key] for key in _PLAN_KEYS}
+    fields["plan"] = tuple(d["plan"])
+    return AssociationPlan(**fields)
 
 
 def _cmd_oracle(args) -> int:
@@ -354,6 +358,8 @@ def _cmd_export(args) -> int:
         raise ConfigError("--floor applies to a plan export solves; it cannot change a --plan")
     if args.scan_rssi is not None:
         check_dbm("scan_rssi", args.scan_rssi)
+    cfg = PromptConfig(**_fields(vars(args), "style", "window_k", context_fields="context"))
+    template = load_template(args.template) if args.template else None
     trace = read_trace_file(args.trace)
     if args.plan:
         plan = plan_from_dict(read_json(args.plan, f"plan {args.plan}"), args.plan)
@@ -362,8 +368,6 @@ def _cmd_export(args) -> int:
     else:
         constraints = OracleConstraints(**_fields(vars(args), validity_floor="floor"))
         plan = solve_plan(trace, _OBJECTIVES[args.objective], constraints)
-    cfg = PromptConfig(**_fields(vars(args), "style", "window_k", context_fields="context"))
-    template = load_template(args.template) if args.template else None
     with open(args.out, "w", encoding="utf-8") as fh:
         if args.kind == "sft":
             count = export_sft(trace, plan, cfg, fh, template=template,

@@ -25,7 +25,7 @@ from .agent import PromptConfig, build_prompt
 from .errors import DataError
 from .policies import AssociationPlan, heuristic_decide, legacy_decide
 from .roaming import DEFAULT_SCAN_RSSI_DBM, AssociationState, run_policy
-from .trace import ScanSample, Trace, window
+from .trace import ScanSample, Trace, ranked, window
 
 REJECTED_LEGACY = "legacy"
 REJECTED_HEURISTIC = "heuristic"
@@ -82,14 +82,9 @@ def export_sft(
 
 
 def _rejected_sequence(trace: Trace, source: str, seed: int, scan_rssi: float) -> list[str | None]:
-    """Per-step rejected label: the named policy's association, or the runner-up AP.
-
-    The runner-up is second under the canonical order (descending RSSI, ties
-    by BSSID), whatever the sample's column order.
-    """
+    """Per-step rejected label: the named policy's association, or the runner-up AP."""
     if source == REJECTED_SECOND_BEST:
-        ranked = (sorted(zip([-r for r in s.rssis], s.bssids)) for s in trace.samples)
-        return [r[1][1] if len(r) > 1 else None for r in ranked]
+        return [aps[1].bssid if len(aps) > 1 else None for aps in map(ranked, trace.samples)]
     if source == REJECTED_LEGACY:
         decide = legacy_decide
     elif source == REJECTED_HEURISTIC:

@@ -166,7 +166,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.policy.kind == "llm":
         if (cfg.policy.mock is None) == (cfg.policy.endpoint is None):
             raise ConfigError("llm policy needs exactly one of mock or endpoint")
-        if prompt is not None and prompt.shots > 0 and not (cfg.holdout is None or cfg.holdout):
+        if prompt is not None and prompt.shots > 0 and cfg.holdout is False:
             raise ConfigError("shots > 0 requires holdout evaluation")
     if cfg.policy.kind == "external" and not cfg.policy.external_url:
         raise ConfigError("external policy needs external_url")

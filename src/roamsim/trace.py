@@ -134,8 +134,15 @@ class SynthConfig:
     seed: int = 0
 
 
+def ranked(sample: ScanSample) -> list[ApObservation]:
+    """The sample's APs under the canonical order (descending RSSI, ties by
+    BSSID), whatever its column order."""
+    return [ApObservation(*ap) for ap in
+            sorted(zip(sample.bssids, sample.rssis), key=lambda ap: (-ap[1], ap[0]))]
+
+
 def strongest(sample: ScanSample) -> ApObservation:
-    """The sample's top AP under the canonical order, whatever its column order."""
+    """`ranked(sample)[0]`, found without sorting."""
     rssis = sample.rssis
     top = max(rssis)
     if rssis.count(top) == 1:
@@ -177,12 +184,15 @@ def _text_lines(data):
     `\n`, which ends a line and is part of no multi-byte UTF-8 character, so
     the lines and their numbers are those of splitlines over the whole
     decoded text. A decode error names the line after the `\n`s before it; a
-    text stream decodes ahead of its lines, so its decode errors name none.
+    text stream is read (and decoded) a chunk ahead of its lines, so its
+    decode errors name none.
     """
     if isinstance(data, bytes):
         data = io.BytesIO(data)
     elif isinstance(data, str):  # already text: its own lines are the pieces
         data = data.splitlines(keepends=True)
+    elif isinstance(data, io.TextIOBase):
+        data = _text_pieces(data)
     line_no = 0
     try:
         for n, piece in enumerate(data, start=1):
@@ -196,6 +206,20 @@ def _text_lines(data):
                 yield line_no, line
     except UnicodeDecodeError as exc:  # from a text stream, while it reads ahead
         raise _not_utf8(exc) from None
+
+
+def _text_pieces(stream, size: int = 1 << 16):
+    """A text stream's text in pieces that end in `\n` but for the last, read
+    `size` characters at a time: read by lines, a stream hands out the lines
+    before a UTF-8 character cut off at its end before it fails on it."""
+    carry = ""
+    while chunk := stream.read(size):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield carry + chunk[:cut]
+            carry = ""
+        carry += chunk[cut:]
+    yield carry
 
 
 def _check_float(

@@ -236,12 +236,15 @@ class TestSimulate:
         ("[row]\nROW {bogus}\n", "{bogus}"),
         ("[preambel.ap_select]\nPICK {associated}\n", "unknown block [preambel.ap_select]"),
     ], ids=["field", "block"])
+    @pytest.mark.parametrize("command", ["simulate", "export"])
     def test_refused_template_exits_1_before_the_trace_is_read(self, tmp_path, capsys, text,
-                                                               named):
+                                                               named, command):
         tpl = tmp_path / "bad.tpl"
         tpl.write_text(text, encoding="utf-8")
-        rc = main(["simulate", "--trace", str(tmp_path / "missing.jsonl"), "--policy", "llm",
-                   "--mock", "argmax", "--template", str(tpl)])
+        argv = {"simulate": ["--policy", "llm", "--mock", "argmax"],
+                "export": ["--kind", "sft", "-o", str(tmp_path / "sft.jsonl")]}[command]
+        rc = main([command, "--trace", str(tmp_path / "missing.jsonl"), "--template", str(tpl),
+                   *argv])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: template {tpl}: ") and named in err

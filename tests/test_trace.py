@@ -41,9 +41,11 @@ from roamsim.trace import (
     _check_float,
     _check_timestamp,
     _opt_float,
+    _text_pieces,
     canonical_mac,
     generate_synthetic,
     parse_trace,
+    ranked,
     strongest,
     trace_to_jsonl,
     window,
@@ -868,22 +870,24 @@ class TestStreamingCsv:
         # a quoted field cut off) may not.
         head = b"".join(p + b"\n" for p in data.split(b"\n")[: want[1] - 1])
         earlier = _outcome(whole_text_parse_csv, head)
-        # A text stream decodes ahead of its lines, as for JSONL, but a
-        # character cut off at the end fails only at the end: the lines
-        # before it, `\r` ending one too, are read first.
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            cut_off = exc.reason == "unexpected end of data"
-            before = data[:exc.start]
-        read_first = before[:max(before.rfind(b"\n"), before.rfind(b"\r")) + 1]
-        read_first = _outcome(whole_text_parse_csv, read_first) if cut_off else earlier
         for name, form in _input_forms(data).items():
             got = _outcome(lambda d: parse_trace(d, "csv"), form)
-            if name == "text stream":
-                assert got in ((want[0].split(" at line ")[0], None), earlier, read_first)
-            else:
-                assert got in (want, earlier), name
+            # a text stream decodes ahead of its lines, as for JSONL
+            decode = (want[0].split(" at line ")[0], None) if name == "text stream" else want
+            assert got in (decode, earlier), name
+
+    def test_a_text_stream_cut_off_at_the_end_fails_before_its_lines(self):
+        data = b"t,bssid\r\r\xe2\x82"  # the header alone would lack rssi_dbm
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), "csv")
+        assert (str(exc.value), exc.value.line) == (
+            "malformed line: not UTF-8 (unexpected end of data)", None)
+
+    def test_a_text_stream_is_cut_into_pieces_of_whole_lines(self):
+        text = "".join(f"{t},{MAC_A},-60\r\n" for t in range(50)) + "last"
+        pieces = list(_text_pieces(io.StringIO(text), size=7))
+        assert "".join(pieces) == text
+        assert all(p.endswith("\n") for p in pieces[:-1])
 
     @pytest.mark.parametrize("brk", ["\r", "\r\n", "\u2028", "\x85", "\x0c"],
                              ids=["cr", "crlf", "u2028", "nel", "ff"])
@@ -997,6 +1001,7 @@ class TestColumns:
                            rssis=tuple(r for _, r in pairs))
         top = canonical.candidates[0]
         for sample in (canonical, shuffled):
+            assert ranked(sample) == list(canonical.candidates)
             best = strongest(sample)
             assert best == top
             assert math.copysign(1.0, best.rssi) == math.copysign(1.0, top.rssi)
