@@ -62,6 +62,7 @@ from .runner import (
     PolicySpec,
     compare,
     emit_plot_data,
+    parse_context,
     read_json,
     read_report,
     read_trace_file,
@@ -101,12 +102,6 @@ def _parse_mock(spec: str, delay_ms: float | None = None) -> MockRule:
     raise ConfigError(f"unknown mock spec {spec!r}")
 
 
-def _parse_context(spec: str) -> frozenset[str]:
-    if spec in ("none", ""):
-        return frozenset()
-    return frozenset(part.strip() for part in spec.split(",") if part.strip())
-
-
 # Each simulate/sweep setting: its flags, its INI section and key, and its
 # add_argument keywords. An unset flag takes its INI key's value, cast by the
 # flag's type; a setting given nowhere keeps its config class default.
@@ -139,7 +134,7 @@ _EXPERIMENT_SETTINGS = (
     (("--style",), "llm", "style", {"choices": [STYLE_PLAIN, STYLE_COT]}),
     (("--shots",), "llm", "shots", {"type": int}),
     (("--context",), "llm", "context",
-     {"type": _parse_context, "help": "comma list of location,time,battery or 'none'"}),
+     {"type": parse_context, "help": "comma list of location,time,battery or 'none'"}),
     (("--template",), "llm", "template", {"help": "prompt template override file"}),
     (("--score-against",), "task", "score_against", {"choices": ["opt_ho", "opt_rssi"]}),
     (("--out",), "output", "dir", {"help": "output directory for the report"}),
@@ -381,15 +376,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_sweep(args) -> int:
     template = _experiment_config(args)
-    values = None
-    if args.values:
-        raw = [v.strip() for v in args.values.split(",") if v.strip()]
-        if args.axis == "threshold":
-            values = [float(v) for v in raw]
-        elif args.axis in ("interval", "shots"):
-            values = [int(v) for v in raw]
-        else:
-            values = [_parse_context(v.replace("+", ",")) for v in raw]
+    values = [v.strip() for v in args.values.split(",") if v.strip()] if args.values else None
     reports = sweep(template, args.axis, values)
     table = compare(reports) if len(reports) > 1 else None
     for r in reports:

@@ -18,6 +18,7 @@ import os
 import re
 import tempfile
 import time
+from collections.abc import Callable
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -57,17 +58,27 @@ from .trace import (
     parse_trace,
 )
 
-SWEEP_AXES: dict[str, list] = {
-    "threshold": [-50.0, -60.0, -70.0, -80.0],
-    "interval": [10, 30, 60, 120, 300],
-    "shots": [0, 1, 5],
-    "context_fields": [
+
+def parse_context(spec: str) -> frozenset[str]:
+    """Context field names from text: `none` (or nothing), else comma-joined names."""
+    if spec in ("none", ""):
+        return frozenset()
+    return frozenset(part.strip() for part in spec.split(",") if part.strip())
+
+
+# axis -> (default values, reader). The reader turns a value as given, by the
+# API or as `--values` text, into the value its run uses and its report records.
+SWEEP_AXES: dict[str, tuple[list, Callable]] = {
+    "threshold": ([-50.0, -60.0, -70.0, -80.0], float),
+    "interval": ([10, 30, 60, 120, 300], int),
+    "shots": ([0, 1, 5], int),
+    "context_fields": ([
         frozenset(),
         frozenset({"time", "battery"}),
         frozenset({"location", "battery"}),
         frozenset({"location", "time"}),
         frozenset({"location", "time", "battery"}),
-    ],
+    ], lambda v: parse_context(v.replace("+", ",")) if isinstance(v, str) else frozenset(v)),
 }
 
 VOLATILE_REPORT_FIELDS = ("wall_clock_ms",)
@@ -568,7 +579,8 @@ def sweep(template: ExperimentConfig, axis: str, values=None) -> list[RunReport]
     """One run per axis value over a shared trace and seed."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; known: {sorted(SWEEP_AXES)}")
-    values = list(SWEEP_AXES[axis]) if values is None else list(values)
+    defaults, read = SWEEP_AXES[axis]
+    values = [read(v) for v in (defaults if values is None else values)]
     if not values:
         raise ConfigError("sweep needs at least one axis value")
     reports = []
@@ -585,20 +597,17 @@ def sweep(template: ExperimentConfig, axis: str, values=None) -> list[RunReport]
 def _apply_axis(template: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     spec = template.policy
     if axis == "threshold":
-        return replace(
-            template, policy=replace(spec, kind="fixed", fixed_dbm=float(value))
-        )
+        return replace(template, policy=replace(spec, kind="fixed", fixed_dbm=value))
     if axis == "interval":
         if template.task != TASK_THRESHOLD or spec.kind != "llm":
             raise ConfigError("interval sweep needs task=threshold and an llm policy")
-        return replace(template, interval=int(value))
+        return replace(template, interval=value)
     prompt = _prompt(template)
     if spec.kind != "llm":
         raise ConfigError(f"{axis} sweep needs an llm policy")
     if axis == "shots":
-        cfg = replace(template, policy=replace(spec, prompt=replace(prompt, shots=int(value))))
+        cfg = replace(template, policy=replace(spec, prompt=replace(prompt, shots=value)))
         # all runs share the held-out evaluation span so they stay comparable
         return replace(cfg, holdout=True)
     # context_fields, the last axis: sweep refuses any other
-    fields = frozenset(value)
-    return replace(template, policy=replace(spec, prompt=replace(prompt, context_fields=fields)))
+    return replace(template, policy=replace(spec, prompt=replace(prompt, context_fields=value)))

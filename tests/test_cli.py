@@ -8,7 +8,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import roamsim
 from conftest import trace_to_csv
 from roamsim.cli import _experiment_config, build_parser, main
-from roamsim.runner import _jsonable, strip_volatile
+from roamsim.runner import _jsonable, strip_volatile, sweep
 from roamsim.trace import SYNTH_MAX_APS, parse_trace
 
 
@@ -554,7 +554,34 @@ class TestCompareAndPlot:
         assert "-61.00" in capsys.readouterr().out
 
 
+def _report_files(out_dir: Path) -> dict:
+    """Each report file in out_dir by name, with its volatile timing zeroed."""
+    files = {}
+    for path in out_dir.glob("report_*.json"):
+        d = json.loads(path.read_text(encoding="utf-8"))
+        files[path.name] = {**d, "wall_clock_ms": 0, "latency": strip_volatile(d)["latency"]}
+    return files
+
+
 class TestSweepCommand:
+    @pytest.mark.parametrize("flags, axis, text, values", [
+        (["--policy", "legacy"], "threshold", "-60, -72.5", [-60.0, -72.5]),
+        (["--task", "threshold", "--policy", "llm", "--mock", "fixed:-70"], "interval",
+         "10,40", [10, 40]),
+        (["--policy", "llm", "--mock", "argmax"], "shots", "0,1", [0, 1]),
+        (["--policy", "llm", "--mock", "argmax"], "context_fields", "none,location+time,battery",
+         [frozenset(), frozenset({"location", "time"}), frozenset({"battery"})]),
+    ], ids=["threshold", "interval", "shots", "context_fields"])
+    def test_values_text_writes_the_files_the_api_writes(self, trace_file, tmp_path, capsys,
+                                                         flags, axis, text, values):
+        argv = ["sweep", "--trace", str(trace_file), *flags, "--axis", axis, f"--values={text}"]
+        assert main([*argv, "--out", str(tmp_path / "cli")]) == 0
+        template = _experiment_config(build_parser().parse_args(argv))
+        sweep(replace(template, out_dir=str(tmp_path / "api")), axis, values)
+        cli_files = _report_files(tmp_path / "cli")
+        assert len(cli_files) == len(values)
+        assert cli_files == _report_files(tmp_path / "api")
+
     def test_interval_sweep(self, trace_file, tmp_path, capsys):
         rc = main(["sweep", "--trace", str(trace_file), "--task", "threshold",
                    "--policy", "llm", "--mock", "fixed:-70", "--axis", "interval",

@@ -342,6 +342,14 @@ class TestPlotData:
         ).read_bytes()
 
 
+def sweep_template(axis: str, **kw) -> ExperimentConfig:
+    """An 80-step run that sweeps the axis: an llm run, on the threshold task for interval."""
+    if axis == "interval":
+        spec = PolicySpec(kind="llm", mock=MockRule.fixed_threshold(-70.0))
+        return cfg_for(spec, duration=80, task="threshold", **kw)
+    return cfg_for(PolicySpec(kind="llm", mock=MockRule.argmax_rssi()), duration=80, **kw)
+
+
 class TestSweep:
     def test_threshold_axis_runs_four_fixed_policies(self):
         template = cfg_for(PolicySpec(kind="legacy"))
@@ -381,6 +389,23 @@ class TestSweep:
         assert [r.axis["value"] for r in reports] == [0, 1, 5]
         assert len({r.trace_hash for r in reports}) == 1
         assert all(r.scenario.endswith(":test") for r in reports)
+
+    @pytest.mark.parametrize("axis, given, ran, name", [
+        ("threshold", -60, -60.0, "report_fixed_-60__threshold_-60.0.json"),
+        ("interval", "30", 30, "report_llm_interval_30.json"),
+        ("shots", "1", 1, "report_llm_shots_1.json"),
+        ("context_fields", "location", ["location"], "report_llm_context_fields___location__.json"),
+        ("context_fields", ("time", "location"), ["location", "time"],
+         "report_llm_context_fields___location____time__.json"),
+    ], ids=["threshold-int", "interval-text", "shots-text", "context-text", "context-tuple"])
+    def test_report_records_the_value_that_ran(self, tmp_path, axis, given, ran, name):
+        (report,) = sweep(sweep_template(axis, out_dir=str(tmp_path)), axis, [given])
+        policy = report.config["policy"]
+        setting = (policy["fixed_dbm"] if axis == "threshold" else
+                   report.config["interval"] if axis == "interval" else policy["prompt"][axis])
+        # json.dumps tells -60 from -60.0 and 30 from "30", as a report file does
+        assert json.dumps(report.axis["value"]) == json.dumps(setting) == json.dumps(ran)
+        assert os.listdir(tmp_path) == [name]
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError, match="unknown sweep axis"):
