@@ -66,12 +66,19 @@ def parse_context(spec: str) -> frozenset[str]:
     return frozenset(part.strip() for part in spec.split(",") if part.strip())
 
 
+def _whole(value) -> int:
+    """An int, or text that int() reads; a bool, a float or anything else is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(value)
+    return int(value)
+
+
 # axis -> (default values, reader). The reader turns a value as given, by the
 # API or as `--values` text, into the value its run uses and its report records.
 SWEEP_AXES: dict[str, tuple[list, Callable]] = {
     "threshold": ([-50.0, -60.0, -70.0, -80.0], float),
-    "interval": ([10, 30, 60, 120, 300], int),
-    "shots": ([0, 1, 5], int),
+    "interval": ([10, 30, 60, 120, 300], _whole),
+    "shots": ([0, 1, 5], _whole),
     "context_fields": ([
         frozenset(),
         frozenset({"time", "battery"}),
@@ -576,16 +583,30 @@ def emit_plot_data(obj, out_dir: str) -> list[str]:
 # Sweeps
 
 def sweep(template: ExperimentConfig, axis: str, values=None) -> list[RunReport]:
-    """One run per axis value over a shared trace and seed."""
+    """One run per axis value over a shared trace and seed.
+
+    Every value is read, and every run's settings checked, before the
+    first run; a value its reader refuses, or one given twice, is a
+    ConfigError. Each report records the value as read, which its run used.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; known: {sorted(SWEEP_AXES)}")
     defaults, read = SWEEP_AXES[axis]
-    values = [read(v) for v in (defaults if values is None else values)]
-    if not values:
+    read_values = []
+    for value in defaults if values is None else values:
+        try:
+            read_values.append(read(value))
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad {axis} value {value!r}") from None
+        if read_values[-1] in read_values[:-1]:
+            raise ConfigError(f"{axis} value {value!r} repeats an earlier value")
+    if not read_values:
         raise ConfigError("sweep needs at least one axis value")
+    cfgs = [_apply_axis(template, axis, value) for value in read_values]
+    for cfg in cfgs:
+        validate_config(cfg)
     reports = []
-    for value in values:
-        cfg = _apply_axis(template, axis, value)
+    for value, cfg in zip(read_values, cfgs):
         report = run_experiment(replace(cfg, out_dir=None))
         report.axis = {"name": axis, "value": _jsonable(value)}
         if cfg.out_dir:

@@ -81,6 +81,18 @@ class TestBuildPrompt:
         assert preamble in five
         assert ("Scan log" + tail) in five
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(style="verbose"), "bad style 'verbose'"),
+        (dict(task="roam"), "bad task 'roam'"),
+        (dict(shots=-1), "shots must be >= 0"),
+        (dict(window_k=0), "window_k must be >= 1"),
+        (dict(context_fields=frozenset({"time", "weather"})),
+         "unknown context fields: \\['weather'\\]"),
+    ], ids=["style", "task", "shots", "window_k", "context_fields"])
+    def test_bad_prompt_settings_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            PromptConfig(**kw)
+
     def test_shot_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shot count mismatch"):
             build_prompt(simple_window(), state_at(), PromptConfig(shots=2), ())
@@ -484,6 +496,8 @@ class TestShotPool:
         plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
         with pytest.raises(ValueError):
             build_shot_pool(trace, plan, PromptConfig(shots=9), seed=0)
+        with pytest.raises(ValueError, match="built for the ap_select task"):
+            build_shot_pool(trace, plan, PromptConfig(shots=1, task="threshold"), seed=0)
 
 
 # ---------------------------------------------------------------------------

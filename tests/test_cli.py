@@ -320,6 +320,18 @@ def test_refused_path_or_ini_exits_with_its_code(tmp_path, trace_file, capsys, a
     assert err.startswith("data error:" if code == 2 else "config error: config file")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--config", "missing.ini"], "cannot read config file 'missing.ini'"),
+    (["--mock", "bogus"], "unknown mock spec 'bogus'"),
+], ids=["config", "mock"])
+def test_unreadable_config_or_unknown_mock_exits_1(tmp_path, trace_file, monkeypatch, capsys,
+                                                   flags, message):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["simulate", "--trace", str(trace_file), "--policy", "llm", *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("text, named", [
     ("[task]\nscan_rsi = -50\n", "unknown key 'scan_rsi' in [task]"),
     ("[trace]\nseed = 1\n", "unknown key 'seed' in [trace]"),
@@ -590,6 +602,30 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "interval=10" in out and "interval=40" in out
         assert (tmp_path / "sweeps" / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--policy", "legacy", "--axis", "threshold", "--values=-60,5"],
+        ["--policy", "llm", "--mock", "argmax", "--axis", "context_fields",
+         "--values", "location+time,bogus"],
+        ["--policy", "legacy", "--axis", "threshold", "--values=-60,-60.0"],
+        ["--policy", "llm", "--mock", "argmax", "--axis", "context_fields",
+         "--values", "location+time,time+location"],
+    ], ids=["threshold-out-of-range", "context-unknown", "threshold-twice", "context-twice"])
+    def test_a_refused_value_exits_1_before_any_report(self, trace_file, tmp_path, capsys,
+                                                       flags):
+        out = tmp_path / "sweeps"
+        assert main(["sweep", "--trace", str(trace_file), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_more_shots_than_training_steps_fail_in_their_own_run(self, trace_file, tmp_path,
+                                                                   capsys):
+        # the one check that needs the trace: the runs before it write their reports
+        out = tmp_path / "sweeps"
+        assert main(["sweep", "--trace", str(trace_file), "--policy", "llm", "--mock", "argmax",
+                     "--axis", "shots", "--values", "1,100", "--out", str(out)]) == 1
+        assert "cannot draw 100 shots" in capsys.readouterr().err
+        assert os.listdir(out) == ["report_llm_shots_1.json"]
 
     def test_threshold_sweep_default_values(self, trace_file, capsys):
         rc = main(["sweep", "--trace", str(trace_file), "--policy", "legacy",

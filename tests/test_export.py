@@ -162,6 +162,10 @@ class TestLabelAccuracy:
         with pytest.raises(DataError, match="length mismatch"):
             label_accuracy([MAC_A], plan_of((MAC_A, MAC_B)))
 
+    def test_empty_plan_rejected(self):
+        with pytest.raises(DataError, match="empty label sequence"):
+            label_accuracy([], plan_of(()))
+
 
 class TestSplitTrace:
     def test_contiguous_80_20(self):

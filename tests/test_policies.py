@@ -217,6 +217,11 @@ class TestOracles:
         with pytest.raises(ConfigError, match=message):
             OracleConstraints(**kw)
 
+    def test_unknown_objective_rejected(self):
+        trace = make_trace([{MAC_A: -60.0}])
+        with pytest.raises(ValueError, match="unknown objective: 'min_rssi'"):
+            solve_plan(trace, "min_rssi", OracleConstraints())
+
 
 class TestBruteForce:
     def test_t1_picks_best_single_choice(self):

@@ -82,6 +82,21 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="ap_select"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("spec, kw, message", [
+        (PolicySpec(kind="legacy"), dict(task="bogus"), "unknown task 'bogus'"),
+        (PolicySpec(kind="bogus"), {}, "unknown policy 'bogus'"),
+        (PolicySpec(kind="legacy"), dict(hysteresis="bogus"), "unknown hysteresis preset"),
+        (PolicySpec(kind="legacy"), dict(window_k=0), "window_k must be >= 1"),
+        (PolicySpec(kind="fixed", fixed_dbm=-70.0), dict(task="threshold", interval=0),
+         "interval must be >= 1"),
+        (PolicySpec(kind="external"), {}, "external policy needs external_url"),
+        (PolicySpec(kind="legacy"), dict(score_against="opt-ho"), "bad score_against"),
+    ], ids=["task", "policy", "hysteresis", "window_k", "interval", "external-url",
+            "score_against"])
+    def test_refused_settings_name_themselves(self, spec, kw, message):
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg_for(spec, **kw))
+
     def test_shots_without_holdout_are_refused_before_the_trace_is_read(self, tmp_path):
         spec = PolicySpec(kind="llm", mock=MockRule.argmax_rssi(), prompt=PromptConfig(shots=1))
         cfg = ExperimentConfig(spec, trace_path=str(tmp_path / "missing.jsonl"), holdout=False)
@@ -414,6 +429,42 @@ class TestSweep:
     def test_axis_policy_conflicts_rejected(self):
         with pytest.raises(ConfigError, match="needs an llm policy"):
             sweep(cfg_for(PolicySpec(kind="legacy")), "shots")
+        with pytest.raises(ConfigError, match="interval sweep needs task=threshold"):
+            sweep(sweep_template("shots"), "interval")
+
+    def test_no_values_refused(self):
+        with pytest.raises(ConfigError, match="at least one axis value"):
+            sweep(cfg_for(PolicySpec(kind="legacy")), "threshold", [])
+
+    @pytest.mark.parametrize("axis", ["interval", "shots"])
+    @pytest.mark.parametrize("value", [1.5, True, "1.5"], ids=["float", "bool", "text"])
+    def test_whole_number_axes_refuse_other_values(self, axis, value):
+        with pytest.raises(ConfigError, match=f"bad {axis} value {value!r}$"):
+            sweep(sweep_template(axis), axis, [value])
+
+    @pytest.mark.parametrize("axis, values", [
+        ("threshold", [-60, -60.0]),
+        ("threshold", ["-70", "-60", "-60.0"]),
+        ("shots", [1, "1"]),
+        ("context_fields", ["location+time", "time+location"]),
+        ("context_fields", [(), "none"]),
+    ], ids=["threshold", "threshold-text", "shots", "context_fields", "context-none"])
+    def test_a_value_given_twice_is_refused_before_any_run(self, tmp_path, axis, values):
+        with pytest.raises(ConfigError, match=f"{axis} value .* repeats an earlier value"):
+            sweep(sweep_template(axis, out_dir=str(tmp_path)), axis, values)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("axis, values, error, message", [
+        ("threshold", [-60, 5], ConfigError, "fixed_dbm out of range"),
+        ("interval", [30, 0], ConfigError, "interval must be >= 1"),
+        ("shots", [1, -1], ValueError, "shots must be >= 0"),  # PromptConfig's own refusals
+        ("context_fields", [{"location"}, {"bogus"}], ValueError, "unknown context fields"),
+    ], ids=["threshold", "interval", "shots", "context_fields"])
+    def test_every_value_is_checked_before_the_first_run(self, tmp_path, axis, values,
+                                                         error, message):
+        with pytest.raises(error, match=message):
+            sweep(sweep_template(axis, out_dir=str(tmp_path)), axis, values)
+        assert os.listdir(tmp_path) == []
 
 
 class TestTraceHash:

@@ -158,6 +158,19 @@ class TestParseJsonl:
         with pytest.raises(TraceFormatError, match=f"{message} at line 2"):
             parse_trace(text, "jsonl")
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"t":1.5,"scan":[]}', "bad timestamp 1.5"),
+        ('{"t":1,"scan":{}}', "scan must be a list"),
+    ], ids=["fractional-t", "scan-object"])
+    def test_malformed_record_names_the_line(self, line, message):
+        text = '{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n' + line + "\n"
+        with pytest.raises(TraceFormatError, match=f"malformed line: {message} at line 2"):
+            parse_trace(text, "jsonl")
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="unknown trace format: 'xml'"):
+            parse_trace("", "xml")
+
     def test_rssi_past_float_range_rejected(self):
         line = '{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-1%s}]}' % ("0" * 400)
         with pytest.raises(TraceFormatError, match="bad rssi"):
@@ -461,6 +474,15 @@ class TestSynthetic:
     def test_non_finite_settings_rejected(self, field, value, message):
         # each once gave a trace: NaN bases at the -30 dBm ceiling, NaN drain
         # at 100 % battery on every step
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic(replace(SynthConfig(), **{field: value}))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("duration", 0, "duration must be >= 1"),
+        ("sample_interval", 0, "sample_interval must be >= 1"),
+        ("activity", "running", "bad activity 'running'"),
+    ])
+    def test_out_of_range_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             generate_synthetic(replace(SynthConfig(), **{field: value}))
 
