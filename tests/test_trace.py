@@ -481,7 +481,7 @@ class TestSynthetic:
         ("duration", 0, "duration must be >= 1"),
         ("sample_interval", 0, "sample_interval must be >= 1"),
         ("activity", "running", "bad activity 'running'"),
-    ])
+    ], ids=["duration", "sample_interval", "activity"])
     def test_out_of_range_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             generate_synthetic(replace(SynthConfig(), **{field: value}))
