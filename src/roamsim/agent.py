@@ -80,16 +80,16 @@ class PromptConfig:
 
     def __post_init__(self):
         if self.style not in (STYLE_PLAIN, STYLE_COT):
-            raise ValueError(f"bad style {self.style!r}")
+            raise ConfigError(f"bad style {self.style!r}")
         if self.task not in (TASK_AP_SELECT, TASK_THRESHOLD):
-            raise ValueError(f"bad task {self.task!r}")
+            raise ConfigError(f"bad task {self.task!r}")
         if self.shots < 0:
-            raise ValueError("shots must be >= 0")
+            raise ConfigError("shots must be >= 0")
         if self.window_k < 1:
-            raise ValueError("window_k must be >= 1")
+            raise ConfigError("window_k must be >= 1")
         unknown = set(self.context_fields) - set(CONTEXT_FIELDS)
         if unknown:
-            raise ValueError(f"unknown context fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown context fields: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -159,16 +159,20 @@ def load_template(path) -> dict[str, str]:
     name = None
     body: list[str] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if stripped.startswith("[") and stripped.endswith("]"):
-                if name is not None:
-                    sections[name] = "".join(body)
-                name, body = stripped[1:-1], []
-                if name not in DEFAULT_TEMPLATE:
-                    raise ConfigError(f"template {path}: unknown block [{name}]")
-            elif name is not None:
-                body.append(line)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"template {path}: {exc}") from None
+    for line in lines:
+        stripped = line.strip()
+        if stripped.startswith("[") and stripped.endswith("]"):
+            if name is not None:
+                sections[name] = "".join(body)
+            name, body = stripped[1:-1], []
+            if name not in DEFAULT_TEMPLATE:
+                raise ConfigError(f"template {path}: unknown block [{name}]")
+        elif name is not None:
+            body.append(line)
     if name is not None:
         sections[name] = "".join(body)
     for name, allowed in _TEMPLATE_FIELDS.items():
@@ -404,10 +408,10 @@ def build_shot_pool(
     trace.
     """
     if cfg.task != TASK_AP_SELECT:
-        raise ValueError("shot pools are built for the ap_select task")
+        raise ConfigError("shot pools are built for the ap_select task")
     T, count = len(trace.samples), cfg.shots
     if count > T:
-        raise ValueError(f"cannot draw {count} shots from a {T}-step trace")
+        raise ConfigError(f"cannot draw {count} shots from a {T}-step trace")
     rng = random.Random(f"shots:{seed}")
     steps = sorted(rng.sample(range(T), count))
     shots = []

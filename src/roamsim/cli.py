@@ -90,15 +90,20 @@ def _parse_mock(spec: str, delay_ms: float | None = None) -> MockRule:
     if spec == "argmax":
         return MockRule.argmax_rssi(**kw)
     kind, _, arg = spec.partition(":")
-    if kind == "fixed":
-        return MockRule.fixed_threshold(float(arg), **kw)
-    if kind == "constant":
-        return MockRule.constant_text(arg, **kw)
-    if kind == "fail-after":
-        return MockRule.fail_after(int(arg), **kw)
-    if kind == "scripted":
-        with open(arg, encoding="utf-8") as fh:
-            return MockRule.scripted([ln.rstrip("\n") for ln in fh], **kw)
+    try:
+        if kind == "fixed":
+            return MockRule.fixed_threshold(float(arg), **kw)
+        if kind == "constant":
+            return MockRule.constant_text(arg, **kw)
+        if kind == "fail-after":
+            return MockRule.fail_after(int(arg), **kw)
+        if kind == "scripted":
+            with open(arg, encoding="utf-8") as fh:
+                return MockRule.scripted([ln.rstrip("\n") for ln in fh], **kw)
+    except ConfigError:  # the rule's own refusal
+        raise
+    except ValueError as exc:  # an argument float or int refuses; replies that are not UTF-8
+        raise ConfigError(f"--mock {spec!r}: {exc}") from None
     raise ConfigError(f"unknown mock spec {spec!r}")
 
 
@@ -150,7 +155,7 @@ def _load_ini(path: str | None) -> dict[str, dict[str, str]]:
             raise ConfigError(f"cannot read config file {path!r}")
         ini = {section: dict(cp.items(section)) for section in cp.sections()}
         defaults = dict(cp.items(cp.default_section))
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path!r}: {exc}") from None
     known: dict[str, set[str]] = {}
     for _, section, key, _ in _EXPERIMENT_SETTINGS:
@@ -181,7 +186,14 @@ def _experiment_config(args) -> ExperimentConfig:
         dest = flags[0][2:].replace("-", "_")
         value = getattr(args, dest)
         if value is None and key in ini.get(section, {}):
-            value = kw.get("type", str)(ini[section][key])
+            text = ini[section][key]
+            try:
+                if "\0" in text:  # no setting takes one; a path with one makes open() raise
+                    raise ValueError
+                value = kw.get("type", str)(text)
+            except ValueError:
+                raise ConfigError(f"config file {args.config!r}: bad value {text!r} "
+                                  f"for {key!r} in [{section}]") from None
         s[dest] = value
     if s["policy"] is None:
         raise ConfigError("a policy is required (--policy or [policy] policy=...)")
@@ -304,15 +316,10 @@ def _cmd_simulate(args) -> int:
     print(f"#HO={m['handovers']} AvgRSSI={m['avg_rssi_dbm']:.2f} dBm ErrorRate={err}")
     if "oracle_accuracy_pct" in m:
         print(f"oracle accuracy={m['oracle_accuracy_pct']:.2f}%")
-    if report.latency["count"] or report.latency["failures"]:
-        print(
-            f"llm calls={report.latency['count']} failures={report.latency['failures']}"
-            + (
-                f" mean={report.latency['mean_ms']:.1f} ms"
-                if report.latency["mean_ms"] is not None
-                else ""
-            )
-        )
+    lat = report.latency
+    if lat["count"] or lat["failures"]:
+        mean = "" if lat["mean_ms"] is None else f" mean={lat['mean_ms']:.1f} ms"
+        print(f"llm calls={lat['count']} failures={lat['failures']}{mean}")
     return 0
 
 
@@ -382,11 +389,8 @@ def _cmd_sweep(args) -> int:
     for r in reports:
         m = r.metrics
         err = "-" if m["error_rate"] is None else f"{m['error_rate']:.4f}"
-        print(
-            f"{args.axis}={r.axis['value']}: #HO={m['handovers']} "
-            f"AvgRSSI={m['avg_rssi_dbm']:.2f} ErrorRate={err} "
-            f"calls={r.latency['count']}"
-        )
+        print(f"{args.axis}={r.axis['value']}: #HO={m['handovers']} "
+              f"AvgRSSI={m['avg_rssi_dbm']:.2f} ErrorRate={err} calls={r.latency['count']}")
     if table and template.out_dir:
         path = os.path.join(template.out_dir, "comparison.csv")
         _write_out(path, table.to_csv(), f"wrote {path}")
@@ -451,7 +455,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:  # OSError: a missing file, a directory for a file, ...
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

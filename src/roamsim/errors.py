@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-EndpointError -> 3.
+The CLI maps these onto exit codes: ConfigError (raised where a setting is
+checked, and also a ValueError) -> 1, DataError -> 2, EndpointError -> 3.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ class RoamsimError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(RoamsimError):
-    """Invalid or conflicting run configuration."""
+class ConfigError(RoamsimError, ValueError):
+    """Invalid or conflicting settings."""
 
 
 class DataError(RoamsimError):

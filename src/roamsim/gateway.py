@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
-from .errors import EndpointError
+from .errors import ConfigError, EndpointError
 
 ENV_BASE_URL = "ROAMSIM_LLM_BASE_URL"
 ENV_MODEL = "ROAMSIM_LLM_MODEL"
@@ -53,7 +53,7 @@ OUTCOME_TIMEOUT = "timeout"
 OUTCOME_TRANSPORT = "transport_error"
 OUTCOME_HTTP = "http_error"
 
-MOCK_DELAY_MAX_MS = 86_400_000
+WAIT_MAX_MS = 86_400_000  # one day: the longest wait a setting may ask for
 
 # MAC=rssi pairs as rendered in prompt window rows (rssi kept at full
 # precision, so scientific notation near zero must parse too).
@@ -77,16 +77,16 @@ class EndpointConfig:
     def __post_init__(self):
         # Each check states the allowed range, which NaN is never in; a
         # check such as `x < 0` would let NaN through.
-        if not 0 < self.timeout_ms < math.inf:
-            raise ValueError("timeout_ms must be positive and finite")
+        if not 0 < self.timeout_ms <= WAIT_MAX_MS:
+            raise ConfigError(f"timeout_ms must be positive and at most {WAIT_MAX_MS} (one day)")
         if not 0 <= self.temperature < math.inf:
-            raise ValueError("temperature must be finite and >= 0")
+            raise ConfigError("temperature must be finite and >= 0")
         if isinstance(self.max_tokens, bool) or not 0 < self.max_tokens < math.inf:
-            raise ValueError("max_tokens must be positive and finite")
+            raise ConfigError("max_tokens must be positive and finite")
         if type(self.max_retries) is not int or self.max_retries < 0:
-            raise ValueError("max_retries must be an int >= 0")
-        if not 0 <= self.backoff_ms < math.inf:
-            raise ValueError("backoff_ms must be finite and >= 0")
+            raise ConfigError("max_retries must be an int >= 0")
+        if not 0 <= self.backoff_ms <= WAIT_MAX_MS:
+            raise ConfigError(f"backoff_ms must be between 0 and {WAIT_MAX_MS} (one day)")
 
     @staticmethod
     def from_env(base_url: str | None = None, model: str | None = None) -> "EndpointConfig":
@@ -140,13 +140,13 @@ class MockRule:
 
     def __post_init__(self):
         # NaN is never in range; past about 292 years time.sleep overflows
-        if not 0 <= self.delay_ms <= MOCK_DELAY_MAX_MS:
-            raise ValueError(f"delay_ms must be between 0 and {MOCK_DELAY_MAX_MS} (one day)")
+        if not 0 <= self.delay_ms <= WAIT_MAX_MS:
+            raise ConfigError(f"delay_ms must be between 0 and {WAIT_MAX_MS} (one day)")
         if self.kind not in _MOCK_ARGUMENT:
-            raise ValueError(f"unknown mock rule: {self.kind!r}")
+            raise ConfigError(f"unknown mock rule: {self.kind!r}")
         argument = _MOCK_ARGUMENT[self.kind]
         if argument is not None and getattr(self, argument) is None:
-            raise ValueError(f"mock rule {self.kind} needs {argument}")
+            raise ConfigError(f"mock rule {self.kind} needs {argument}")
         replies = self.replies
         for name, ok, what in (
             ("text", self.text is None or isinstance(self.text, str), "a string"),
@@ -157,8 +157,8 @@ class MockRule:
              "an int"),
         ):
             if not ok:
-                raise ValueError(f"mock rule {self.kind}: {name} must be {what}, "
-                                 f"not {getattr(self, name)!r}")
+                raise ConfigError(f"mock rule {self.kind}: {name} must be {what}, "
+                                  f"not {getattr(self, name)!r}")
 
     @staticmethod
     def argmax_rssi(delay_ms: float = 0.0) -> "MockRule":

@@ -162,7 +162,7 @@ def _objective_key(objective: str):
         return lambda ho, srssi: (ho, -srssi)
     if objective == OBJECTIVE_MAX_RSSI:
         return lambda ho, srssi: (-srssi, ho)
-    raise ValueError(f"unknown objective: {objective!r}")
+    raise ConfigError(f"unknown objective: {objective!r}")
 
 
 def _finish_plan(plan: list[str], srssi: float, objective: str) -> AssociationPlan:

@@ -204,10 +204,7 @@ def read_trace_file(path) -> Trace:
 
 def load_trace_source(cfg: ExperimentConfig) -> tuple[Trace, str]:
     if cfg.synth is not None:
-        try:
-            return generate_synthetic(cfg.synth), f"synthetic-{cfg.synth.seed}"
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return generate_synthetic(cfg.synth), f"synthetic-{cfg.synth.seed}"
     stem = os.path.splitext(os.path.basename(str(cfg.trace_path)))[0]
     return read_trace_file(cfg.trace_path), stem
 
@@ -223,12 +220,10 @@ def trace_content_hash(trace: Trace) -> str:
 def _jsonable(value):
     if isinstance(value, frozenset):
         return sorted(value)
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
     return value
 
 
@@ -370,10 +365,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         train, eval_trace = split_trace(full_trace)
         if wants_shots:
             train_plan = _oracle_plan(train, "opt_ho", cfg.validity_floor)
-            try:
-                shots = build_shot_pool(train, train_plan, prompt_cfg, spec.seed, template)
-            except ValueError as exc:  # more shots than training steps
-                raise ConfigError(str(exc)) from None
+            shots = build_shot_pool(train, train_plan, prompt_cfg, spec.seed, template)
         scenario = f"{scenario}:test"
 
     label, build = POLICIES[spec.kind]
@@ -454,7 +446,7 @@ def read_json(path: str, name: str | None = None):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise DataError(f"{name or path}: not JSON ({exc})") from None
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
-from .errors import TraceFormatError
+from .errors import ConfigError, TraceFormatError
 
 RSSI_MIN_DBM = -100.0
 RSSI_MAX_DBM = 0.0
@@ -165,7 +165,7 @@ def parse_trace(data, fmt: str = "jsonl") -> Trace:
     """
     parse = {"jsonl": _parse_jsonl, "csv": _parse_csv}.get(fmt)
     if parse is None:
-        raise ValueError(f"unknown trace format: {fmt!r}")
+        raise ConfigError(f"unknown trace format: {fmt!r}")
     samples = parse(_text_lines(data))
     if not samples:
         raise TraceFormatError("empty trace")
@@ -465,35 +465,35 @@ def generate_synthetic(config: SynthConfig) -> Trace:
     Pure function of the config (including seed): re-runs are bit-identical.
     """
     if not 1 <= config.num_aps <= SYNTH_MAX_APS:
-        raise ValueError(f"num_aps must be between 1 and {SYNTH_MAX_APS}")
+        raise ConfigError(f"num_aps must be between 1 and {SYNTH_MAX_APS}")
     if config.duration < 1:
-        raise ValueError("duration must be >= 1")
+        raise ConfigError("duration must be >= 1")
     if not 0 <= config.step_stddev < math.inf:  # NaN is never in range
-        raise ValueError("step_stddev must be finite and >= 0")
+        raise ConfigError("step_stddev must be finite and >= 0")
     if not RSSI_MIN_DBM <= config.floor_dbm < config.ceil_dbm <= RSSI_MAX_DBM:
-        raise ValueError("floor_dbm and ceil_dbm must satisfy "
-                         f"{RSSI_MIN_DBM:g} <= floor_dbm < ceil_dbm <= {RSSI_MAX_DBM:g}")
+        raise ConfigError("floor_dbm and ceil_dbm must satisfy "
+                          f"{RSSI_MIN_DBM:g} <= floor_dbm < ceil_dbm <= {RSSI_MAX_DBM:g}")
     if config.sample_interval < 1:
-        raise ValueError("sample_interval must be >= 1")
+        raise ConfigError("sample_interval must be >= 1")
     if (config.duration - 1) * config.sample_interval > T_MAX:
-        raise ValueError(f"timestamps would pass {T_MAX} (year 9999)")
+        raise ConfigError(f"timestamps would pass {T_MAX} (year 9999)")
     if config.activity not in _ACTIVITIES:
-        raise ValueError(f"bad activity {config.activity!r}")
+        raise ConfigError(f"bad activity {config.activity!r}")
 
     if isinstance(config.base_dbm, (int, float)):
         bases = [float(config.base_dbm)] * config.num_aps
     else:
         bases = [float(b) for b in config.base_dbm]
         if len(bases) != config.num_aps:
-            raise ValueError("base_dbm sequence length must equal num_aps")
+            raise ConfigError("base_dbm sequence length must equal num_aps")
     # A finite base outside [floor_dbm, ceil_dbm] is clipped into it; a NaN
     # one would clip to the ceiling unnoticed, and a NaN drain would pin the
     # battery.
     if not all(math.isfinite(b) for b in bases):
-        raise ValueError("base_dbm must be finite")
+        raise ConfigError("base_dbm must be finite")
     drain = config.battery_drain_pct_per_step
     if drain is not None and not math.isfinite(drain):
-        raise ValueError("battery_drain_pct_per_step must be finite")
+        raise ConfigError("battery_drain_pct_per_step must be finite")
     floor, ceil = config.floor_dbm, config.ceil_dbm
     levels = [max(floor, min(ceil, b)) for b in bases]
     macs = [synth_bssid(i) for i in range(config.num_aps)]

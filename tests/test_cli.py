@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import roamsim
 from conftest import trace_to_csv
 from roamsim.cli import _experiment_config, build_parser, main
-from roamsim.runner import _jsonable, strip_volatile, sweep
+from roamsim.runner import _jsonable, run_experiment, strip_volatile, sweep
 from roamsim.trace import SYNTH_MAX_APS, parse_trace
 
 
@@ -104,6 +105,36 @@ class TestSimulate:
         assert rc == 0
         assert (out / "report_legacy.json").exists()
         assert "#HO=" in capsys.readouterr().out
+
+    def test_score_against_prints_the_reports_oracle_accuracy(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        rc = main(["simulate", "--synth-aps", "3", "--synth-duration", "40", "--policy",
+                   "legacy", "--score-against", "opt_ho", "--out", str(out)])
+        assert rc == 0
+        report = json.loads((out / "report_legacy.json").read_text(encoding="utf-8"))
+        pct = report["metrics"]["oracle_accuracy_pct"]
+        assert f"oracle accuracy={pct:.2f}%\n" in capsys.readouterr().out
+
+    def test_per_ap_synthetic_bases_echo_as_a_list(self, tmp_path):
+        out = tmp_path / "d"
+        argv = ["simulate", "--policy", "legacy", "--synth-aps", "3",
+                "--synth-base=-60,-70,-80", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads((out / "report_legacy.json").read_text(encoding="utf-8"))
+        assert report["config"]["synth"]["base_dbm"] == [-60.0, -70.0, -80.0]
+        # the report in memory holds the list too, not the tuple the config holds
+        echo = run_experiment(_experiment_config(build_parser().parse_args(argv[:-2]))).config
+        assert echo["synth"]["base_dbm"] == [-60.0, -70.0, -80.0]
+
+    @pytest.mark.parametrize("mock, line", [
+        ("fail-after:0", r"llm calls=0 failures=\d+"),
+        ("fail-after:3", r"llm calls=3 failures=\d+ mean=\d+\.\d ms"),
+    ], ids=["no-call-answered", "some-answered"])
+    def test_llm_run_prints_its_calls(self, trace_file, capsys, mock, line):
+        rc = main(["simulate", "--trace", str(trace_file), "--policy", "llm", "--mock", mock,
+                   "--scan-rssi", "0"])  # a model call at every step
+        assert rc == 0
+        assert re.fullmatch(line, capsys.readouterr().out.splitlines()[-1])
 
     def test_llm_mock_run(self, trace_file, tmp_path):
         rc = main(["simulate", "--trace", str(trace_file), "--policy", "llm",
@@ -302,6 +333,12 @@ def _out_is_a_file(tmp_path, trace_file):
     return ["simulate", "--trace", str(trace_file), "--policy", "legacy", "--out", str(taken)]
 
 
+def _deep_json_report(tmp_path, trace_file):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")  # past json's recursion
+    return ["compare", str(path), str(path)]
+
+
 # Each of these ended in a traceback: the OS refusing a path is a data error,
 # an INI file configparser refuses is a config error.
 @pytest.mark.parametrize("argv, code", [
@@ -309,11 +346,13 @@ def _out_is_a_file(tmp_path, trace_file):
     (lambda tmp, tf: ["oracle", "--trace", str(tmp), "--objective", "min-ho"], 2),
     (lambda tmp, tf: ["compare", str(tmp), str(tmp)], 2),
     (_out_is_a_file, 2),
+    (_deep_json_report, 2),
     (_no_header_ini, 1),
     (_duplicate_section_ini, 1),
     (_bad_interpolation_ini, 1),
 ], ids=["trace-directory", "oracle-trace-directory", "compare-directory", "out-is-a-file",
-        "ini-no-section-header", "ini-duplicate-section", "ini-bad-interpolation"])
+        "compare-deep-json", "ini-no-section-header", "ini-duplicate-section",
+        "ini-bad-interpolation"])
 def test_refused_path_or_ini_exits_with_its_code(tmp_path, trace_file, capsys, argv, code):
     assert main(argv(tmp_path, trace_file)) == code
     err = capsys.readouterr().err
@@ -344,6 +383,38 @@ def test_unknown_ini_name_exits_1(tmp_path, trace_file, capsys, text, named):
     rc = main(["simulate", "--config", str(ini), "--trace", str(trace_file), "--policy", "legacy"])
     assert rc == 1
     assert capsys.readouterr().err == f"config error: config file {str(ini)!r}: {named}\n"
+
+
+@pytest.mark.parametrize("flags, ini, message", [
+    (["--mock", "fixed:"], None, "--mock 'fixed:': could not convert string to float: ''"),
+    (["--mock", "fail-after:x"], None,
+     "--mock 'fail-after:x': invalid literal for int() with base 10: 'x'"),
+    ([], "[trace]\nsynth_aps = x\n", "bad value 'x' for 'synth_aps' in [trace]"),
+    ([], "[output]\ndir = a\0b\n", "bad value 'a\\x00b' for 'dir' in [output]"),
+], ids=["mock-fixed", "mock-fail-after", "ini-int", "ini-nul"])
+def test_a_value_the_cli_casts_exits_1_naming_its_flag_or_key(tmp_path, trace_file, capsys,
+                                                              flags, ini, message):
+    if ini is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(ini, encoding="utf-8")
+        flags = ["--mock", "argmax", "--config", str(path)]
+        message = f"config file {str(path)!r}: {message}"
+    rc = main(["simulate", "--trace", str(trace_file), "--policy", "llm", *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--template", "--mock", "--config"])
+def test_a_settings_file_that_is_not_utf8_exits_1_naming_it(tmp_path, trace_file, capsys, flag):
+    path = tmp_path / "settings.txt"
+    path.write_bytes(b"[row]\n\xff\n")
+    named = {"--template": f"template {path}: ", "--mock": f"--mock 'scripted:{path}': ",
+             "--config": f"config file {str(path)!r}: "}[flag]
+    given = [flag, f"scripted:{path}" if flag == "--mock" else str(path)]
+    mock = [] if flag == "--mock" else ["--mock", "argmax"]
+    rc = main(["simulate", "--trace", str(trace_file), "--policy", "llm", *mock, *given])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"config error: {named}")
 
 
 def test_default_key_reaches_a_section_the_file_leaves_out(tmp_path, trace_file):
@@ -601,6 +672,9 @@ class TestSweepCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "interval=10" in out and "interval=40" in out
+        for value, line in zip((10, 40), out.splitlines()):
+            assert re.fullmatch(rf"interval={value}: #HO=\d+ AvgRSSI=-\d+\.\d\d "
+                                r"ErrorRate=(-|\d\.\d{4}) calls=\d+", line), line
         assert (tmp_path / "sweeps" / "comparison.csv").exists()
 
     @pytest.mark.parametrize("flags", [

@@ -202,15 +202,18 @@ class TestHttpClient:
     # and a negative backoff or an infinite timeout raised out of complete().
     # A NaN max_tokens also failed every attempt; zero, negative and boolean
     # ones were sent. A fractional, infinite or boolean max_retries raised a
-    # bare TypeError out of the first complete().
+    # bare TypeError out of the first complete(). A timeout or backoff far past
+    # one day raised OverflowError out of the clock.
     @pytest.mark.parametrize("field, value", [
         ("temperature", math.nan), ("temperature", math.inf), ("temperature", -0.5),
         ("max_tokens", math.nan), ("max_tokens", math.inf), ("max_tokens", 0),
         ("max_tokens", -5), ("max_tokens", True),
         ("timeout_ms", math.nan), ("timeout_ms", math.inf), ("timeout_ms", -1.0),
+        ("timeout_ms", 1e300),
         ("max_retries", -1), ("max_retries", 1.5), ("max_retries", math.inf),
         ("max_retries", True),
         ("backoff_ms", -1.0), ("backoff_ms", math.nan), ("backoff_ms", math.inf),
+        ("backoff_ms", 1e300),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -269,6 +272,14 @@ class TestJsonConnection:
         client = HttpClient(EndpointConfig(base_url=peer.url, model="m"), conn)
         assert all(client.complete("hello").ok for _ in range(3))
         assert len({port for _, port in peer.posts}) == 1
+
+    def test_a_new_timeout_applies_to_the_kept_alive_socket(self, loopback, conn):
+        peer = loopback(protocol="HTTP/1.1")
+        for timeout_ms in (2000.0, 3000.0):
+            outcome, *_ = post_json(conn, peer.url + "/decide", b"{}", dict, timeout_ms)
+            assert outcome == "ok"
+        assert len({port for _, port in peer.posts}) == 1
+        assert conn._sock.gettimeout() == 3.0
 
     def test_http10_server_closing_each_reply(self, loopback, conn):
         client = HttpClient(endpoint(loopback(), max_retries=0), conn)

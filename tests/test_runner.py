@@ -5,7 +5,9 @@ from __future__ import annotations
 import gc
 import hashlib
 import importlib.util
+import io
 import json
+import math
 import os
 import random
 import sys
@@ -17,17 +19,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MAC_A, MAC_B, band_synth, mac, make_sample, make_trace, trace_to_csv
-from roamsim.agent import PromptConfig
+from roamsim.agent import (
+    CONTEXT_FIELDS,
+    STYLE_COT,
+    STYLE_PLAIN,
+    TASK_AP_SELECT,
+    TASK_THRESHOLD,
+    PromptConfig,
+    build_shot_pool,
+)
 from roamsim.errors import ConfigError, DataError, EndpointError, RoamsimError
+from roamsim.export import (
+    REJECTED_HEURISTIC,
+    REJECTED_LEGACY,
+    REJECTED_SECOND_BEST,
+    export_preferences,
+    export_sft,
+)
 from roamsim.gateway import (
     EndpointConfig,
     JsonConnection,
     MockClient,
     MockRule,
 )
-from roamsim.policies import legacy_decide
-from roamsim.roaming import initial_association, rssi_of, run_policy, should_scan
+from roamsim.policies import (
+    EMPTY_SET_ERROR,
+    OBJECTIVE_MAX_RSSI,
+    OBJECTIVE_MIN_HO,
+    RELAX_TO_ARGMAX,
+    AssociationPlan,
+    OracleConstraints,
+    legacy_decide,
+    solve_plan,
+)
+from roamsim.roaming import (
+    HYSTERESIS_PRESETS,
+    initial_association,
+    rssi_of,
+    run_policy,
+    should_scan,
+)
 from roamsim.runner import (
+    POLICIES,
+    SWEEP_AXES,
     ExperimentConfig,
     PolicySpec,
     compare,
@@ -41,7 +75,7 @@ from roamsim.runner import (
     verify_report,
     write_report,
 )
-from roamsim.trace import SynthConfig, Trace, generate_synthetic, trace_to_jsonl
+from roamsim.trace import SynthConfig, Trace, generate_synthetic, parse_trace, trace_to_jsonl
 
 
 def cfg_for(policy: PolicySpec, seed=71, duration=150, **kw) -> ExperimentConfig:
@@ -113,6 +147,29 @@ class TestValidateConfig:
         spec = PolicySpec(kind="llm", mock=MockRule.argmax_rssi(), prompt=prompt)
         with pytest.raises(ConfigError, match="must equal the run's"):
             run_experiment(cfg_for(spec, **kw))
+
+    @pytest.mark.parametrize("refuse, message", [
+        (lambda: PromptConfig(style="verbose"), "bad style 'verbose'"),
+        (lambda: build_shot_pool(make_trace([{MAC_A: -60.0}]), solve_plan(
+            make_trace([{MAC_A: -60.0}]), OBJECTIVE_MIN_HO), PromptConfig(shots=2), 0),
+         "cannot draw 2 shots from a 1-step trace"),
+        (lambda: EndpointConfig(base_url="http://h", model="m", temperature=-1.0),
+         "temperature must be finite and >= 0"),
+        (lambda: MockRule(kind="echo"), "unknown mock rule: 'echo'"),
+        (lambda: generate_synthetic(SynthConfig(duration=0)), "duration must be >= 1"),
+        (lambda: parse_trace(b"", "xml"), "unknown trace format: 'xml'"),
+        (lambda: solve_plan(make_trace([{MAC_A: -60.0}]), "min_rssi"),
+         "unknown objective: 'min_rssi'"),
+    ], ids=["prompt", "shot-pool", "endpoint", "mock", "synthetic", "trace-format",
+            "objective"])
+    def test_each_settings_check_raises_config_error(self, refuse, message):
+        with pytest.raises(ConfigError) as refused:
+            refuse()
+        assert str(refused.value) == message
+
+    def test_a_config_error_is_a_value_error(self):
+        # so a caller catching the ValueError these checks once raised still catches them
+        assert issubclass(ConfigError, ValueError)
 
     def test_prompt_that_repeats_the_run_settings_runs(self):
         prompt = PromptConfig(window_k=3, task="threshold")
@@ -227,6 +284,13 @@ class TestRunExperiment:
             for r in (fixed, legacy)
         ]
         assert without_source[0] == without_source[1]
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path):
+        report = run_experiment(cfg_for(PolicySpec(kind="legacy"), duration=20))
+        report.metrics["x"] = object()  # JSON cannot encode it
+        with pytest.raises(TypeError):
+            write_report(report, str(tmp_path))
+        assert os.listdir(tmp_path) == []
 
     def test_report_write_and_read_roundtrip(self, tmp_path):
         cfg = cfg_for(PolicySpec(kind="legacy"), out_dir=str(tmp_path))
@@ -454,15 +518,14 @@ class TestSweep:
             sweep(sweep_template(axis, out_dir=str(tmp_path)), axis, values)
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("axis, values, error, message", [
-        ("threshold", [-60, 5], ConfigError, "fixed_dbm out of range"),
-        ("interval", [30, 0], ConfigError, "interval must be >= 1"),
-        ("shots", [1, -1], ValueError, "shots must be >= 0"),  # PromptConfig's own refusals
-        ("context_fields", [{"location"}, {"bogus"}], ValueError, "unknown context fields"),
+    @pytest.mark.parametrize("axis, values, message", [
+        ("threshold", [-60, 5], "fixed_dbm out of range"),
+        ("interval", [30, 0], "interval must be >= 1"),
+        ("shots", [1, -1], "shots must be >= 0"),  # PromptConfig's own refusals
+        ("context_fields", [{"location"}, {"bogus"}], "unknown context fields"),
     ], ids=["threshold", "interval", "shots", "context_fields"])
-    def test_every_value_is_checked_before_the_first_run(self, tmp_path, axis, values,
-                                                         error, message):
-        with pytest.raises(error, match=message):
+    def test_every_value_is_checked_before_the_first_run(self, tmp_path, axis, values, message):
+        with pytest.raises(ConfigError, match=message):
             sweep(sweep_template(axis, out_dir=str(tmp_path)), axis, values)
         assert os.listdir(tmp_path) == []
 
@@ -606,6 +669,185 @@ class TestTotality:
                 except RoamsimError:
                     continue
                 assert verify_report(report), name
+
+
+# Settings of each field's declared type: valid values, NaN and the
+# infinities, and names no setting takes. Mock delays and endpoint backoffs
+# are drawn from values that sleep for at most a millisecond, or are refused.
+FLOATS = st.floats(-100.0, 0.0) | st.floats()
+INTS = st.integers(-1, 12)
+WAITS_MS = st.sampled_from([1.0, -1.0, math.nan, math.inf, 1e300])
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # past the decoder's recursion limit
+
+
+def names(*valid: str):
+    return st.sampled_from([*valid, "", "bogus"])
+
+
+def rarely(default, strategy):
+    """`default`, or now and then a value of `strategy`: most draws of a
+    many-field setting are valid, so the call gets past its checks."""
+    return st.integers(0, 5).flatmap(lambda i: strategy if i == 0 else st.just(default))
+
+
+def drawn_prompt(data, task: str = TASK_AP_SELECT, window_k: int = 10) -> PromptConfig:
+    return PromptConfig(
+        style=data.draw(rarely(STYLE_COT, names(STYLE_COT, STYLE_PLAIN))),
+        shots=data.draw(rarely(0, INTS)),
+        context_fields=data.draw(rarely(frozenset({"location", "time"}),
+                                        st.frozensets(names(*CONTEXT_FIELDS), max_size=3))),
+        window_k=data.draw(rarely(window_k, INTS)),
+        task=data.draw(rarely(task, names(TASK_AP_SELECT, TASK_THRESHOLD))))
+
+
+def drawn_template(data, axis: str, trace_path: str, out_dir: str) -> ExperimentConfig:
+    """A sweep template for `axis` over the drawn trace's file or a small synthetic trace."""
+    maybe = lambda s: st.none() | s  # noqa: E731
+    task = data.draw(rarely(TASK_THRESHOLD if axis == "interval" else TASK_AP_SELECT,
+                            names(TASK_AP_SELECT, TASK_THRESHOLD)))
+    window_k = data.draw(rarely(10, INTS))
+    mocks = st.builds(
+        MockRule, kind=names("argmax_rssi", "constant_text", "fixed_threshold", "scripted",
+                             "fail_after"),
+        text=maybe(st.text(max_size=20)), value=maybe(FLOATS),
+        replies=maybe(st.lists(st.text(max_size=20), max_size=3)), fail_after_n=maybe(INTS),
+        delay_ms=rarely(0.0, WAITS_MS))
+    endpoints = st.builds(  # a port that refuses at once: every call fails fast
+        EndpointConfig, base_url=st.just("http://127.0.0.1:1"), model=st.just("m"),
+        temperature=rarely(0.0, FLOATS), max_tokens=rarely(8, INTS),
+        max_retries=rarely(0, st.integers(-1, 1)),
+        timeout_ms=rarely(100.0, WAITS_MS | FLOATS), backoff_ms=rarely(0.0, WAITS_MS))
+    # an llm run's model: a mock, an endpoint, or both or neither (refused)
+    mock, endpoint = data.draw(
+        st.just((MockRule.argmax_rssi(), None)) | st.tuples(mocks, st.none())
+        | st.tuples(st.none(), endpoints) | st.tuples(maybe(mocks), maybe(endpoints)))
+    spec = PolicySpec(
+        kind=data.draw(rarely("llm", names(*POLICIES))), seed=data.draw(rarely(0, INTS)),
+        fixed_dbm=data.draw(rarely(-65.0, maybe(FLOATS))),
+        prompt=drawn_prompt(data, task, window_k) if data.draw(st.booleans()) else None,
+        mock=mock, endpoint=endpoint,
+        external_url=data.draw(rarely("http://127.0.0.1:1/decide",
+                                      maybe(names("http://127.0.0.1:1/decide")))))
+    synth = None
+    if data.draw(st.booleans()):
+        synth = SynthConfig(
+            num_aps=data.draw(rarely(3, st.integers(0, 4))),
+            duration=data.draw(rarely(12, INTS)),
+            base_dbm=data.draw(rarely(-60.0, FLOATS | st.tuples(FLOATS, FLOATS))),
+            step_stddev=data.draw(rarely(2.0, FLOATS)),
+            floor_dbm=data.draw(rarely(-95.0, FLOATS)), ceil_dbm=data.draw(rarely(-30.0, FLOATS)),
+            sample_interval=data.draw(rarely(1, INTS)),
+            battery_drain_pct_per_step=data.draw(rarely(None, maybe(FLOATS))))
+    return ExperimentConfig(
+        spec, trace_path=None if synth else trace_path, synth=synth, task=task,
+        scan_rssi=data.draw(rarely(-70.0, FLOATS)),
+        hysteresis=data.draw(rarely("off", names(*HYSTERESIS_PRESETS))),
+        validity_floor=data.draw(rarely(-70.0, FLOATS)), window_k=window_k,
+        interval=data.draw(rarely(None, maybe(INTS))),
+        score_against=data.draw(rarely(None, maybe(names("opt_ho", "opt_rssi")))),
+        holdout=data.draw(rarely(None, st.booleans())), out_dir=out_dir)
+
+
+def drawn_plan(data, trace: Trace) -> AssociationPlan:
+    """The trace's optimal plan, or a plan of drawn BSSIDs and length."""
+    if data.draw(st.booleans()):
+        return solve_plan(trace, OBJECTIVE_MIN_HO)
+    bssids = st.sampled_from(sorted({b for s in trace.samples for b in s.bssids}) + [mac(40)])
+    size = data.draw(rarely(len(trace), st.sampled_from([len(trace) - 1, len(trace) + 1])))
+    return AssociationPlan(tuple(data.draw(bssids) for _ in range(size)),
+                           data.draw(names(OBJECTIVE_MIN_HO, OBJECTIVE_MAX_RSSI)),
+                           data.draw(FLOATS), data.draw(INTS))
+
+
+REPORT_KEYS = [("policy",), ("scenario",), ("trace_hash",), ("metrics",),
+               ("metrics", "handovers"), ("metrics", "error_rate"), ("metrics", "avg_rssi_dbm"),
+               ("latency",), ("latency", "mean_ms")]
+
+
+def drawn_reports(data, trace_path: str, tmp: str) -> list:
+    """Reports as runs return them, and as read_report reads them back from
+    report files with a drawn value at some key, or from drawn text; now and
+    then a report of another trace."""
+    runs = [run_experiment(ExperimentConfig(spec, trace_path=trace_path))
+            for spec in (PolicySpec(kind="legacy"), PolicySpec(kind="opt_ho"))]
+    other = run_experiment(cfg_for(PolicySpec(kind="legacy"), duration=5))
+    reports = []
+    for i in range(data.draw(rarely(2, st.integers(0, 4)))):
+        report = data.draw(rarely(runs[i % 2], st.just(other)))
+        if data.draw(st.booleans()):
+            reports.append(report)
+            continue
+        d = json.loads(json.dumps(report.to_dict()))
+        key = data.draw(rarely(None, st.sampled_from([(), *REPORT_KEYS])))
+        if key:
+            *parents, name = key
+            node = d
+            for parent in parents:
+                node = node[parent]
+            node[name] = data.draw(st.none() | st.booleans() | INTS | FLOATS
+                                   | st.text(max_size=5) | st.lists(INTS, max_size=2)
+                                   | st.just({}))
+        text = json.dumps(d)
+        if key == ():
+            text = data.draw(st.sampled_from(["", "{", "null", "[]", DEEP_JSON]) | st.text())
+        path = os.path.join(tmp, f"report_{i}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        reports.append(read_report(path))
+    return reports
+
+
+def _call(entry: str, data, trace: Trace, trace_path: str, tmp: str):
+    out = io.StringIO()
+    if entry == "sweep":
+        axis = data.draw(st.sampled_from(sorted(SWEEP_AXES)).flatmap(
+            lambda a: rarely(a, names(a))))
+        value = (FLOATS | INTS | st.text(max_size=12)
+                 | st.frozensets(names(*CONTEXT_FIELDS), max_size=3))
+        template = drawn_template(data, axis, trace_path, os.path.join(tmp, "sweep"))
+        return sweep(template, axis, data.draw(st.none() | st.lists(value, max_size=3)))
+    if entry == "export_sft":
+        return export_sft(trace, drawn_plan(data, trace), drawn_prompt(data), out,
+                          scan_rssi=data.draw(FLOATS))
+    if entry == "export_preferences":
+        return export_preferences(
+            trace, drawn_plan(data, trace),
+            data.draw(names(REJECTED_LEGACY, REJECTED_HEURISTIC, REJECTED_SECOND_BEST)),
+            drawn_prompt(data), out, seed=data.draw(INTS), scan_rssi=data.draw(FLOATS))
+    if entry == "solve_plan":
+        constraints = OracleConstraints(
+            validity_floor=data.draw(FLOATS),
+            empty_feasible_set_rule=data.draw(names(RELAX_TO_ARGMAX, EMPTY_SET_ERROR)))
+        return solve_plan(trace, data.draw(names(OBJECTIVE_MIN_HO, OBJECTIVE_MAX_RSSI)),
+                          constraints)
+    reports = drawn_reports(data, trace_path, tmp)
+    if entry == "compare":
+        return compare(reports).render()
+    if entry == "emit_plot_data" and reports:
+        obj = compare(reports) if data.draw(st.booleans()) else data.draw(st.sampled_from(reports))
+        return emit_plot_data(obj, os.path.join(tmp, "plots"))
+    return reports  # read_report: drawn_reports read each report file
+
+
+class TestEntryPointTotality:
+    """The other public entry points, like run_experiment: on drawn settings and
+    small traces, each returns or raises RoamsimError. Every file they read exists;
+    refusing a path is the OS's OSError, as for run_experiment."""
+
+    @pytest.mark.parametrize("entry", ["sweep", "export_sft", "export_preferences",
+                                       "solve_plan", "compare", "read_report",
+                                       "emit_plot_data"])
+    @settings(max_examples=60, deadline=None)
+    @given(trace=parsed_traces(), data=st.data())
+    def test_returns_or_raises_a_roamsim_error(self, entry, trace, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.jsonl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(trace_to_jsonl(trace))
+            try:
+                _call(entry, data, trace, path, tmp)
+            except RoamsimError:
+                pass
 
 
 # ---------------------------------------------------------------------------
