@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     DataError,
     EndpointError,
-    OracleInfeasibleError,
     RoamsimError,
     SearchSpaceError,
     TraceFormatError,

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from contextlib import closing
-from dataclasses import replace
+from functools import partial
 
 from .agent import (
     STYLE_COT,
@@ -46,12 +46,10 @@ from .gateway import (
     client_latency,
 )
 from .policies import (
-    EMPTY_SET_ERROR,
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
     AssociationPlan,
     OracleConstraints,
-    brute_force_plan,
     solve_plan,
 )
 from .roaming import HYSTERESIS_PRESETS, check_dbm
@@ -251,8 +249,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", required=True)
     p.add_argument("--objective", choices=list(_OBJECTIVES), required=True)
     p.add_argument("--floor", type=float)
-    p.add_argument("--empty-rule", choices=["relax", "error"])
-    p.add_argument("--brute-force", action="store_true", help="use the exhaustive solver")
     p.add_argument("-o", "--out", help="plan JSON output (default: stdout)")
 
     p = sub.add_parser("export", help="export a fine-tuning corpus from a trace")
@@ -343,13 +339,18 @@ def plan_from_dict(d: dict, path: str) -> AssociationPlan:
     return AssociationPlan(**fields)
 
 
+def _plan_solver(args):
+    """solve_plan for --objective under --floor, as a function of the trace.
+
+    The floor is checked here, so a command calls this before it reads its trace.
+    """
+    return partial(solve_plan, objective=_OBJECTIVES[args.objective],
+                   constraints=OracleConstraints(**_fields(vars(args), validity_floor="floor")))
+
+
 def _cmd_oracle(args) -> int:
-    trace = read_trace_file(args.trace)
-    constraints = OracleConstraints(**_fields(vars(args), validity_floor="floor"))
-    if args.empty_rule == "error":
-        constraints = replace(constraints, empty_feasible_set_rule=EMPTY_SET_ERROR)
-    solver = brute_force_plan if args.brute_force else solve_plan
-    plan = solver(trace, _OBJECTIVES[args.objective], constraints)
+    solve = _plan_solver(args)
+    plan = solve(read_trace_file(args.trace))
     _write_out(args.out, json.dumps(plan_to_dict(plan), indent=2) + "\n",
                f"wrote plan ({plan.handovers} handovers) to {args.out}")
     return 0
@@ -360,6 +361,7 @@ def _cmd_export(args) -> int:
         raise ConfigError("--floor applies to a plan export solves; it cannot change a --plan")
     if args.scan_rssi is not None:
         check_dbm("scan_rssi", args.scan_rssi)
+    solve = _plan_solver(args)
     cfg = PromptConfig(**_fields(vars(args), "style", "window_k", context_fields="context"))
     template = load_template(args.template) if args.template else None
     trace = read_trace_file(args.trace)
@@ -368,8 +370,7 @@ def _cmd_export(args) -> int:
         if len(plan.plan) != len(trace):  # checked before the output file opens
             raise DataError(f"plan {args.plan}: {len(plan.plan)} steps, trace has {len(trace)}")
     else:
-        constraints = OracleConstraints(**_fields(vars(args), validity_floor="floor"))
-        plan = solve_plan(trace, _OBJECTIVES[args.objective], constraints)
+        plan = solve(trace)
     with open(args.out, "w", encoding="utf-8") as fh:
         if args.kind == "sft":
             count = export_sft(trace, plan, cfg, fh, template=template,

@@ -27,10 +27,6 @@ class TraceFormatError(DataError):
         super().__init__(message if line is None else f"{message} at line {line}")
 
 
-class OracleInfeasibleError(DataError):
-    """No feasible AP at some step and the constraints forbid relaxing."""
-
-
 class SearchSpaceError(DataError):
     """Brute-force plan enumeration would exceed the search-space guard."""
 

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from math import prod
 
-from .errors import ConfigError, OracleInfeasibleError, SearchSpaceError
+from .errors import ConfigError, SearchSpaceError
 from .gateway import OUTCOME_OK, JsonConnection, post_json
 from .roaming import (
     DEFAULT_SCAN_RSSI_DBM,
@@ -47,9 +47,6 @@ from .trace import ScanSample, Trace, canonical_mac, jsonl_line, render_window, 
 
 BRUTE_FORCE_GUARD = 10_000_000
 
-RELAX_TO_ARGMAX = "relax_to_argmax"
-EMPTY_SET_ERROR = "error"
-
 OBJECTIVE_MIN_HO = "min_ho"
 OBJECTIVE_MAX_RSSI = "max_rssi"
 
@@ -61,18 +58,14 @@ class OracleConstraints:
     """Feasibility rule for plan solvers.
 
     An AP is feasible at a step when it appears in that step's scan with
-    RSSI at or above the floor. On a step with no feasible AP,
-    relax_to_argmax admits the strongest candidates present; the error
-    rule raises instead.
+    RSSI at or above the floor; on a step where no AP is, the strongest
+    APs present are feasible.
     """
 
     validity_floor: float = DEFAULT_SCAN_RSSI_DBM
-    empty_feasible_set_rule: str = RELAX_TO_ARGMAX
 
     def __post_init__(self):
         check_dbm("validity_floor", self.validity_floor)
-        if self.empty_feasible_set_rule not in (RELAX_TO_ARGMAX, EMPTY_SET_ERROR):
-            raise ConfigError(f"unknown empty-set rule {self.empty_feasible_set_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -143,17 +136,14 @@ class PlanPolicy:
 # ---------------------------------------------------------------------------
 # Optimal plans
 
-def _step_choices(sample: ScanSample, constraints: OracleConstraints, t: int) -> dict[str, float]:
-    """The step's feasible APs, BSSID -> RSSI, in BSSID order."""
-    pairs = sorted(zip(sample.bssids, sample.rssis))
-    floor = constraints.validity_floor
-    feasible = {b: r for b, r in pairs if r >= floor}
-    if not feasible:
-        if constraints.empty_feasible_set_rule == EMPTY_SET_ERROR:
-            raise OracleInfeasibleError(f"no feasible AP at step {t}")
-        top = max(sample.rssis)
-        feasible = {b: r for b, r in pairs if r == top}
-    return feasible
+def _step_choices(sample: ScanSample, constraints: OracleConstraints) -> dict[str, float]:
+    """The step's feasible APs, BSSID -> RSSI, in BSSID order.
+
+    Every AP at or above min(floor, strongest RSSI) is feasible: those at or
+    above the floor, else the strongest present.
+    """
+    bar = min(constraints.validity_floor, max(sample.rssis))
+    return {b: r for b, r in sorted(zip(sample.bssids, sample.rssis)) if r >= bar}
 
 
 def _objective_key(objective: str):
@@ -178,7 +168,7 @@ def solve_plan(
 ) -> AssociationPlan:
     """Optimal association plan by dynamic programming over (step, BSSID)."""
     key = _objective_key(objective)
-    choices = [_step_choices(s, constraints, t) for t, s in enumerate(trace.samples)]
+    choices = [_step_choices(s, constraints) for s in trace.samples]
     T = len(choices)
 
     # nxt[a] = (handovers, rssi sum) of the best suffix t+1..T-1 with a_{t+1} = a,
@@ -249,7 +239,7 @@ def brute_force_plan(
     so on any in-guard trace the two return identical plans.
     """
     key = _objective_key(objective)
-    choices = [_step_choices(s, constraints, t) for t, s in enumerate(trace.samples)]
+    choices = [_step_choices(s, constraints) for s in trace.samples]
     space = prod(len(ch) for ch in choices)
     if space > BRUTE_FORCE_GUARD:
         raise SearchSpaceError(f"search space {space} exceeds guard {BRUTE_FORCE_GUARD}")

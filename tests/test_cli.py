@@ -455,14 +455,28 @@ class TestOracleExport:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
 
-    def test_oracle_brute_force_small(self, tmp_path, capsys):
-        small = tmp_path / "small.jsonl"
-        main(["gen-trace", "--num-aps", "2", "--duration", "6", "--seed", "1",
-              "-o", str(small)])
-        rc = main(["oracle", "--trace", str(small), "--objective", "max-rssi",
-                   "--brute-force"])
-        assert rc == 0
-        assert '"objective_value"' in capsys.readouterr().out
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "--objective", "min-ho", "--floor", "nan"], "validity_floor out of range"),
+        (["export", "--kind", "sft", "--floor", "nan"], "validity_floor out of range"),
+        (["export", "--kind", "sft", "--scan-rssi", "nan"], "scan_rssi out of range"),
+    ], ids=["oracle-floor", "export-floor", "export-scan-rssi"])
+    def test_refused_setting_exits_1_before_the_trace_is_read(self, tmp_path, capsys, argv,
+                                                              message):
+        out = tmp_path / "x.jsonl"
+        rc = main([*argv, "--trace", str(tmp_path / "missing.jsonl"), "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--brute-force"], ["--empty-rule", "error"]],
+                             ids=["brute-force", "empty-rule"])
+    def test_removed_oracle_flags_exit_1(self, trace_file, tmp_path, capsys, flags):
+        out = tmp_path / "plan.json"
+        rc = main(["oracle", "--trace", str(trace_file), "--objective", "min-ho", *flags,
+                   "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_export_sft_and_preferences(self, trace_file, tmp_path, capsys):
         sft = tmp_path / "sft.jsonl"

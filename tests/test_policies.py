@@ -22,12 +22,10 @@ from conftest import (
     timeline_signature,
 )
 from roamsim import policies
-from roamsim.errors import ConfigError, OracleInfeasibleError, SearchSpaceError
+from roamsim.errors import ConfigError, SearchSpaceError
 from roamsim.policies import (
-    EMPTY_SET_ERROR,
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
-    RELAX_TO_ARGMAX,
     ExternalPolicy,
     OracleConstraints,
     _finish_plan,
@@ -199,20 +197,11 @@ class TestOracles:
         plan = oracle_opt_rssi(trace, OracleConstraints(validity_floor=-70.0))
         assert plan.plan[1] == MAC_B  # strongest available despite being below floor
 
-    def test_empty_feasible_set_error_rule(self):
-        trace = make_trace([{MAC_A: -90.0}])
-        constraints = OracleConstraints(
-            validity_floor=-70.0, empty_feasible_set_rule=EMPTY_SET_ERROR
-        )
-        with pytest.raises(OracleInfeasibleError):
-            oracle_opt_ho(trace, constraints)
-
     @pytest.mark.parametrize("kw, message", [
         (dict(validity_floor=float("nan")), "validity_floor out of range: nan"),
         (dict(validity_floor=5.0), "validity_floor out of range: 5.0"),
         (dict(validity_floor=-100.5), "validity_floor out of range: -100.5"),
-        (dict(empty_feasible_set_rule="relax"), "unknown empty-set rule 'relax'"),
-    ], ids=["nan", "above", "below", "rule"])
+    ], ids=["nan", "above", "below"])
     def test_bad_constraints_rejected(self, kw, message):
         with pytest.raises(ConfigError, match=message):
             OracleConstraints(**kw)
@@ -287,7 +276,7 @@ def reference_solve_plan(trace, objective, constraints):
     """The all-pairs O(T*A^2) recurrence: every AP at every step tries every
     successor and keeps the first strictly better key."""
     key = _objective_key(objective)
-    choices = [_step_choices(s, constraints, t) for t, s in enumerate(trace.samples)]
+    choices = [_step_choices(s, constraints) for s in trace.samples]
     T = len(choices)
     value = [dict() for _ in range(T)]
     value[T - 1] = {a: (0, rssi) for a, rssi in choices[T - 1].items()}
@@ -353,17 +342,11 @@ class TestSolverAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(rows=tie_heavy_rows(),
            objective=st.sampled_from([OBJECTIVE_MIN_HO, OBJECTIVE_MAX_RSSI]),
-           floor=st.sampled_from([-100.0, -70.0, -60.0, -59.99999999999999, -1e-9]),
-           rule=st.sampled_from([RELAX_TO_ARGMAX, EMPTY_SET_ERROR]))
-    def test_equals_quadratic_dp_on_tie_heavy_traces(self, rows, objective, floor, rule):
+           floor=st.sampled_from([-100.0, -70.0, -60.0, -59.99999999999999, -1e-9]))
+    def test_equals_quadratic_dp_on_tie_heavy_traces(self, rows, objective, floor):
         trace = make_trace(rows)
-        constraints = OracleConstraints(validity_floor=floor, empty_feasible_set_rule=rule)
-        try:
-            expected = reference_solve_plan(trace, objective, constraints)
-        except OracleInfeasibleError:
-            with pytest.raises(OracleInfeasibleError):
-                solve_plan(trace, objective, constraints)
-            return
+        constraints = OracleConstraints(validity_floor=floor)
+        expected = reference_solve_plan(trace, objective, constraints)
         got = solve_plan(trace, objective, constraints)
         assert got == expected
         # AssociationPlan equality treats -0.0 and 0.0 alike; the sign must match too

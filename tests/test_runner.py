@@ -43,10 +43,8 @@ from roamsim.gateway import (
     MockRule,
 )
 from roamsim.policies import (
-    EMPTY_SET_ERROR,
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
-    RELAX_TO_ARGMAX,
     AssociationPlan,
     OracleConstraints,
     legacy_decide,
@@ -815,9 +813,7 @@ def _call(entry: str, data, trace: Trace, trace_path: str, tmp: str):
             data.draw(names(REJECTED_LEGACY, REJECTED_HEURISTIC, REJECTED_SECOND_BEST)),
             drawn_prompt(data), out, seed=data.draw(INTS), scan_rssi=data.draw(FLOATS))
     if entry == "solve_plan":
-        constraints = OracleConstraints(
-            validity_floor=data.draw(FLOATS),
-            empty_feasible_set_rule=data.draw(names(RELAX_TO_ARGMAX, EMPTY_SET_ERROR)))
+        constraints = OracleConstraints(validity_floor=data.draw(FLOATS))
         return solve_plan(trace, data.draw(names(OBJECTIVE_MIN_HO, OBJECTIVE_MAX_RSSI)),
                           constraints)
     reports = drawn_reports(data, trace_path, tmp)
