@@ -24,7 +24,7 @@ from typing import TextIO
 from .agent import PromptConfig, build_prompt
 from .errors import DataError
 from .policies import AssociationPlan, heuristic_decide, legacy_decide
-from .roaming import DEFAULT_SCAN_RSSI_DBM, AssociationState, run_policy
+from .roaming import DEFAULT_SCAN_RSSI_DBM, AssociationState, check_dbm, run_policy
 from .trace import ScanSample, Trace, ranked, window
 
 REJECTED_LEGACY = "legacy"
@@ -50,8 +50,9 @@ def _write_records(
 ) -> int:
     """Write {"prompt": ..., **fields} for each (t, fields) of `records`; returns the count.
 
-    The plan's length is checked before the first record is drawn. Training
-    prompts are bare prompt->completion pairs: no shots."""
+    `scan_rssi` and the plan's length are checked before the first record is
+    drawn. Training prompts are bare prompt->completion pairs: no shots."""
+    check_dbm("scan_rssi", scan_rssi)
     T = len(trace.samples)
     if len(plan.plan) != T:
         raise DataError(f"plan length {len(plan.plan)} != trace length {T}")

@@ -152,9 +152,19 @@ def _prompt(cfg: ExperimentConfig) -> PromptConfig:
     return cfg.policy.prompt or PromptConfig(task=cfg.task, window_k=cfg.window_k)
 
 
+def _check_path(name: str, path) -> None:
+    """ConfigError naming `name` when `path` holds a NUL byte; open() raises ValueError."""
+    if "\0" in os.fsdecode(path):
+        raise ConfigError(f"{name} {path!r} holds a NUL byte")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     if (cfg.trace_path is None) == (cfg.synth is None):
         raise ConfigError("exactly one of trace_path or synth must be set")
+    for name in ("trace_path", "template_path", "out_dir"):
+        path = getattr(cfg, name)
+        if path is not None:
+            _check_path(name, path)
     if cfg.task not in (TASK_AP_SELECT, TASK_THRESHOLD):
         raise ConfigError(f"unknown task {cfg.task!r}")
     if cfg.policy.kind not in POLICIES:
@@ -416,6 +426,7 @@ def _safe_name(label: str) -> str:
 
 def write_report(report: RunReport, out_dir: str) -> str:
     """Atomic JSON write (temp file + rename); returns the path."""
+    _check_path("out_dir", out_dir)
     os.makedirs(out_dir, exist_ok=True)
     suffix = ""
     if report.axis:
@@ -443,6 +454,7 @@ def read_json(path: str, name: str | None = None):
 
     `name` stands for the path in the message, as in "plan <path>".
     """
+    _check_path("path", path)
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -553,6 +565,7 @@ def emit_plot_data(obj, out_dir: str) -> list[str]:
         obj = ComparisonTable(
             trace_hash=d["trace_hash"], scenario=d["scenario"], rows=_table_rows([d])
         )
+    _check_path("out_dir", out_dir)
     os.makedirs(out_dir, exist_ok=True)
     metric_files = [("handovers", "ho.csv"), ("avg_rssi_dbm", "avg_rssi.csv")]
     if any(r["error_rate"] is not None for r in obj.rows):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import roamsim
 from conftest import trace_to_csv
-from roamsim.cli import _experiment_config, build_parser, main
+from roamsim.cli import _EXPERIMENT_SETTINGS, _experiment_config, build_parser, main
 from roamsim.runner import _jsonable, run_experiment, strip_volatile, sweep
 from roamsim.trace import SYNTH_MAX_APS, parse_trace
 
@@ -780,6 +781,25 @@ def test_readme_ini_example_runs(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--config", "run.ini"]) == 0
     assert "policy=llm" in capsys.readouterr().out
     assert (tmp_path / "runs" / "report_llm.json").exists()
+
+
+def test_every_flag_is_named_in_the_readme():
+    # a simulate/sweep setting may be named by its key in the Configuration file table
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = "".join(line for line in readme.splitlines() if line.startswith("| `["))
+    ini_keys = {flag: key for flags, _, key, _ in _EXPERIMENT_SETTINGS for flag in flags}
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    unnamed = [
+        f"{command} {flag}"
+        for command, parser in commands.choices.items()
+        for action in parser._actions if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+        if flag.startswith("--")
+        and not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", readme)
+        and f"`{ini_keys.get(flag)}`" not in table
+    ]
+    assert unnamed == []
 
 
 # Argv and INI cases that between them give every simulate/sweep setting at

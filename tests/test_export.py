@@ -6,13 +6,14 @@ import hashlib
 import io
 import json
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from conftest import MAC_A, MAC_B, band_synth, make_trace
 from roamsim import agent
 from roamsim.agent import CONTEXT_FIELDS, PromptConfig, load_template
-from roamsim.errors import DataError
+from roamsim.errors import ConfigError, DataError
 from roamsim.export import (
     export_preferences,
     export_sft,
@@ -137,6 +138,20 @@ class TestExportPreferences:
         plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
         with pytest.raises(DataError, match="unknown rejected source"):
             export_preferences(trace, plan, "nope", PromptConfig(), io.StringIO())
+
+
+@pytest.mark.parametrize("export", [
+    export_sft,
+    partial(export_preferences, rejected_source="second_best"),
+], ids=["sft", "preferences"])
+@pytest.mark.parametrize("scan_rssi", [float("nan"), 5.0, -100.5])
+def test_out_of_range_scan_rssi_is_refused_before_any_record(export, scan_rssi):
+    # every step has a runner-up, so either export would write a record per step
+    trace = make_trace([{MAC_A: -60.0, MAC_B: -65.0}] * 5)
+    out = io.StringIO()
+    with pytest.raises(ConfigError, match="scan_rssi out of range"):
+        export(trace, plan_of([MAC_A] * 5), cfg=PromptConfig(), out=out, scan_rssi=scan_rssi)
+    assert out.getvalue() == ""
 
 
 class TestLabelAccuracy:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import select
 import socket
 import ssl
 import threading
@@ -356,7 +357,9 @@ class RawServer:
     """A loopback server that answers each request with the next queued bytes.
 
     `replies` holds (bytes, close) pairs: the bytes go out as they are, and
-    the connection closes after them when `close` is set. `requests` holds
+    the connection closes after them when `close` is set. A tuple of bytes
+    goes out one piece at a time, with a pause before each later piece, so
+    the client reads the pieces in separate `recv` calls. `requests` holds
     (connection number, request bytes) for each request read, so a test can
     see which requests shared a socket.
     """
@@ -389,7 +392,11 @@ class RawServer:
                     while (request := _read_request(fh)) is not None:
                         self.requests.append((number, request))
                         reply, close = self.replies.pop(0)
-                        sock.sendall(reply)
+                        pieces = reply if isinstance(reply, tuple) else (reply,)
+                        sock.sendall(pieces[0])
+                        for piece in pieces[1:]:
+                            time.sleep(0.1)
+                            sock.sendall(piece)
                         if close:
                             break
                 except OSError:
@@ -486,6 +493,28 @@ class TestWireFormat:
             conn.close()  # ends the server's side of the connection, so it stops at once
             server.stop()
 
+    def test_idna_host_header(self, raw_server, conn):
+        # fullwidth letters are not ASCII, so the Host header carries the name's IDNA form
+        raw_server.replies.append((_ok(), False))
+        url = "http://\uff4c\uff4f\uff43\uff41\uff4c\uff48\uff4f\uff53\uff54:%d/decide"
+        outcome, status, value, _, _ = post_json(conn, url % raw_server.port, b"{}",
+                                                 lambda v: v, 2000.0)
+        assert (outcome, status, value) == ("ok", 200, STAY)
+        assert b"\r\nHost: localhost:%d\r\n" % raw_server.port in raw_server.requests[0][1]
+
+    def test_select_serves_where_poll_is_missing(self, raw_server, conn, monkeypatch):
+        monkeypatch.delattr(select, "poll")
+        # the second reply keeps the connection, then the server closes it
+        raw_server.replies += [(_ok(), False), (_ok(), True), (_ok(), False)]
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert conn._poll is None
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        time.sleep(0.1)  # the close has reached the client by now
+        outcome, status, value, _, attempts = post_json(conn, raw_server.url, b"{}",
+                                                        lambda v: v, 2000.0)
+        assert (outcome, status, value, attempts) == ("ok", 200, STAY, 1)
+        assert [n for n, _ in raw_server.requests] == [0, 0, 1]
+
     @pytest.mark.parametrize("eol", [b"\r\n", b"\n"], ids=["crlf", "lf"])
     def test_chunked_body(self, raw_server, conn, eol):
         body = b'{"action": "stay", "pad": "' + b"p" * 40 + b'"}'
@@ -504,6 +533,12 @@ class TestWireFormat:
         assert _post(conn, raw_server) == ("ok", 200, STAY)
         assert _post(conn, raw_server) == ("ok", 200, STAY)
         assert [n for n, _ in raw_server.requests] == [0, 1]
+
+    def test_close_delimited_body_after_its_headers(self, raw_server, conn):
+        # the body comes in a later recv than the headers, so the read loop reads it
+        head = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n"
+        raw_server.replies.append(((head, b'{"action": "stay"}'), True))
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
 
     def test_http10_keep_alive_is_kept(self, raw_server, conn):
         raw_server.replies += [(b"HTTP/1.0 200 OK\r\nConnection: Keep-Alive\r\n"
