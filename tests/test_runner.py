@@ -178,27 +178,23 @@ class TestValidateConfig:
         assert len(report.decision_log) == 40
 
 
-NUL_PATH_CALLS = {
-    "trace_path": lambda d, report: run_experiment(
-        ExperimentConfig(PolicySpec(kind="legacy"), trace_path=f"{d}/t\0.jsonl")),
-    "template_path": lambda d, report: run_experiment(
-        cfg_for(PolicySpec(kind="legacy"), template_path=f"{d}/t\0.ini")),
-    "out_dir": lambda d, report: run_experiment(
-        cfg_for(PolicySpec(kind="legacy"), out_dir=f"{d}/runs\0")),
-    "read_report": lambda d, report: read_report(f"{d}/r\0.json"),
-    "read_json": lambda d, report: read_json(f"{d}/plan\0.json", "plan"),
-    "write_report": lambda d, report: write_report(report, f"{d}/runs\0"),
-    "emit_plot_data": lambda d, report: emit_plot_data(report, f"{d}/plots\0"),
-}
-
-
-@pytest.mark.parametrize("entry", list(NUL_PATH_CALLS))
-def test_a_path_holding_a_nul_byte_is_a_config_error_naming_it(tmp_path, entry):
+@pytest.mark.parametrize("name, call", [
+    ("trace_path", lambda d, report: run_experiment(
+        ExperimentConfig(PolicySpec(kind="legacy"), trace_path=f"{d}/t\0.jsonl"))),
+    ("template_path", lambda d, report: run_experiment(
+        cfg_for(PolicySpec(kind="legacy"), template_path=f"{d}/t\0.ini"))),
+    ("out_dir", lambda d, report: run_experiment(
+        cfg_for(PolicySpec(kind="legacy"), out_dir=f"{d}/runs\0"))),
+    ("path", lambda d, report: read_report(f"{d}/r\0.json")),
+    ("path", lambda d, report: read_json(f"{d}/plan\0.json", "plan")),
+    ("out_dir", lambda d, report: write_report(report, f"{d}/runs\0")),
+    ("out_dir", lambda d, report: emit_plot_data(report, f"{d}/plots\0")),
+], ids=["trace_path", "template_path", "out_dir", "read_report", "read_json", "write_report",
+        "emit_plot_data"])
+def test_a_path_holding_a_nul_byte_is_a_config_error_naming_it(tmp_path, name, call):
     report = run_experiment(cfg_for(PolicySpec(kind="legacy"), duration=5))
-    name = {"read_report": "path", "read_json": "path", "write_report": "out_dir",
-            "emit_plot_data": "out_dir"}.get(entry, entry)
     with pytest.raises(ConfigError, match=rf"^{name} '.*\\x00.*' holds a NUL byte$"):
-        NUL_PATH_CALLS[entry](tmp_path, report)
+        call(tmp_path, report)
     assert not os.listdir(tmp_path)
 
 
