@@ -20,9 +20,9 @@ as invalid and replaced by the legacy decision, so the agent always
 yields a usable decision and every bad pick is attributable in the
 error-rate metric.
 
-The threshold task's scheduler returns the run's threshold-log entry
-({"t", "value", "valid", "fault"}) when an adjustment is due; the runner
-appends it and sets the scan threshold to its value.
+The threshold task's scheduler appends the run's threshold-log entry
+({"t", "value", "valid", "fault"}) when an adjustment is due, and returns
+the state to decide in, its scan threshold set to the entry's value.
 
 Templates are override-able: a template file is plain text with
 [section] headers for preamble.ap_select, preamble.threshold, shot, row,
@@ -157,7 +157,6 @@ def load_template(path) -> dict[str, str]:
     """Read a template override file: [section] headers, literal bodies."""
     sections = dict(DEFAULT_TEMPLATE)
     name = None
-    body: list[str] = []
     with open(path, encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -166,15 +165,12 @@ def load_template(path) -> dict[str, str]:
     for line in lines:
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
-            if name is not None:
-                sections[name] = "".join(body)
-            name, body = stripped[1:-1], []
+            name = stripped[1:-1]
             if name not in DEFAULT_TEMPLATE:
                 raise ConfigError(f"template {path}: unknown block [{name}]")
+            sections[name] = ""
         elif name is not None:
-            body.append(line)
-    if name is not None:
-        sections[name] = "".join(body)
+            sections[name] += line
     for name, allowed in _TEMPLATE_FIELDS.items():
         try:
             bad = [f + (f"!{c}" if c else "") for f, c in _format_fields(sections[name])
@@ -341,7 +337,7 @@ def ap_select_decide(
 
 
 def threshold_schedule_step(
-    last_adjust: int | None,
+    log: list[dict],
     interval: int,
     window: tuple[ScanSample, ...],
     state: AssociationState,
@@ -349,30 +345,27 @@ def threshold_schedule_step(
     client,
     template: dict[str, str] | None = None,
     rows: dict[ScanSample, str] | None = None,
-) -> dict | None:
-    """One scheduler tick: the threshold-log entry when an adjustment is due.
+) -> AssociationState:
+    """One scheduler tick: the state to decide in, adjusted when an adjustment is due.
 
-    Fires on the first call and whenever `now - last_adjust >= interval`,
+    Fires when `log` is empty and whenever `now - log[-1]["t"] >= interval`,
     `now` being the timestamp of `window[-1]`; between adjustments the run
-    proceeds under the legacy rule at the current threshold. The entry is
-    {"t", "value", "valid", "fault"}, `value` being the threshold from then
-    on. A failed or unparseable call
-    keeps the current threshold and is flagged, so the run never stalls.
+    proceeds under the legacy rule at the current threshold. Firing appends
+    {"t", "value", "valid", "fault"} to `log`, `value` being the threshold
+    from then on. A failed or unparseable call keeps the current threshold
+    and is flagged, so the run never stalls.
     """
     if interval < 1:
         raise ValueError("interval must be >= 1")
     now = window[-1].timestamp
-    if last_adjust is not None and now - last_adjust < interval:
-        return None
+    if log and now - log[-1]["t"] < interval:
+        return state
     prompt = build_prompt(window, state, cfg, (), template, rows)
     record = client.complete(prompt)
     value = parse_threshold_response(record.reply) if record.ok else None
-    return {
-        "t": now,
-        "value": state.threshold if value is None else value,
-        "valid": value is not None,
-        "fault": not record.ok,
-    }
+    log.append({"t": now, "value": state.threshold if value is None else value,
+                "valid": value is not None, "fault": not record.ok})
+    return replace(state, threshold=log[-1]["value"])
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,6 @@ class JsonConnection:
         self._head = b""  # the request head up to the Content-Length value
         self._sock = None
         self._poll = None
-        self._timeout: float | None = None
         self._tls = None  # the ssl context, made on the first https connect
         self._buf = bytearray()  # the reply's bytes received so far
         self._pos = 0  # where the part of _buf not yet parsed starts
@@ -388,9 +387,8 @@ class JsonConnection:
             sock = None
         if sock is None:
             sock = self._connect(timeout)
-        elif timeout != self._timeout:
+        elif timeout != sock.gettimeout():
             sock.settimeout(timeout)
-            self._timeout = timeout
         sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
         status, data, keep = self._read_reply()
         if keep and self._pos == len(self._buf):
@@ -425,7 +423,7 @@ class JsonConnection:
         except BaseException:
             sock.close()
             raise
-        self._sock, self._timeout = sock, timeout
+        self._sock = sock
         if hasattr(select, "poll"):  # no limit on descriptor numbers, unlike select
             self._poll = select.poll()
             self._poll.register(sock, select.POLLIN)

@@ -321,19 +321,13 @@ def _llm_policy(run: _Run) -> dict:
             )
         }
     interval = cfg.interval if cfg.interval is not None else 30
-    log = run.threshold_log
-
-    def scheduler(win, state):
-        entry = threshold_schedule_step(
-            log[-1]["t"] if log else None, interval, win, state, run.prompt, run.client,
+    return {
+        "decide": legacy_decide,
+        "pre_decide": lambda win, state: threshold_schedule_step(
+            run.threshold_log, interval, win, state, run.prompt, run.client,
             template=run.template, rows=run.rows,
-        )
-        if entry is None:
-            return state
-        log.append(entry)
-        return replace(state, threshold=entry["value"])
-
-    return {"decide": legacy_decide, "pre_decide": scheduler}
+        ),
+    }
 
 
 # kind -> (report label for the spec, run -> run_policy keyword arguments)

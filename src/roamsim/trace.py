@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -299,7 +300,6 @@ def _build_sample(
 
 def _parse_jsonl(lines) -> list[ScanSample]:
     samples: list[ScanSample] = []
-    prev_t: int | None = None
     macs: dict[str, str] = {}  # raw BSSID string -> canonical form, for this parse
     for line_no, line in lines:
         if not line.strip():
@@ -313,9 +313,8 @@ def _parse_jsonl(lines) -> list[ScanSample]:
         if not isinstance(rec, dict) or "t" not in rec or "scan" not in rec:
             raise TraceFormatError("malformed line: expected object with t and scan", line_no)
         t = _check_timestamp(rec["t"], line_no)
-        if prev_t is not None and t <= prev_t:
+        if samples and t <= samples[-1].timestamp:
             raise TraceFormatError("non-monotone timestamps", line_no)
-        prev_t = t
         scan = rec["scan"]
         if not isinstance(scan, list):
             raise TraceFormatError("malformed line: scan must be a list", line_no)
@@ -349,39 +348,30 @@ def _parse_csv(lines) -> list[ScanSample]:
             yield line + "\n"  # so a quoted field keeps its line break
 
     reader = csv.DictReader(fed())
+
+    def checked():  # (t, line, row, scan entry) for each row
+        for row in reader:
+            t = _check_timestamp(row.get("t"), last)
+            mac = _check_mac(row.get("bssid") or "", last)
+            rssi = _check_float(row.get("rssi_dbm"), last)
+            yield t, last, row, (-rssi, mac, rssi)
+
     samples: list[ScanSample] = []
-    group_t: int | None = None
-    group_entries: list[tuple[float, str, float]] = []
-    group_row: dict = {}
-    group_line = 2
-    prev_t: int | None = None
-
-    def flush() -> None:
-        nonlocal prev_t
-        if group_t is None:
-            return
-        if prev_t is not None and group_t <= prev_t:
-            raise TraceFormatError("non-monotone timestamps", group_line)
-        prev_t = group_t
-        samples.append(_build_sample(group_t, group_entries, group_line, group_row))
-
     try:
         if reader.fieldnames is None:
             return []
         missing = {"t", "bssid", "rssi_dbm"} - set(reader.fieldnames)
         if missing:
             raise TraceFormatError(f"missing csv columns: {sorted(missing)}", 1)
-        for row in reader:
-            t = _check_timestamp(row.get("t"), last)
-            mac = _check_mac(row.get("bssid") or "", last)
-            rssi = _check_float(row.get("rssi_dbm"), last)
-            if t != group_t:
-                flush()
-                group_t, group_entries, group_row, group_line = t, [], row, last
-            group_entries.append((-rssi, mac, rssi))
+        # groupby checks the next step's first row before this step is built
+        for t, group in itertools.groupby(checked(), key=lambda r: r[0]):
+            rows = list(group)
+            _, line, row, _ = rows[0]
+            if samples and t <= samples[-1].timestamp:
+                raise TraceFormatError("non-monotone timestamps", line)
+            samples.append(_build_sample(t, [r[3] for r in rows], line, row))
     except csv.Error as exc:
         raise TraceFormatError(f"malformed line: {exc}", last) from None
-    flush()
     return samples
 
 

@@ -412,40 +412,38 @@ class TestThresholdScheduler:
         for duration, interval in [(60, 10), (300, 30), (300, 60), (120, 7)]:
             trace = generate_synthetic(band_synth(seed=41, duration=duration))
             client = MockClient(MockRule.fixed_threshold(-70.0))
-            last = {"t": None}
-            fired = 0
+            log = []
             for t in range(duration):
                 win = window(trace, t, 10)
-                decision = threshold_schedule_step(
-                    last["t"], interval, win, state_at(),
+                threshold_schedule_step(
+                    log, interval, win, state_at(),
                     PromptConfig(task="threshold"), client,
                 )
-                if decision is not None:
-                    fired += 1
-                    last["t"] = t
+            fired = len(log)
             assert fired == 1 + (duration - 1) // interval
             assert len(client.records) == fired
 
     def test_huge_interval_fires_once(self):
         trace = generate_synthetic(band_synth(seed=42, duration=50))
         client = MockClient(MockRule.fixed_threshold(-70.0))
-        last = None
-        fired = 0
+        log = []
         for t in range(50):
             win = window(trace, t, 10)
-            if threshold_schedule_step(last, 10**9, win, state_at(),
-                                       PromptConfig(task="threshold"), client) is not None:
-                fired += 1
-                last = t
+            threshold_schedule_step(log, 10**9, win, state_at(),
+                                    PromptConfig(task="threshold"), client)
+        fired = len(log)
         assert fired == 1
 
     def test_decision_carries_parsed_value(self):
         trace = generate_synthetic(band_synth(seed=43, duration=5))
         client = MockClient(MockRule.fixed_threshold(-64.0))
-        entry = threshold_schedule_step(
-            None, 30, window(trace, 0, 10), state_at(), PromptConfig(task="threshold"), client,
+        log = []
+        state = threshold_schedule_step(
+            log, 30, window(trace, 0, 10), state_at(), PromptConfig(task="threshold"), client,
         )
+        [entry] = log
         assert entry == {"t": 0, "value": -64.0, "valid": True, "fault": False}
+        assert state.threshold == -64.0
 
     @pytest.mark.parametrize("rule, logged", [
         (MockRule.fixed_threshold(-1e-05), (-1e-05, True)),
@@ -460,12 +458,24 @@ class TestThresholdScheduler:
     def test_failure_keeps_current_threshold(self):
         trace = generate_synthetic(band_synth(seed=44, duration=5))
         client = MockClient(MockRule.fail_after(0))
-        entry = threshold_schedule_step(
-            None, 30, window(trace, 0, 10), state_at(threshold=-72.0),
+        log = []
+        state = threshold_schedule_step(
+            log, 30, window(trace, 0, 10), state_at(threshold=-72.0),
             PromptConfig(task="threshold"), client,
         )
+        [entry] = log
         assert entry["value"] == -72.0
         assert entry["fault"] is True
+        assert state.threshold == -72.0
+
+    def test_quiet_tick_returns_its_state_and_calls_nothing(self):
+        trace = generate_synthetic(band_synth(seed=44, duration=5))
+        log = [{"t": 0, "value": -64.0, "valid": True, "fault": False}]
+        state = state_at(threshold=-64.0)
+        # no client: a tick before the interval is up must not call one
+        assert threshold_schedule_step(log, 30, window(trace, 4, 10), state,
+                                       PromptConfig(task="threshold"), None) is state
+        assert len(log) == 1
 
     def test_bad_interval_rejected(self):
         trace = generate_synthetic(band_synth(seed=44, duration=5))
