@@ -33,6 +33,7 @@ from .export import (
     REJECTED_HEURISTIC,
     REJECTED_LEGACY,
     REJECTED_SECOND_BEST,
+    check_plan_aps,
     export_preferences,
     export_sft,
 )
@@ -43,6 +44,7 @@ from .gateway import (
     JsonConnection,
     MockClient,
     MockRule,
+    check_url,
     client_latency,
 )
 from .policies import (
@@ -177,6 +179,14 @@ def _fields(given: dict, *names: str, **renamed: str) -> dict:
     return {f: given[name] for f, name in pairs.items() if given.get(name) is not None}
 
 
+def _endpoint(url: str | None, model: str | None, mock, env: bool = True):
+    """The live endpoint a command calls: at `url`, else (where `env`) at the
+    environment's URL; None with a mock or with neither URL."""
+    if mock or not (url or env and os.environ.get(ENV_BASE_URL)):
+        return None
+    return EndpointConfig.from_env(base_url=url, model=model)
+
+
 def _experiment_config(args) -> ExperimentConfig:
     ini = _load_ini(args.config)
     s = {}  # each setting given by flag or INI key, under its flag's dest
@@ -197,10 +207,7 @@ def _experiment_config(args) -> ExperimentConfig:
         raise ConfigError("a policy is required (--policy or [policy] policy=...)")
     kind = s["policy"].replace("-", "_")
     mock = _parse_mock(s["mock"], s["mock_delay_ms"]) if s["mock"] else None
-    # An llm run with neither a mock nor a URL takes its URL from the environment.
-    url_given = s["endpoint_url"] or (kind == "llm" and os.environ.get(ENV_BASE_URL))
-    endpoint = (EndpointConfig.from_env(base_url=s["endpoint_url"], model=s["model"])
-                if url_given and not mock else None)
+    endpoint = _endpoint(s["endpoint_url"], s["model"], mock, env=kind == "llm")
     prompt = (PromptConfig(**_fields(s, "style", "shots", "window_k", "task",
                                      context_fields="context")) if kind == "llm" else None)
     synth = None if s["synth_aps"] is None else SynthConfig(**_fields(
@@ -369,6 +376,7 @@ def _cmd_export(args) -> int:
         plan = plan_from_dict(read_json(args.plan, f"plan {args.plan}"), args.plan)
         if len(plan.plan) != len(trace):  # checked before the output file opens
             raise DataError(f"plan {args.plan}: {len(plan.plan)} steps, trace has {len(trace)}")
+        check_plan_aps(trace, plan)
     else:
         plan = solve(trace)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -419,13 +427,15 @@ def _cmd_bench_latency(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, not {args.n}")
     conn = JsonConnection()
-    if args.mock:
-        client = MockClient(_parse_mock(args.mock, args.mock_delay_ms))
-    elif args.endpoint_url:
-        cfg = EndpointConfig.from_env(base_url=args.endpoint_url, model=args.model)
-        client = HttpClient(cfg, conn)
+    mock = _parse_mock(args.mock, args.mock_delay_ms) if args.mock else None
+    endpoint = _endpoint(args.endpoint_url, args.model, mock)
+    if mock:
+        client = MockClient(mock)
+    elif endpoint:
+        check_url(endpoint.base_url)  # refused before the first call, as a run refuses it
+        client = HttpClient(endpoint, conn)
     else:
-        raise ConfigError("bench-latency needs --endpoint-url or --mock")
+        raise ConfigError(f"bench-latency needs --endpoint-url, {ENV_BASE_URL} or --mock")
     with closing(conn):
         for _ in range(args.n):
             client.complete(args.prompt)

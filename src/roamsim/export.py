@@ -44,18 +44,26 @@ def split_trace(trace: Trace) -> tuple[Trace, Trace]:
     return Trace(trace.samples[:cut]), Trace(trace.samples[cut:])
 
 
+def check_plan_aps(trace: Trace, plan: AssociationPlan) -> None:
+    """DataError naming the first step whose plan BSSID is not in that step's scan."""
+    for t, (sample, bssid) in enumerate(zip(trace.samples, plan.plan)):
+        if bssid not in sample.bssids:
+            raise DataError(f"plan step {t}: {bssid} is not in the step's scan")
+
+
 def _write_records(
     trace: Trace, plan: AssociationPlan, cfg: PromptConfig, out: TextIO, scan_rssi: float,
     template, records,
 ) -> int:
     """Write {"prompt": ..., **fields} for each (t, fields) of `records`; returns the count.
 
-    `scan_rssi` and the plan's length are checked before the first record is
-    drawn. Training prompts are bare prompt->completion pairs: no shots."""
+    `scan_rssi`, the plan's length and its BSSIDs are checked before the first
+    record is drawn. Training prompts are bare prompt->completion pairs: no shots."""
     check_dbm("scan_rssi", scan_rssi)
     T = len(trace.samples)
     if len(plan.plan) != T:
         raise DataError(f"plan length {len(plan.plan)} != trace length {T}")
+    check_plan_aps(trace, plan)
     bare = replace(cfg, shots=0)
     rows: dict[ScanSample, str] = {}
     count = 0

@@ -296,7 +296,32 @@ _RECV_SIZE = 65536
 # them too (in the host and the path).
 _URL_REFUSED = re.compile(r"[\x00-\x20\x7f]")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+_VERSION = re.compile(rb"HTTP/1\.[0-9]")
+# A header line: a token, a colon, and a value holding no CR but its line break's.
+_FIELD_LINE = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*([^\r\n]*)\r?\n")
 _KEPT_FIELDS = (b"content-length", b"transfer-encoding", b"connection")  # all the reader uses
+
+
+def check_url(url: str):
+    """`url`'s urlsplit parts; ConfigError unless JsonConnection can send to it.
+
+    A URL that can be sent to has no space or control character, an http or
+    https scheme, a host, and a port that urlsplit can read.
+    """
+    if not isinstance(url, str):
+        raise ConfigError(f"a URL must be a string, not {url!r}")
+    bad = _URL_REFUSED.search(url)
+    if bad:
+        raise ConfigError(f"URL can't contain control characters: {url!r} "
+                          f"(found {bad.group()!r})")
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises for a port that is not a number from 0 to 65535
+    except ValueError as exc:
+        raise ConfigError(f"bad URL {url!r}: {exc}") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(f"not an http(s) URL: {url!r}")
+    return parts
 
 
 class JsonConnection:
@@ -306,11 +331,28 @@ class JsonConnection:
     read through the connection's one buffer: a status line (1xx replies are
     skipped), at most _MAX_HEADERS header lines of at most _MAX_LINE bytes
     each, and a body framed by Content-Length, by chunked encoding, or by
-    the close of the connection. A reply that breaks these rules raises
-    ValueError: a bad status line, a Content-Length that is not digits or
-    two that differ, a Transfer-Encoding other than chunked, or both
-    framings at once. A URL with a space or a control character is refused
-    before anything is sent.
+    the close of the connection. Where this reader returns, http.client reads
+    the same status and body from the same bytes and makes the same
+    keep-alive decision, but for an interim 1xx reply other than 100 Continue
+    (http.client takes it for the final reply) and chunk data ended by a bare
+    LF (http.client reads two bytes there). It is stricter than http.client
+    on these replies, which raise ValueError (ConnectionError when cut off):
+
+    * a status line whose version is not HTTP/1.x or whose status is not
+      three digits from 100;
+    * a head, or a chunked body's trailer, cut off before its blank line;
+    * a header line that is not a token, a colon and a value holding no CR
+      (a second status line, a folded line, a space before the colon);
+    * a Content-Length whose first field is not digits alone, or a later
+      field or list item that differs from it;
+    * a Transfer-Encoding other than one chunked field, one beside a
+      Content-Length, or one on a 204 or 304 reply;
+    * a chunk size that is not 1 to 16 hex digits, or chunk data not
+      followed by a line break.
+
+    It also closes an HTTP/1.0 connection that only a Keep-Alive or
+    Proxy-Connection header asks to keep. A URL `check_url` refuses is
+    refused before anything is sent.
 
     The connection opens on first use and is replaced when a request goes
     to another scheme, host or port. It is kept after a reply when the
@@ -336,7 +378,7 @@ class JsonConnection:
     def post(self, url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
         """POST `body` as JSON to `url`; return (status, reply body).
 
-        Raises ValueError for a URL that is not http(s)://host[:port]... and
+        Raises ConfigError, a ValueError, for a URL `check_url` refuses, ValueError
         for a reply that breaks HTTP/1.1's framing, TimeoutError when
         `timeout` seconds pass with no progress, and OSError for other
         failures.
@@ -352,13 +394,7 @@ class JsonConnection:
 
     def _target(self, url: str) -> None:
         """Point the connection at `url`, closing one open to another origin."""
-        bad = _URL_REFUSED.search(url)
-        if bad:
-            raise ValueError(f"URL can't contain control characters: {url!r} "
-                             f"(found {bad.group()!r})")
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"not an http(s) URL: {url!r}")
+        parts = check_url(url)
         https = parts.scheme == "https"
         host = parts.hostname
         port = parts.port or (443 if https else 80)
@@ -437,13 +473,16 @@ class JsonConnection:
             fields = self._read_headers()
             if status >= 200:
                 break
-        tokens = {t.strip().lower() for v in fields.get(b"connection", ()) for t in v.split(b",")}
-        # HTTP/1.1 and later 1.x keep the connection unless it says close;
-        # HTTP/1.0 closes it unless it says keep-alive.
-        keep = b"close" not in tokens if version != b"HTTP/1.0" else b"keep-alive" in tokens
+        # http.client's rule, on the first Connection field: HTTP/1.1 and later
+        # 1.x keep the connection unless it says close; HTTP/1.0 closes it
+        # unless it says keep-alive.
+        said = fields.get(b"connection", [b""])[0].lower()
+        keep = b"close" not in said if version != b"HTTP/1.0" else b"keep-alive" in said
         lengths = fields.get(b"content-length")
         codings = fields.get(b"transfer-encoding")
         if status in (204, 304):
+            if codings is not None:
+                raise ValueError(f"a {status} reply has Transfer-Encoding but no body")
             return status, b"", keep
         if codings is not None:
             if lengths is not None:
@@ -452,9 +491,8 @@ class JsonConnection:
                 raise ValueError(f"unsupported Transfer-Encoding {b', '.join(codings)!r}")
             return status, self._read_chunked(), keep
         if lengths is not None:
-            values = {v.strip() for field in lengths for v in field.split(b",")}
-            n = values.pop()
-            if values or not n.isdigit():
+            n = lengths[0]  # what http.client reads; any other field or list item must agree
+            if not n.isdigit() or {v.strip() for f in lengths for v in f.split(b",")} != {n}:
                 raise ValueError(f"bad Content-Length {b', '.join(lengths)!r}")
             return status, self._read_exact(int(n)), keep
         while self._recv():  # delimited by the close of the connection
@@ -468,12 +506,12 @@ class JsonConnection:
             line = self._readline()
             if line in (b"\r\n", b"\n"):
                 return fields
-            name, colon, value = line.partition(b":")
-            if not colon:
+            field = _FIELD_LINE.fullmatch(line)
+            if field is None:
                 raise ValueError(f"malformed header line {line[:80]!r}")
-            name = name.strip().lower()
+            name = field[1].lower()
             if name in _KEPT_FIELDS:
-                fields.setdefault(name, []).append(value.strip())
+                fields.setdefault(name, []).append(field[2])
         raise ValueError(f"got more than {_MAX_HEADERS} headers")
 
     def _read_chunked(self) -> bytes:
@@ -529,7 +567,7 @@ class JsonConnection:
 def _status_line(line: bytes) -> tuple[bytes, int]:
     """(version, status) of an HTTP/1.x status line; ValueError if it is not one."""
     parts = line.split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith(b"HTTP/1.") or not (
+    if len(parts) < 2 or not _VERSION.fullmatch(parts[0]) or not (
         len(parts[1]) == 3 and parts[1].isdigit() and parts[1] >= b"100"
     ):
         raise ValueError(f"bad status line {line[:80]!r}")

@@ -36,7 +36,7 @@ from .agent import (
 from .errors import ConfigError, DataError
 from .export import label_accuracy, split_trace
 from .gateway import (
-    EndpointConfig, HttpClient, JsonConnection, MockClient, MockRule, client_latency,
+    EndpointConfig, HttpClient, JsonConnection, MockClient, MockRule, check_url, client_latency,
 )
 from .policies import (
     AssociationPlan,
@@ -196,8 +196,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("llm policy needs exactly one of mock or endpoint")
         if prompt is not None and prompt.shots > 0 and cfg.holdout is False:
             raise ConfigError("shots > 0 requires holdout evaluation")
-    if cfg.policy.kind == "external" and not cfg.policy.external_url:
-        raise ConfigError("external policy needs external_url")
+        if cfg.policy.endpoint is not None:
+            check_url(cfg.policy.endpoint.base_url)
+    if cfg.policy.kind == "external":
+        if not cfg.policy.external_url:
+            raise ConfigError("external policy needs external_url")
+        check_url(cfg.policy.external_url)
     if cfg.score_against not in (None, "opt_ho", "opt_rssi"):
         raise ConfigError(f"bad score_against {cfg.score_against!r}")
 

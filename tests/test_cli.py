@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import hashlib
 import json
@@ -543,6 +544,25 @@ class TestOracleExport:
             f"data error: plan {plan_path}: 5 steps, trace has 80\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["sft", "preferences"])
+    def test_plan_naming_an_ap_outside_the_scan_exits_2_without_a_file(self, tmp_path, capsys,
+                                                                       kind):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        plan_path, out = tmp_path / "pa.json", tmp_path / "sft.jsonl"
+        assert main(["gen-trace", "--num-aps", "4", "--duration", "20", "--seed", "1",
+                     "--base=-80,-80,-80,-50", "-o", str(a)]) == 0
+        assert main(["gen-trace", "--num-aps", "2", "--duration", "20", "--seed", "1",
+                     "-o", str(b)]) == 0
+        assert main(["oracle", "--trace", str(a), "--objective", "max-rssi",
+                     "-o", str(plan_path)]) == 0
+        capsys.readouterr()
+        rc = main(["export", "--trace", str(b), "--kind", kind, "--plan", str(plan_path),
+                   "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "data error: plan step 0: AA:00:00:00:00:04 is not in the step's scan\n")
+        assert not out.exists()
+
 
 # A well-typed hand-written report, and one-field edits of it that compare and
 # plot-data must reject as data errors.
@@ -739,6 +759,23 @@ class TestBenchLatency:
     def test_missing_target_exits_1(self):
         assert main(["bench-latency", "--n", "1"]) == 1
 
+    def test_endpoint_url_from_the_environment(self, loopback, monkeypatch, capsys):
+        # as simulate does, with neither --endpoint-url nor --mock given
+        monkeypatch.setenv("ROAMSIM_LLM_BASE_URL", loopback(protocol="HTTP/1.1").url)
+        assert main(["bench-latency", "--n", "3"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["count"], summary["failures"]) == (3, 0)
+
+    @pytest.mark.parametrize("env", [False, True], ids=["flag", "environment"])
+    def test_url_it_can_never_send_to_exits_1(self, monkeypatch, capsys, env):
+        argv = ["bench-latency", "--n", "1"]
+        if env:
+            monkeypatch.setenv("ROAMSIM_LLM_BASE_URL", "notaurl")
+        else:
+            argv += ["--endpoint-url", "notaurl"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "config error: not an http(s) URL: 'notaurl'\n"
+
     @pytest.mark.parametrize("delay", ["inf", "1e300", "nan", "-1"])
     def test_bad_mock_delay_exits_1(self, trace_file, capsys, delay):
         for argv in (["bench-latency", "--mock", "argmax", "--n", "1"],
@@ -770,6 +807,16 @@ def test_import_loads_no_http_library():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_sources_parse_as_the_oldest_python_the_package_allows():
+    # syntax only: a library call newer than 3.10 still passes this check
+    root = Path(__file__).resolve().parent.parent
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text(encoding="utf-8")
+    sources = sorted((root / "src" / "roamsim").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_readme_ini_example_runs(tmp_path, monkeypatch, capsys):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
 import math
 import os
+import re
 import select
 import socket
 import ssl
@@ -13,7 +16,7 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FakeJsonConnection, band_synth, json_values
@@ -26,6 +29,8 @@ from roamsim.agent import (
     parse_ap_response,
     render_window_block,
 )
+from roamsim.cli import main
+from roamsim.errors import ConfigError
 from roamsim.gateway import (
     _PAIR_RE,
     CompletionRecord,
@@ -35,13 +40,14 @@ from roamsim.gateway import (
     MockClient,
     MockRule,
     _extract_reply,
+    check_url,
     latency_stats,
     post_json,
     prompt_argmax_bssid,
 )
 from roamsim.policies import ExternalPolicy
 from roamsim.roaming import Action, AssociationState
-from roamsim.trace import generate_synthetic, strongest, window
+from roamsim.trace import generate_synthetic, strongest, trace_to_jsonl, window
 
 
 def forward_argmax_bssid(prompt: str) -> str | None:
@@ -253,6 +259,34 @@ BAD_URLS = ["ftp://x", "http://", "not-a-url", "http://127.0.0.1:abc"]
 
 # A self-signed certificate for 127.0.0.1 and its key, made for these tests only.
 LOOPBACK_PEM = os.path.join(os.path.dirname(__file__), "loopback.pem")
+
+
+@pytest.mark.parametrize("url", [*BAD_URLS, "http://[::1", "http://x:65536", "http://x y", 5,
+                                 b"http://x"])
+def test_check_url_refuses_with_a_config_error(url):
+    with pytest.raises(ConfigError):
+        check_url(url)
+
+
+def test_check_url_splits_a_url_it_accepts():
+    parts = check_url("https://[::1]:8443/v1?q=1")
+    assert (parts.scheme, parts.hostname, parts.port, parts.path) == ("https", "::1", 8443, "/v1")
+
+
+@pytest.mark.parametrize("policy", ["llm", "external"])
+@pytest.mark.parametrize("url", BAD_URLS)
+def test_a_run_refuses_a_url_it_can_never_send_to(tmp_path, capsys, policy, url):
+    trace = tmp_path / "walk.jsonl"
+    trace.write_text(trace_to_jsonl(generate_synthetic(band_synth(seed=5, duration=3,
+                                                                  num_aps=2))))
+    out = tmp_path / "runs"
+    flags = (["--endpoint-url", url] if policy == "llm"
+             else ["--external-url", url + "/decide"])
+    rc = main(["simulate", "--trace", str(trace), "--policy", policy, *flags,
+               "--scan-rssi=-20", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 class TestJsonConnection:
@@ -673,6 +707,127 @@ def test_any_reply_bytes_end_in_an_outcome(shared_raw_server, reply):
     assert (status is None) == (outcome == "transport_error")
     if outcome != "ok":
         assert value is None
+
+
+class _ReplyBytes:
+    """A socket stand-in over one reply's bytes, for both readers: `recv` hands
+    them out `piece` bytes at a time, and `makefile` gives them all."""
+
+    def __init__(self, data: bytes, piece: int):
+        self._data, self._file, self._piece = data, io.BytesIO(data), piece
+
+    def recv(self, size: int) -> bytes:
+        return self._file.read(min(size, self._piece))
+
+    def makefile(self, mode: str):
+        return io.BytesIO(self._data)
+
+
+def _stdlib_reply(reply: bytes, piece: int = 1 << 16):
+    """(status, body, whether to keep the connection) as http.client reads `reply`."""
+    response = http.client.HTTPResponse(_ReplyBytes(reply, piece))
+    response.begin()
+    return response.status, response.read(), not response.will_close
+
+
+def _own_reply(reply: bytes, piece: int = 1 << 16):
+    """(status, body, whether to keep the connection) as JsonConnection reads `reply`."""
+    conn = JsonConnection()
+    conn._sock = _ReplyBytes(reply, piece)
+    return conn._read_reply()
+
+
+def _lf_chunked(reply: bytes) -> bool:
+    """A chunked reply with a line that ends in a bare LF, which JsonConnection
+    reads and http.client does not (see test_where_http_client_reads_otherwise)."""
+    return b"chunked" in reply.lower() and re.search(rb"(?<!\r)\n", reply) is not None
+
+
+# Replies with their status line and blank line in place, so that most reach a body.
+_HEADED_REPLIES = st.builds(
+    lambda status, headers, body, eol: eol.join([status, *headers, b"", *body]),
+    _STATUS_LINES, st.lists(_HEADER_LINES, max_size=4), st.lists(_BODY_LINES, max_size=6),
+    st.sampled_from([b"\r\n", b"\n"]),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(reply=_REPLIES | _HEADED_REPLIES, piece=st.integers(1, 64))
+# replies on which the two readers once disagreed
+@example(reply=b"HTTP/1.1 200 OK\r\nContent-Length: 2, 2\r\n\r\n{}xy", piece=64)
+@example(reply=b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nConnection: close\r\n"
+         b"Content-Length: 2\r\n\r\n{}", piece=64)
+@example(reply=b"HTTP/1.1 200 OK\r\nConnection: closed\r\nContent-Length: 2\r\n\r\n{}",
+         piece=64)
+@example(reply=b"HTTP/1.1 204 No Content\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"2\r\n{}\r\n0\r\n\r\n", piece=64)
+@example(reply=b"HTTP/1.1 200 OK\r\n\x00: x\r\nContent-Length: 2\r\n\r\n{}xy", piece=64)
+@example(reply=b"HTTP/1.1 200 OK\r\nX-A: a\rContent-Length: 2\r\n\r\n{}xy", piece=64)
+@example(reply=b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n x: 5\r\n\r\n{}xy", piece=64)
+@example(reply=b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked \r\n\r\n"
+         b"2\r\n{}\r\n0\r\n\r\n", piece=64)
+@example(reply=b"HTTP/1.0\x85 200 OK\r\nContent-Length: 2\r\n\r\n{}", piece=64)
+def test_a_reply_read_is_read_as_http_client_reads_it(reply, piece):
+    try:
+        own = _own_reply(reply, piece)
+    except (OSError, ValueError):
+        return  # refused; test_stricter_than_http_client pins each class
+    if _lf_chunked(reply):
+        return
+    try:
+        stdlib = _stdlib_reply(reply)
+    except http.client.HTTPException as exc:
+        stdlib = exc
+    assert stdlib == own
+
+
+# One reply of each class JsonConnection refuses and http.client reads, in the
+# order of JsonConnection's docstring.
+STRICTER_REPLIES = {
+    "http-0.9": b"HTTP/0.9 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+    "head-cut-off": b"HTTP/1.1 200 OK\r\nX-A: a\r\n",
+    "trailer-cut-off": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n",
+    "second-status-line": b"HTTP/1.1 200 OK\r\nHTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+    "folded-line": b"HTTP/1.1 200 OK\r\nX-A: a\r\n b\r\nContent-Length: 0\r\n\r\n",
+    "space-before-colon": b"HTTP/1.1 200 OK\r\nContent-Length : 2\r\n\r\n{}",
+    "length-list": b"HTTP/1.1 200 OK\r\nContent-Length: 2, 2\r\n\r\n{}",
+    "length-plus": b"HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\n{}",
+    "gzip": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n{}",
+    "both-framings": (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n"
+                      b"\r\n2\r\n{}\r\n0\r\n\r\n"),
+    "coded-204": b"HTTP/1.1 204 No Content\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+    "hex-prefix-chunk-size": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                              b"0x2\r\n{}\r\n0\r\n\r\n"),
+    "chunk-overrun": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                      b"2\r\n{}XY0\r\n\r\n"),
+}
+
+
+@pytest.mark.parametrize("reply", list(STRICTER_REPLIES.values()), ids=list(STRICTER_REPLIES))
+def test_stricter_than_http_client(reply):
+    with pytest.raises((OSError, ValueError)):
+        _own_reply(reply)
+    _stdlib_reply(reply)  # returns
+
+
+def test_http10_kept_by_another_header_is_closed():
+    for header in (b"Keep-Alive: timeout=5", b"Proxy-Connection: keep-alive"):
+        reply = b"HTTP/1.0 200 OK\r\n" + header + b"\r\nContent-Length: 2\r\n\r\n{}"
+        assert _own_reply(reply) == (200, b"{}", False)
+        assert _stdlib_reply(reply) == (200, b"{}", True)
+
+
+def test_where_http_client_reads_otherwise():
+    # every 1xx is interim to JsonConnection; http.client skips only 100 Continue
+    early = b"HTTP/1.1 103 Early Hints\r\n\r\n" + _ok()
+    assert _own_reply(early) == (200, json.dumps(STAY).encode(), True)
+    assert _stdlib_reply(early) == (103, b"", True)
+    # after chunk data http.client reads two bytes, here the LF and the next size's digit
+    lf = b"HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n\n2\n{}\n0\n\n"
+    assert _lf_chunked(lf)
+    assert _own_reply(lf) == (200, b"{}", True)
+    with pytest.raises(http.client.IncompleteRead):
+        _stdlib_reply(lf)
 
 
 class TestMockRules:
