@@ -378,9 +378,9 @@ class JsonConnection:
     def post(self, url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
         """POST `body` as JSON to `url`; return (status, reply body).
 
-        Raises ConfigError, a ValueError, for a URL `check_url` refuses, ValueError
-        for a reply that breaks HTTP/1.1's framing, TimeoutError when
-        `timeout` seconds pass with no progress, and OSError for other
+        Raises ConfigError (a ValueError) for a URL `check_url` refuses,
+        ValueError for a reply that breaks HTTP/1.1's framing, TimeoutError
+        when `timeout` seconds pass with no progress, and OSError for other
         failures.
         """
         with self._lock:

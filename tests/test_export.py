@@ -100,7 +100,7 @@ class TestExportSft:
         export_sft, partial(export_preferences, rejected_source="second_best"),
     ], ids=["sft", "preferences"])
     def test_plan_naming_an_ap_outside_the_scan_raises_before_writing(self, export):
-        # one AP at step 0, so its completion could only name an AP the prompt never shows
+        # MAC_B leaves the scan after step 0, so at step 1 the plan names an AP no prompt shows
         trace = make_trace([{MAC_A: -60.0, MAC_B: -70.0}, {MAC_A: -61.0}, {MAC_A: -62.0}])
         out = io.StringIO()
         with pytest.raises(DataError, match=f"^plan step 1: {MAC_B} is not in the step's scan$"):

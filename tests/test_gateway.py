@@ -711,7 +711,8 @@ def test_any_reply_bytes_end_in_an_outcome(shared_raw_server, reply):
 
 class _ReplyBytes:
     """A socket stand-in over one reply's bytes, for both readers: `recv` hands
-    them out `piece` bytes at a time, and `makefile` gives them all."""
+    them out `piece` bytes at a time (JsonConnection), and `makefile` gives them
+    all (http.client)."""
 
     def __init__(self, data: bytes, piece: int):
         self._data, self._file, self._piece = data, io.BytesIO(data), piece
@@ -723,9 +724,9 @@ class _ReplyBytes:
         return io.BytesIO(self._data)
 
 
-def _stdlib_reply(reply: bytes, piece: int = 1 << 16):
+def _stdlib_reply(reply: bytes):
     """(status, body, whether to keep the connection) as http.client reads `reply`."""
-    response = http.client.HTTPResponse(_ReplyBytes(reply, piece))
+    response = http.client.HTTPResponse(_ReplyBytes(reply, len(reply)))
     response.begin()
     return response.status, response.read(), not response.will_close
 
