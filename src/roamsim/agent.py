@@ -38,7 +38,6 @@ import random
 import re
 import string
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 
 from .errors import ConfigError
 from .policies import legacy_decide
@@ -193,9 +192,10 @@ def load_template(path) -> dict[str, str]:
 
 def _render_row(sample: ScanSample, fields: frozenset[str], template: dict[str, str]) -> str:
     parts = []
-    if "time" in fields:
-        clock = datetime.fromtimestamp(sample.timestamp, tz=timezone.utc).strftime("%H:%M:%S")
-        parts.append(f" time={clock}")
+    if "time" in fields:  # the UTC clock, HH:MM:SS
+        minutes, s = divmod(sample.timestamp % 86400, 60)
+        h, m = divmod(minutes, 60)
+        parts.append(f" time={h:02d}:{m:02d}:{s:02d}")
     if "location" in fields and sample.latitude is not None and sample.longitude is not None:
         parts.append(f" lat={sample.latitude!r} lon={sample.longitude!r}")
     if "battery" in fields and sample.battery_pct is not None:

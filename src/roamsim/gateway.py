@@ -186,12 +186,12 @@ def prompt_argmax_bssid(prompt: str) -> str | None:
 
     Ties break toward the lexicographically smallest BSSID, matching the
     candidate order the prompt renderer uses. Lines are read from the end,
-    so only the last line that has pairs is parsed.
+    so only the last line that has pairs is parsed; a line without `=`
+    holds no pair and is skipped unscanned.
     """
     for line in reversed(prompt.splitlines()):
-        pairs = [(m.group(1).upper(), float(m.group(2))) for m in _PAIR_RE.finditer(line)]
-        if pairs:
-            return min(pairs, key=lambda p: (-p[1], p[0]))[0]
+        if "=" in line and (pairs := _PAIR_RE.findall(line)):
+            return min([(-float(r), b.upper()) for b, r in pairs])[1]
     return None
 
 
@@ -288,7 +288,8 @@ def _extract_reply(body) -> str:
 
 
 # http.client's limits on a reply head: the longest line, in bytes with its
-# line break, and the most header lines.
+# line break, and the most lines of a header section, its blank line included
+# (so at most 99 header lines).
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
 _RECV_SIZE = 65536
@@ -502,7 +503,7 @@ class JsonConnection:
     def _read_headers(self) -> dict[bytes, list[bytes]]:
         """Read header lines to the blank line; keep the values of _KEPT_FIELDS."""
         fields: dict[bytes, list[bytes]] = {}
-        for _ in range(_MAX_HEADERS + 1):
+        for _ in range(_MAX_HEADERS):
             line = self._readline()
             if line in (b"\r\n", b"\n"):
                 return fields

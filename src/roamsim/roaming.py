@@ -30,7 +30,7 @@ from typing import Callable
 
 from .errors import ConfigError
 from .trace import (
-    ACTIVITY_ACTIVE, RSSI_MAX_DBM, RSSI_MIN_DBM, ScanSample, Trace, strongest, window,
+    ACTIVITY_ACTIVE, RSSI_MAX_DBM, RSSI_MIN_DBM, ScanSample, Trace, strongest,
 )
 
 # RSSI charged to a step whose associated AP is missing from the scan.
@@ -183,8 +183,12 @@ def run_policy(
 
     `pre_decide`, when given, may adjust the state before each decision
     (the threshold scheduler hooks in here). The first step never counts
-    as a handover: the handover metric starts at the second sample.
+    as a handover: the handover metric starts at the second sample. Each
+    step's window is what `trace.window(trace, t, k)` returns, sliced from
+    `trace.samples` directly; `k` is checked once, with window's ValueError.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     state = AssociationState(
         associated=initial if initial is not None else initial_association(trace),
         threshold=scan_rssi,
@@ -192,8 +196,9 @@ def run_policy(
         hysteresis_idle=hysteresis[1],
     )
     steps: list[dict] = []
-    for t, sample in enumerate(trace.samples):
-        win = window(trace, t, k)
+    samples = trace.samples
+    for t, sample in enumerate(samples):
+        win = samples[max(0, t - k + 1): t + 1]
         if pre_decide is not None:
             state = pre_decide(win, state)
         state, entry = apply_decision(state, sample, decide(win, state), validity_floor)

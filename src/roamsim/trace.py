@@ -41,6 +41,7 @@ import random
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
+from math import cos, log, sin, sqrt, tau
 from typing import NamedTuple
 
 from .errors import ConfigError, TraceFormatError
@@ -85,6 +86,11 @@ class ScanSample:
     `generate_synthetic` hold them in canonical order: descending RSSI,
     ties by BSSID. A trace holds one entry per AP per step, and two tuples
     per step cost less to build and keep than one record per entry.
+
+    A sample hashes by its timestamp alone. Equal samples have equal
+    timestamps, so the hash agrees with equality, which still compares
+    every field; the row memos keyed by sample (see `render_window`) hash
+    one integer per lookup, not both columns.
     """
 
     timestamp: int
@@ -95,6 +101,9 @@ class ScanSample:
     longitude: float | None = None
     battery_pct: float | None = None
     activity: str = ACTIVITY_ACTIVE
+
+    def __hash__(self) -> int:
+        return hash(self.timestamp)
 
     @property
     def candidates(self) -> tuple[ApObservation, ...]:
@@ -453,6 +462,11 @@ def generate_synthetic(config: SynthConfig) -> Trace:
     """Generate a trace from per-AP clipped Gaussian random walks.
 
     Pure function of the config (including seed): re-runs are bit-identical.
+    Each step draws one normal deviate per AP, in AP order. The deviates are
+    the ones `random.Random(seed).gauss` gives, drawn here by the same
+    Box–Muller expressions straight from `.random()`: each pair of uniforms
+    gives a cosine deviate and then a sine one, and an odd one out carries
+    over to the next step, as `gauss` keeps its spare.
     """
     if not 1 <= config.num_aps <= SYNTH_MAX_APS:
         raise ConfigError(f"num_aps must be between 1 and {SYNTH_MAX_APS}")
@@ -488,11 +502,20 @@ def generate_synthetic(config: SynthConfig) -> Trace:
     levels = [max(floor, min(ceil, b)) for b in bases]
     macs = [synth_bssid(i) for i in range(config.num_aps)]
 
-    gauss, stddev = random.Random(config.seed).gauss, config.step_stddev
+    rand, stddev, n = random.Random(config.seed).random, config.step_stddev, config.num_aps
+    draws: list[float] = []  # standard normal deviates not yet used, at most one between steps
     samples = []
     for step in range(config.duration):
         if step > 0:
-            levels = [max(floor, min(ceil, v + gauss(0.0, stddev))) for v in levels]
+            while len(draws) < n:
+                x2pi = rand() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - rand()))
+                draws += (cos(x2pi) * g2rad, sin(x2pi) * g2rad)
+            # v + gauss(0.0, stddev), whose value is 0.0 + z * stddev
+            stepped = [v + (0.0 + z * stddev) for v, z in zip(levels, draws)]
+            del draws[:n]
+            # max(floor, min(ceil, x)), spelled without the two calls
+            levels = [(x if x > floor else floor) if x < ceil else ceil for x in stepped]
         # Built as _build_sample builds them: the entries sort into the
         # canonical order, the BSSIDs being distinct.
         _, bssids, rssis = zip(*sorted([(-v, m, v) for m, v in zip(macs, levels)]))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 import ssl
 import threading
 import time
@@ -234,6 +235,30 @@ json_values = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+def reference_synthetic(config: SynthConfig) -> Trace:
+    """`generate_synthetic` for a config it accepts, written with one
+    `random.Random(seed).gauss` call per AP per step."""
+    n = config.num_aps
+    base = config.base_dbm
+    bases = [float(base)] * n if isinstance(base, (int, float)) else [float(b) for b in base]
+    floor, ceil = config.floor_dbm, config.ceil_dbm
+    levels = [max(floor, min(ceil, b)) for b in bases]
+    gauss = random.Random(config.seed).gauss
+    drain = config.battery_drain_pct_per_step
+    samples = []
+    for step in range(config.duration):
+        if step > 0:
+            levels = [max(floor, min(ceil, v + gauss(0.0, config.step_stddev))) for v in levels]
+        samples.append(make_sample(
+            step * config.sample_interval, dict(zip(map(mac, range(n)), levels)),
+            activity=config.activity,
+            lat=37.0 + step * 1e-5 if config.emit_location else None,
+            lon=-122.0 + step * 1e-5 if config.emit_location else None,
+            battery=None if drain is None else max(0.0, min(100.0, 100.0 - drain * step)),
+        ))
+    return Trace(samples=tuple(samples))
 
 
 def band_synth(seed: int, duration: int = 200, num_aps: int = 4) -> SynthConfig:

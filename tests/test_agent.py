@@ -6,12 +6,13 @@ import hashlib
 import json
 import random
 from dataclasses import replace
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MAC_A, MAC_B, MAC_C, band_synth, make_trace
+from conftest import MAC_A, MAC_B, MAC_C, band_synth, make_sample, make_trace
 from roamsim import agent
 from roamsim.agent import (
     CONTEXT_FIELDS,
@@ -31,7 +32,7 @@ from roamsim.gateway import MockClient, MockRule
 from roamsim.policies import OracleConstraints, legacy_decide, oracle_opt_ho
 from roamsim.roaming import Action, AssociationState
 from roamsim.runner import ExperimentConfig, PolicySpec, run_experiment
-from roamsim.trace import generate_synthetic, window
+from roamsim.trace import T_MAX, T_MIN, generate_synthetic, window
 
 
 def state_at(threshold=-70.0, associated=MAC_A, **kw):
@@ -221,6 +222,15 @@ def _window_steps(kind: str, T: int) -> list[int]:
         return list(range(T - 1, -1, -1)) + list(range(0, T, 3))
     rng = random.Random(kind)
     return [rng.randrange(T) for _ in range(3 * T)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.integers(T_MIN, T_MAX) | st.sampled_from([T_MIN, T_MAX, -1, 0, 86399, 86400]))
+def test_row_clock_is_the_utc_time_of_day(t):
+    clock = datetime.fromtimestamp(t, tz=timezone.utc).strftime("%H:%M:%S")
+    block = render_window_block((make_sample(t, {MAC_A: -60.0}),),
+                                PromptConfig(context_fields=frozenset({"time"})))
+    assert block.endswith(f"t={t} time={clock} | aps: {MAC_A}=-60.0\n")
 
 
 class TestRowDict:

@@ -809,6 +809,16 @@ def test_import_loads_no_http_library():
     assert out.strip() == "[]"
 
 
+def test_import_loads_no_datetime():
+    # the prompt rows render their clock without it; a fresh interpreter, as above
+    src = os.path.dirname(os.path.dirname(roamsim.__file__))
+    code = "import sys, roamsim, roamsim.cli\nprint('datetime' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_sources_parse_as_the_oldest_python_the_package_allows():
     # syntax only: a library call newer than 3.10 still passes this check
     root = Path(__file__).resolve().parent.parent

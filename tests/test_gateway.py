@@ -618,12 +618,16 @@ class TestWireFormat:
         assert [n for n, _ in raw_server.requests] == [0, 1]
 
     def test_limits_are_inclusive(self, raw_server, conn):
-        # a 65536-byte header line and 100 header lines are the most allowed
+        # a 65536-byte header line and 99 header lines (100 with the blank
+        # line, as http.client counts them) are the most allowed
         line = b"X-Pad: " + b"a" * (65536 - 9) + b"\r\n"
         assert len(line) == 65536
-        many = b"".join(b"X-H%d: v\r\n" % i for i in range(99))
-        raw_server.replies += [(_ok(extra=line), False), (_ok(extra=many), False)]
+        many = b"".join(b"X-H%d: v\r\n" % i for i in range(98))  # and Content-Length
+        raw_server.replies += [(_ok(extra=line), False), (_ok(extra=many), False),
+                               (_ok(extra=many + b"X-H98: v\r\n"), True), (_ok(), False)]
         assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert _post(conn, raw_server) == ("transport_error", None, None)
         assert _post(conn, raw_server) == ("ok", 200, STAY)
 
     def test_equal_lengths_are_one_length(self, raw_server, conn):
@@ -684,6 +688,14 @@ _REPLIES = st.one_of(
 )
 
 
+# Replies with their status line and blank line in place, so that most reach a body.
+_HEADED_REPLIES = st.builds(
+    lambda status, headers, body, eol: eol.join([status, *headers, b"", *body]),
+    _STATUS_LINES, st.lists(_HEADER_LINES, max_size=4), st.lists(_BODY_LINES, max_size=6),
+    st.sampled_from([b"\r\n", b"\n"]),
+)
+
+
 @pytest.fixture(scope="module")
 def shared_raw_server():
     server = RawServer()
@@ -692,7 +704,7 @@ def shared_raw_server():
 
 
 @settings(max_examples=150, deadline=None)
-@given(reply=_REPLIES)
+@given(reply=_REPLIES | _HEADED_REPLIES)
 def test_any_reply_bytes_end_in_an_outcome(shared_raw_server, reply):
     # the server closes after its bytes, so no reply waits out the timeout
     shared_raw_server.replies.append((reply, True))
@@ -744,14 +756,6 @@ def _lf_chunked(reply: bytes) -> bool:
     return b"chunked" in reply.lower() and re.search(rb"(?<!\r)\n", reply) is not None
 
 
-# Replies with their status line and blank line in place, so that most reach a body.
-_HEADED_REPLIES = st.builds(
-    lambda status, headers, body, eol: eol.join([status, *headers, b"", *body]),
-    _STATUS_LINES, st.lists(_HEADER_LINES, max_size=4), st.lists(_BODY_LINES, max_size=6),
-    st.sampled_from([b"\r\n", b"\n"]),
-)
-
-
 @settings(max_examples=600, deadline=None)
 @given(reply=_REPLIES | _HEADED_REPLIES, piece=st.integers(1, 64))
 # replies on which the two readers once disagreed
@@ -768,6 +772,7 @@ _HEADED_REPLIES = st.builds(
 @example(reply=b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked \r\n\r\n"
          b"2\r\n{}\r\n0\r\n\r\n", piece=64)
 @example(reply=b"HTTP/1.0\x85 200 OK\r\nContent-Length: 2\r\n\r\n{}", piece=64)
+@example(reply=_ok(b"{}", b"".join(b"X-H%d: v\r\n" % i for i in range(99))), piece=64)
 def test_a_reply_read_is_read_as_http_client_reads_it(reply, piece):
     try:
         own = _own_reply(reply, piece)

@@ -28,7 +28,7 @@ from roamsim.roaming import (
     run_policy,
     should_scan,
 )
-from roamsim.trace import Trace, generate_synthetic
+from roamsim.trace import Trace, generate_synthetic, window
 
 
 class TestShouldScan:
@@ -215,6 +215,20 @@ class TestMetricProperties:
 
 
 class TestRunPolicy:
+    def test_window_below_one_is_refused(self):
+        trace = make_trace([{MAC_A: -60.0}] * 3)
+        with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+            run_policy(trace, lambda w, s: PolicyDecision.stay("t"), k=0)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12, 40])
+    def test_each_step_decides_on_the_trace_window(self, k):
+        trace = make_trace([{MAC_A: -60.0 - t} for t in range(15)])
+        seen, pre = [], []
+        run_policy(trace, lambda w, s: seen.append(w) or PolicyDecision.stay("t"), k=k,
+                   pre_decide=lambda w, s: pre.append(w) or s)
+        expected = [window(trace, t, k) for t in range(len(trace))]
+        assert seen == expected and pre == expected
+
     def test_initial_association_prefers_ground_truth(self):
         trace = make_trace([{MAC_A: -60.0, MAC_B: -50.0}] * 3, assoc0=MAC_A)
         tl = run_policy(trace, lambda w, s: PolicyDecision.stay("t"))

@@ -21,6 +21,7 @@ from conftest import (
     mac,
     make_sample,
     make_trace,
+    reference_synthetic,
     round_trips,
     trace_to_csv,
 )
@@ -391,6 +392,22 @@ class TestValidate:
             round_trips(Trace(samples=(sample,)))
 
 
+class TestSampleHash:
+    def test_equal_samples_hash_equal(self):
+        a = make_sample(5, {MAC_A: -60.0, MAC_B: -70.0}, lat=1.0, lon=2.0, battery=50.0)
+        b = make_sample(5, {MAC_B: -70.0, MAC_A: -60.0}, lat=1.0, lon=2.0, battery=50.0)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+
+    def test_unequal_samples_at_one_time_stay_two_keys(self):
+        first = make_trace([{MAC_A: -60.0}, {MAC_A: -61.0}]).samples[1]
+        second = make_trace([{MAC_A: -60.0}, {MAC_B: -61.0}]).samples[1]
+        assert first.timestamp == second.timestamp and first != second
+        memo = {first: "first", second: "second"}
+        assert len(memo) == 2
+        assert (memo[first], memo[second]) == ("first", "second")
+
+
 class TestWindow:
     def test_full_window_at_t9_k10(self):
         trace = make_trace([{MAC_A: -60.0}] * 20)
@@ -509,6 +526,24 @@ class TestSynthetic:
         except ValueError:
             return
         assert round_trips(trace)
+
+    @settings(max_examples=150, deadline=None)
+    @given(num_aps=st.integers(1, 9), duration=st.integers(1, 30),
+           base=st.floats(-100.0, 0.0) | st.lists(st.floats(-100.0, 0.0), min_size=9,
+                                                  max_size=9).map(tuple),
+           stddev=st.just(0.0) | st.floats(0.0, 30.0), floor=st.floats(-100.0, -50.0),
+           ceil=st.floats(-49.0, 0.0), location=st.booleans(),
+           drain=st.none() | st.floats(0.0, 5.0), seed=st.integers(0, 2**64))
+    def test_draws_are_those_of_random_gauss(
+        self, num_aps, duration, base, stddev, floor, ceil, location, drain, seed
+    ):
+        cfg = SynthConfig(num_aps=num_aps, duration=duration,
+                          base_dbm=base[:num_aps] if isinstance(base, tuple) else base,
+                          step_stddev=stddev, floor_dbm=floor, ceil_dbm=ceil,
+                          emit_location=location, battery_drain_pct_per_step=drain, seed=seed)
+        trace, reference = generate_synthetic(cfg), reference_synthetic(cfg)
+        assert trace == reference
+        assert trace_to_jsonl(trace) == trace_to_jsonl(reference)  # signed zeros too
 
     def test_timestamps_stay_inside_the_ingest_range(self):
         with pytest.raises(ValueError, match="9999"):
