@@ -38,7 +38,6 @@ from .export import (
     export_sft,
 )
 from .gateway import (
-    ENV_BASE_URL,
     EndpointConfig,
     HttpClient,
     JsonConnection,
@@ -70,6 +69,10 @@ from .runner import (
     sweep,
 )
 from .trace import SynthConfig, generate_synthetic, trace_to_jsonl
+
+# The live endpoint's URL and model where no flag or INI key gives them.
+ENV_BASE_URL = "ROAMSIM_LLM_BASE_URL"
+ENV_MODEL = "ROAMSIM_LLM_MODEL"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,10 +184,12 @@ def _fields(given: dict, *names: str, **renamed: str) -> dict:
 
 def _endpoint(url: str | None, model: str | None, mock, env: bool = True):
     """The live endpoint a command calls: at `url`, else (where `env`) at the
-    environment's URL; None with a mock or with neither URL."""
+    environment's URL; None with a mock or with neither URL. The model is
+    `model`, else the environment's, else "local"."""
     if mock or not (url or env and os.environ.get(ENV_BASE_URL)):
         return None
-    return EndpointConfig.from_env(base_url=url, model=model)
+    return EndpointConfig(base_url=os.environ[ENV_BASE_URL] if url is None else url,
+                          model=os.environ.get(ENV_MODEL, "local") if model is None else model)
 
 
 def _experiment_config(args) -> ExperimentConfig:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import select
 import socket
@@ -44,9 +43,6 @@ from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 from .errors import ConfigError, EndpointError
-
-ENV_BASE_URL = "ROAMSIM_LLM_BASE_URL"
-ENV_MODEL = "ROAMSIM_LLM_MODEL"
 
 OUTCOME_OK = "ok"
 OUTCOME_TIMEOUT = "timeout"
@@ -87,16 +83,6 @@ class EndpointConfig:
             raise ConfigError("max_retries must be an int >= 0")
         if not 0 <= self.backoff_ms <= WAIT_MAX_MS:
             raise ConfigError(f"backoff_ms must be between 0 and {WAIT_MAX_MS} (one day)")
-
-    @staticmethod
-    def from_env(base_url: str | None = None, model: str | None = None) -> "EndpointConfig":
-        """Build a config. An explicit argument wins; one left None is taken
-        from the environment, or else from the default."""
-        if base_url is None:
-            base_url = os.environ.get(ENV_BASE_URL, "http://127.0.0.1:8080")
-        if model is None:
-            model = os.environ.get(ENV_MODEL, "local")
-        return EndpointConfig(base_url=base_url, model=model)
 
 
 @dataclass(frozen=True)
@@ -331,13 +317,14 @@ class JsonConnection:
     A request goes out in one write, head and body together. The reply is
     read through the connection's one buffer: a status line (1xx replies are
     skipped), at most _MAX_HEADERS header lines of at most _MAX_LINE bytes
-    each, and a body framed by Content-Length, by chunked encoding, or by
-    the close of the connection. Where this reader returns, http.client reads
-    the same status and body from the same bytes and makes the same
-    keep-alive decision, but for an interim 1xx reply other than 100 Continue
-    (http.client takes it for the final reply) and chunk data ended by a bare
-    LF (http.client reads two bytes there). It is stricter than http.client
-    on these replies, which raise ValueError (ConnectionError when cut off):
+    each, and a body framed by Content-Length, by chunked encoding (its
+    trailer lines, of any number, discarded), or by the close of the
+    connection. Where this reader returns, http.client reads the same status
+    and body from the same bytes and makes the same keep-alive decision, but
+    for an interim 1xx reply other than 100 Continue (http.client takes it
+    for the final reply) and chunk data ended by a bare LF (http.client reads
+    two bytes there). It is stricter than http.client on these replies,
+    which raise ValueError (ConnectionError when cut off):
 
     * a status line whose version is not HTTP/1.x or whose status is not
       three digits from 100;
@@ -522,8 +509,9 @@ class JsonConnection:
             if not _CHUNK_SIZE.fullmatch(size):
                 raise ValueError(f"bad chunk size {size[:80]!r}")
             n = int(size, 16)
-            if n == 0:
-                self._read_headers()  # the trailer section
+            if n == 0:  # then the trailer, discarded line by line as http.client does
+                while self._readline() not in (b"\r\n", b"\n"):
+                    pass
                 return b"".join(parts)
             parts.append(self._read_exact(n))
             if self._readline() not in (b"\r\n", b"\n"):

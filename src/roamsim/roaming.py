@@ -70,15 +70,15 @@ class AssociationState:
 class PolicyDecision:
     """One policy output: what to do, who said so, and whether it held up.
 
-    `valid` is None until apply_decision resolves it into the log entry; a
-    policy that already knows its pick failed (and substituted a fallback
-    action) sets it to False up front. `fault` marks transport failures.
+    A policy that already knows its pick failed (and substituted a fallback
+    action) sets `valid` to False; apply_decision also logs a roam to an
+    absent or below-floor AP as invalid. `fault` marks transport failures.
     """
 
     action: Action
     target: str | None = None
     source: str = ""
-    valid: bool | None = None
+    valid: bool = True
     fault: bool = False
 
     @staticmethod
@@ -133,7 +133,7 @@ def apply_decision(
     invalid.
     """
     new_state = state
-    valid = decision.valid is not False
+    valid = decision.valid
     if decision.action is Action.ROAM:
         target_ok = (
             decision.target in sample.bssids

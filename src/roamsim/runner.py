@@ -586,7 +586,7 @@ def emit_plot_data(obj, out_dir: str) -> list[str]:
 # Sweeps
 
 def sweep(template: ExperimentConfig, axis: str, values=None) -> list[RunReport]:
-    """One run per axis value over a shared trace and seed.
+    """One run per axis value, each loading and hashing the template's trace anew.
 
     Every value is read, and every run's settings checked, before the
     first run; a value its reader refuses, or one given twice, is a

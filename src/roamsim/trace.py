@@ -21,10 +21,10 @@ Two on-disk formats are supported:
 * CSV, long format with one row per (t, AP):
   t,bssid,rssi_dbm,lat,lon,battery_pct,activity
 
-Both are read as a stream of lines (see `_text_lines`), so a file is
-never held in memory whole. A line ends at any break str.splitlines knows:
+Bytes and binary files are read a line at a time (see `_text_lines`); a
+text stream is read whole. A line ends at any break str.splitlines knows:
 `\n`, `\r`, `\r\n`, `\u2028`, `\x85`, a form feed and the rest. A decode
-error names the line after the `\n`s that come before it.
+error in bytes names the line after the `\n`s that come before it.
 
 `parse_trace` is the one statement of the trace rules: a trace in memory
 is valid exactly when `parse_trace(trace_to_jsonl(trace))` gives it back.
@@ -49,7 +49,7 @@ from .errors import ConfigError, TraceFormatError
 RSSI_MIN_DBM = -100.0
 RSSI_MAX_DBM = 0.0
 
-# Unix seconds that datetime renders in UTC: 0001-01-01 to 9999-12-31 23:59:59.
+# The timestamps a trace may hold, in Unix seconds: the years 1 to 9999, UTC.
 T_MIN = -62135596800
 T_MAX = 253402300799
 
@@ -187,49 +187,34 @@ def _not_utf8(exc: UnicodeDecodeError, line: int | None = None) -> TraceFormatEr
 
 
 def _text_lines(data):
-    """(line number, line) for each line of the input, read as a stream.
+    """(line number, line) for each line of the input.
 
-    Bytes and files are cut after each `\n` and each piece is decoded and
-    split by str.splitlines on its own. Every piece but the last ends in
+    Bytes and binary files are cut after each `\n`, and each piece is decoded
+    and split by str.splitlines on its own. Every piece but the last ends in
     `\n`, which ends a line and is part of no multi-byte UTF-8 character, so
     the lines and their numbers are those of splitlines over the whole
-    decoded text. A decode error names the line after the `\n`s before it; a
-    text stream is read (and decoded) a chunk ahead of its lines, so its
-    decode errors name none.
+    decoded text, and a decode error names the line after the `\n`s before
+    it. A text stream is read whole, so its decode errors name no line.
     """
     if isinstance(data, bytes):
         data = io.BytesIO(data)
-    elif isinstance(data, str):  # already text: its own lines are the pieces
-        data = data.splitlines(keepends=True)
     elif isinstance(data, io.TextIOBase):
-        data = _text_pieces(data)
+        try:
+            data = data.read()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc) from None
+    if isinstance(data, str):  # already text: one piece
+        data = (data,)
     line_no = 0
-    try:
-        for n, piece in enumerate(data, start=1):
-            if isinstance(piece, bytes):
-                try:
-                    piece = piece.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise _not_utf8(exc, n) from None
-            for line in piece.splitlines():
-                line_no += 1
-                yield line_no, line
-    except UnicodeDecodeError as exc:  # from a text stream, while it reads ahead
-        raise _not_utf8(exc) from None
-
-
-def _text_pieces(stream, size: int = 1 << 16):
-    """A text stream's text in pieces that end in `\n` but for the last, read
-    `size` characters at a time: read by lines, a stream hands out the lines
-    before a UTF-8 character cut off at its end before it fails on it."""
-    carry = ""
-    while chunk := stream.read(size):
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            yield carry + chunk[:cut]
-            carry = ""
-        carry += chunk[cut:]
-    yield carry
+    for n, piece in enumerate(data, start=1):
+        if isinstance(piece, bytes):
+            try:
+                piece = piece.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(exc, n) from None
+        for line in piece.splitlines():
+            line_no += 1
+            yield line_no, line
 
 
 def _check_float(

@@ -208,15 +208,29 @@ class TestSimulate:
         ("http://127.0.0.1:9", ["--policy", "llm", "--mock", "argmax"], None),
         ("http://127.0.0.1:9", ["--policy", "legacy"], None),
         (None, ["--policy", "llm"], None),
-    ], ids=["llm", "flag-wins", "mock", "legacy", "unset"])
+        # env as {variable: value}, base_url as (URL, model)
+        ({"ROAMSIM_LLM_BASE_URL": "http://127.0.0.1:9", "ROAMSIM_LLM_MODEL": "other"},
+         ["--policy", "llm", "--model", "mine"], ("http://127.0.0.1:9", "mine")),
+        ({"ROAMSIM_LLM_MODEL": "other"},
+         ["--policy", "llm", "--endpoint-url", "http://127.0.0.1:7"],
+         ("http://127.0.0.1:7", "other")),
+        ({"ROAMSIM_LLM_BASE_URL": "http://127.0.0.1:9"}, ["--policy", "llm"],
+         ("http://127.0.0.1:9", "local")),
+    ], ids=["llm", "flag-wins", "mock", "legacy", "unset", "model-flag-wins", "model-from-env",
+            "model-default"])
     def test_env_base_url_configures_an_llm_run_given_no_url(self, monkeypatch, env, argv,
                                                               base_url):
-        monkeypatch.delenv("ROAMSIM_LLM_BASE_URL", raising=False)
-        if env is not None:
-            monkeypatch.setenv("ROAMSIM_LLM_BASE_URL", env)
+        env = env if isinstance(env, dict) else {"ROAMSIM_LLM_BASE_URL": env}
+        for name in ("ROAMSIM_LLM_BASE_URL", "ROAMSIM_LLM_MODEL"):
+            monkeypatch.delenv(name, raising=False)
+            if env.get(name) is not None:
+                monkeypatch.setenv(name, env[name])
         args = build_parser().parse_args(["simulate", "--trace", "t.jsonl", *argv])
         endpoint = _experiment_config(args).policy.endpoint
-        assert (endpoint and endpoint.base_url) == base_url
+        if isinstance(base_url, tuple):
+            assert (endpoint.base_url, endpoint.model) == base_url
+        else:
+            assert (endpoint and endpoint.base_url) == base_url
 
     def test_external_non_object_replies_exit_0(self, loopback, trace_file, tmp_path, capsys):
         url = loopback(raw_reply=b"[]").url + "/decide"
@@ -817,6 +831,18 @@ def test_import_loads_no_datetime():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_only_the_cli_reads_the_environment():
+    root = Path(__file__).resolve().parent.parent / "src" / "roamsim"
+    readers = set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name in ("environ", "getenv"):
+                readers.add(path.name)
+    assert readers == {"cli.py"}
 
 
 def test_sources_parse_as_the_oldest_python_the_package_allows():

@@ -157,8 +157,10 @@ class TestHttpClient:
         assert record.reply == ""
 
     @pytest.mark.parametrize(
-        "body", [b"[]", b'"x"', b'{"choices": "abc"}', b'{"choices": [1]}', b"{not json"],
-        ids=["list", "string", "choices-string", "choices-int", "not-json"],
+        "body", [b"[]", b'"x"', b'{"choices": "abc"}', b'{"choices": [1]}', b"{not json",
+                 b'{"choices": [{}]}', b'{"choices": [{"message": {"content": 5}}]}'],
+        ids=["list", "string", "choices-string", "choices-int", "not-json", "no-text",
+             "content-int"],
     )
     def test_malformed_reply_is_a_retried_transport_error(self, loopback, body, conn):
         record = HttpClient(endpoint(loopback(raw_reply=body)), conn).complete("hello")
@@ -230,20 +232,6 @@ class TestHttpClient:
         cfg = EndpointConfig(base_url="x", model="m", temperature=0.0, timeout_ms=1e-3,
                              max_retries=0, backoff_ms=0.0)
         assert (cfg.max_retries, cfg.backoff_ms) == (0, 0.0)
-
-    def test_env_overrides(self, monkeypatch):
-        # the environment fills absent arguments only: explicit ones win
-        monkeypatch.setenv("ROAMSIM_LLM_BASE_URL", "http://example:9999")
-        monkeypatch.setenv("ROAMSIM_LLM_MODEL", "other")
-        cfg = EndpointConfig.from_env(base_url="http://127.0.0.1:9/v1", model="mine")
-        assert (cfg.base_url, cfg.model) == ("http://127.0.0.1:9/v1", "mine")
-
-    def test_env_fills_an_absent_model(self, monkeypatch):
-        monkeypatch.setenv("ROAMSIM_LLM_MODEL", "other")
-        cfg = EndpointConfig.from_env(base_url="http://127.0.0.1:9/v1")
-        assert (cfg.base_url, cfg.model) == ("http://127.0.0.1:9/v1", "other")
-        monkeypatch.delenv("ROAMSIM_LLM_MODEL")
-        assert EndpointConfig.from_env(base_url="http://127.0.0.1:9/v1").model == "local"
 
     def test_total_time_bounded_by_retry_budget(self, loopback, conn):
         cfg = endpoint(loopback(delay_s=2.0), timeout_ms=100.0, max_retries=2, backoff_ms=10.0)
@@ -463,6 +451,12 @@ def _post(conn, server, timeout_ms=2000.0):
 
 STAY = {"action": "stay"}
 
+# A chunked reply whose trailer has 151 lines, one of them no header field;
+# http.client discards a trailer whatever its lines.
+_LONG_TRAILER = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                 b'12\r\n{"action": "stay"}\r\n0\r\n'
+                 + b"".join(b"X-T%d: t\r\n" % i for i in range(150)) + b"not a field\r\n\r\n")
+
 # Replies the transport refuses; each is a transport error on a connection
 # that is not kept.
 MALFORMED_REPLIES = {
@@ -560,6 +554,12 @@ class TestWireFormat:
         assert _post(conn, raw_server) == ("ok", 200, json.loads(body))
         assert _post(conn, raw_server) == ("ok", 200, STAY)
         assert [n for n, _ in raw_server.requests] == [0, 0]  # the chunked reply kept it
+
+    def test_a_trailer_of_any_length_and_form_is_discarded(self, raw_server, conn):
+        raw_server.replies += [(_LONG_TRAILER, False), (_ok(), False)]
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert _post(conn, raw_server) == ("ok", 200, STAY)
+        assert [n for n, _ in raw_server.requests] == [0, 0]
 
     def test_http10_close_delimited_body(self, raw_server, conn):
         reply = b'HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{"action": "stay"}'
@@ -773,6 +773,7 @@ def _lf_chunked(reply: bytes) -> bool:
          b"2\r\n{}\r\n0\r\n\r\n", piece=64)
 @example(reply=b"HTTP/1.0\x85 200 OK\r\nContent-Length: 2\r\n\r\n{}", piece=64)
 @example(reply=_ok(b"{}", b"".join(b"X-H%d: v\r\n" % i for i in range(99))), piece=64)
+@example(reply=_LONG_TRAILER, piece=64)
 def test_a_reply_read_is_read_as_http_client_reads_it(reply, piece):
     try:
         own = _own_reply(reply, piece)

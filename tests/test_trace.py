@@ -42,7 +42,6 @@ from roamsim.trace import (
     _check_float,
     _check_timestamp,
     _opt_float,
-    _text_pieces,
     canonical_mac,
     generate_synthetic,
     parse_trace,
@@ -939,12 +938,6 @@ class TestStreamingCsv:
             parse_trace(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), "csv")
         assert (str(exc.value), exc.value.line) == (
             "malformed line: not UTF-8 (unexpected end of data)", None)
-
-    def test_a_text_stream_is_cut_into_pieces_of_whole_lines(self):
-        text = "".join(f"{t},{MAC_A},-60\r\n" for t in range(50)) + "last"
-        pieces = list(_text_pieces(io.StringIO(text), size=7))
-        assert "".join(pieces) == text
-        assert all(p.endswith("\n") for p in pieces[:-1])
 
     @pytest.mark.parametrize("brk", ["\r", "\r\n", "\u2028", "\x85", "\x0c"],
                              ids=["cr", "crlf", "u2028", "nel", "ff"])
