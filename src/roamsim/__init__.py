@@ -37,7 +37,6 @@ from .policies import (
     solve_plan,
 )
 from .roaming import (
-    Action,
     AssociationState,
     PolicyDecision,
     RunTimeline,

@@ -27,8 +27,10 @@ the state to decide in, its scan threshold set to the entry's value.
 Templates are override-able: a template file is plain text with
 [section] headers for preamble.ap_select, preamble.threshold, shot, row,
 and instruction.<task>.<style> blocks, each using the same named
-placeholders as the defaults. Loading checks the placeholders of the
-formatted blocks, so a bad one is a ConfigError, not a failed prompt.
+placeholders as the defaults. Loading checks each field of the
+formatted blocks in one pass: its name, its conversion, a format spec
+that holds no field, and the spec against a sample of the field's
+rendered type, so a bad one is a ConfigError, not a failed prompt.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from .roaming import (
     should_scan,
 )
 from .trace import (
-    RSSI_MAX_DBM, RSSI_MIN_DBM, ScanSample, Trace, canonical_mac, render_window, strongest, window,
+    RSSI_MAX_DBM, RSSI_MIN_DBM, T_MAX, ScanSample, Trace, canonical_mac, render_window, strongest,
+    window,
 )
 
 logger = logging.getLogger(__name__)
@@ -144,14 +147,6 @@ _TEMPLATE_FIELDS = {
 }
 
 
-def _format_fields(text: str):
-    """(field, conversion) of each replacement field, nested ones included."""
-    for _, field, spec, conversion in string.Formatter().parse(text):
-        if field is not None:
-            yield field, conversion
-            yield from _format_fields(spec or "")
-
-
 def load_template(path) -> dict[str, str]:
     """Read a template override file: [section] headers, literal bodies."""
     sections = dict(DEFAULT_TEMPLATE)
@@ -172,20 +167,22 @@ def load_template(path) -> dict[str, str]:
             sections[name] += line
     for name, allowed in _TEMPLATE_FIELDS.items():
         try:
-            bad = [f + (f"!{c}" if c else "") for f, c in _format_fields(sections[name])
-                   if f not in allowed or c not in (None, "r", "s", "a")]
+            fields = [(f, c, spec) for _, f, spec, c in string.Formatter().parse(sections[name])
+                      if f is not None]
         except ValueError as exc:  # a lone brace
             raise ConfigError(f"template {path}: [{name}]: {exc}") from None
-        if bad:
-            raise ConfigError(f"template {path}: [{name}] names {{{bad[0]}}}, "
-                              f"but its fields are {', '.join(sorted(allowed))}")
-        samples = {f: 0 if f in ("t", "index") else "" for f in allowed}  # typed as rendered
-        for _, f, spec, c in string.Formatter().parse(sections[name]):
-            field = f"{{{f}{'!' + c if c else ''}:{spec}}}"
+        samples = {f: T_MAX if f in ("t", "index") else "" for f in allowed}  # typed as rendered
+        for f, c, spec in fields:
+            named = f + (f"!{c}" if c else "")
+            if f not in allowed or c not in (None, "r", "s", "a"):
+                raise ConfigError(f"template {path}: [{name}] names {{{named}}}, "
+                                  f"but its fields are {', '.join(sorted(allowed))}")
+            field = f"{{{named}:{spec}}}"
             try:
-                if f is not None:
-                    field.format(**samples)
-            except ValueError as exc:  # a spec its field's type refuses, such as {aps:d}
+                if "{" in spec:  # a nested field, whose value only a run would give
+                    raise ValueError("a format spec cannot hold a field")
+                field.format(**samples)
+            except (ValueError, OverflowError) as exc:  # such as {aps:d}, or {t:c} past U+10FFFF
                 raise ConfigError(f"template {path}: [{name}] {field}: {exc}") from None
     return sections
 

@@ -2,10 +2,11 @@
 
 A run replays a trace step by step: the policy looks at a context window
 (the tuple of the last k samples, see `trace.window`) and the current
-association state, emits a decision (stay or roam to a BSSID), and the
-state machine applies it, yielding the step's entry in the report's
-decision log; `runner.recompute_metrics` computes the headline metrics
-(handover count, average RSSI, error rate) from those entries. The
+association state, emits a decision (a BSSID to roam to, or none to
+stay), and the state machine applies it, yielding the step's entry in
+the report's decision log; `runner.recompute_metrics` computes the
+headline metrics (handover count, average RSSI, error rate) from those
+entries. The
 threshold task retunes the scan threshold through run_policy's
 `pre_decide(window, state)` hook.
 
@@ -18,13 +19,12 @@ Validity rule: a roam target must be present in the current scan with
 RSSI at or above the validity floor. Invalid roams never change the
 association (the device stays put) and are recorded so they feed the
 error-rate metric. A decision arriving pre-marked invalid (an upstream
-fallback) keeps its invalid flag even when the fallback action itself is
-applied.
+fallback) keeps its invalid flag even when the fallback decision itself
+is applied.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -51,11 +51,6 @@ def check_dbm(name: str, value: float) -> None:
         raise ConfigError(f"{name} out of range: {value}")
 
 
-class Action(str, enum.Enum):
-    STAY = "stay"
-    ROAM = "roam"
-
-
 @dataclass(frozen=True)
 class AssociationState:
     """Current association plus the knobs that drive the trigger rules."""
@@ -68,14 +63,15 @@ class AssociationState:
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    """One policy output: what to do, who said so, and whether it held up.
+    """One policy output: where to go, who said so, and whether it held up.
 
-    A policy that already knows its pick failed (and substituted a fallback
-    action) sets `valid` to False; apply_decision also logs a roam to an
-    absent or below-floor AP as invalid. `fault` marks transport failures.
+    A decision with a `target` is a roam to it; one without stays put, so
+    the two cannot disagree. A policy that already knows its pick failed
+    (and substituted a fallback decision) sets `valid` to False;
+    apply_decision also logs a roam to an absent or below-floor AP as
+    invalid. `fault` marks transport failures.
     """
 
-    action: Action
     target: str | None = None
     source: str = ""
     valid: bool = True
@@ -83,11 +79,11 @@ class PolicyDecision:
 
     @staticmethod
     def stay(source: str, **kw) -> "PolicyDecision":
-        return PolicyDecision(action=Action.STAY, source=source, **kw)
+        return PolicyDecision(source=source, **kw)
 
     @staticmethod
     def roam(bssid: str, source: str, **kw) -> "PolicyDecision":
-        return PolicyDecision(action=Action.ROAM, target=bssid, source=source, **kw)
+        return PolicyDecision(target=bssid, source=source, **kw)
 
 
 @dataclass(frozen=True)
@@ -134,20 +130,18 @@ def apply_decision(
     """
     new_state = state
     valid = decision.valid
-    if decision.action is Action.ROAM:
-        target_ok = (
-            decision.target in sample.bssids
-            and rssi_of(sample, decision.target) >= validity_floor
-        )
+    target = decision.target
+    if target is not None:
+        target_ok = target in sample.bssids and rssi_of(sample, target) >= validity_floor
         if target_ok:
-            new_state = replace(state, associated=decision.target)
+            new_state = replace(state, associated=target)
         valid = valid and target_ok
     entry = {
         "t": sample.timestamp,
         "bssid": new_state.associated,
         "rssi": rssi_of(sample, new_state.associated),
-        "action": decision.action.value,
-        "target": decision.target,
+        "action": "stay" if target is None else "roam",
+        "target": target,
         "value": None,  # no decision sets one; the report format keeps the key
         "source": decision.source,
         "valid": valid,

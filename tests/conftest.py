@@ -60,8 +60,9 @@ def timeline_of(series, decisions=None, source: str = "test") -> RunTimeline:
     for t, (bssid, rssi) in enumerate(series):
         d = decisions[t] if decisions else PolicyDecision.stay(source, valid=True)
         steps.append({
-            "t": t, "bssid": bssid, "rssi": rssi, "action": d.action.value,
-            "target": d.target, "value": None, "source": d.source, "valid": d.valid,
+            "t": t, "bssid": bssid, "rssi": rssi,
+            "action": "stay" if d.target is None else "roam", "target": d.target,
+            "value": None, "source": d.source, "valid": d.valid,
             "handover": prev is not None and bssid != prev, "fault": d.fault,
         })
         prev = bssid

@@ -33,7 +33,7 @@ from roamsim.policies import (
     legacy_decide,
     solve_plan,
 )
-from roamsim.roaming import Action, AssociationState, RunTimeline, run_policy
+from roamsim.roaming import AssociationState, RunTimeline, run_policy
 from roamsim.runner import ExperimentConfig, PolicySpec, run_experiment, strip_volatile
 from roamsim.trace import generate_synthetic, trace_to_jsonl
 from roamsim.trace import window as trace_window
@@ -240,7 +240,7 @@ def test_c5_error_rate_accounting():
             AssociationState(associated=prev, threshold=-70.0),
         )
         ok = ok and step["bssid"] != MAC_X
-        if fallback.action is Action.ROAM:
+        if fallback.target is not None:
             ok = ok and step["bssid"] == fallback.target
         else:
             ok = ok and step["bssid"] == prev

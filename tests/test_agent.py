@@ -30,7 +30,7 @@ from roamsim.agent import (
 from roamsim.errors import ConfigError
 from roamsim.gateway import MockClient, MockRule
 from roamsim.policies import OracleConstraints, legacy_decide, oracle_opt_ho
-from roamsim.roaming import Action, AssociationState
+from roamsim.roaming import AssociationState
 from roamsim.runner import ExperimentConfig, PolicySpec, run_experiment
 from roamsim.trace import T_MAX, T_MIN, generate_synthetic, window
 
@@ -192,7 +192,7 @@ class TestBuildPrompt:
     def test_format_specs_the_fields_take_load(self, tmp_path):
         path = tmp_path / "tpl.txt"
         path.write_text("[row]\nt={t:05d}{context:<2} | {aps!r:>8}\n"
-                        "[shot]\n{index:>{index}}: {answer:.3}\n", encoding="utf-8")
+                        "[shot]\n{index}: {answer:.3}\n", encoding="utf-8")
         text = build_prompt(simple_window(), state_at(), PromptConfig(),
                             template=load_template(path))
         assert "t=00000" in text
@@ -361,7 +361,6 @@ class TestApSelectDecide:
             state = state_at(associated=trace.samples[0].candidates[0].bssid)
             mine = ap_select_decide(win, state, cfg, client, validity_floor=-100.0)
             ref = legacy_decide(win, state)
-            assert mine.action == ref.action
             assert mine.target == ref.target
 
     def test_absent_pick_marked_invalid_with_legacy_fallback(self):
@@ -371,7 +370,6 @@ class TestApSelectDecide:
                                     validity_floor=-100.0)
         assert decision.valid is False
         ref = legacy_decide(win, state_at())
-        assert decision.action == ref.action
         assert decision.target == ref.target
 
     def test_below_floor_pick_marked_invalid(self):
@@ -386,7 +384,7 @@ class TestApSelectDecide:
         client = MockClient(MockRule.constant_text(f"ANSWER: {MAC_A}"))
         decision = ap_select_decide(win, state_at(), PromptConfig(), client,
                                     validity_floor=-100.0)
-        assert decision.action is Action.STAY
+        assert decision.target is None
         assert decision.valid is not False
 
     def test_no_call_above_threshold(self):
@@ -394,7 +392,7 @@ class TestApSelectDecide:
         client = MockClient(MockRule.argmax_rssi())
         decision = ap_select_decide(win, state_at(), PromptConfig(), client,
                                     validity_floor=-100.0)
-        assert decision.action is Action.STAY
+        assert decision.target is None
         assert client.records == []
 
     def test_transport_failure_flags_fault(self):
@@ -405,7 +403,7 @@ class TestApSelectDecide:
         assert decision.valid is False
         assert decision.fault is True
         ref = legacy_decide(win, state_at())
-        assert decision.action == ref.action
+        assert decision.target == ref.target
 
     @settings(max_examples=60, deadline=None)
     @given(st.text(max_size=120))
@@ -414,7 +412,7 @@ class TestApSelectDecide:
         client = MockClient(MockRule.constant_text(text))
         decision = ap_select_decide(win, state_at(), PromptConfig(), client,
                                     validity_floor=-100.0)
-        assert decision.action in (Action.STAY, Action.ROAM)
+        assert decision.target in (None, *win[-1].bssids)
 
 
 class TestThresholdScheduler:

@@ -46,7 +46,7 @@ from roamsim.gateway import (
     prompt_argmax_bssid,
 )
 from roamsim.policies import ExternalPolicy
-from roamsim.roaming import Action, AssociationState
+from roamsim.roaming import AssociationState
 from roamsim.trace import generate_synthetic, strongest, trace_to_jsonl, window
 
 
@@ -337,7 +337,7 @@ class TestJsonConnection:
                                  threshold=-20.0)
         decision = ExternalPolicy(url + "/decide", conn).decide(window(trace, 2, 3), state)
         assert decision.fault
-        assert decision.action is Action.STAY
+        assert decision.target is None
 
     @pytest.mark.parametrize("trusted", [True, False], ids=["trusted", "untrusted"])
     def test_https_verifies_against_the_default_trust_store(self, loopback, conn, monkeypatch,

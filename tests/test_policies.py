@@ -38,7 +38,7 @@ from roamsim.policies import (
     oracle_opt_rssi,
     solve_plan,
 )
-from roamsim.roaming import Action, AssociationState, run_policy, should_scan
+from roamsim.roaming import AssociationState, run_policy, should_scan
 from roamsim.trace import SynthConfig, generate_synthetic, window
 
 
@@ -51,7 +51,7 @@ class TestHeuristic:
         trace = make_trace([{MAC_A: -75.0, MAC_B: -72.0, MAC_C: -74.0}])
         state = AssociationState(associated=MAC_A, threshold=-70.0)
         first = heuristic_decide(win_of(trace, 0), state, seed=4)
-        assert first.action is Action.ROAM
+        assert first.target is not None
         assert first.target in (MAC_A, MAC_B, MAC_C)
         for _ in range(5):
             again = heuristic_decide(win_of(trace, 0), state, seed=4)
@@ -60,7 +60,7 @@ class TestHeuristic:
     def test_stays_above_threshold(self):
         trace = make_trace([{MAC_A: -60.0, MAC_B: -50.0}])
         state = AssociationState(associated=MAC_A, threshold=-70.0)
-        assert heuristic_decide(win_of(trace, 0), state, seed=1).action is Action.STAY
+        assert heuristic_decide(win_of(trace, 0), state, seed=1).target is None
 
     def test_uniform_pick_frequencies(self):
         # 10^4 trigger steps over 4 candidates: each frequency within
@@ -72,7 +72,7 @@ class TestHeuristic:
         counts: dict[str, int] = {}
         for t in range(n):
             decision = heuristic_decide(win_of(trace, t, 1), state, seed=99)
-            assert decision.action is Action.ROAM
+            assert decision.target is not None
             counts[decision.target] = counts.get(decision.target, 0) + 1
         bound = 4 * (0.25 * 0.75 / n) ** 0.5
         assert set(counts) == set(levels)
@@ -89,7 +89,7 @@ class TestHeuristic:
             from roamsim.roaming import rssi_of
 
             triggered = should_scan(rssi_of(win[-1], MAC_A), state_thr)
-            assert (decision.action is Action.ROAM) == triggered
+            assert (decision.target is not None) == triggered
 
 
 class TestLegacy:
@@ -97,20 +97,20 @@ class TestLegacy:
         trace = make_trace([{MAC_A: -68.0, MAC_B: -60.0, MAC_C: -75.0}])
         state = AssociationState(associated=MAC_C, threshold=-70.0)
         decision = legacy_decide(win_of(trace, 0), state)
-        assert decision.action is Action.ROAM
+        assert decision.target is not None
         assert decision.target == MAC_B
 
     def test_stays_when_best_is_current(self):
         trace = make_trace([{MAC_A: -75.0, MAC_B: -80.0}])
         state = AssociationState(associated=MAC_A, threshold=-70.0)
-        assert legacy_decide(win_of(trace, 0), state).action is Action.STAY
+        assert legacy_decide(win_of(trace, 0), state).target is None
 
     def test_hysteresis_blocks_small_gains(self):
         trace = make_trace([{MAC_A: -75.0, MAC_B: -70.0}])
         state = AssociationState(
             associated=MAC_A, threshold=-70.0, hysteresis_active=8.0, hysteresis_idle=12.0
         )
-        assert legacy_decide(win_of(trace, 0), state).action is Action.STAY
+        assert legacy_decide(win_of(trace, 0), state).target is None
 
     def test_tie_breaks_lexicographically(self):
         trace = make_trace([{MAC_C: -60.0, MAC_B: -60.0, MAC_A: -80.0}])
@@ -124,8 +124,8 @@ class TestFixedThreshold:
         trace = make_trace(rows, assoc0=MAC_A)
         decide = partial(legacy_decide, source="fixed(-60)")
         state = AssociationState(associated=MAC_A, threshold=-60.0)
-        assert decide(win_of(trace, 0), state).action is Action.STAY
-        assert decide(win_of(trace, 1), state).action is Action.ROAM
+        assert decide(win_of(trace, 0), state).target is None
+        assert decide(win_of(trace, 1), state).target is not None
 
     def test_minus_100_never_triggers(self):
         trace = generate_synthetic(band_synth(seed=8, duration=120))
@@ -471,6 +471,6 @@ class TestExternalAdapter:
         policy = ExternalPolicy("http://127.0.0.1:1/decide", FakeJsonConnection(body))
         decision = policy.decide(win_of(trace, 0), AssociationState(associated=MAC_A))
         if decision.fault:
-            assert decision.action is Action.STAY
+            assert decision.target is None
         else:
             assert decision.source == "external"
