@@ -330,7 +330,7 @@ def ap_select_decide(
     if pick in latest.bssids and rssi_of(latest, pick) >= validity_floor:
         return PolicyDecision.roam(pick, "llm")
     fallback = legacy_decide(window, state)
-    return replace(fallback, source="llm", valid=False, fault=not record.ok)
+    return fallback._replace(source="llm", valid=False, fault=not record.ok)
 
 
 def threshold_schedule_step(

@@ -26,7 +26,7 @@ is applied.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 from .trace import (
@@ -61,15 +61,15 @@ class AssociationState:
     hysteresis_idle: float = 0.0
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
+class PolicyDecision(NamedTuple):
     """One policy output: where to go, who said so, and whether it held up.
 
     A decision with a `target` is a roam to it; one without stays put, so
     the two cannot disagree. A policy that already knows its pick failed
     (and substituted a fallback decision) sets `valid` to False;
     apply_decision also logs a roam to an absent or below-floor AP as
-    invalid. `fault` marks transport failures.
+    invalid. `fault` marks transport failures. A named tuple, as
+    `trace.ApObservation` is: a run builds one per step.
     """
 
     target: str | None = None
