@@ -221,10 +221,10 @@ def _check_float(
     value, line: int, name: str = "rssi", lo: float = RSSI_MIN_DBM, hi: float = RSSI_MAX_DBM
 ) -> float:
     try:
-        if isinstance(value, bool):  # JSON true/false are not numbers
+        if type(value) not in (int, float):  # a JSON number: not true/false, not a string
             raise TypeError
         out = float(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise TraceFormatError(f"malformed line: bad {name} {value!r}", line) from None
     if not lo <= out <= hi:
         raise TraceFormatError(f"{name} out of range: {out}", line)
@@ -233,10 +233,10 @@ def _check_float(
 
 def _check_timestamp(value, line: int) -> int:
     try:
-        if isinstance(value, bool) or float(value) != int(float(value)):
+        if type(value) not in (int, float) or float(value) != int(float(value)):
             raise ValueError
         t = int(float(value))
-    except (TypeError, ValueError, OverflowError):  # OverflowError: inf, or an int beyond floats
+    except (ValueError, OverflowError):  # OverflowError: inf, or an int beyond floats
         raise TraceFormatError(f"malformed line: bad timestamp {value!r}", line) from None
     if not T_MIN <= t <= T_MAX:
         raise TraceFormatError(f"timestamp out of range: {t}", line)
@@ -251,27 +251,47 @@ def _check_mac(value, line: int) -> str:
 
 
 def _opt_float(value, line: int, name: str, lo: float, hi: float) -> float | None:
-    if value is None or value == "":
-        return None
-    return _check_float(value, line, name, lo, hi)
+    return None if value is None else _check_float(value, line, name, lo, hi)
 
 
 def _check_activity(value, line: int) -> str:
-    if value is None or value == "":
+    if value is None:
         return ACTIVITY_ACTIVE
     if value not in _ACTIVITIES:
         raise TraceFormatError(f"malformed line: bad activity {value!r}", line)
     return value
 
 
-def _build_sample(
-    t: int, entries: list[tuple[float, str, float]], line: int, rec, assoc=None
-) -> ScanSample:
-    """One sample from its scan `entries`, each (-rssi, bssid, rssi), in file order.
+def _context(lat, lon, battery_pct, activity, line: int) -> tuple:
+    """The checked device context (latitude, longitude, battery_pct, activity)."""
+    return (
+        _opt_float(lat, line, "latitude", -90.0, 90.0),
+        _opt_float(lon, line, "longitude", -180.0, 180.0),
+        _opt_float(battery_pct, line, "battery_pct", 0.0, 100.0),
+        _check_activity(activity, line),
+    )
 
-    `rec` is the JSONL object or the CSV row that opens the step; the device
-    context is read from it after the scan is checked.
-    """
+
+def _csv_cell(row: dict, key: str):
+    """A CSV number cell as json.loads reads it: None when empty or missing,
+    the text itself when it is no JSON value, which the number checks refuse."""
+    text = row.get(key)
+    if not text:
+        return None
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        return text
+
+
+def _csv_context(row: dict, line: int) -> tuple:
+    """`_context` of a CSV row; an empty activity cell is absent, like an empty number."""
+    return _context(_csv_cell(row, "lat"), _csv_cell(row, "lon"),
+                    _csv_cell(row, "battery_pct"), row.get("activity") or None, line)
+
+
+def _scan_columns(entries: list[tuple[float, str, float]], line: int):
+    """(bssids, rssis) of one scan from its `entries`, each (-rssi, bssid, rssi), in file order."""
     if not entries:
         raise TraceFormatError("malformed line: empty scan", line)
     # Sorted, the entries are in canonical order; with distinct BSSIDs the
@@ -283,13 +303,7 @@ def _build_sample(
             if mac in seen:
                 raise TraceFormatError(f"duplicate bssid {mac}", line)
             seen.add(mac)
-    return ScanSample(
-        t, bssids, rssis, assoc,
-        latitude=_opt_float(rec.get("lat"), line, "latitude", -90.0, 90.0),
-        longitude=_opt_float(rec.get("lon"), line, "longitude", -180.0, 180.0),
-        battery_pct=_opt_float(rec.get("battery_pct"), line, "battery_pct", 0.0, 100.0),
-        activity=_check_activity(rec.get("activity"), line),
-    )
+    return bssids, rssis
 
 
 def _parse_jsonl(lines) -> list[ScanSample]:
@@ -329,7 +343,10 @@ def _parse_jsonl(lines) -> list[ScanSample]:
         assoc = rec.get("assoc")
         if assoc is not None:
             assoc = _check_mac(assoc, line_no)
-        samples.append(_build_sample(t, entries, line_no, rec, assoc))
+        bssids, rssis = _scan_columns(entries, line_no)
+        context = _context(rec.get("lat"), rec.get("lon"), rec.get("battery_pct"),
+                           rec.get("activity"), line_no)
+        samples.append(ScanSample(t, bssids, rssis, assoc, *context))
     return samples
 
 
@@ -345,9 +362,9 @@ def _parse_csv(lines) -> list[ScanSample]:
 
     def checked():  # (t, line, row, scan entry) for each row
         for row in reader:
-            t = _check_timestamp(row.get("t"), last)
+            t = _check_timestamp(_csv_cell(row, "t"), last)
             mac = _check_mac(row.get("bssid") or "", last)
-            rssi = _check_float(row.get("rssi_dbm"), last)
+            rssi = _check_float(_csv_cell(row, "rssi_dbm"), last)
             yield t, last, row, (-rssi, mac, rssi)
 
     samples: list[ScanSample] = []
@@ -360,10 +377,16 @@ def _parse_csv(lines) -> list[ScanSample]:
         # groupby checks the next step's first row before this step is built
         for t, group in itertools.groupby(checked(), key=lambda r: r[0]):
             rows = list(group)
-            _, line, row, _ = rows[0]
+            line = rows[0][1]
             if samples and t <= samples[-1].timestamp:
                 raise TraceFormatError("non-monotone timestamps", line)
-            samples.append(_build_sample(t, [r[3] for r in rows], line, row))
+            bssids, rssis = _scan_columns([r[3] for r in rows], line)
+            context = _csv_context(rows[0][2], line)
+            for _, row_line, row, _ in rows[1:]:  # one context per step
+                if _csv_context(row, row_line) != context:
+                    raise TraceFormatError("device context differs from the step's first row",
+                                           row_line)
+            samples.append(ScanSample(t, bssids, rssis, None, *context))
     except csv.Error as exc:
         raise TraceFormatError(f"malformed line: {exc}", last) from None
     return samples
@@ -501,7 +524,7 @@ def generate_synthetic(config: SynthConfig) -> Trace:
             del draws[:n]
             # max(floor, min(ceil, x)), spelled without the two calls
             levels = [(x if x > floor else floor) if x < ceil else ceil for x in stepped]
-        # Built as _build_sample builds them: the entries sort into the
+        # Built as _scan_columns builds them: the entries sort into the
         # canonical order, the BSSIDs being distinct.
         _, bssids, rssis = zip(*sorted([(-v, m, v) for m, v in zip(macs, levels)]))
         lat = lon = None

@@ -9,7 +9,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MAC_A, MAC_B, MAC_C, band_synth, make_sample, make_trace
@@ -181,6 +181,21 @@ class TestBuildPrompt:
             load_template(path)
         assert str(exc.value).startswith(f"template {path}: [{section}] {shown}: ")
 
+    # Each of these loaded at the parent and then failed at the run's first
+    # prompt: a nested field has no value at load time, and {t:c} held for t=0.
+    @pytest.mark.parametrize("body, shown", [
+        ("t={t:{aps}}", "{t:{aps}}: a format spec cannot hold a field"),
+        ("t={t:>{context}}", "{t:>{context}}: a format spec cannot hold a field"),
+        ("{aps:>{t}}", "{aps:>{t}}: a format spec cannot hold a field"),
+        ("t={t:c}", "{t:c}: %c arg not in range(0x110000)"),
+    ], ids=["nested-in-spec", "nested-width", "width-from-t", "char-of-t"])
+    def test_specs_only_a_run_could_fill_are_refused(self, tmp_path, body, shown):
+        path = tmp_path / "tpl.txt"
+        path.write_text(f"[row]\n{body}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_template(path)
+        assert str(exc.value) == f"template {path}: [row] {shown}"
+
     def test_unknown_block_is_refused(self, tmp_path):
         path = tmp_path / "tpl.txt"
         path.write_text("[row]\nROW {t}\n[preambel.ap_select]\nPICK {associated}\n",
@@ -211,6 +226,48 @@ class TestBuildPrompt:
         assert text.startswith("PICK {one} (")
         assert "{ 0: " in text and "log {raw\n" in text
         assert text.endswith('Reply as {"bssid": ...} }\n')
+
+
+_TEMPLATE_SPECS = ["", "d", "c", "s", "x", "#b", "e", ".3", ".2f", ",", "%", "+", "=", "g",
+                   "{aps}", ">{t}"]
+
+
+@st.composite
+def template_blocks(draw) -> dict[str, str]:
+    """Formatted blocks whose fields come from fixed names, conversions and
+    specs, with widths of 0-20 only."""
+    blocks = {}
+    for block in draw(st.sets(st.sampled_from(sorted(agent._TEMPLATE_FIELDS)))):
+        names = sorted(agent._TEMPLATE_FIELDS[block]) + ["bogus"]
+        field = st.builds("{{{}{}:{}{}{}}}".format, st.sampled_from(names),
+                          st.sampled_from(["", "!r", "!s", "!a"]),
+                          st.sampled_from(["", "<", ">", "^", "0"]),
+                          st.sampled_from(["", *map(str, range(21))]),
+                          st.sampled_from(_TEMPLATE_SPECS))
+        pieces = st.lists(field | st.sampled_from(["x", " ", "{{", "}}"]), max_size=4)
+        blocks[block] = "".join(draw(pieces))
+    return blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks=template_blocks())
+@example(blocks={"row": "t={t:{aps}}"})
+@example(blocks={"row": "t={t:c}"})
+def test_a_template_that_loads_renders(tmp_path_factory, blocks):
+    path = tmp_path_factory.getbasetemp() / "loads-renders.txt"
+    path.write_text("".join(f"[{name}]\n{body}\n" for name, body in blocks.items()),
+                    encoding="utf-8")
+    try:
+        template = load_template(path)
+    except ConfigError:
+        return
+    shot = FewShotExample(window_text="w\n", answer=MAC_B, reasoning="because")
+    for t in (T_MIN, 0, T_MAX):
+        sample = make_sample(t, {MAC_A: -75.0, MAC_B: -60.0}, activity="idle",
+                             lat=37.4, lon=-122.1, battery=88.0)
+        for task in ("ap_select", "threshold"):
+            cfg = PromptConfig(shots=1, context_fields=frozenset(CONTEXT_FIELDS), task=task)
+            build_prompt((sample,), state_at(), cfg, (shot,), template)
 
 
 def _window_steps(kind: str, T: int) -> list[int]:

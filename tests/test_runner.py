@@ -936,6 +936,13 @@ def test_golden_report(name, loopback, tmp_path):
     assert digest == GOLDEN_REPORT_SHA256[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_SHA256))
+def test_golden_log_roams_exactly_where_it_names_a_target(name, loopback, tmp_path):
+    report = run_experiment(_golden_config(name, loopback(roam=True).url, tmp_path))
+    actions = [(e["action"], e["target"] is not None) for e in report.decision_log]
+    assert actions and set(actions) <= {("roam", True), ("stay", False)}
+
+
 # Written report files, in their own key order with the config echo and
 # seedprint kept. Only fixtures whose config holds no path or port qualify.
 GOLDEN_REPORT_FILE_SHA256 = {

@@ -7,8 +7,10 @@ import hashlib
 import io
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +43,8 @@ from roamsim.trace import (
     _check_activity,
     _check_float,
     _check_timestamp,
+    _csv_cell,
+    _csv_context,
     _opt_float,
     canonical_mac,
     generate_synthetic,
@@ -158,6 +162,34 @@ class TestParseJsonl:
         with pytest.raises(TraceFormatError, match=f"{message} at line 2"):
             parse_trace(text, "jsonl")
 
+    @pytest.mark.parametrize("extra, message", [
+        ('"rssi_dbm":"-6_1.5"}]', "bad rssi '-6_1.5'"),
+        ('"rssi_dbm":"-60"}]', "bad rssi '-60'"),
+        ('"rssi_dbm":-60}],"lat":"1.5"', "bad latitude '1.5'"),
+        ('"rssi_dbm":-60}],"lon":""', "bad longitude ''"),
+        ('"rssi_dbm":-60}],"battery_pct":" 88 "', "bad battery_pct ' 88 '"),
+        ('"rssi_dbm":-60}],"activity":""', "bad activity ''"),
+    ], ids=["rssi-underscore", "rssi-string", "lat-string", "lon-empty", "battery-spaces",
+            "activity-empty"])
+    def test_json_strings_are_not_numbers(self, extra, message):
+        text = (
+            '{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n'
+            f'{{"t":1,"scan":[{{"bssid":"aa:00:00:00:00:01",{extra}}}\n'
+        )
+        with pytest.raises(TraceFormatError, match=f"malformed line: {message} at line 2$"):
+            parse_trace(text, "jsonl")
+
+    def test_string_timestamp_is_refused(self):
+        text = '{"t":"12","scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}]}\n'
+        with pytest.raises(TraceFormatError, match="bad timestamp '12' at line 1$"):
+            parse_trace(text, "jsonl")
+
+    def test_null_context_is_absent(self):
+        line = ('{"t":0,"scan":[{"bssid":"aa:00:00:00:00:01","rssi_dbm":-60}],'
+                '"lat":null,"lon":null,"battery_pct":null,"activity":null}')
+        s = parse_trace(line, "jsonl").samples[0]
+        assert (s.latitude, s.longitude, s.battery_pct, s.activity) == (None, None, None, "active")
+
     @pytest.mark.parametrize("line, message", [
         ('{"t":1.5,"scan":[]}', "bad timestamp 1.5"),
         ('{"t":1,"scan":{}}', "scan must be a list"),
@@ -237,6 +269,78 @@ class TestParseCsv:
     def test_missing_columns(self):
         with pytest.raises(TraceFormatError, match="missing csv columns"):
             parse_trace("t,bssid\n0,aa:00:00:00:00:01\n", "csv")
+
+
+    # Each cell is one float() reads but json.loads does not.
+    @pytest.mark.parametrize("column, cell, name", [
+        ("t", "1_0", "timestamp"), ("t", "+5", "timestamp"), ("rssi_dbm", "-6_1.5", "rssi"),
+        ("rssi_dbm", "-.5", "rssi"), ("lat", "012", "latitude"), ("lon", ".5", "longitude"),
+        ("battery_pct", "+5", "battery_pct"), ("battery_pct", " 1_0", "battery_pct"),
+    ])
+    def test_a_number_cell_is_read_as_json(self, column, cell, name):
+        cells = {"t": "1", "rssi_dbm": "-60", "lat": "", "lon": "", "battery_pct": "", column: cell}
+        text = ("t,bssid,rssi_dbm,lat,lon,battery_pct\n0,aa:00:00:00:00:01,-60,,,\n"
+                "{t},aa:00:00:00:00:01,{rssi_dbm},{lat},{lon},{battery_pct}\n".format(**cells))
+        with pytest.raises(TraceFormatError, match=f"bad {name} '{re.escape(cell)}' at line 3$"):
+            parse_trace(text, "csv")
+
+    def test_hex_cell_is_refused(self):
+        text = "t,bssid,rssi_dbm,lat\n0,aa:00:00:00:00:01,-60,0x10\n"
+        with pytest.raises(TraceFormatError, match="bad latitude '0x10' at line 2$"):
+            parse_trace(text, "csv")
+
+    @pytest.mark.parametrize("second, message", [
+        ("bogus,2.0,50,idle", "malformed line: bad latitude 'bogus'"),
+        ("9.0,2.0,50,idle", "device context differs from the step's first row"),
+        ("1.0,2.0,50,active", "device context differs from the step's first row"),
+        (",2.0,50,idle", "device context differs from the step's first row"),
+        ("1.0,2.0,51,idle", "device context differs from the step's first row"),
+    ], ids=["bad-lat", "other-lat", "other-activity", "absent-lat", "other-battery"])
+    def test_every_row_of_a_step_holds_its_context(self, second, message):
+        text = ("t,bssid,rssi_dbm,lat,lon,battery_pct,activity\n"
+                "0,aa:00:00:00:00:01,-60,1.0,2.0,50,idle\n"
+                f"0,aa:00:00:00:00:02,-70,{second}\n")
+        with pytest.raises(TraceFormatError, match=f"{re.escape(message)} at line 3$"):
+            parse_trace(text, "csv")
+
+    def test_rows_agree_on_a_context_however_it_is_spelled(self):
+        text = ("t,bssid,rssi_dbm,lat,lon,battery_pct,activity\n"
+                "0,aa:00:00:00:00:01,-60,1.0,2,50,\n"
+                "0,aa:00:00:00:00:02,-70,1,2.0,5e1,active\n")
+        s = parse_trace(text, "csv").samples[0]
+        assert (s.latitude, s.longitude, s.battery_pct, s.activity) == (1.0, 2.0, 50.0, "active")
+
+
+class TestReadmeFormats:
+    """README's data-format section states what the parser reads."""
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+    def test_jsonl_example_parses(self):
+        block = self.readme.split("```json\n", 1)[1].split("```", 1)[0]
+        [sample] = parse_trace(" ".join(block.splitlines()), "jsonl").samples
+        assert sample == ScanSample(12, (MAC_A,), (-61.5,), MAC_A, 37.4, -122.1, 88.0, "active")
+
+    def test_csv_header_is_the_columns_the_parser_reads(self, monkeypatch):
+        header = re.search(r"`(t,bssid,[\w,]*)`", self.readme).group(1)
+        read = []
+
+        class Row(dict):
+            def get(self, key, default=None):
+                read.append(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                read.append(key)
+                return super().__getitem__(key)
+
+        class Reader(csv.DictReader):
+            def __next__(self):
+                return Row(super().__next__())
+
+        monkeypatch.setattr(csv, "DictReader", Reader)
+        parse_trace(f"{header}\n0,aa:00:00:00:00:01,-60,1.5,2.5,50,idle\n", "csv")
+        assert list(dict.fromkeys(read)) == header.split(",")
 
 
 class TestRoundTrip:
@@ -677,8 +781,9 @@ def whole_text_parse_csv(data) -> Trace:
 
     It decodes the whole input and runs csv.DictReader over io.StringIO, as
     the package did before CSV ingest streamed, with the package's own
-    per-field checks. A step's rows share its t; the step is checked when the
-    next one starts, or at the end. StringIO reads `\r` and `\r\n` as `\n`,
+    per-field checks and cell reading. A step's rows share its t and its
+    device context; the step is checked when the next one starts, or at the
+    end. StringIO reads `\r` and `\r\n` as `\n`,
     which is what the stream does with them, but no other line break. The
     stream ends every line with `\n`, the last one too, which only a quoted
     field left open at the end can hold; so the text gets a final `\n` here
@@ -690,9 +795,9 @@ def whole_text_parse_csv(data) -> Trace:
     reader = csv.DictReader(io.StringIO(text, newline=None))
     rows = reader.reader  # its line_num counts the line it read last
     samples = []
-    step = None  # (t, line, row, [(-rssi, bssid)]) of the step being read
+    step = None  # (t, line, [(line, row)], [(-rssi, bssid)]) of the step being read
 
-    def close(t, line, row, entries):
+    def close(t, line, rows, entries):
         if samples and t <= samples[-1].timestamp:
             raise TraceFormatError("non-monotone timestamps", line)
         seen = set()
@@ -701,14 +806,17 @@ def whole_text_parse_csv(data) -> Trace:
                 raise TraceFormatError(f"duplicate bssid {bssid}", line)
             seen.add(bssid)
         entries.sort()
+        contexts = [(row_line, _csv_context(row, row_line)) for row_line, row in rows]
+        for row_line, context in contexts:
+            if context != contexts[0][1]:
+                raise TraceFormatError("device context differs from the step's first row",
+                                       row_line)
+        lat, lon, battery, activity = contexts[0][1]
         samples.append(ScanSample(
             timestamp=t,
             bssids=tuple(b for _, b in entries),
             rssis=tuple(-r for r, _ in entries),
-            latitude=_opt_float(row.get("lat"), line, "latitude", -90.0, 90.0),
-            longitude=_opt_float(row.get("lon"), line, "longitude", -180.0, 180.0),
-            battery_pct=_opt_float(row.get("battery_pct"), line, "battery_pct", 0.0, 100.0),
-            activity=_check_activity(row.get("activity"), line),
+            latitude=lat, longitude=lon, battery_pct=battery, activity=activity,
         ))
 
     try:
@@ -719,16 +827,17 @@ def whole_text_parse_csv(data) -> Trace:
             raise TraceFormatError(f"missing csv columns: {sorted(missing)}", 1)
         for row in reader:
             line = rows.line_num
-            t = _check_timestamp(row.get("t"), line)
+            t = _check_timestamp(_csv_cell(row, "t"), line)
             try:
                 bssid = canonical_mac(row.get("bssid") or "")
             except ValueError as exc:
                 raise TraceFormatError(f"malformed line: {exc}", line) from None
-            rssi = _check_float(row.get("rssi_dbm"), line)
+            rssi = _check_float(_csv_cell(row, "rssi_dbm"), line)
             if step is None or step[0] != t:
                 if step is not None:
                     close(*step)
-                step = (t, line, row, [])
+                step = (t, line, [], [])
+            step[2].append((line, row))
             step[3].append((-rssi, bssid))
     except csv.Error as exc:
         raise TraceFormatError(f"malformed line: {exc}", rows.line_num) from None
