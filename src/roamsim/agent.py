@@ -171,7 +171,8 @@ def load_template(path) -> dict[str, str]:
                       if f is not None]
         except ValueError as exc:  # a lone brace
             raise ConfigError(f"template {path}: [{name}]: {exc}") from None
-        samples = {f: T_MAX if f in ("t", "index") else "" for f in allowed}  # typed as rendered
+        # typed as rendered, the ints at the largest timestamp a trace holds
+        samples = {f: T_MAX if f in ("t", "index") else "" for f in allowed}
         for f, c, spec in fields:
             named = f + (f"!{c}" if c else "")
             if f not in allowed or c not in (None, "r", "s", "a"):

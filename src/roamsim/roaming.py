@@ -6,9 +6,8 @@ association state, emits a decision (a BSSID to roam to, or none to
 stay), and the state machine applies it, yielding the step's entry in
 the report's decision log; `runner.recompute_metrics` computes the
 headline metrics (handover count, average RSSI, error rate) from those
-entries. The
-threshold task retunes the scan threshold through run_policy's
-`pre_decide(window, state)` hook.
+entries. The threshold task retunes the scan threshold through
+run_policy's `pre_decide(window, state)` hook.
 
 Policies read the latest sample of the window, `window[-1]`, one flat
 record (see `trace.ScanSample`). The state holds the association, the

@@ -21,6 +21,10 @@ Two on-disk formats are supported:
 * CSV, long format with one row per (t, AP):
   t,bssid,rssi_dbm,lat,lon,battery_pct,activity
 
+Numbers are JSON numbers in both: a JSONL value must be an int or float
+(null is absent), and a CSV number cell is read as json.loads reads it
+(empty is absent). Every row of a CSV step gives the step's one context.
+
 Bytes and binary files are read a line at a time (see `_text_lines`); a
 text stream is read whole. A line ends at any break str.splitlines knows:
 `\n`, `\r`, `\r\n`, `\u2028`, `\x85`, a form feed and the rest. A decode
@@ -171,7 +175,8 @@ def parse_trace(data, fmt: str = "jsonl") -> Trace:
     Both formats are read one line at a time, through `_text_lines`.
     Raises TraceFormatError (with a 1-based line number where possible) on
     malformed lines, duplicate BSSIDs within a sample, non-monotone
-    timestamps, out-of-range RSSI, or empty input.
+    timestamps, out-of-range RSSI, a CSV step whose rows give two device
+    contexts, or empty input.
     """
     parse = {"jsonl": _parse_jsonl, "csv": _parse_csv}.get(fmt)
     if parse is None:

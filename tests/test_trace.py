@@ -270,23 +270,18 @@ class TestParseCsv:
         with pytest.raises(TraceFormatError, match="missing csv columns"):
             parse_trace("t,bssid\n0,aa:00:00:00:00:01\n", "csv")
 
-
-    # Each cell is one float() reads but json.loads does not.
+    # Each cell is one json.loads refuses; float() reads all but the last.
     @pytest.mark.parametrize("column, cell, name", [
         ("t", "1_0", "timestamp"), ("t", "+5", "timestamp"), ("rssi_dbm", "-6_1.5", "rssi"),
         ("rssi_dbm", "-.5", "rssi"), ("lat", "012", "latitude"), ("lon", ".5", "longitude"),
         ("battery_pct", "+5", "battery_pct"), ("battery_pct", " 1_0", "battery_pct"),
+        ("lat", "0x10", "latitude"),  # float() refuses it too
     ])
     def test_a_number_cell_is_read_as_json(self, column, cell, name):
         cells = {"t": "1", "rssi_dbm": "-60", "lat": "", "lon": "", "battery_pct": "", column: cell}
         text = ("t,bssid,rssi_dbm,lat,lon,battery_pct\n0,aa:00:00:00:00:01,-60,,,\n"
                 "{t},aa:00:00:00:00:01,{rssi_dbm},{lat},{lon},{battery_pct}\n".format(**cells))
         with pytest.raises(TraceFormatError, match=f"bad {name} '{re.escape(cell)}' at line 3$"):
-            parse_trace(text, "csv")
-
-    def test_hex_cell_is_refused(self):
-        text = "t,bssid,rssi_dbm,lat\n0,aa:00:00:00:00:01,-60,0x10\n"
-        with pytest.raises(TraceFormatError, match="bad latitude '0x10' at line 2$"):
             parse_trace(text, "csv")
 
     @pytest.mark.parametrize("second, message", [
