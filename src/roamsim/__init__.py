@@ -28,7 +28,6 @@ from .gateway import (
 )
 from .policies import (
     AssociationPlan,
-    OracleConstraints,
     brute_force_plan,
     heuristic_decide,
     legacy_decide,

@@ -39,7 +39,8 @@ import logging
 import random
 import re
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .policies import legacy_decide
@@ -94,8 +95,7 @@ class PromptConfig:
             raise ConfigError(f"unknown context fields: {sorted(unknown)}")
 
 
-@dataclass(frozen=True)
-class FewShotExample:
+class FewShotExample(NamedTuple):
     """One worked example: a rendered window, optional reasoning, the answer."""
 
     window_text: str
@@ -363,7 +363,7 @@ def threshold_schedule_step(
     value = parse_threshold_response(record.reply) if record.ok else None
     log.append({"t": now, "value": state.threshold if value is None else value,
                 "valid": value is not None, "fault": not record.ok})
-    return replace(state, threshold=log[-1]["value"])
+    return state._replace(threshold=log[-1]["value"])
 
 
 # ---------------------------------------------------------------------------

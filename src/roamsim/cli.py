@@ -50,10 +50,9 @@ from .policies import (
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
     AssociationPlan,
-    OracleConstraints,
     solve_plan,
 )
-from .roaming import HYSTERESIS_PRESETS, check_dbm
+from .roaming import DEFAULT_SCAN_RSSI_DBM, HYSTERESIS_PRESETS, check_dbm
 from .runner import (
     ExperimentConfig,
     POLICIES,
@@ -356,8 +355,9 @@ def _plan_solver(args):
 
     The floor is checked here, so a command calls this before it reads its trace.
     """
-    return partial(solve_plan, objective=_OBJECTIVES[args.objective],
-                   constraints=OracleConstraints(**_fields(vars(args), validity_floor="floor")))
+    floor = DEFAULT_SCAN_RSSI_DBM if args.floor is None else args.floor
+    check_dbm("validity_floor", floor)
+    return partial(solve_plan, objective=_OBJECTIVES[args.objective], floor=floor)
 
 
 def _cmd_oracle(args) -> int:

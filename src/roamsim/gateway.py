@@ -40,6 +40,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .errors import ConfigError, EndpointError
@@ -85,8 +86,7 @@ class EndpointConfig:
             raise ConfigError(f"backoff_ms must be between 0 and {WAIT_MAX_MS} (one day)")
 
 
-@dataclass(frozen=True)
-class CompletionRecord:
+class CompletionRecord(NamedTuple):
     """Outcome of one completion call."""
 
     reply: str

@@ -18,7 +18,9 @@ solve_plan), rather than trying all A successors of every AP. The backward
 pass holds one step of suffix values and records the successor each AP's
 best suffix takes, so the plan is read forward from those. Both solvers share
 their feasibility rule and tie-breaks with `brute_force_plan`, the
-exhaustive reference used to verify them. Final ties are broken toward
+exhaustive reference used to verify them. The rule takes the validity floor
+as a number, in dBm: an AP is feasible at a step when its RSSI is at or
+above the floor, and on a step where none is, the strongest present are. Final ties are broken toward
 the lexicographically smallest plan, so solver output is unique and
 reproducible. Suffix RSSI sums are accumulated back-to-front in both
 solvers so their float objectives match exactly.
@@ -29,8 +31,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .errors import ConfigError, SearchSpaceError
 from .gateway import OUTCOME_OK, JsonConnection, post_json
@@ -53,24 +55,9 @@ OBJECTIVE_MAX_RSSI = "max_rssi"
 EXTERNAL_TIMEOUT_MS = 5000.0
 
 
-@dataclass(frozen=True)
-class OracleConstraints:
-    """Feasibility rule for plan solvers.
-
-    An AP is feasible at a step when it appears in that step's scan with
-    RSSI at or above the floor; on a step where no AP is, the strongest
-    APs present are feasible.
-    """
-
-    validity_floor: float = DEFAULT_SCAN_RSSI_DBM
-
-    def __post_init__(self):
-        check_dbm("validity_floor", self.validity_floor)
-
-
-@dataclass(frozen=True)
-class AssociationPlan:
-    """A full association sequence with its objective value."""
+class AssociationPlan(NamedTuple):
+    """A full association sequence with its objective value (a named tuple, as
+    every immutable run record is)."""
 
     plan: tuple[str, ...]
     objective: str
@@ -136,13 +123,13 @@ class PlanPolicy:
 # ---------------------------------------------------------------------------
 # Optimal plans
 
-def _step_choices(sample: ScanSample, constraints: OracleConstraints) -> dict[str, float]:
+def _step_choices(sample: ScanSample, floor: float) -> dict[str, float]:
     """The step's feasible APs, BSSID -> RSSI, in BSSID order.
 
     Every AP at or above min(floor, strongest RSSI) is feasible: those at or
     above the floor, else the strongest present.
     """
-    bar = min(constraints.validity_floor, max(sample.rssis))
+    bar = min(floor, max(sample.rssis))
     return {b: r for b, r in sorted(zip(sample.bssids, sample.rssis)) if r >= bar}
 
 
@@ -158,17 +145,20 @@ def _objective_key(objective: str):
 def _finish_plan(plan: list[str], srssi: float, objective: str) -> AssociationPlan:
     ho = sum(1 for a, b in zip(plan, plan[1:]) if a != b)
     value = float(ho) if objective == OBJECTIVE_MIN_HO else srssi
-    return AssociationPlan(
-        plan=tuple(plan), objective=objective, objective_value=value, handovers=ho
-    )
+    return AssociationPlan(tuple(plan), objective, value, ho)
 
 
 def solve_plan(
-    trace: Trace, objective: str, constraints: OracleConstraints = OracleConstraints()
+    trace: Trace, objective: str, floor: float = DEFAULT_SCAN_RSSI_DBM
 ) -> AssociationPlan:
-    """Optimal association plan by dynamic programming over (step, BSSID)."""
+    """Optimal association plan by dynamic programming over (step, BSSID).
+
+    `floor` is the validity floor of the feasibility rule (see _step_choices);
+    ConfigError when it is not a level in [-100, 0] dBm.
+    """
+    check_dbm("validity_floor", floor)
     key = _objective_key(objective)
-    choices = [_step_choices(s, constraints) for s in trace.samples]
+    choices = [_step_choices(s, floor) for s in trace.samples]
     T = len(choices)
 
     # nxt[a] = (handovers, rssi sum) of the best suffix t+1..T-1 with a_{t+1} = a,
@@ -216,30 +206,25 @@ def solve_plan(
     return _finish_plan(plan, nxt[first][1], objective)
 
 
-def oracle_opt_ho(
-    trace: Trace, constraints: OracleConstraints = OracleConstraints()
-) -> AssociationPlan:
+def oracle_opt_ho(trace: Trace, floor: float) -> AssociationPlan:
     """Plan with the fewest handovers; ties favor total RSSI."""
-    return solve_plan(trace, OBJECTIVE_MIN_HO, constraints)
+    return solve_plan(trace, OBJECTIVE_MIN_HO, floor)
 
 
-def oracle_opt_rssi(
-    trace: Trace, constraints: OracleConstraints = OracleConstraints()
-) -> AssociationPlan:
+def oracle_opt_rssi(trace: Trace, floor: float) -> AssociationPlan:
     """Plan with the highest total RSSI; ties favor fewer handovers."""
-    return solve_plan(trace, OBJECTIVE_MAX_RSSI, constraints)
+    return solve_plan(trace, OBJECTIVE_MAX_RSSI, floor)
 
 
-def brute_force_plan(
-    trace: Trace, objective: str, constraints: OracleConstraints = OracleConstraints()
-) -> AssociationPlan:
+def brute_force_plan(trace: Trace, objective: str, floor: float) -> AssociationPlan:
     """Exhaustive plan search; the reference the dynamic program is checked against.
 
     Shares _step_choices and the lexicographic tie-breaks with solve_plan,
     so on any in-guard trace the two return identical plans.
     """
+    check_dbm("validity_floor", floor)
     key = _objective_key(objective)
-    choices = [_step_choices(s, constraints) for s in trace.samples]
+    choices = [_step_choices(s, floor) for s in trace.samples]
     space = prod(len(ch) for ch in choices)
     if space > BRUTE_FORCE_GUARD:
         raise SearchSpaceError(f"search space {space} exceeds guard {BRUTE_FORCE_GUARD}")

@@ -12,7 +12,8 @@ run_policy's `pre_decide(window, state)` hook.
 Policies read the latest sample of the window, `window[-1]`, one flat
 record (see `trace.ScanSample`). The state holds the association, the
 scan threshold and both hysteresis margins; the sample's `activity` picks
-the margin.
+the margin. The state, the decision and the timeline are named tuples, so
+a roam's new state is `state._replace(associated=target)`.
 
 Validity rule: a roam target must be present in the current scan with
 RSSI at or above the validity floor. Invalid roams never change the
@@ -24,7 +25,6 @@ is applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError
@@ -50,8 +50,7 @@ def check_dbm(name: str, value: float) -> None:
         raise ConfigError(f"{name} out of range: {value}")
 
 
-@dataclass(frozen=True)
-class AssociationState:
+class AssociationState(NamedTuple):
     """Current association plus the knobs that drive the trigger rules."""
 
     associated: str
@@ -85,10 +84,10 @@ class PolicyDecision(NamedTuple):
         return PolicyDecision(target=bssid, source=source, **kw)
 
 
-@dataclass(frozen=True)
-class RunTimeline:
+class RunTimeline(NamedTuple):
     """A run's decision-log entries, one dict per step (see apply_decision);
-    a class because perfbench's tracer counts `len(run_policy(...).steps)`."""
+    a record, not a bare list, because perfbench's tracer counts
+    `len(run_policy(...).steps)`."""
 
     steps: list[dict]
 
@@ -133,7 +132,7 @@ def apply_decision(
     if target is not None:
         target_ok = target in sample.bssids and rssi_of(sample, target) >= validity_floor
         if target_ok:
-            new_state = replace(state, associated=target)
+            new_state = state._replace(associated=target)
         valid = valid and target_ok
     entry = {
         "t": sample.timestamp,

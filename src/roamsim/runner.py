@@ -41,7 +41,6 @@ from .gateway import (
 from .policies import (
     AssociationPlan,
     ExternalPolicy,
-    OracleConstraints,
     PlanPolicy,
     heuristic_decide,
     legacy_decide,
@@ -279,10 +278,9 @@ def strip_volatile(report_dict: dict) -> dict:
 
 
 def _oracle_plan(trace: Trace, objective: str, floor: float) -> AssociationPlan:
-    constraints = OracleConstraints(validity_floor=floor)
     if objective == "opt_ho":
-        return oracle_opt_ho(trace, constraints)
-    return oracle_opt_rssi(trace, constraints)
+        return oracle_opt_ho(trace, floor)
+    return oracle_opt_rssi(trace, floor)
 
 
 @dataclass

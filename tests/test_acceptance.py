@@ -26,7 +26,6 @@ from roamsim.gateway import MockClient, MockRule, latency_stats
 from roamsim.policies import (
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
-    OracleConstraints,
     PlanPolicy,
     brute_force_plan,
     heuristic_decide,
@@ -80,7 +79,7 @@ def test_c1_metric_exactness():
 def test_c2_solver_equals_brute_force():
     """200 random traces, T<=8 A<=3: identical plans and objective values."""
     start = time.perf_counter()
-    constraints = OracleConstraints(validity_floor=-70.0)
+    floor = -70.0
     mismatches = 0
     for seed in range(200):
         rng = random.Random(seed)
@@ -88,8 +87,8 @@ def test_c2_solver_equals_brute_force():
                          num_aps=rng.randint(1, 3))
         trace = generate_synthetic(cfg)
         for objective in (OBJECTIVE_MIN_HO, OBJECTIVE_MAX_RSSI):
-            fast = solve_plan(trace, objective, constraints)
-            slow = brute_force_plan(trace, objective, constraints)
+            fast = solve_plan(trace, objective, floor)
+            slow = brute_force_plan(trace, objective, floor)
             if fast != slow:
                 mismatches += 1
     elapsed = time.perf_counter() - start
@@ -107,14 +106,13 @@ def test_c3_oracle_dominance():
     """
     start = time.perf_counter()
     floor = -100.0
-    constraints = OracleConstraints(validity_floor=floor)
     prompt_cfg = PromptConfig()
     ho_violations = 0
     rssi_violations = 0
     for seed in range(100):
         trace = generate_synthetic(band_synth(seed=seed, duration=200, num_aps=4))
-        opt_ho = solve_plan(trace, OBJECTIVE_MIN_HO, constraints)
-        opt_rssi = solve_plan(trace, OBJECTIVE_MAX_RSSI, constraints)
+        opt_ho = solve_plan(trace, OBJECTIVE_MIN_HO, floor)
+        opt_rssi = solve_plan(trace, OBJECTIVE_MAX_RSSI, floor)
         rssi_plan_tl = run_policy(
             trace, PlanPolicy(trace, opt_rssi, "opt-rssi").decide,
             validity_floor=floor, initial=opt_rssi.plan[0],
@@ -282,9 +280,9 @@ def test_c7_determinism():
 
 def test_c8_export_integrity(crossover_trace, tmp_path):
     """SFT counts and feasibility; hand-diffed preference pairs; accuracy."""
-    constraints = OracleConstraints(validity_floor=-70.0)
+    floor = -70.0
     trace = generate_synthetic(band_synth(seed=37, duration=30))
-    plan = solve_plan(trace, OBJECTIVE_MIN_HO, constraints)
+    plan = solve_plan(trace, OBJECTIVE_MIN_HO, floor)
     sft_path = tmp_path / "sft.jsonl"
     with open(sft_path, "w", encoding="utf-8") as fh:
         count = export_sft(trace, plan, PromptConfig(), fh)
@@ -304,8 +302,8 @@ def test_c8_export_integrity(crossover_trace, tmp_path):
     # hand-derived crossover fixture: signals cross at t=6, legacy follows
     # the crossover while the fewest-handover plan keeps the t0 winner, so
     # the two disagree on exactly the last 6 steps
-    cross_constraints = OracleConstraints(validity_floor=-100.0)
-    cross_plan = solve_plan(crossover_trace, OBJECTIVE_MIN_HO, cross_constraints)
+    cross_floor = -100.0
+    cross_plan = solve_plan(crossover_trace, OBJECTIVE_MIN_HO, cross_floor)
     pref_path = tmp_path / "prefs.jsonl"
     with open(pref_path, "w", encoding="utf-8") as fh:
         pairs = export_preferences(crossover_trace, cross_plan, "legacy", PromptConfig(), fh)

@@ -29,7 +29,7 @@ from roamsim.agent import (
 )
 from roamsim.errors import ConfigError
 from roamsim.gateway import MockClient, MockRule
-from roamsim.policies import OracleConstraints, legacy_decide, oracle_opt_ho
+from roamsim.policies import legacy_decide, oracle_opt_ho
 from roamsim.roaming import AssociationState
 from roamsim.runner import ExperimentConfig, PolicySpec, run_experiment
 from roamsim.trace import T_MAX, T_MIN, generate_synthetic, window
@@ -552,7 +552,7 @@ class TestThresholdScheduler:
 class TestShotPool:
     def test_pool_is_deterministic_and_labeled_by_plan(self):
         trace = generate_synthetic(band_synth(seed=51, duration=40))
-        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_ho(trace, -100.0)
         cfg = PromptConfig(shots=5)
         a = build_shot_pool(trace, plan, cfg, seed=3)
         b = build_shot_pool(trace, plan, cfg, seed=3)
@@ -562,13 +562,13 @@ class TestShotPool:
 
     def test_plain_pool_has_no_reasoning(self):
         trace = generate_synthetic(band_synth(seed=52, duration=40))
-        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_ho(trace, -100.0)
         pool = build_shot_pool(trace, plan, PromptConfig(style="plain", shots=1), seed=0)
         assert pool[0].reasoning is None
 
     def test_pool_rejects_oversampling(self):
         trace = generate_synthetic(band_synth(seed=53, duration=3))
-        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_ho(trace, -100.0)
         with pytest.raises(ValueError):
             build_shot_pool(trace, plan, PromptConfig(shots=9), seed=0)
         with pytest.raises(ValueError, match="built for the ap_select task"):

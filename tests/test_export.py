@@ -22,7 +22,6 @@ from roamsim.export import (
 )
 from roamsim.policies import (
     AssociationPlan,
-    OracleConstraints,
     legacy_decide,
     oracle_opt_ho,
 )
@@ -44,7 +43,7 @@ def sft_lines(trace, plan, cfg=None):
 class TestExportSft:
     def test_one_record_per_step(self):
         trace = generate_synthetic(band_synth(seed=61, duration=20))
-        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_ho(trace, -100.0)
         count, records = sft_lines(trace, plan)
         assert count == 20
         assert len(records) == 20
@@ -52,13 +51,13 @@ class TestExportSft:
 
     def test_single_ap_completions_all_match(self):
         trace = make_trace([{MAC_A: -60.0 - t} for t in range(8)])
-        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_ho(trace, -100.0)
         _, records = sft_lines(trace, plan)
         assert all(r["completion"] == f"ANSWER: {MAC_A}" for r in records)
 
     def test_reexport_is_byte_identical(self, tmp_path):
         trace = generate_synthetic(band_synth(seed=62, duration=15))
-        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_ho(trace, -100.0)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for path in (p1, p2):
             with open(path, "w", encoding="utf-8") as fh:
@@ -67,8 +66,8 @@ class TestExportSft:
 
     def test_completions_are_feasible_under_constraints(self):
         trace = generate_synthetic(band_synth(seed=63, duration=60))
-        constraints = OracleConstraints(validity_floor=-70.0)
-        plan = oracle_opt_ho(trace, constraints)
+        floor = -70.0
+        plan = oracle_opt_ho(trace, floor)
         _, records = sft_lines(trace, plan)
         for t, rec in enumerate(records):
             bssid = rec["completion"].split("ANSWER: ")[1]
@@ -85,13 +84,13 @@ class TestExportSft:
 
         monkeypatch.setattr(agent, "_render_row", counting)
         trace = generate_synthetic(band_synth(seed=69, duration=40))
-        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_ho(trace, -100.0)
         sft_lines(trace, plan)
         assert rendered == list(trace.samples)
 
     def test_length_mismatch_rejected(self):
         trace = generate_synthetic(band_synth(seed=64, duration=10))
-        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_ho(trace, -100.0)
         short = make_trace([{MAC_A: -60.0}] * 5)
         with pytest.raises(DataError, match="plan length"):
             export_sft(short, plan, PromptConfig(), io.StringIO())
@@ -118,13 +117,13 @@ class TestExportPreferences:
 
     def test_single_ap_second_best_yields_zero_pairs(self):
         trace = make_trace([{MAC_A: -60.0}] * 6)
-        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_ho(trace, -100.0)
         count = export_preferences(trace, plan, "second_best", PromptConfig(), io.StringIO())
         assert count == 0
 
     def test_crossover_pair_count_matches_hand_diff(self, crossover_trace):
-        constraints = OracleConstraints(validity_floor=-100.0)
-        plan = oracle_opt_ho(crossover_trace, constraints)
+        floor = -100.0
+        plan = oracle_opt_ho(crossover_trace, floor)
         legacy_tl = run_policy(crossover_trace, legacy_decide, validity_floor=-100.0)
         expected = sum(
             1 for t, e in enumerate(legacy_tl.steps) if e["bssid"] != plan.plan[t]
@@ -138,7 +137,7 @@ class TestExportPreferences:
 
     def test_heuristic_source_is_seed_deterministic(self):
         trace = generate_synthetic(band_synth(seed=66, duration=40))
-        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_ho(trace, -100.0)
         a, b = io.StringIO(), io.StringIO()
         export_preferences(trace, plan, "heuristic", PromptConfig(), a, seed=5)
         export_preferences(trace, plan, "heuristic", PromptConfig(), b, seed=5)
@@ -146,7 +145,7 @@ class TestExportPreferences:
 
     def test_unknown_source_rejected(self):
         trace = make_trace([{MAC_A: -60.0}] * 3)
-        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_ho(trace, -100.0)
         with pytest.raises(DataError, match="unknown rejected source"):
             export_preferences(trace, plan, "nope", PromptConfig(), io.StringIO())
 
@@ -168,7 +167,7 @@ def test_out_of_range_scan_rssi_is_refused_before_any_record(export, scan_rssi):
 class TestLabelAccuracy:
     def test_self_accuracy_is_100(self):
         trace = generate_synthetic(band_synth(seed=67, duration=25))
-        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_ho(trace, -100.0)
         assert label_accuracy(plan.plan, plan) == 100.0
 
     def test_half_match(self):
@@ -248,7 +247,7 @@ GOLDEN_EXPORT_SHA256 = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_EXPORT_SHA256))
 def test_golden_export(name, tmp_path):
     trace, cfg, kw = _export_fixture(name, tmp_path)
-    plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+    plan = oracle_opt_ho(trace, -100.0)
     outputs = {}
     buf = io.StringIO()
     export_sft(trace, plan, cfg, buf, **kw)

@@ -27,7 +27,6 @@ from roamsim.policies import (
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
     ExternalPolicy,
-    OracleConstraints,
     _finish_plan,
     _objective_key,
     _step_choices,
@@ -152,7 +151,7 @@ class TestFixedThreshold:
 class TestOracles:
     def test_single_ap_plan(self):
         trace = make_trace([{MAC_A: -60.0 - t} for t in range(6)])
-        plan = oracle_opt_ho(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_ho(trace, -100.0)
         assert plan.plan == (MAC_A,) * 6
         assert plan.handovers == 0
 
@@ -166,13 +165,13 @@ class TestOracles:
             b = -58.0 if t >= 3 else -85.0
             rows.append({MAC_A: a, MAC_B: b})
         trace = make_trace(rows)
-        constraints = OracleConstraints(validity_floor=-70.0)
-        plan = oracle_opt_ho(trace, constraints)
+        floor = -70.0
+        plan = oracle_opt_ho(trace, floor)
         assert plan.handovers == 1
         switch = next(t for t in range(1, 10) if plan.plan[t] != plan.plan[t - 1])
         assert switch == 3
         assert plan.plan == (MAC_A,) * 3 + (MAC_B,) * 7
-        ref = brute_force_plan(trace, OBJECTIVE_MIN_HO, constraints)
+        ref = brute_force_plan(trace, OBJECTIVE_MIN_HO, floor)
         assert plan == ref
 
     def test_opt_rssi_follows_unique_argmax(self):
@@ -182,40 +181,42 @@ class TestOracles:
             {MAC_A: -52.0, MAC_B: -58.0},
         ]
         trace = make_trace(rows)
-        plan = oracle_opt_rssi(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_rssi(trace, -100.0)
         assert plan.plan == (MAC_A, MAC_B, MAC_A)
 
     def test_opt_rssi_tie_prefers_staying(self):
         trace = make_trace([{MAC_A: -60.0, MAC_B: -60.0}] * 5)
-        plan = oracle_opt_rssi(trace, OracleConstraints(validity_floor=-100.0))
+        plan = oracle_opt_rssi(trace, -100.0)
         assert plan.handovers == 0
         assert plan.plan == (MAC_A,) * 5  # lexicographic final tie-break
 
     def test_empty_feasible_set_relaxes_to_argmax(self):
         rows = [{MAC_A: -60.0, MAC_B: -65.0}, {MAC_A: -90.0, MAC_B: -85.0}]
         trace = make_trace(rows)
-        plan = oracle_opt_rssi(trace, OracleConstraints(validity_floor=-70.0))
+        plan = oracle_opt_rssi(trace, -70.0)
         assert plan.plan[1] == MAC_B  # strongest available despite being below floor
 
-    @pytest.mark.parametrize("kw, message", [
-        (dict(validity_floor=float("nan")), "validity_floor out of range: nan"),
-        (dict(validity_floor=5.0), "validity_floor out of range: 5.0"),
-        (dict(validity_floor=-100.5), "validity_floor out of range: -100.5"),
+    @pytest.mark.parametrize("floor, message", [
+        (float("nan"), "validity_floor out of range: nan"),
+        (5.0, "validity_floor out of range: 5.0"),
+        (-100.5, "validity_floor out of range: -100.5"),
     ], ids=["nan", "above", "below"])
-    def test_bad_constraints_rejected(self, kw, message):
-        with pytest.raises(ConfigError, match=message):
-            OracleConstraints(**kw)
+    def test_bad_constraints_rejected(self, floor, message):
+        trace = make_trace([{MAC_A: -60.0}])
+        for solve in (solve_plan, brute_force_plan):
+            with pytest.raises(ConfigError, match=message):
+                solve(trace, OBJECTIVE_MIN_HO, floor)
 
     def test_unknown_objective_rejected(self):
         trace = make_trace([{MAC_A: -60.0}])
         with pytest.raises(ValueError, match="unknown objective: 'min_rssi'"):
-            solve_plan(trace, "min_rssi", OracleConstraints())
+            solve_plan(trace, "min_rssi")
 
 
 class TestBruteForce:
     def test_t1_picks_best_single_choice(self):
         trace = make_trace([{MAC_A: -60.0, MAC_B: -50.0}])
-        plan = brute_force_plan(trace, OBJECTIVE_MAX_RSSI, OracleConstraints(-100.0))
+        plan = brute_force_plan(trace, OBJECTIVE_MAX_RSSI, -100.0)
         assert plan.plan == (MAC_B,)
 
     def test_hand_enumerated_t3_a2(self):
@@ -227,27 +228,27 @@ class TestBruteForce:
             {MAC_A: -60.0, MAC_B: -72.0},
         ]
         trace = make_trace(rows)
-        constraints = OracleConstraints(validity_floor=-70.0)
-        ho_plan = brute_force_plan(trace, OBJECTIVE_MIN_HO, constraints)
+        floor = -70.0
+        ho_plan = brute_force_plan(trace, OBJECTIVE_MIN_HO, floor)
         assert ho_plan.plan == (MAC_B, MAC_B, MAC_A)
         assert ho_plan.handovers == 1
-        rssi_plan = brute_force_plan(trace, OBJECTIVE_MAX_RSSI, constraints)
+        rssi_plan = brute_force_plan(trace, OBJECTIVE_MAX_RSSI, floor)
         assert rssi_plan.plan == (MAC_A, MAC_B, MAC_A)
         assert rssi_plan.objective_value == -178.0
 
     def test_guard_rejects_huge_spaces(self):
         trace = generate_synthetic(band_synth(seed=1, duration=40, num_aps=4))
         with pytest.raises(SearchSpaceError):
-            brute_force_plan(trace, OBJECTIVE_MIN_HO, OracleConstraints(-100.0))
+            brute_force_plan(trace, OBJECTIVE_MIN_HO, -100.0)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), T=st.integers(1, 8), A=st.integers(1, 3),
            objective=st.sampled_from([OBJECTIVE_MIN_HO, OBJECTIVE_MAX_RSSI]))
     def test_dp_equals_brute_force(self, seed, T, A, objective):
         trace = generate_synthetic(band_synth(seed=seed, duration=T, num_aps=A))
-        constraints = OracleConstraints(validity_floor=-70.0)
-        assert solve_plan(trace, objective, constraints) == brute_force_plan(
-            trace, objective, constraints
+        floor = -70.0
+        assert solve_plan(trace, objective, floor) == brute_force_plan(
+            trace, objective, floor
         )
 
     @settings(max_examples=60, deadline=None)
@@ -266,17 +267,17 @@ class TestBruteForce:
             present = rng.sample(range(A), rng.randint(1, A))
             rows.append({mac(i): rng.uniform(-90.0, -50.0) for i in present})
         trace = make_trace(rows)
-        constraints = OracleConstraints(validity_floor=-70.0)
-        assert solve_plan(trace, objective, constraints) == brute_force_plan(
-            trace, objective, constraints
+        floor = -70.0
+        assert solve_plan(trace, objective, floor) == brute_force_plan(
+            trace, objective, floor
         )
 
 
-def reference_solve_plan(trace, objective, constraints):
+def reference_solve_plan(trace, objective, floor):
     """The all-pairs O(T*A^2) recurrence: every AP at every step tries every
     successor and keeps the first strictly better key."""
     key = _objective_key(objective)
-    choices = [_step_choices(s, constraints) for s in trace.samples]
+    choices = [_step_choices(s, floor) for s in trace.samples]
     T = len(choices)
     value = [dict() for _ in range(T)]
     value[T - 1] = {a: (0, rssi) for a, rssi in choices[T - 1].items()}
@@ -333,11 +334,11 @@ class TestSolverAgainstReference:
         rows = [{MAC_C: -60.0}, {MAC_A: -60.0, MAC_B: -60.00000000000001},
                 {MAC_B: -0.0, MAC_C: -0.0}]
         trace = make_trace(rows)
-        constraints = OracleConstraints(validity_floor=-100.0)
-        plan = solve_plan(trace, OBJECTIVE_MAX_RSSI, constraints)
+        floor = -100.0
+        plan = solve_plan(trace, OBJECTIVE_MAX_RSSI, floor)
         assert plan.plan == (MAC_C, MAC_B, MAC_B)
         assert plan.handovers == 1
-        assert plan == reference_solve_plan(trace, OBJECTIVE_MAX_RSSI, constraints)
+        assert plan == reference_solve_plan(trace, OBJECTIVE_MAX_RSSI, floor)
 
     @settings(max_examples=150, deadline=None)
     @given(rows=tie_heavy_rows(),
@@ -345,9 +346,8 @@ class TestSolverAgainstReference:
            floor=st.sampled_from([-100.0, -70.0, -60.0, -59.99999999999999, -1e-9]))
     def test_equals_quadratic_dp_on_tie_heavy_traces(self, rows, objective, floor):
         trace = make_trace(rows)
-        constraints = OracleConstraints(validity_floor=floor)
-        expected = reference_solve_plan(trace, objective, constraints)
-        got = solve_plan(trace, objective, constraints)
+        expected = reference_solve_plan(trace, objective, floor)
+        got = solve_plan(trace, objective, floor)
         assert got == expected
         # AssociationPlan equality treats -0.0 and 0.0 alike; the sign must match too
         assert repr(got.objective_value) == repr(expected.objective_value)
@@ -357,9 +357,9 @@ class TestSolverAgainstReference:
            objective=st.sampled_from([OBJECTIVE_MIN_HO, OBJECTIVE_MAX_RSSI]))
     def test_equals_quadratic_dp_on_synthetic_walks(self, seed, num_aps, objective):
         trace = generate_synthetic(band_synth(seed=seed, duration=120, num_aps=num_aps))
-        constraints = OracleConstraints(validity_floor=-70.0)
-        assert solve_plan(trace, objective, constraints) == reference_solve_plan(
-            trace, objective, constraints
+        floor = -70.0
+        assert solve_plan(trace, objective, floor) == reference_solve_plan(
+            trace, objective, floor
         )
 
 

@@ -46,7 +46,6 @@ from roamsim.policies import (
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
     AssociationPlan,
-    OracleConstraints,
     legacy_decide,
     solve_plan,
 )
@@ -834,9 +833,8 @@ def _call(entry: str, data, trace: Trace, trace_path: str, tmp: str):
             data.draw(names(REJECTED_LEGACY, REJECTED_HEURISTIC, REJECTED_SECOND_BEST)),
             drawn_prompt(data), out, seed=data.draw(INTS), scan_rssi=data.draw(FLOATS))
     if entry == "solve_plan":
-        constraints = OracleConstraints(validity_floor=data.draw(FLOATS))
         return solve_plan(trace, data.draw(names(OBJECTIVE_MIN_HO, OBJECTIVE_MAX_RSSI)),
-                          constraints)
+                          data.draw(FLOATS))
     reports = drawn_reports(data, trace_path, tmp)
     if entry == "compare":
         return compare(reports).render()
