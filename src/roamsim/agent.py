@@ -29,8 +29,9 @@ Templates are override-able: a template file is plain text with
 and instruction.<task>.<style> blocks, each using the same named
 placeholders as the defaults. Loading checks each field of the
 formatted blocks in one pass: its name, its conversion, a format spec
-that holds no field, and the spec against a sample of the field's
-rendered type, so a bad one is a ConfigError, not a failed prompt.
+that holds no field and no width or precision above TEMPLATE_WIDTH_MAX,
+and the spec against a sample of the field's rendered type, so a bad one
+is a ConfigError, not a failed (or huge) prompt.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ CONTEXT_FIELDS = ("location", "time", "battery")
 _MAC_IN_TEXT_RE = re.compile(r"\b[0-9A-Fa-f]{2}(?:[:-][0-9A-Fa-f]{2}){5}\b")
 _ANSWER_LINE_RE = re.compile(r"^\s*answer\s*:\s*(.*)$", re.IGNORECASE)
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+# The largest width or precision a template's format spec may give a field.
+TEMPLATE_WIDTH_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,10 @@ def load_template(path) -> dict[str, str]:
             try:
                 if "{" in spec:  # a nested field, whose value only a run would give
                     raise ValueError("a format spec cannot hold a field")
+                # Each digit run in a spec is its width, its precision or a
+                # one-digit fill, so this bounds both before any is allocated.
+                if any(int(n) > TEMPLATE_WIDTH_MAX for n in re.findall(r"\d+", spec)):
+                    raise ValueError(f"a width or precision above {TEMPLATE_WIDTH_MAX}")
                 field.format(**samples)
             except (ValueError, OverflowError) as exc:  # such as {aps:d}, or {t:c} past U+10FFFF
                 raise ConfigError(f"template {path}: [{name}] {field}: {exc}") from None

@@ -49,6 +49,8 @@ from .policies import (
 )
 from .roaming import DEFAULT_SCAN_RSSI_DBM, HYSTERESIS_PRESETS, check_dbm, run_policy
 from .trace import (
+    RSSI_MAX_DBM,
+    RSSI_MIN_DBM,
     ScanSample,
     SynthConfig,
     Trace,
@@ -262,11 +264,14 @@ def recompute_metrics(decision_log: list[dict]) -> dict:
     return {"handovers": ho, "avg_rssi_dbm": avg, "error_rate": err}
 
 
+def _metric_mismatches(d: dict) -> list[str]:
+    """The headline metrics that report dict `d` states and its decision log does not give."""
+    return [k for k, v in recompute_metrics(d["decision_log"]).items() if d["metrics"][k] != v]
+
+
 def verify_report(report: dict | RunReport) -> bool:
     """True when the report's metrics match a recomputation from its log."""
-    d = report.to_dict() if isinstance(report, RunReport) else report
-    rec = recompute_metrics(d["decision_log"])
-    return all(d["metrics"][k] == v for k, v in rec.items())
+    return not _metric_mismatches(report.to_dict() if isinstance(report, RunReport) else report)
 
 
 def strip_volatile(report_dict: dict) -> dict:
@@ -445,6 +450,14 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_log_entry(e) -> bool:
+    """A decision-log entry as recompute_metrics reads it: a string `bssid`, an
+    `rssi` level in dBm, a stay or roam `action` and a boolean `valid`."""
+    return (isinstance(e, dict) and isinstance(e.get("bssid"), str)
+            and _is_real(e.get("rssi")) and RSSI_MIN_DBM <= e["rssi"] <= RSSI_MAX_DBM
+            and e.get("action") in ("stay", "roam") and isinstance(e.get("valid"), bool))
+
+
 def read_json(path: str, name: str | None = None):
     """The JSON value in the file at `path`; DataError, naming the file, when it holds none.
 
@@ -463,6 +476,8 @@ def read_report(path: str) -> dict:
 
     Beyond the keys, the fields that compare and plot-data format or hash
     must have their report types, so a bad file is a data error there too.
+    The headline metrics must be the ones recompute_metrics gives for the
+    file's decision log, so a report whose numbers were edited is refused.
     """
     d = read_json(path)
     m = d.get("metrics") if isinstance(d, dict) else None
@@ -483,6 +498,14 @@ def read_report(path: str) -> dict:
     ) if not ok]
     if wrong:
         raise DataError(f"{path}: wrong type for {', '.join(wrong)}")
+    log = d.get("decision_log")
+    if not (isinstance(log, list) and log and all(map(_is_log_entry, log))):
+        raise DataError(f"{path}: decision_log is not a list of steps with a bssid, "
+                        "an rssi in [-100, 0], a stay or roam action and a valid flag")
+    wrong = _metric_mismatches(d)
+    if wrong:
+        raise DataError(f"{path}: the decision_log gives other values for "
+                        f"{', '.join(f'metrics.{k}' for k in wrong)}")
     return d
 
 

@@ -16,6 +16,7 @@ from conftest import MAC_A, MAC_B, MAC_C, band_synth, make_sample, make_trace
 from roamsim import agent
 from roamsim.agent import (
     CONTEXT_FIELDS,
+    TEMPLATE_WIDTH_MAX,
     FewShotExample,
     PromptConfig,
     ap_select_decide,
@@ -195,6 +196,30 @@ class TestBuildPrompt:
         with pytest.raises(ConfigError) as exc:
             load_template(path)
         assert str(exc.value) == f"template {path}: [row] {shown}"
+
+    # A width or precision past TEMPLATE_WIDTH_MAX loaded at the parent, and each
+    # rendered row then carried it; it is refused before any sample is formatted.
+    @pytest.mark.parametrize("section, body, shown", [
+        ("row", "t={t:0>1001}", "{t:0>1001}"),
+        ("row", "{aps:.1001}", "{aps:.1001}"),
+        ("shot", "{index:+01001,}", "{index:+01001,}"),
+    ], ids=["fill-and-align-width", "precision", "zero-padded-width"])
+    def test_specs_wider_than_the_bound_are_refused(self, tmp_path, section, body, shown):
+        path = tmp_path / "tpl.txt"
+        path.write_text(f"[{section}]\n{body}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_template(path)
+        assert str(exc.value) == (
+            f"template {path}: [{section}] {shown}: a width or precision above 1000")
+
+    def test_specs_at_the_bound_load_and_render(self, tmp_path):
+        assert TEMPLATE_WIDTH_MAX == 1000
+        path = tmp_path / "tpl.txt"
+        path.write_text("[row]\nt={t:9>1000} | {aps:.1000}{context:1000}\n", encoding="utf-8")
+        text = build_prompt(simple_window(), state_at(), PromptConfig(context_fields=frozenset()),
+                            template=load_template(path))
+        [row] = [line for line in text.splitlines() if line.startswith("t=")]
+        assert row.startswith("t=" + "9" * 999 + "0 | ") and row.endswith(" " * 1000)
 
     def test_unknown_block_is_refused(self, tmp_path):
         path = tmp_path / "tpl.txt"

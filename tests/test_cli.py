@@ -578,10 +578,19 @@ class TestOracleExport:
         assert not out.exists()
 
 
-# A well-typed hand-written report, and one-field edits of it that compare and
-# plot-data must reject as data errors.
+def _hand_log(error_rate) -> list[dict]:
+    """Four steps at -61 dBm that change AP three times, with the roam attempts
+    that give `error_rate`: None (no attempt), 0 or 0.25 (one of four invalid)."""
+    actions = {None: "ssss", 0: "srrr", 0.25: "rrrr"}[error_rate]
+    return [{"t": t, "bssid": "AB"[t % 2], "rssi": -61, "action": {"s": "stay", "r": "roam"}[a],
+             "valid": not (error_rate and t == 0)} for t, a in enumerate(actions)]
+
+
+# A well-typed hand-written report whose metrics are its log's, and one-field
+# edits of it that compare and plot-data must reject as data errors.
 HAND_REPORT = {"policy": "p", "scenario": "s", "trace_hash": "ab", "latency": None,
-               "metrics": {"handovers": 3, "avg_rssi_dbm": -61, "error_rate": 0}}
+               "metrics": {"handovers": 3, "avg_rssi_dbm": -61, "error_rate": 0},
+               "decision_log": _hand_log(0)}
 
 
 def _edited(key: str, value) -> str:
@@ -609,6 +618,17 @@ MALFORMED_REPORTS = {
     "policy-int": _edited("policy", 5),
     "policy-null": _edited("policy", None),
     "scenario-list": _edited("scenario", ["s"]),
+    "decision-log-missing": json.dumps({k: v for k, v in HAND_REPORT.items()
+                                        if k != "decision_log"}),
+    "decision-log-empty": _edited("decision_log", []),
+    "decision-log-object": _edited("decision_log", {"0": HAND_REPORT["decision_log"][0]}),
+    "decision-log-rssi-string": _edited("decision_log", [{**_hand_log(0)[0], "rssi": "-61"}]),
+    "decision-log-rssi-huge": _edited("decision_log", [{**_hand_log(0)[0], "rssi": 10 ** 400}]),
+    "decision-log-valid-null": _edited("decision_log", [{**_hand_log(0)[0], "valid": None}]),
+    "decision-log-action-jump": _edited("decision_log", [{**_hand_log(0)[0], "action": "jump"}]),
+    "handovers-not-the-logs": _edited("handovers", 2),
+    "avg-rssi-not-the-logs": _edited("avg_rssi_dbm", -61.5),
+    "error-rate-not-the-logs": _edited("error_rate", None),
 }
 
 
@@ -666,6 +686,27 @@ class TestCompareAndPlot:
         assert err.startswith("data error:")
         assert str(bad) in err
 
+    @pytest.mark.parametrize("command", ["compare", "plot-data"])
+    @pytest.mark.parametrize("edit, metric", [
+        (lambda d: d["metrics"].update(handovers=d["metrics"]["handovers"] + 1), "handovers"),
+        (lambda d: d["metrics"].update(avg_rssi_dbm=-20.0), "avg_rssi_dbm"),
+        (lambda d: d["decision_log"][0].update(rssi=d["decision_log"][0]["rssi"] + 1.0),
+         "avg_rssi_dbm"),
+    ], ids=["metric-handovers", "metric-avg-rssi", "log-rssi"])
+    def test_a_report_its_log_disagrees_with_is_refused(
+            self, trace_file, tmp_path, capsys, command, edit, metric):
+        a, b = self._two_reports(trace_file, tmp_path)
+        d = json.loads(a.read_text(encoding="utf-8"))
+        edit(d)
+        a.write_text(json.dumps(d, indent=2), encoding="utf-8")
+        argv = [command, str(a), str(b)]
+        if command == "plot-data":
+            argv += ["--out", str(tmp_path / "plots")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {a}: the decision_log gives other values for metrics.{metric}\n")
+
     def test_compare_csv_quotes_a_policy_with_a_comma(self, tmp_path):
         path, csv_out = tmp_path / "x.json", tmp_path / "cmp.csv"
         path.write_text(json.dumps({**HAND_REPORT, "policy": "x,y"}))
@@ -681,7 +722,8 @@ class TestCompareAndPlot:
         path = tmp_path / "x.json"
         path.write_text(json.dumps({**HAND_REPORT, "latency": latency,
                                     "metrics": {**HAND_REPORT["metrics"],
-                                                "error_rate": error_rate}}))
+                                                "error_rate": error_rate},
+                                    "decision_log": _hand_log(error_rate)}))
         assert main(["compare", str(path), str(path)]) == 0
         assert "-61.00" in capsys.readouterr().out
 

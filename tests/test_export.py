@@ -200,6 +200,14 @@ class TestSplitTrace:
         assert len(test) == 20
         assert train.samples + test.samples == trace.samples
 
+    # T * TRAIN_FRAC is 4.8 and 5.6: the cut rounds to the nearest step, not down.
+    @pytest.mark.parametrize("T, train_len", [(6, 5), (7, 6)])
+    def test_cut_rounds_to_the_nearest_step(self, T, train_len):
+        trace = make_trace([{MAC_A: -60.0 - t} for t in range(T)])
+        train, test = split_trace(trace)
+        assert (len(train), len(test)) == (train_len, T - train_len)
+        assert train.samples + test.samples == trace.samples
+
     def test_tiny_trace_still_splits(self):
         trace = make_trace([{MAC_A: -60.0}] * 2)
         train, test = split_trace(trace)

@@ -26,6 +26,7 @@ from roamsim.errors import ConfigError, SearchSpaceError
 from roamsim.policies import (
     OBJECTIVE_MAX_RSSI,
     OBJECTIVE_MIN_HO,
+    AssociationPlan,
     ExternalPolicy,
     _finish_plan,
     _objective_key,
@@ -189,6 +190,14 @@ class TestOracles:
         plan = oracle_opt_rssi(trace, -100.0)
         assert plan.handovers == 0
         assert plan.plan == (MAC_A,) * 5  # lexicographic final tie-break
+
+    def test_an_ap_exactly_on_the_floor_is_feasible(self):
+        # B is on the floor at t0 but not the strongest; A is below it at t1,
+        # so staying on B from the start is the one plan with no handover.
+        trace = make_trace([{MAC_A: -50.0, MAC_B: -70.0}, {MAC_A: -90.0, MAC_B: -60.0}])
+        assert _step_choices(trace.samples[0], -70.0) == {MAC_A: -50.0, MAC_B: -70.0}
+        assert oracle_opt_ho(trace, -70.0) == AssociationPlan(
+            (MAC_B, MAC_B), OBJECTIVE_MIN_HO, 0.0, 0)
 
     def test_empty_feasible_set_relaxes_to_argmax(self):
         rows = [{MAC_A: -60.0, MAC_B: -65.0}, {MAC_A: -90.0, MAC_B: -85.0}]

@@ -779,7 +779,8 @@ def drawn_plan(data, trace: Trace) -> AssociationPlan:
 
 REPORT_KEYS = [("policy",), ("scenario",), ("trace_hash",), ("metrics",),
                ("metrics", "handovers"), ("metrics", "error_rate"), ("metrics", "avg_rssi_dbm"),
-               ("latency",), ("latency", "mean_ms")]
+               ("latency",), ("latency", "mean_ms"), ("decision_log",), ("decision_log", 0),
+               ("decision_log", 0, "rssi"), ("decision_log", 0, "valid")]
 
 
 def drawn_reports(data, trace_path: str, tmp: str) -> list:
