@@ -20,10 +20,11 @@ best suffix takes, so the plan is read forward from those. Both solvers share
 their feasibility rule and tie-breaks with `brute_force_plan`, the
 exhaustive reference used to verify them. The rule takes the validity floor
 as a number, in dBm: an AP is feasible at a step when its RSSI is at or
-above the floor, and on a step where none is, the strongest present are. Final ties are broken toward
-the lexicographically smallest plan, so solver output is unique and
-reproducible. Suffix RSSI sums are accumulated back-to-front in both
-solvers so their float objectives match exactly.
+above the floor, and on a step where none is, the strongest present are.
+Final ties are broken toward the lexicographically smallest plan, so
+solver output is unique and reproducible. Suffix RSSI sums are
+accumulated back-to-front in both solvers so their float objectives
+match exactly.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ EXTERNAL_TIMEOUT_MS = 5000.0
 
 
 class AssociationPlan(NamedTuple):
-    """A full association sequence with its objective value (a named tuple, as
-    every immutable run record is)."""
+    """A full association sequence with its objective value."""
 
     plan: tuple[str, ...]
     objective: str

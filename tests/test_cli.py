@@ -621,7 +621,7 @@ MALFORMED_REPORTS = {
     "decision-log-missing": json.dumps({k: v for k, v in HAND_REPORT.items()
                                         if k != "decision_log"}),
     "decision-log-empty": _edited("decision_log", []),
-    "decision-log-object": _edited("decision_log", {"0": HAND_REPORT["decision_log"][0]}),
+    "decision-log-object": _edited("decision_log", {"0": _hand_log(0)[0]}),
     "decision-log-rssi-string": _edited("decision_log", [{**_hand_log(0)[0], "rssi": "-61"}]),
     "decision-log-rssi-huge": _edited("decision_log", [{**_hand_log(0)[0], "rssi": 10 ** 400}]),
     "decision-log-valid-null": _edited("decision_log", [{**_hand_log(0)[0], "valid": None}]),
