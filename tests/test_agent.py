@@ -197,8 +197,8 @@ class TestBuildPrompt:
             load_template(path)
         assert str(exc.value) == f"template {path}: [row] {shown}"
 
-    # A width or precision past TEMPLATE_WIDTH_MAX loaded at the parent, and each
-    # rendered row then carried it; it is refused before any sample is formatted.
+    # A width or precision past TEMPLATE_WIDTH_MAX would make every rendered row
+    # that wide; it is refused before any sample is formatted.
     @pytest.mark.parametrize("section, body, shown", [
         ("row", "t={t:0>1001}", "{t:0>1001}"),
         ("row", "{aps:.1001}", "{aps:.1001}"),
