@@ -145,7 +145,9 @@ def _objective_key(objective: str):
 def _finish_plan(plan: list[str], srssi: float, objective: str) -> AssociationPlan:
     ho = sum(1 for a, b in zip(plan, plan[1:]) if a != b)
     value = float(ho) if objective == OBJECTIVE_MIN_HO else srssi
-    return AssociationPlan(tuple(plan), objective, value, ho)
+    return AssociationPlan(
+        plan=tuple(plan), objective=objective, objective_value=value, handovers=ho
+    )
 
 
 def solve_plan(

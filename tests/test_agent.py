@@ -172,7 +172,12 @@ class TestBuildPrompt:
         ("row", "ROW {t!r:d}", "{t!r:d}"),
         ("preamble.threshold", "AT {threshold:.1f}", "{threshold:.1f}"),
         ("shot", "{index:,}{answer:=5}", "{answer:=5}"),
-    ], ids=["str-as-int", "int-as-str", "repr-as-int", "str-as-float", "str-alignment"])
+        # Past TEMPLATE_WIDTH_MAX, refused before any sample is formatted.
+        ("row", "t={t:0>1001}", "{t:0>1001}"),
+        ("row", "{aps:.1001}", "{aps:.1001}"),
+        ("shot", "{index:+01001,}", "{index:+01001,}"),
+    ], ids=["str-as-int", "int-as-str", "repr-as-int", "str-as-float", "str-alignment",
+            "width-above-bound", "precision-above-bound", "zero-padded-width-above-bound"])
     def test_template_format_spec_errors_name_file_section_and_spec(
         self, tmp_path, section, body, shown
     ):
@@ -196,21 +201,6 @@ class TestBuildPrompt:
         with pytest.raises(ConfigError) as exc:
             load_template(path)
         assert str(exc.value) == f"template {path}: [row] {shown}"
-
-    # A width or precision past TEMPLATE_WIDTH_MAX would make every rendered row
-    # that wide; it is refused before any sample is formatted.
-    @pytest.mark.parametrize("section, body, shown", [
-        ("row", "t={t:0>1001}", "{t:0>1001}"),
-        ("row", "{aps:.1001}", "{aps:.1001}"),
-        ("shot", "{index:+01001,}", "{index:+01001,}"),
-    ], ids=["fill-and-align-width", "precision", "zero-padded-width"])
-    def test_specs_wider_than_the_bound_are_refused(self, tmp_path, section, body, shown):
-        path = tmp_path / "tpl.txt"
-        path.write_text(f"[{section}]\n{body}\n", encoding="utf-8")
-        with pytest.raises(ConfigError) as exc:
-            load_template(path)
-        assert str(exc.value) == (
-            f"template {path}: [{section}] {shown}: a width or precision above 1000")
 
     def test_specs_at_the_bound_load_and_render(self, tmp_path):
         assert TEMPLATE_WIDTH_MAX == 1000

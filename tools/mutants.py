@@ -2,7 +2,6 @@
 
     python3 tools/mutants.py              # every mutant, after a clean run
     python3 tools/mutants.py --only M4,M7 # some of them
-    python3 tools/mutants.py --list       # print the mutants and exit
 
 Each mutant changes one operator or bound on one line of the replay, the
 metrics, the oracle, the latency statistics or the holdout split. For each,
@@ -90,18 +89,19 @@ def _function_lines(source: str, name: str) -> range:
     raise LookupError(f"no function {name}")
 
 
-def mutate(root: str, m: Mutant) -> None:
-    """Apply `m` to the copy at `root`; LookupError when its text is not on one line."""
-    path = os.path.join(root, m.path)
-    with open(path, encoding="utf-8") as fh:
-        source = fh.read()
+def _source(root: str, m: Mutant) -> str:
+    with open(os.path.join(root, m.path), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def mutated(source: str, m: Mutant) -> str:
+    """`source` with `m` applied; LookupError when its text is not on one line."""
     lines = source.splitlines(keepends=True)
     hits = [i for i in _function_lines(source, m.function) if m.old in lines[i]]
     if len(hits) != 1 or lines[hits[0]].count(m.old) != 1:
         raise LookupError(f"{m.id}: {m.old!r} is not on exactly one line of {m.function}")
     lines[hits[0]] = lines[hits[0]].replace(m.old, m.new)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    return "".join(lines)
 
 
 def run_tier1(root: str) -> tuple[bool, float, str]:
@@ -127,14 +127,15 @@ def run_one(m: Mutant | None) -> tuple[bool, float, str]:
         root = os.path.join(tmp, "repo")
         shutil.copytree(ROOT, root, ignore=COPY_IGNORE)
         if m is not None:
-            mutate(root, m)
+            text = mutated(_source(root, m), m)
+            with open(os.path.join(root, m.path), "w", encoding="utf-8") as fh:
+                fh.write(text)
         return run_tier1(root)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", help="comma-separated mutant ids, such as M4,M7")
-    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
     args = parser.parse_args(argv)
     chosen = MUTANTS
     if args.only:
@@ -143,22 +144,14 @@ def main(argv=None) -> int:
         if unknown:
             parser.error(f"unknown mutant ids: {', '.join(unknown)}")
         chosen = tuple(m for m in MUTANTS if m.id in wanted)
-    if args.list:
-        for m in chosen:
-            print(f"{m.id:<4} {m.path}:{m.function}: {m.old}  ->  {m.new}")
-        return 0
 
     # Every mutant must apply before any run, so a stale list costs no time.
-    with tempfile.TemporaryDirectory(prefix="roamsim-mutant-") as tmp:
-        for m in chosen:
-            root = os.path.join(tmp, m.id)
-            os.makedirs(os.path.dirname(os.path.join(root, m.path)))
-            shutil.copy(os.path.join(ROOT, m.path), os.path.join(root, m.path))
-            try:
-                mutate(root, m)
-            except LookupError as exc:
-                print(f"stale mutant {exc}", file=sys.stderr)
-                return 2
+    for m in chosen:
+        try:
+            mutated(_source(ROOT, m), m)
+        except LookupError as exc:
+            print(f"stale mutant {exc}", file=sys.stderr)
+            return 2
 
     passed, seconds, tail = run_one(None)
     print(f"{'none':<4} unmutated  {'passed' if passed else 'FAILED'}  {seconds:5.1f} s  {tail}",
