@@ -14,13 +14,16 @@ Both run as a dynamic program over (step, BSSID) with switch-cost edges.
 Every switch costs one handover, so each step ranks the next step's
 suffixes once, O(A log A) for A APs, and then does O(1) work per AP plus
 one look at each suffix whose sum rounds equal to the best one (see
-solve_plan), rather than trying all A successors of every AP. The backward
-pass holds one step of suffix values and records the successor each AP's
-best suffix takes, so the plan is read forward from those. Both solvers share
-their feasibility rule and tie-breaks with `brute_force_plan`, the
-exhaustive reference used to verify them. The rule takes the validity floor
-as a number, in dBm: an AP is feasible at a step when its RSSI is at or
-above the floor, and on a step where none is, the strongest present are.
+solve_plan), rather than trying all A successors of every AP. Each suffix
+value carries its ranking key, so the ranking is a sort on the values
+themselves, and a step's choices come in the scan's column order: ties are
+settled by comparing (key, BSSID), not by the order APs are met. The
+backward pass holds one step of suffix values and records the successor
+each AP's best suffix takes, so the plan is read forward from those. Both
+solvers share their feasibility rule and tie-breaks with `brute_force_plan`,
+the exhaustive reference used to verify them. The rule takes the validity
+floor as a number, in dBm: an AP is feasible at a step when its RSSI is at
+or above the floor, and on a step where none is, the strongest present are.
 Final ties are broken toward the lexicographically smallest plan, so
 solver output is unique and reproducible. Suffix RSSI sums are
 accumulated back-to-front in both solvers so their float objectives
@@ -33,6 +36,7 @@ import itertools
 import json
 import random
 from math import prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConfigError, SearchSpaceError
@@ -124,13 +128,13 @@ class PlanPolicy:
 # Optimal plans
 
 def _step_choices(sample: ScanSample, floor: float) -> dict[str, float]:
-    """The step's feasible APs, BSSID -> RSSI, in BSSID order.
+    """The step's feasible APs, BSSID -> RSSI, in the scan's column order.
 
     Every AP at or above min(floor, strongest RSSI) is feasible: those at or
     above the floor, else the strongest present.
     """
     bar = min(floor, max(sample.rssis))
-    return {b: r for b, r in sorted(zip(sample.bssids, sample.rssis)) if r >= bar}
+    return {b: r for b, r in zip(sample.bssids, sample.rssis) if r >= bar}
 
 
 def _objective_key(objective: str):
@@ -163,29 +167,31 @@ def solve_plan(
     choices = [_step_choices(s, floor) for s in trace.samples]
     T = len(choices)
 
-    # nxt[a] = (handovers, rssi sum) of the best suffix t+1..T-1 with a_{t+1} = a,
-    # the only step of values held; succ[t][a] = a_{t+1} on the best suffix from a_t = a.
-    # Every switch costs one handover, so the best successor of `a` is either
-    # `a` itself or the best suffix among the other APs. Each step ranks the
-    # step-(t+1) suffixes once, best first. For `a`, the switch candidates are
-    # the first ranked suffix of another AP and the run of later ones whose
-    # sum with a's RSSI rounds equal to its sum. Float addition is monotone,
-    # so every suffix past that run has a strictly worse key: max_rssi ranks
-    # by sum first, min_ho by handovers and then by sum. Equal keys go to the
-    # smallest BSSID, the one the all-pairs recurrence would meet first.
-    nxt = {a: (0, rssi) for a, rssi in choices[T - 1].items()}
+    # nxt[a] = (key, handovers, rssi sum) of the best suffix t+1..T-1 with
+    # a_{t+1} = a, the only step of values held; succ[t][a] = a_{t+1} on the best
+    # suffix from a_t = a. Every switch costs one handover, so the best successor
+    # of `a` is either `a` itself or the best suffix among the other APs. Each
+    # step ranks the step-(t+1) suffixes once, best first, by the key each value
+    # carries. For `a`, the switch candidates are the first ranked suffix of
+    # another AP and the run of later ones whose sum with a's RSSI rounds equal
+    # to its sum. Float addition is monotone, so every suffix past that run has
+    # a strictly worse key: max_rssi ranks by sum first, min_ho by handovers and
+    # then by sum. Equal keys go to the smallest BSSID, the one the all-pairs
+    # recurrence over BSSID-ordered choices would meet first; every suffix of
+    # that key lies in the run, so the order the choices come in does not matter.
+    nxt = {a: (key(0, rssi), 0, rssi) for a, rssi in choices[T - 1].items()}
     succ: list[dict[str, str]] = [{} for _ in range(T - 1)]
     for t in range(T - 2, -1, -1):
-        ranked = sorted(nxt.items(), key=lambda kv: key(*kv[1]))
+        ranked = sorted(nxt.items(), key=itemgetter(1))
         here, step_succ = {}, succ[t]
         for a, rssi in choices[t].items():
-            best = None  # (key, bssid, (handovers, rssi sum))
+            best = None  # (key, bssid, handovers, rssi sum)
             stay = nxt.get(a)
             if stay is not None:
-                cand = (stay[0], rssi + stay[1])
-                best = (key(*cand), a, cand)
+                total = rssi + stay[2]
+                best = (key(stay[1], total), a, stay[1], total)
             top = None
-            for b, (ho, srssi) in ranked:
+            for b, (_, ho, srssi) in ranked:
                 if b == a:
                     continue
                 total = rssi + srssi
@@ -193,19 +199,18 @@ def solve_plan(
                     top = total
                 elif total != top:
                     break
-                cand = (ho + 1, total)
-                ranked_cand = (key(*cand), b, cand)
-                if best is None or ranked_cand < best:
-                    best = ranked_cand
-            here[a] = best[2]
-            step_succ[a] = best[1]
+                cand = (key(ho + 1, total), b, ho + 1, total)
+                if best is None or cand < best:
+                    best = cand
+            rank, step_succ[a], ho, total = best
+            here[a] = (rank, ho, total)
         nxt = here
 
-    first = min(choices[0], key=lambda a: (key(*nxt[a]), a))
+    first = min(choices[0], key=lambda a: (nxt[a][0], a))
     plan = [first]
     for step_succ in succ:
         plan.append(step_succ[plan[-1]])
-    return _finish_plan(plan, nxt[first][1], objective)
+    return _finish_plan(plan, nxt[first][2], objective)
 
 
 def oracle_opt_ho(trace: Trace, floor: float) -> AssociationPlan:
@@ -222,7 +227,9 @@ def brute_force_plan(trace: Trace, objective: str, floor: float) -> AssociationP
     """Exhaustive plan search; the reference the dynamic program is checked against.
 
     Shares _step_choices and the lexicographic tie-breaks with solve_plan,
-    so on any in-guard trace the two return identical plans.
+    so on any in-guard trace the two return identical plans. It keeps the
+    first plan of the best key, so it sorts each step's choices by BSSID:
+    the product then meets the lexicographically smallest plan first.
     """
     check_dbm("validity_floor", floor)
     key = _objective_key(objective)
@@ -234,7 +241,7 @@ def brute_force_plan(trace: Trace, objective: str, floor: float) -> AssociationP
     best_plan = None
     best_srssi = 0.0
     best_key = None
-    for combo in itertools.product(*choices):
+    for combo in itertools.product(*map(sorted, choices)):
         ho = sum(1 for a, b in zip(combo, combo[1:]) if a != b)
         srssi = 0.0
         for t in range(len(combo) - 1, -1, -1):  # back-to-front, matching the DP suffix sums

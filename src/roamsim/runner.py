@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -22,6 +23,7 @@ from collections.abc import Callable
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 from .agent import (
     TASK_AP_SELECT,
@@ -425,8 +427,70 @@ def _safe_name(label: str) -> str:
     return re.sub(r"[^\w.+-]", "_", label)
 
 
+def _float_json(x: float) -> str:
+    """`x` as json writes a finite float; ValueError for NaN and the infinities,
+    which json spells NaN and Infinity where float.__repr__ gives nan and inf."""
+    if not math.isfinite(x):
+        raise ValueError(x)
+    return float.__repr__(x)
+
+
+# The text json.dumps writes for a value of exactly this type.
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _entry_json(e) -> str:
+    """An entry of a top-level list as json.dumps(..., indent=2) writes it there.
+
+    A flat dict of str keys and scalars of the types above is rendered
+    straight from its values; anything else goes through json.dumps.
+    """
+    if type(e) is dict and e:
+        try:
+            return "{\n      " + ",\n      ".join(
+                [f"{encode_basestring_ascii(k)}: {_SCALAR_JSON[type(v)](v)}" for k, v in e.items()]
+            ) + "\n    }"
+        except (KeyError, TypeError, ValueError):
+            pass  # a nested value, a subclass, a key that is not a str, a non-finite float
+    return json.dumps(e, indent=2).replace("\n", "\n    ")
+
+
+def _report_chunks(d: dict):
+    """json.dumps(d, indent=2), for a dict of str keys, in pieces.
+
+    Each entry of a top-level list is its own piece, so a report's text is
+    never held whole; every other top-level value goes through json.dumps.
+    """
+    if not d:
+        yield "{}"
+        return
+    sep = "{\n  "
+    for k, v in d.items():
+        yield f"{sep}{encode_basestring_ascii(k)}: "
+        sep = ",\n  "
+        if type(v) is list and v:
+            entries = map(_entry_json, v)
+            yield "[\n    " + next(entries)
+            for text in entries:
+                yield ",\n    " + text
+            yield "\n  ]"
+        else:
+            yield json.dumps(v, indent=2).replace("\n", "\n  ")
+    yield "\n}"
+
+
 def write_report(report: RunReport, out_dir: str) -> str:
-    """Atomic JSON write (temp file + rename); returns the path."""
+    """Atomic JSON write (temp file + rename); returns the path.
+
+    The file holds json.dumps(report.to_dict(), indent=2) and a newline,
+    written a log entry at a time (see _report_chunks).
+    """
     _check_path("out_dir", out_dir)
     os.makedirs(out_dir, exist_ok=True)
     suffix = ""
@@ -436,7 +500,7 @@ def write_report(report: RunReport, out_dir: str) -> str:
     fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            fh.writelines(_report_chunks(report.to_dict()))
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

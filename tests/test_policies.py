@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 from functools import partial
 
@@ -39,7 +40,7 @@ from roamsim.policies import (
     solve_plan,
 )
 from roamsim.roaming import AssociationState, run_policy, should_scan
-from roamsim.trace import SynthConfig, generate_synthetic, window
+from roamsim.trace import ScanSample, SynthConfig, Trace, generate_synthetic, window
 
 
 def win_of(trace, t, k=10):
@@ -281,12 +282,30 @@ class TestBruteForce:
             trace, objective, floor
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_dp_equals_brute_force_when_scans_are_not_in_bssid_order(self, seed):
+        # integer-dBm levels, so RSSI ties are common; each scan lists its APs in
+        # a drawn order, so the order the solvers meet them in is not BSSID order
+        rng = random.Random(seed)
+        samples = []
+        for t in range(rng.randint(1, 6)):
+            present = rng.sample(range(4), rng.randint(1, 4))
+            samples.append(ScanSample(timestamp=t, bssids=tuple(mac(i) for i in present),
+                                      rssis=tuple(float(rng.randint(-72, -62)) for _ in present)))
+        trace = Trace(samples=tuple(samples))
+        for objective in (OBJECTIVE_MIN_HO, OBJECTIVE_MAX_RSSI):
+            for floor in (-100.0, -70.0, -65.0):
+                assert solve_plan(trace, objective, floor) == brute_force_plan(
+                    trace, objective, floor)
+
 
 def reference_solve_plan(trace, objective, floor):
     """The all-pairs O(T*A^2) recurrence: every AP at every step tries every
-    successor and keeps the first strictly better key."""
+    successor and keeps the first strictly better key. The choices go in BSSID
+    order, so the first of equal keys is the smallest BSSID."""
     key = _objective_key(objective)
-    choices = [_step_choices(s, floor) for s in trace.samples]
+    choices = [dict(sorted(_step_choices(s, floor).items())) for s in trace.samples]
     T = len(choices)
     value = [dict() for _ in range(T)]
     value[T - 1] = {a: (0, rssi) for a, rssi in choices[T - 1].items()}

@@ -15,7 +15,7 @@ import tempfile
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MAC_A, MAC_B, band_synth, mac, make_sample, make_trace, trace_to_csv
@@ -61,6 +61,7 @@ from roamsim.runner import (
     SWEEP_AXES,
     ExperimentConfig,
     PolicySpec,
+    _report_chunks,
     compare,
     emit_plot_data,
     read_json,
@@ -965,8 +966,11 @@ GOLDEN_REPORT_FILE_SHA256 = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_FILE_SHA256))
 def test_golden_report_file(name, tmp_path):
     report = run_experiment(_golden_config(name, "", tmp_path))
-    with open(write_report(report, str(tmp_path)), encoding="utf-8") as fh:
-        d = json.load(fh)
+    with open(write_report(report, str(tmp_path)), "rb") as fh:
+        raw = fh.read()
+    # The file's own bytes, which the digest below, taken after a reload, cannot see.
+    assert raw == (json.dumps(report.to_dict(), indent=2) + "\n").encode("ascii")
+    d = json.loads(raw)
     d["wall_clock_ms"] = 0
     d["latency"] = strip_volatile(d)["latency"]
     digest = hashlib.sha256(json.dumps(d, indent=2).encode("utf-8")).hexdigest()
@@ -1012,15 +1016,57 @@ GOLDEN_SWEEP_FILE_SHA256 = {
 def test_golden_sweep_files(axis, tmp_path):
     template = cfg_for(PolicySpec(kind="llm", mock=MockRule.argmax_rssi()), duration=80,
                        out_dir=str(tmp_path))
-    sweep(template, axis)
-    digests = {}
+    reports = sweep(template, axis)
+    digests, raws = {}, []
     for name in sorted(os.listdir(tmp_path)):
-        with open(tmp_path / name, encoding="utf-8") as fh:
-            d = json.load(fh)
+        with open(tmp_path / name, "rb") as fh:
+            raws.append(fh.read())
+        d = json.loads(raws[-1])
         d["wall_clock_ms"] = 0
         d["latency"] = strip_volatile(d)["latency"]
         digests[name] = hashlib.sha256(json.dumps(d, indent=2).encode("utf-8")).hexdigest()
     assert digests == GOLDEN_SWEEP_FILE_SHA256[axis]
+    assert sorted(raws) == sorted(
+        (json.dumps(r.to_dict(), indent=2) + "\n").encode("ascii") for r in reports)
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+# Values of exactly the types json writes, NaN, the infinities and -0.0 among
+# the floats, and strings that need escapes; then values of other types.
+_PLAIN = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**200, 2**200),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(), st.text(st.characters(max_codepoint=0x1f)), st.just("\u00e9\u2028\U0001f4f6"),
+)
+_ODD = st.one_of(
+    st.builds(_Int, st.integers()), st.builds(_Float, st.floats()),
+    st.lists(_PLAIN, max_size=3), st.dictionaries(st.text(), _PLAIN, max_size=3),
+)
+_FLAT_ENTRIES = st.dictionaries(st.text(), _PLAIN)  # as a report's log entries are
+_ENTRIES = st.one_of(
+    _FLAT_ENTRIES, _PLAIN, _ODD,
+    st.dictionaries(st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none()),
+                    st.one_of(_PLAIN, _ODD)),
+)
+_REPORT_SHAPED = st.dictionaries(st.text(), st.one_of(
+    _PLAIN, _ODD, st.lists(_FLAT_ENTRIES), st.lists(_ENTRIES),
+    st.dictionaries(st.text(), _ENTRIES)))
+
+
+@settings(max_examples=300, deadline=None)
+@example({"decision_log": [{"t": 0, "rssi": -60.5}, {"rssi": math.nan}, {"rssi": -math.inf}]})
+@given(d=_REPORT_SHAPED)
+def test_report_chunks_join_to_json_dumps(d):
+    """The writer's pieces make json.dumps's text, whether an entry takes the
+    writer's own rendering or falls back to json.dumps."""
+    assert "".join(_report_chunks(d)) == json.dumps(d, indent=2)
 
 
 # ---------------------------------------------------------------------------

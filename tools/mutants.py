@@ -3,12 +3,13 @@
     python3 tools/mutants.py              # every mutant, after a clean run
     python3 tools/mutants.py --only M4,M7 # some of them
 
-Each mutant changes one operator or bound on one line of the replay, the
-metrics, the oracle, the latency statistics or the holdout split. For each,
-the repository (without .git and caches) is copied to a temporary directory,
-the mutant is applied there, and tier-1 (`python -m pytest -x` over
-`tests/`) runs on the copy. A mutant is killed when a test fails or the run
-passes its time limit, and survives when every test passes.
+Each mutant changes one operator, bound or guard on one line of the replay,
+the metrics, the oracle, the latency statistics, the holdout split or the
+report writer. For each, the repository (without .git and caches) is copied
+to a temporary directory, the mutant is applied there, and tier-1
+(`python -m pytest -x` over `tests/`) runs on the copy. A mutant is killed
+when a test fails or the run passes its time limit, and survives when every
+test passes.
 
 First the unmutated copy runs the same way; when a test fails there, no
 mutant can be read, and the script exits 2. It also exits 2 when a
@@ -68,7 +69,8 @@ MUTANTS = (
     Mutant("M8", "src/roamsim/roaming.py", "run_policy",
            "samples[max(0, t - k + 1): t + 1]", "samples[max(0, t - k): t + 1]"),
     Mutant("M9", "src/roamsim/policies.py", "solve_plan",
-           "cand = (ho + 1, total)", "cand = (ho, total)"),
+           "cand = (key(ho + 1, total), b, ho + 1, total)",
+           "cand = (key(ho, total), b, ho, total)"),
     Mutant("M10", "src/roamsim/runner.py", "recompute_metrics",
            "zip(bssids, bssids[1:])", "zip(bssids, bssids[2:])"),
     Mutant("M11", "src/roamsim/export.py", "split_trace",
@@ -78,6 +80,8 @@ MUTANTS = (
            equivalent="the suffixes are ranked best first, so a later total above the "
                       "first one has more handovers and a worse key; the scan may run "
                       "on past it but never picks it"),
+    Mutant("M13", "src/roamsim/runner.py", "_float_json",
+           "if not math.isfinite(x):", "if False:"),
 )
 
 
