@@ -48,6 +48,7 @@ from .policies import legacy_decide
 from .roaming import (
     AssociationState,
     PolicyDecision,
+    is_valid_target,
     rssi_of,
     should_scan,
 )
@@ -336,7 +337,7 @@ def ap_select_decide(
     if pick == state.associated and pick is not None:
         # remaining associated is not a roam attempt; no floor check applies
         return PolicyDecision.stay("llm")
-    if pick in latest.bssids and rssi_of(latest, pick) >= validity_floor:
+    if is_valid_target(latest, pick, validity_floor):
         return PolicyDecision.roam(pick, "llm")
     fallback = legacy_decide(window, state)
     return fallback._replace(source="llm", valid=False, fault=not record.ok)

@@ -5,7 +5,9 @@ model, and latency metering.
 and the external decision policy (policies.ExternalPolicy) alike: a POST of
 a JSON body the caller has encoded once, on the caller's JsonConnection,
 with the retry rule and the outcomes ok, timeout, transport_error and
-http_error. JsonConnection is one kept-alive HTTP/1.1 connection on its
+http_error. Each attempt's `timeout_ms` bounds its whole exchange, from the
+connect to the reply's last byte, so a peer that drips its reply still
+times out. JsonConnection is one kept-alive HTTP/1.1 connection on its
 own socket, standard library only: it writes each request in one send and
 parses the reply itself, within http.client's limits, refusing what would
 make the reply's end uncertain (see its docstring). `ssl` is imported only
@@ -361,6 +363,7 @@ class JsonConnection:
         self._tls = None  # the ssl context, made on the first https connect
         self._buf = bytearray()  # the reply's bytes received so far
         self._pos = 0  # where the part of _buf not yet parsed starts
+        self._deadline = 0.0  # time.monotonic() at which the current exchange times out
         self._lock = threading.Lock()
 
     def post(self, url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
@@ -368,8 +371,8 @@ class JsonConnection:
 
         Raises ConfigError (a ValueError) for a URL `check_url` refuses,
         ValueError for a reply that breaks HTTP/1.1's framing, TimeoutError
-        when `timeout` seconds pass with no progress, and OSError for other
-        failures.
+        when the whole exchange (connect, send and reply) takes longer than
+        `timeout` seconds, and OSError for other failures.
         """
         with self._lock:
             if url != self._url:
@@ -405,14 +408,14 @@ class JsonConnection:
         self._url, self._head = url, head
 
     def _exchange(self, body: bytes, timeout: float) -> tuple[int, bytes]:
+        self._deadline = time.monotonic() + timeout
         sock = self._sock
         if sock is not None and self._peer_closed():
             self.close()  # the request below opens a fresh one
             sock = None
         if sock is None:
-            sock = self._connect(timeout)
-        elif timeout != sock.gettimeout():
-            sock.settimeout(timeout)
+            sock = self._connect()
+        sock.settimeout(self._time_left())
         sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
         status, data, keep = self._read_reply()
         if keep and self._pos == len(self._buf):
@@ -433,9 +436,16 @@ class JsonConnection:
             return bool(self._poll.poll(0))
         return bool(select.select([self._sock], [], [], 0)[0])
 
-    def _connect(self, timeout: float):
+    def _time_left(self) -> float:
+        """Seconds until the exchange's deadline; TimeoutError once it has passed."""
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("the exchange took longer than its timeout")
+        return left
+
+    def _connect(self):
         scheme, host, port = self._origin
-        sock = socket.create_connection((host, port), timeout)
+        sock = socket.create_connection((host, port), self._time_left())
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if scheme == "https":
@@ -443,6 +453,7 @@ class JsonConnection:
                     import ssl  # only https needs it, and it is slow to import
 
                     self._tls = ssl.create_default_context()
+                sock.settimeout(self._time_left())  # the handshake's budget
                 sock = self._tls.wrap_socket(sock, server_hostname=host)
         except BaseException:
             sock.close()
@@ -540,6 +551,7 @@ class JsonConnection:
 
     def _recv(self) -> bool:
         """Append what the socket has to the buffer; False at its end."""
+        self._sock.settimeout(self._time_left())
         data = self._sock.recv(_RECV_SIZE)
         self._buf += data
         return bool(data)

@@ -46,6 +46,7 @@ from .roaming import (
     AssociationState,
     PolicyDecision,
     check_dbm,
+    handover_count,
     passes_hysteresis,
     rssi_of,
     should_scan,
@@ -147,7 +148,7 @@ def _objective_key(objective: str):
 
 
 def _finish_plan(plan: list[str], srssi: float, objective: str) -> AssociationPlan:
-    ho = sum(1 for a, b in zip(plan, plan[1:]) if a != b)
+    ho = handover_count(plan)
     value = float(ho) if objective == OBJECTIVE_MIN_HO else srssi
     return AssociationPlan(
         plan=tuple(plan), objective=objective, objective_value=value, handovers=ho

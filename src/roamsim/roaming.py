@@ -15,12 +15,12 @@ scan threshold and both hysteresis margins; the sample's `activity` picks
 the margin. The state, the decision and the timeline are named tuples, so
 a roam's new state is `state._replace(associated=target)`.
 
-Validity rule: a roam target must be present in the current scan with
-RSSI at or above the validity floor. Invalid roams never change the
-association (the device stays put) and are recorded so they feed the
-error-rate metric. A decision arriving pre-marked invalid (an upstream
-fallback) keeps its invalid flag even when the fallback decision itself
-is applied.
+Validity rule (is_valid_target): a roam target must be present in the
+current scan with RSSI at or above the validity floor. Invalid roams never
+change the association (the device stays put) and are recorded so they
+feed the error-rate metric. A decision arriving pre-marked invalid (an
+upstream fallback) keeps its invalid flag even when the fallback decision
+itself is applied.
 """
 
 from __future__ import annotations
@@ -114,6 +114,16 @@ def rssi_of(sample: ScanSample, bssid: str | None) -> float:
         return ABSENT_RSSI_DBM
 
 
+def is_valid_target(sample: ScanSample, bssid: str | None, validity_floor: float) -> bool:
+    """The validity rule: `bssid` is in the scan with RSSI at or above the floor."""
+    return bssid in sample.bssids and rssi_of(sample, bssid) >= validity_floor
+
+
+def handover_count(bssids) -> int:
+    """Handovers along a sequence of BSSIDs: the steps whose BSSID differs from the last."""
+    return sum(1 for a, b in zip(bssids, bssids[1:]) if a != b)
+
+
 def apply_decision(
     state: AssociationState,
     sample: ScanSample,
@@ -130,7 +140,7 @@ def apply_decision(
     valid = decision.valid
     target = decision.target
     if target is not None:
-        target_ok = target in sample.bssids and rssi_of(sample, target) >= validity_floor
+        target_ok = is_valid_target(sample, target, validity_floor)
         if target_ok:
             new_state = state._replace(associated=target)
         valid = valid and target_ok

@@ -28,7 +28,6 @@ from json.encoder import encode_basestring_ascii
 from .agent import (
     TASK_AP_SELECT,
     TASK_THRESHOLD,
-    FewShotExample,
     PromptConfig,
     ap_select_decide,
     build_shot_pool,
@@ -49,11 +48,12 @@ from .policies import (
     oracle_opt_ho,
     oracle_opt_rssi,
 )
-from .roaming import DEFAULT_SCAN_RSSI_DBM, HYSTERESIS_PRESETS, check_dbm, run_policy
+from .roaming import (
+    DEFAULT_SCAN_RSSI_DBM, HYSTERESIS_PRESETS, check_dbm, handover_count, run_policy,
+)
 from .trace import (
     RSSI_MAX_DBM,
     RSSI_MIN_DBM,
-    ScanSample,
     SynthConfig,
     Trace,
     generate_synthetic,
@@ -252,8 +252,7 @@ def recompute_metrics(decision_log: list[dict]) -> dict:
     """
     if not decision_log:
         raise DataError("empty decision log")
-    bssids = [e["bssid"] for e in decision_log]
-    ho = sum(1 for a, b in zip(bssids, bssids[1:]) if a != b)
+    ho = handover_count([e["bssid"] for e in decision_log])
     avg = sum(e["rssi"] for e in decision_log) / len(decision_log)
     attempts = [
         e
@@ -290,76 +289,15 @@ def _oracle_plan(trace: Trace, objective: str, floor: float) -> AssociationPlan:
     return oracle_opt_rssi(trace, floor)
 
 
-@dataclass
-class _Run:
-    """What a policy factory needs for one run, and what it leaves behind."""
-
-    cfg: ExperimentConfig
-    label: str  # the report's policy label
-    trace: Trace  # the evaluated trace
-    prompt: PromptConfig
-    template: dict[str, str] | None
-    shots: tuple[FewShotExample, ...]
-    client: object = None
-    threshold_log: list[dict] = field(default_factory=list)
-    rows: dict[ScanSample, str] = field(default_factory=dict)  # rendered prompt rows
-    conn: JsonConnection = field(default_factory=JsonConnection)  # opened on first post
-
-
-def _plan_policy(run: _Run) -> dict:
-    plan = _oracle_plan(run.trace, run.cfg.policy.kind, run.cfg.validity_floor)
-    # plan entries may sit below the floor on relaxed steps; replay
-    # must still follow the plan
-    return {
-        "decide": PlanPolicy(run.trace, plan, run.label).decide,
-        "validity_floor": -100.0,
-        "initial": plan.plan[0],
-    }
-
-
-def _llm_policy(run: _Run) -> dict:
-    spec, cfg = run.cfg.policy, run.cfg
-    run.client = (
-        MockClient(spec.mock) if spec.mock is not None else HttpClient(spec.endpoint, run.conn)
-    )
-    if cfg.task == TASK_AP_SELECT:
-        return {
-            "decide": lambda win, state: ap_select_decide(
-                win, state, run.prompt, run.client, cfg.validity_floor, run.shots,
-                template=run.template, rows=run.rows,
-            )
-        }
-    interval = cfg.interval if cfg.interval is not None else 30
-    return {
-        "decide": legacy_decide,
-        "pre_decide": lambda win, state: threshold_schedule_step(
-            run.threshold_log, interval, win, state, run.prompt, run.client,
-            template=run.template, rows=run.rows,
-        ),
-    }
-
-
-# kind -> (report label for the spec, run -> run_policy keyword arguments)
+# kind -> the report's policy label, formatted with the spec's fields
 POLICIES = {
-    "heuristic": (
-        lambda spec: f"heuristic(seed={spec.seed})",
-        lambda run: {"decide": partial(heuristic_decide, seed=run.cfg.policy.seed)},
-    ),
-    "legacy": (lambda spec: "legacy", lambda run: {"decide": legacy_decide}),
-    "fixed": (
-        lambda spec: f"fixed({spec.fixed_dbm:g})",
-        lambda run: {
-            "decide": partial(legacy_decide, source=run.label),
-            "scan_rssi": run.cfg.policy.fixed_dbm,
-        },
-    ),
-    "opt_ho": (lambda spec: "opt-ho", _plan_policy),
-    "opt_rssi": (lambda spec: "opt-rssi", _plan_policy),
-    "llm": (lambda spec: "llm", _llm_policy),
-    "external": (
-        lambda spec: "external",
-        lambda run: {"decide": ExternalPolicy(run.cfg.policy.external_url, run.conn).decide},
-    ),
+    "heuristic": "heuristic(seed={seed})",
+    "legacy": "legacy",
+    "fixed": "fixed({fixed_dbm:g})",
+    "opt_ho": "opt-ho",
+    "opt_rssi": "opt-rssi",
+    "llm": "llm",
+    "external": "external",
 }
 
 
@@ -381,19 +319,46 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             shots = build_shot_pool(train, train_plan, prompt_cfg, spec.seed, template)
         scenario = f"{scenario}:test"
 
-    label, build = POLICIES[spec.kind]
-    run = _Run(cfg, label(spec), eval_trace, prompt_cfg, template, shots)
+    label = POLICIES[spec.kind].format_map(vars(spec))
+    client, threshold_log = None, []
+    conn = JsonConnection()  # opened on first post
     replay = {
         "k": cfg.window_k,
         "scan_rssi": cfg.scan_rssi,
         "hysteresis": HYSTERESIS_PRESETS[cfg.hysteresis],
         "validity_floor": cfg.validity_floor,
-        **build(run),
     }
-    with closing(run.conn):
-        timeline = run_policy(eval_trace, **replay)
+    if spec.kind == "legacy":
+        decide = legacy_decide
+    elif spec.kind == "heuristic":
+        decide = partial(heuristic_decide, seed=spec.seed)
+    elif spec.kind == "fixed":
+        decide = partial(legacy_decide, source=label)
+        replay["scan_rssi"] = spec.fixed_dbm
+    elif spec.kind in ("opt_ho", "opt_rssi"):
+        plan = _oracle_plan(eval_trace, spec.kind, cfg.validity_floor)
+        decide = PlanPolicy(eval_trace, plan, label).decide
+        # plan entries may sit below the floor on relaxed steps; replay must still follow the plan
+        replay.update(validity_floor=-100.0, initial=plan.plan[0])
+    elif spec.kind == "external":
+        decide = ExternalPolicy(spec.external_url, conn).decide
+    else:  # llm, the last kind validate_config accepts
+        client = MockClient(spec.mock) if spec.mock is not None else HttpClient(spec.endpoint, conn)
+        rows = {}  # the prompt rows rendered so far, which every call reuses
+        if cfg.task == TASK_AP_SELECT:
+            decide = partial(ap_select_decide, cfg=prompt_cfg, client=client,
+                             validity_floor=cfg.validity_floor, shots=shots,
+                             template=template, rows=rows)
+        else:
+            interval = cfg.interval if cfg.interval is not None else 30
+            decide = legacy_decide
+            replay["pre_decide"] = partial(threshold_schedule_step, threshold_log, interval,
+                                           cfg=prompt_cfg, client=client,
+                                           template=template, rows=rows)
+    with closing(conn):
+        timeline = run_policy(eval_trace, decide, **replay)
 
-    latency = client_latency(run.client)
+    latency = client_latency(client)
 
     metrics = recompute_metrics(timeline.steps)
     if cfg.score_against is not None:
@@ -409,13 +374,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         config=config_dict,
         scenario=scenario,
         task=cfg.task,
-        policy=run.label,
+        policy=label,
         trace_hash=trace_hash,
         seedprint=hashlib.sha256(seed_blob.encode("utf-8")).hexdigest()[:16],
         metrics=metrics,
         latency=latency,
         decision_log=timeline.steps,
-        threshold_log=run.threshold_log,
+        threshold_log=threshold_log,
         wall_clock_ms=(time.perf_counter() - start) * 1000.0,
     )
     if cfg.out_dir:

@@ -298,11 +298,13 @@ class TestJsonConnection:
 
     def test_a_new_timeout_applies_to_the_kept_alive_socket(self, loopback, conn):
         peer = loopback(protocol="HTTP/1.1")
-        for timeout_ms in (2000.0, 3000.0):
-            outcome, *_ = post_json(conn, peer.url + "/decide", b"{}", dict, timeout_ms)
-            assert outcome == "ok"
-        assert len({port for _, port in peer.posts}) == 1
-        assert conn._sock.gettimeout() == 3.0
+        outcome, *_ = post_json(conn, peer.url + "/decide", b"{}", dict, 3000.0)
+        assert outcome == "ok"
+        peer.delay_s = 1.0  # longer than the second request's budget
+        outcome, _, _, latency_ms, _ = post_json(conn, peer.url + "/decide", b"{}", dict, 200.0)
+        assert outcome == "timeout"
+        assert latency_ms < 800.0
+        assert len({port for _, port in peer.posts}) == 1  # both on the kept-alive socket
 
     def test_http10_server_closing_each_reply(self, loopback, conn):
         client = HttpClient(endpoint(loopback(), max_retries=0), conn)
@@ -574,6 +576,17 @@ class TestWireFormat:
         raw_server.replies.append(((head, b'{"action": "stay"}'), True))
         assert _post(conn, raw_server) == ("ok", 200, STAY)
 
+    def test_a_dripped_reply_times_out_within_the_budget(self, raw_server, conn):
+        # one byte every 0.1 s: each recv makes progress, but the whole reply takes 5.6 s
+        reply = _ok()
+        raw_server.replies.append((tuple(reply[i:i + 1] for i in range(len(reply))), True))
+        start = time.perf_counter()
+        outcome, status, value, _, attempts = post_json(conn, raw_server.url, b"{}",
+                                                        lambda v: v, 300.0)
+        assert (outcome, status, value, attempts) == ("timeout", None, None, 1)
+        assert time.perf_counter() - start < 0.3 + 0.5
+        assert conn._sock is None  # the timeout closed the connection
+
     def test_http10_keep_alive_is_kept(self, raw_server, conn):
         raw_server.replies += [(b"HTTP/1.0 200 OK\r\nConnection: Keep-Alive\r\n"
                                 b"Content-Length: 18\r\n\r\n" b'{"action": "stay"}', False),
@@ -724,10 +737,13 @@ def test_any_reply_bytes_end_in_an_outcome(shared_raw_server, reply):
 class _ReplyBytes:
     """A socket stand-in over one reply's bytes, for both readers: `recv` hands
     them out `piece` bytes at a time (JsonConnection), and `makefile` gives them
-    all (http.client)."""
+    all (http.client). Its bytes are all there, so a timeout has nothing to bound."""
 
     def __init__(self, data: bytes, piece: int):
         self._data, self._file, self._piece = data, io.BytesIO(data), piece
+
+    def settimeout(self, timeout: float) -> None:
+        pass
 
     def recv(self, size: int) -> bytes:
         return self._file.read(min(size, self._piece))
@@ -747,6 +763,7 @@ def _own_reply(reply: bytes, piece: int = 1 << 16):
     """(status, body, whether to keep the connection) as JsonConnection reads `reply`."""
     conn = JsonConnection()
     conn._sock = _ReplyBytes(reply, piece)
+    conn._deadline = time.monotonic() + 60.0  # as _exchange sets it before the read
     return conn._read_reply()
 
 

@@ -55,8 +55,8 @@ MUTANTS = (
            "current_rssi < threshold", "current_rssi <= threshold"),
     Mutant("M2", "src/roamsim/roaming.py", "passes_hysteresis",
            "candidate_rssi - current_rssi >= margin", "candidate_rssi - current_rssi > margin"),
-    Mutant("M3", "src/roamsim/roaming.py", "apply_decision",
-           "rssi_of(sample, target) >= validity_floor", "rssi_of(sample, target) > validity_floor"),
+    Mutant("M3", "src/roamsim/roaming.py", "is_valid_target",
+           "rssi_of(sample, bssid) >= validity_floor", "rssi_of(sample, bssid) > validity_floor"),
     Mutant("M4", "src/roamsim/policies.py", "_step_choices",
            "if r >= bar}", "if r > bar or r == max(sample.rssis)}"),
     Mutant("M5", "src/roamsim/runner.py", "recompute_metrics",
@@ -71,7 +71,7 @@ MUTANTS = (
     Mutant("M9", "src/roamsim/policies.py", "solve_plan",
            "cand = (key(ho + 1, total), b, ho + 1, total)",
            "cand = (key(ho, total), b, ho, total)"),
-    Mutant("M10", "src/roamsim/runner.py", "recompute_metrics",
+    Mutant("M10", "src/roamsim/roaming.py", "handover_count",
            "zip(bssids, bssids[1:])", "zip(bssids, bssids[2:])"),
     Mutant("M11", "src/roamsim/export.py", "split_trace",
            "min(T - 1, max(1,", "min(T, max(1,"),
